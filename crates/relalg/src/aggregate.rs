@@ -261,8 +261,8 @@ impl<'a> Accumulator<'a> {
     }
 
     /// Fold one input row into the group states; `eval` supplies the
-    /// value of a compiled expression for that row, so the row-cursor
-    /// path and the batched path share one grouping implementation.
+    /// value of a compiled expression for that row, so the relation path
+    /// and the batched path share one grouping implementation.
     fn fold(&mut self, eval: impl Fn(&CompiledExpr) -> Value) -> Result<()> {
         let key: Vec<Value> = self.key_exprs.iter().map(&eval).collect();
         let pos = self.morsel_base + self.seq;
@@ -463,8 +463,7 @@ pub fn aggregate(
 /// Hash aggregation pulled straight off the streaming executor, one
 /// column batch at a time: a batched σ/π/join-probe chain feeds GROUP BY
 /// without ever materializing its input rows — only the group states
-/// are buffered. Plans on the row fallback path are bridged into owned
-/// batches by [`exec::Streamed::for_each_batch`].
+/// are buffered.
 ///
 /// When the executor decides to run the input morsel-parallel, each
 /// worker folds its morsels into a *partial* accumulator and the partial
@@ -658,7 +657,7 @@ mod tests {
         .unwrap();
         assert_eq!(via_plan, via_rel);
         let s = exec::stream(&p, &c).unwrap();
-        s.for_each_row(|_| Ok(())).unwrap();
+        s.for_each_batch(|_| Ok(())).unwrap();
         assert_eq!(s.stats().buffers, 0);
         // Compile errors still surface.
         assert!(aggregate_plan(

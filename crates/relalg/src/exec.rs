@@ -10,30 +10,26 @@
 //!    already-materialized scan, in which case the hash table indexes the
 //!    shared storage directly) and set-difference materializes its right
 //!    side.
-//! 2. **Pull** ([`Streamed`]): the prepared tree executes on one of two
-//!    engines.
+//! 2. **Pull** ([`Streamed`]): the prepared tree executes on one engine,
+//!    the batched cursors, and every pull — full, limited, or batch-wise
+//!    — runs on it.
 //!
-//!    *Batched (default)*: when every streaming operator supports it
-//!    ([`batched_pipeline`]), execution is **vectorized** — scans read
-//!    [`BATCH_SIZE`]-row [`ColumnBatch`]es off each relation's cached
-//!    column-major image ([`crate::relation::ColumnarImage`]),
-//!    predicates evaluate column-at-a-time in typed tight loops
-//!    (`&[i64]` comparisons, pointer-first interned-string equality)
-//!    producing selection vectors, projections shuffle column pointers,
-//!    and hash-join probes hash the key columns of a whole batch before
-//!    emitting matches as zero-copy views of both the probe batch and
-//!    the build image. Breakers (build sides, distinct/difference
-//!    seen-sets, sort, aggregation) consume and emit batches too.
-//!
-//!    Cross-side predicates that used to force row fallbacks —
-//!    nested-loop theta joins, residual and non-equi semijoins — run
-//!    the *pair-batch evaluator*: candidate (probe, buffered-side)
-//!    pairs are assembled as zero-copy batches and masked by the same
-//!    vectorized kernels, so every operator is `[batched]`. The row
-//!    cursors survive for limited pulls ([`Streamed::collect_rows`]
-//!    with a cap, which must not overshoot) and
-//!    [`Streamed::for_each_row`]; [`Streamed::for_each_batch`] bridges
-//!    them into owned batches when needed.
+//!    Execution is **vectorized**: scans read [`BATCH_SIZE`]-row
+//!    [`ColumnBatch`]es off each relation's cached column-major image
+//!    ([`crate::relation::ColumnarImage`]), predicates evaluate
+//!    column-at-a-time in typed tight loops (`&[i64]` comparisons,
+//!    pointer-first interned-string equality) producing selection
+//!    vectors, projections shuffle column pointers, and hash-join probes
+//!    hash the key columns of a whole batch before emitting matches as
+//!    zero-copy views of both the probe batch and the build image.
+//!    Breakers (build sides, distinct/difference seen-sets, sort,
+//!    aggregation) consume and emit batches too. Cross-side predicates —
+//!    nested-loop theta joins, residual and non-equi semijoins — run the
+//!    *pair-batch evaluator*: candidate (probe, buffered-side) pairs are
+//!    assembled as zero-copy batches and masked by the same vectorized
+//!    kernels. A limited pull ([`Streamed::collect_rows`] with a cap)
+//!    stops at batch granularity: after the batch that reaches the cap,
+//!    so upstream work overshoots by at most one batch.
 //!
 //!    *Morsel-driven parallel*: when the catalog's
 //!    [`EngineConfig`] allows more than one worker and the optimizer
@@ -54,8 +50,8 @@
 //! pointer-equal, and `Rename` re-qualifies the schema while aliasing the
 //! input's row storage (and its cached columnar image). Only the final
 //! consumer materializes — and consumers that do not need a full result
-//! ([`crate::sort::limit_plan`], aggregation) can pull exactly as much
-//! as they want.
+//! ([`crate::sort::limit_plan`], aggregation) stop pulling once they
+//! have what they want.
 //!
 //! Under a **memory budget** ([`EngineConfig::mem_budget`] /
 //! `RELALG_MEM_BUDGET`), breaker buffers charge their bytes against a
@@ -65,10 +61,8 @@
 //! recursive hybrid-hash protocol, and distinct/difference seen-sets
 //! flush with first-occurrence candidates resolved at end of input
 //! (sort and aggregation spill on their own consumers' side). Spilled
-//! execution is byte-identical to unbounded execution; only the
-//! batched pulls spill — the row cursors serve limited pulls, whose
-//! early exit a spill would defeat. A plan whose join build spilled
-//! runs serial.
+//! execution is byte-identical to unbounded execution, limited pulls
+//! included. A plan whose join build spilled runs serial.
 //!
 //! [`ExecStats`] counts the intermediate buffers actually allocated plus
 //! the batches emitted (and their mean fill) and the spill counters
@@ -88,7 +82,7 @@ use crate::optimizer::{est_rows, est_rows_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
 use crate::provider::{provider_for, ImageProvider, IoCounters};
-use crate::relation::{row_footprint, Column, ColumnarImage, Relation, Row};
+use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
 use crate::spill::{merge_runs, MergeRuns, Record, Run, SpillCtx};
@@ -128,8 +122,8 @@ pub struct ExecStats {
     pub buffers: usize,
     /// Total rows copied into intermediate buffers.
     pub buffered_rows: usize,
-    /// Column batches emitted by batched pipelines (0 when every
-    /// pipeline ran on the row fallback path).
+    /// Column batches emitted by the pipelines (0 when no pipeline
+    /// emitted a row).
     pub batches: usize,
     /// Logical rows carried by those batches.
     pub batch_rows: usize,
@@ -368,36 +362,6 @@ impl Counters {
     }
 }
 
-/// A row flowing through a stream: borrowed straight from shared base
-/// storage when no operator had to touch it, owned once an operator
-/// constructed a new tuple (projection, join concatenation).
-pub enum StreamRow<'a> {
-    /// A row aliasing the storage of a materialized relation.
-    Borrowed(&'a Row),
-    /// A freshly built row.
-    Owned(Row),
-}
-
-impl StreamRow<'_> {
-    /// View as a row regardless of ownership.
-    #[inline]
-    pub fn as_row(&self) -> &Row {
-        match self {
-            StreamRow::Borrowed(r) => r,
-            StreamRow::Owned(r) => r,
-        }
-    }
-
-    /// Take ownership (clones only if still borrowed).
-    #[inline]
-    pub fn into_owned(self) -> Row {
-        match self {
-            StreamRow::Borrowed(r) => r.clone(),
-            StreamRow::Owned(r) => r,
-        }
-    }
-}
-
 /// How a prepared pipeline will run morsel-parallel.
 struct ParallelSpec {
     /// Number of morsels the root pipeline's source spine splits into.
@@ -528,13 +492,6 @@ impl Streamed {
         self.spilled_build
     }
 
-    /// `true` iff the root pipeline runs vectorized: every streaming
-    /// operator from the leaves up has a batched implementation. Row
-    /// consumers still work either way — this only selects the engine.
-    pub fn batched(&self) -> bool {
-        self.root.batchable()
-    }
-
     /// Workers a full (unlimited) pull will fan out over: `1` means the
     /// plan runs serial (configured serial, too few estimated rows, a
     /// single morsel, or a gather-unsafe operator tree). Matches
@@ -554,225 +511,122 @@ impl Streamed {
         self.worker_batches.borrow().clone()
     }
 
-    /// Pull every row through `f` without materializing the output.
-    /// Always uses the row cursors: rows borrowed from base storage are
-    /// handed out without any per-row construction.
-    pub fn for_each_row(&self, mut f: impl FnMut(&Row) -> Result<()>) -> Result<()> {
-        self.counters.reset_pull();
-        fault::catch_pull(|| {
-            let mut cur = self.root.cursor(&self.counters);
-            while let Some(r) = cur.next() {
-                self.counters.cancel.check()?;
-                f(r.as_row())?;
-            }
-            Ok(())
-        })?
-    }
-
-    /// Pull every column batch through `f`. Batched pipelines hand out
-    /// their batches as-is (zero-copy views of shared columns); a plan
-    /// on the row fallback path is bridged by packing pulled rows into
-    /// owned batches of up to [`BATCH_SIZE`] rows, so batch consumers
-    /// (aggregation) run on every plan.
-    pub fn for_each_batch(&self, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
-        self.counters.reset_pull();
-        if self.root.batchable() {
-            return fault::catch_pull(|| {
-                let mut cur = self.root.batch_cursor(&self.counters);
-                while let Some(b) = cur.next_batch() {
-                    self.counters.cancel.check()?;
-                    self.counters.batch(b.len());
-                    f(&b)?;
-                }
-                Ok(())
-            })?;
-        }
-        // Row bridge: the fallback path made visible by ExecStats (these
-        // batches copy values) and EXPLAIN's `[row]` annotations.
-        let arity = self.schema.arity();
-        fault::catch_pull(|| {
-            let mut cur = self.root.cursor(&self.counters);
-            loop {
-                self.counters.cancel.check()?;
-                let mut cols: Vec<Vec<crate::value::Value>> = vec![Vec::new(); arity];
-                let mut n = 0;
-                while n < BATCH_SIZE {
-                    match cur.next() {
-                        Some(r) => {
-                            for (c, v) in cols.iter_mut().zip(r.as_row().iter()) {
-                                c.push(v.clone());
-                            }
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if n == 0 {
-                    break;
-                }
-                let batch = ColumnBatch {
-                    cols: cols
-                        .into_iter()
-                        .map(|v| BatchCol::Owned(Arc::new(Column::from_values(v))))
-                        .collect(),
-                    len: n,
-                };
-                self.counters.batch(n);
-                f(&batch)?;
-                if n < BATCH_SIZE {
-                    break;
-                }
-            }
-            Ok(())
-        })?
+    /// Pull every column batch through `f` — zero-copy views of shared
+    /// columns wherever the pipeline allows — without materializing the
+    /// output rows.
+    pub fn for_each_batch(&self, f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
+        self.pull_serial(usize::MAX, f)
     }
 
     /// Pull up to `limit` rows (all when `None`) into an owned buffer.
     ///
-    /// Unlimited pulls over a batched pipeline run vectorized — and
-    /// morsel-parallel when the prepare decided so, with the gather
-    /// keeping the output byte-identical to serial — and materialize
-    /// rows once at the end. Limited pulls keep the row cursors so
-    /// pulling stops exactly at the limit — upstream work for rows past
-    /// it is never done (batching would overshoot by up to a batch).
+    /// Unlimited pulls run morsel-parallel when the prepare decided so,
+    /// with the gather keeping the output byte-identical to serial.
+    /// Limited pulls run serial and stop after the batch that reaches
+    /// the limit — upstream work overshoots by at most one batch — and
+    /// return exactly the first `limit` rows of the full pull.
     pub fn collect_rows(&self, limit: Option<usize>) -> Result<Vec<Row>> {
         if limit.is_none() {
             if let Some(rows) = self.parallel_rows() {
                 return rows;
             }
         }
-        self.counters.reset_pull();
-        if limit.is_none() && self.root.batchable() {
-            return fault::catch_pull(|| {
-                let mut rows = Vec::new();
-                let mut cur = self.root.batch_cursor(&self.counters);
-                while let Some(b) = cur.next_batch() {
-                    self.counters.cancel.check()?;
-                    self.counters.batch(b.len());
-                    for pos in 0..b.len() {
-                        rows.push(b.row(pos));
-                    }
-                }
-                Ok(rows)
-            })?;
-        }
         let cap = limit.unwrap_or(usize::MAX);
+        let mut rows = Vec::new();
+        self.pull_serial(cap, |b| {
+            rows.extend((0..b.len()).map(|pos| b.row(pos)));
+            Ok(())
+        })?;
+        rows.truncate(cap);
+        Ok(rows)
+    }
+
+    /// The serial pull loop behind every serial consumer: runs the
+    /// batched cursor tree from the top, checks the cancel token at
+    /// every batch boundary, and hands batches to `f` until the stream
+    /// ends or at least `limit` rows have gone by.
+    fn pull_serial(
+        &self,
+        limit: usize,
+        mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>,
+    ) -> Result<()> {
+        self.counters.reset_pull();
         fault::catch_pull(|| {
-            let mut rows = Vec::new();
-            let mut cur = self.root.cursor(&self.counters);
-            while rows.len() < cap {
+            let mut cur = self.root.batch_cursor(&self.counters);
+            let mut pulled = 0;
+            while pulled < limit {
+                let Some(b) = cur.next_batch() else {
+                    break;
+                };
                 self.counters.cancel.check()?;
-                match cur.next() {
-                    Some(r) => rows.push(r.into_owned()),
-                    None => break,
-                }
+                self.counters.batch(b.len());
+                pulled += b.len();
+                f(&b)?;
             }
-            Ok(rows)
+            Ok(())
         })?
     }
 
-    /// Morsel-parallel materialization of the root pipeline: workers
-    /// steal morsels off the shared exchange, run the batched cursor
-    /// tree over each (stateful operators keep morsel-local partial
-    /// seen-sets), and the gather re-assembles the per-morsel outputs in
-    /// morsel order — replaying deferred distinct/difference seen-set
-    /// semantics on the ordered stream — so the result is byte-identical
-    /// to a serial pull. `None` when the prepare decided to run serial.
+    /// Morsel-parallel materialization of the root pipeline: each
+    /// worker keeps its morsels' rows apart (stateful operators keep
+    /// morsel-local partial seen-sets), and [`Streamed::gather`]
+    /// re-assembles them in morsel order. `None` when the prepare
+    /// decided to run serial.
     fn parallel_rows(&self) -> Option<Result<Vec<Row>>> {
         let spec = self.parallel.as_ref()?;
-        self.counters.reset_pull();
-        #[derive(Default)]
-        struct WorkerOut {
-            per_morsel: Vec<(usize, Vec<Row>)>,
-            batches: usize,
-            batch_rows: usize,
-        }
-        let (root, morsel_rows) = (&self.root, self.morsel_rows);
-        let spill = Arc::clone(&self.counters.spill);
-        let seg = Arc::clone(&self.counters.seg);
-        let faults = self.counters.faults.clone();
-        let cancel = Arc::clone(&self.counters.cancel);
-        let workers_out = self
-            .pool
-            .fold_tasks(spec.morsels, WorkerOut::default, |w, idx| {
-                // Morsel boundary: a tripped token cancels the claim and
-                // (via the pool's abort flag) the sibling workers.
-                fault::rethrow(cancel.check());
-                let local = Counters::with_shared(
-                    Arc::clone(&spill),
-                    Arc::clone(&seg),
-                    faults.clone(),
-                    Arc::clone(&cancel),
-                );
-                let mut cur = root.morsel_cursor(idx, morsel_rows, &local);
-                let mut rows = Vec::new();
-                while let Some(b) = cur.next_batch() {
-                    fault::rethrow(cancel.check());
-                    local.batch(b.len());
-                    for pos in 0..b.len() {
-                        rows.push(b.row(pos));
-                    }
+        let per_worker = self.fan_out(
+            spec,
+            Vec::new,
+            |out: &mut Vec<(usize, Vec<Row>)>, idx, b| {
+                let rows = (0..b.len()).map(|pos| b.row(pos));
+                match out.last_mut() {
+                    Some((last, morsel)) if *last == idx => morsel.extend(rows),
+                    _ => out.push((idx, rows.collect())),
                 }
-                let (b, r) = local.pull_batches.get();
-                w.batches += b;
-                w.batch_rows += r;
-                w.per_morsel.push((idx, rows));
-            });
-        let workers_out = match workers_out {
-            Ok(w) => w,
-            Err(e) => return Some(Err(e)),
-        };
-        // Gather: merge worker counters, then emit morsel outputs in
-        // morsel order.
-        self.counters.workers.set(workers_out.len());
-        let mut per_worker = self.worker_batches.borrow_mut();
-        per_worker.clear();
-        let (mut tb, mut tr) = (0, 0);
-        let mut slots: Vec<Option<Vec<Row>>> = (0..spec.morsels).map(|_| None).collect();
-        for w in workers_out {
-            per_worker.push((w.batches, w.batch_rows));
-            tb += w.batches;
-            tr += w.batch_rows;
-            for (idx, rows) in w.per_morsel {
-                slots[idx] = Some(rows);
-            }
+                Ok(())
+            },
+        );
+        Some(per_worker.map(|per_worker| self.gather(spec, per_worker)))
+    }
+
+    /// The ordered gather: emit the per-morsel outputs in morsel order,
+    /// replaying deferred distinct/difference seen-set semantics on the
+    /// ordered stream when the spine holds one, so the result is
+    /// byte-identical to a serial pull.
+    fn gather(&self, spec: &ParallelSpec, per_worker: Vec<Vec<(usize, Vec<Row>)>>) -> Vec<Row> {
+        let mut slots: Vec<Vec<Row>> = vec![Vec::new(); spec.morsels];
+        for (idx, rows) in per_worker.into_iter().flatten() {
+            slots[idx] = rows;
         }
-        self.counters.pull_batches.set((tb, tr));
-        let gathered = slots.into_iter().map(|s| s.expect("every morsel ran"));
+        if !spec.dedup {
+            return slots.into_iter().flatten().collect();
+        }
+        // Replay the deferred seen-set: first occurrence in morsel
+        // order wins, exactly as the serial seen-set would decide. The
+        // replay set holds (a copy of) the distinct output and has no
+        // spill path of its own — it is *charged* so
+        // `peak_tracked_bytes` reports it honestly (see ROADMAP:
+        // spilling the gather replay is an open follow-on).
+        let budget = self.counters.spill.budget();
+        let mut replay_bytes = 0usize;
+        let mut seen: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
         let mut out = Vec::new();
-        if spec.dedup {
-            // Replay the deferred seen-set: first occurrence in morsel
-            // order wins, exactly as the serial seen-set would decide.
-            // The replay set holds (a copy of) the distinct output and
-            // has no spill path of its own — it is *charged* so
-            // `peak_tracked_bytes` reports it honestly (see ROADMAP:
-            // spilling the gather replay is an open follow-on).
-            let budget = self.counters.spill.budget();
-            let mut replay_bytes = 0usize;
-            let mut seen: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
-            for rows in gathered {
-                for row in rows {
-                    let bucket = seen.entry(row_hash(&row)).or_default();
-                    if bucket.contains(&row) {
-                        continue;
-                    }
-                    if budget.enabled() {
-                        let fp = row_footprint(&row);
-                        budget.charge(fp);
-                        replay_bytes += fp;
-                    }
-                    bucket.push(row.clone());
-                    self.counters.rows(1);
-                    out.push(row);
-                }
+        for row in slots.into_iter().flatten() {
+            let bucket = seen.entry(row_hash(&row)).or_default();
+            if bucket.contains(&row) {
+                continue;
             }
-            budget.release(replay_bytes);
-        } else {
-            for rows in gathered {
-                out.extend(rows);
+            if budget.enabled() {
+                let fp = row_footprint(&row);
+                budget.charge(fp);
+                replay_bytes += fp;
             }
+            bucket.push(row.clone());
+            self.counters.rows(1);
+            out.push(row);
         }
-        Some(Ok(out))
+        budget.release(replay_bytes);
+        out
     }
 
     /// Morsel-parallel fold over the root pipeline's batches: each
@@ -789,75 +643,64 @@ impl Streamed {
         I: Fn() -> T + Sync,
         F: Fn(&mut T, usize, &ColumnBatch<'_>) -> Result<()> + Sync,
     {
-        let spec = self.parallel.as_ref()?;
-        if spec.dedup {
-            return None;
-        }
+        let spec = self.parallel.as_ref().filter(|spec| !spec.dedup)?;
+        Some(self.fan_out(spec, init, fold))
+    }
+
+    /// The morsel fan-out behind every parallel pull: pool workers steal
+    /// morsel ids off the shared exchange, run the batched cursor tree
+    /// over each morsel with worker-local counters (sharing the
+    /// execution's spill and segment tallies, fault injector and cancel
+    /// token), and fold its batches into per-worker state via
+    /// `fold(state, morsel id, batch)`. The first error — from `fold`,
+    /// the cancel token or an I/O edge — stops the sibling workers and
+    /// comes back as `Err`. Records the fan-out and the per-worker batch
+    /// counters; returns the states in worker order.
+    fn fan_out<T, I, F>(&self, spec: &ParallelSpec, init: I, fold: F) -> Result<Vec<T>>
+    where
+        T: Send,
+        I: Fn() -> T + Sync,
+        F: Fn(&mut T, usize, &ColumnBatch<'_>) -> Result<()> + Sync,
+    {
         self.counters.reset_pull();
         let (root, morsel_rows) = (&self.root, self.morsel_rows);
-        let spill = Arc::clone(&self.counters.spill);
-        let seg = Arc::clone(&self.counters.seg);
-        let faults = self.counters.faults.clone();
-        let cancel = Arc::clone(&self.counters.cancel);
-        struct WorkerFold<T> {
-            state: T,
-            err: Option<Error>,
-            batches: usize,
-            batch_rows: usize,
-        }
-        let workers_out = self.pool.fold_tasks(
+        let Counters {
+            spill,
+            seg,
+            faults,
+            cancel,
+            ..
+        } = &self.counters;
+        let per_worker = self.pool.fold_tasks(
             spec.morsels,
-            || WorkerFold {
-                state: init(),
-                err: None,
-                batches: 0,
-                batch_rows: 0,
-            },
-            |w, idx| {
-                if w.err.is_some() {
-                    return;
-                }
-                if let Err(e) = cancel.check() {
-                    w.err = Some(e);
-                    return;
-                }
+            || (init(), 0, 0),
+            |(state, batches, batch_rows), idx| {
+                // Morsel boundary: a tripped token cancels the claim and
+                // (via the pool's abort flag) the sibling workers.
+                fault::rethrow(cancel.check());
                 let local = Counters::with_shared(
-                    Arc::clone(&spill),
-                    Arc::clone(&seg),
+                    Arc::clone(spill),
+                    Arc::clone(seg),
                     faults.clone(),
-                    Arc::clone(&cancel),
+                    Arc::clone(cancel),
                 );
                 let mut cur = root.morsel_cursor(idx, morsel_rows, &local);
                 while let Some(b) = cur.next_batch() {
-                    w.batches += 1;
-                    w.batch_rows += b.len();
-                    if let Err(e) = cancel.check().and_then(|()| fold(&mut w.state, idx, &b)) {
-                        w.err = Some(e);
-                        return;
-                    }
+                    fault::rethrow(cancel.check());
+                    *batches += 1;
+                    *batch_rows += b.len();
+                    fault::rethrow(fold(state, idx, &b));
                 }
             },
-        );
-        let workers_out = match workers_out {
-            Ok(w) => w,
-            Err(e) => return Some(Err(e)),
-        };
-        self.counters.workers.set(workers_out.len());
-        let mut per_worker = self.worker_batches.borrow_mut();
-        per_worker.clear();
-        let (mut tb, mut tr) = (0, 0);
-        let mut states = Vec::with_capacity(workers_out.len());
-        for w in workers_out {
-            per_worker.push((w.batches, w.batch_rows));
-            tb += w.batches;
-            tr += w.batch_rows;
-            if let Some(e) = w.err {
-                return Some(Err(e));
-            }
-            states.push(w.state);
-        }
-        self.counters.pull_batches.set((tb, tr));
-        Some(Ok(states))
+        )?;
+        let counts: Vec<(usize, usize)> = per_worker.iter().map(|&(_, b, r)| (b, r)).collect();
+        let totals = counts
+            .iter()
+            .fold((0, 0), |(tb, tr), &(b, r)| (tb + b, tr + r));
+        self.counters.workers.set(counts.len());
+        self.counters.pull_batches.set(totals);
+        *self.worker_batches.borrow_mut() = counts;
+        Ok(per_worker.into_iter().map(|(state, _, _)| state).collect())
     }
 
     /// Materialize the full result. When the plan bottoms out in an
@@ -1384,8 +1227,8 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
 }
 
 /// Run a breaker-side node to completion. An already-materialized source
-/// is reused as-is — no rows are copied and no buffer is counted.
-/// Batchable subtrees run vectorized into the buffer. Under a memory
+/// is reused as-is — no rows are copied and no buffer is counted;
+/// anything else runs vectorized into the buffer. Under a memory
 /// budget the copied rows are *charged* (so `ExecStats` tracks them and
 /// sibling breakers spill earlier), but non-join breaker inputs do not
 /// themselves spill — only hash-join builds, sort, aggregation and the
@@ -1395,19 +1238,10 @@ fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<R
         return Ok(src.rel);
     }
     let mut rows = Vec::new();
-    if node.batchable() {
-        let mut cur = node.batch_cursor(counters);
-        while let Some(b) = cur.next_batch() {
-            counters.batch(b.len());
-            for pos in 0..b.len() {
-                rows.push(b.row(pos));
-            }
-        }
-    } else {
-        let mut cur = node.cursor(counters);
-        while let Some(r) = cur.next() {
-            rows.push(r.into_owned());
-        }
+    let mut cur = node.batch_cursor(counters);
+    while let Some(b) = cur.next_batch() {
+        counters.batch(b.len());
+        rows.extend((0..b.len()).map(|pos| b.row(pos)));
     }
     if counters.spill.budget().enabled() {
         counters
@@ -1488,18 +1322,11 @@ fn prepare_join_build(
         }
         Ok(())
     };
-    if node.batchable() {
-        let mut cur = node.batch_cursor(counters);
-        while let Some(b) = cur.next_batch() {
-            counters.batch(b.len());
-            for pos in 0..b.len() {
-                push(b.row(pos), &mut rows, &mut writers)?;
-            }
-        }
-    } else {
-        let mut cur = node.cursor(counters);
-        while let Some(r) = cur.next() {
-            push(r.into_owned(), &mut rows, &mut writers)?;
+    let mut cur = node.batch_cursor(counters);
+    while let Some(b) = cur.next_batch() {
+        counters.batch(b.len());
+        for pos in 0..b.len() {
+            push(b.row(pos), &mut rows, &mut writers)?;
         }
     }
     counters.buffer(total_rows);
@@ -1587,19 +1414,6 @@ pub fn predicted_buffers(plan: &Plan, catalog: &Catalog) -> usize {
             }
         }
     }
-}
-
-/// Will the streaming pipeline rooted at `plan` run vectorized? Mirrors
-/// [`Node::batchable`] on the physical tree the executor will build, so
-/// `EXPLAIN` can annotate each node `[batched]` vs `[row]`.
-///
-/// Since the pair-batch evaluator covers nested-loop theta joins and
-/// residual semijoins, every operator has a batched implementation —
-/// only plans that fail to prepare (schema errors) report `false`. The
-/// row cursors still exist, but only limited pulls and `for_each_row`
-/// choose them.
-pub fn batched_pipeline(plan: &Plan, catalog: &Catalog) -> bool {
-    plan.schema(catalog).is_ok()
 }
 
 /// The worker count the morsel-driven executor will fan `plan` out over
@@ -1716,289 +1530,12 @@ fn plan_parallel_dedup(plan: &Plan, catalog: &Catalog, transformed: bool) -> Opt
 }
 
 // ---------------------------------------------------------------------------
-// Cursors
-// ---------------------------------------------------------------------------
-
-enum Cursor<'a> {
-    Source(std::slice::Iter<'a, Row>),
-    Filter {
-        input: Box<Cursor<'a>>,
-        preds: &'a [CompiledExpr],
-    },
-    Project {
-        input: Box<Cursor<'a>>,
-        exprs: &'a [CompiledExpr],
-    },
-    HashJoin {
-        node: &'a HashJoinNode,
-        rel: &'a Arc<Relation>,
-        table: &'a RowTable,
-        probe: Box<Cursor<'a>>,
-        /// Current probe row with its pending build matches.
-        pending: Option<(StreamRow<'a>, &'a [usize], usize)>,
-    },
-    /// Row-at-a-time view over an operator that only exists batched (a
-    /// spilled hash join): pulls batches and hands their rows out one
-    /// by one.
-    Bridge {
-        bcur: Box<BCursor<'a>>,
-        batch: Option<ColumnBatch<'a>>,
-        pos: usize,
-    },
-    NestedLoop {
-        node: &'a NestedLoopNode,
-        outer: Box<Cursor<'a>>,
-        current: Option<(StreamRow<'a>, usize)>,
-    },
-    Semi {
-        node: &'a SemiNode,
-        probe: Box<Cursor<'a>>,
-    },
-    Concat {
-        left: Box<Cursor<'a>>,
-        right: Box<Cursor<'a>>,
-        on_right: bool,
-    },
-    Distinct {
-        input: Box<Cursor<'a>>,
-        seen: FxHashSet<Row>,
-        counters: &'a Counters,
-    },
-    Difference {
-        node: &'a DifferenceNode,
-        input: Box<Cursor<'a>>,
-        seen: FxHashSet<Row>,
-        counters: &'a Counters,
-    },
-}
-
-impl Node {
-    fn cursor<'a>(&'a self, counters: &'a Counters) -> Cursor<'a> {
-        match self {
-            Node::Source(src) => Cursor::Source(src.rel.rows().iter()),
-            Node::Filter { input, preds } => Cursor::Filter {
-                input: Box::new(input.cursor(counters)),
-                preds,
-            },
-            Node::Project { input, exprs } => Cursor::Project {
-                input: Box::new(input.cursor(counters)),
-                exprs,
-            },
-            Node::HashJoin(node) => match &node.build {
-                JoinBuild::Mem { rel, table } => Cursor::HashJoin {
-                    node,
-                    rel,
-                    table,
-                    probe: Box::new(node.probe.cursor(counters)),
-                    pending: None,
-                },
-                // A spilled build only has the hybrid-hash batched
-                // implementation; bridge it row-at-a-time.
-                JoinBuild::Spilled(_) => Cursor::Bridge {
-                    bcur: Box::new(self.batch_cursor(counters)),
-                    batch: None,
-                    pos: 0,
-                },
-            },
-            Node::NestedLoop(node) => Cursor::NestedLoop {
-                node,
-                outer: Box::new(node.outer.cursor(counters)),
-                current: None,
-            },
-            Node::Semi(node) => Cursor::Semi {
-                node,
-                probe: Box::new(node.probe.cursor(counters)),
-            },
-            Node::Concat { left, right } => Cursor::Concat {
-                left: Box::new(left.cursor(counters)),
-                right: Box::new(right.cursor(counters)),
-                on_right: false,
-            },
-            Node::Distinct { input } => Cursor::Distinct {
-                input: Box::new(input.cursor(counters)),
-                seen: FxHashSet::default(),
-                counters,
-            },
-            Node::Difference(node) => Cursor::Difference {
-                node,
-                input: Box::new(node.input.cursor(counters)),
-                seen: FxHashSet::default(),
-                counters,
-            },
-        }
-    }
-}
-
-impl<'a> Cursor<'a> {
-    fn next(&mut self) -> Option<StreamRow<'a>> {
-        match self {
-            Cursor::Source(iter) => iter.next().map(StreamRow::Borrowed),
-            Cursor::Filter { input, preds } => loop {
-                let r = input.next()?;
-                if preds.iter().all(|p| p.eval_bool(r.as_row())) {
-                    return Some(r);
-                }
-            },
-            Cursor::Project { input, exprs } => {
-                let r = input.next()?;
-                let row = r.as_row();
-                Some(StreamRow::Owned(
-                    exprs
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Vec<_>>()
-                        .into_boxed_slice(),
-                ))
-            }
-            Cursor::HashJoin {
-                node,
-                rel,
-                table,
-                probe,
-                pending,
-            } => loop {
-                if let Some((probe_row, matches, pos)) = pending.as_mut() {
-                    let prow = probe_row.as_row();
-                    while *pos < matches.len() {
-                        let brow = &rel.rows()[matches[*pos]];
-                        *pos += 1;
-                        if !keys_eq(brow, &node.build_keys, prow, &node.probe_keys) {
-                            continue;
-                        }
-                        let (lr, rr) = if node.probe_is_left {
-                            (prow, brow)
-                        } else {
-                            (brow, prow)
-                        };
-                        if node
-                            .residual
-                            .as_ref()
-                            .is_none_or(|c| c.eval_bool_pair(lr, rr))
-                        {
-                            return Some(StreamRow::Owned(concat_rows(lr, rr)));
-                        }
-                    }
-                    *pending = None;
-                }
-                let prow = probe.next()?;
-                if let Some(matches) = table.get(key_hash(prow.as_row(), &node.probe_keys)) {
-                    *pending = Some((prow, matches, 0));
-                }
-            },
-            Cursor::Bridge { bcur, batch, pos } => loop {
-                if let Some(b) = batch {
-                    if *pos < b.len() {
-                        let row = b.row(*pos);
-                        *pos += 1;
-                        return Some(StreamRow::Owned(row));
-                    }
-                }
-                *batch = Some(bcur.next_batch()?);
-                *pos = 0;
-            },
-            Cursor::NestedLoop {
-                node,
-                outer,
-                current,
-            } => loop {
-                if let Some((orow, idx)) = current.as_mut() {
-                    let lrow = orow.as_row();
-                    while *idx < node.inner.len() {
-                        let irow = &node.inner.rows()[*idx];
-                        *idx += 1;
-                        if node
-                            .pred
-                            .as_ref()
-                            .is_none_or(|c| c.eval_bool_pair(lrow, irow))
-                        {
-                            return Some(StreamRow::Owned(concat_rows(lrow, irow)));
-                        }
-                    }
-                    *current = None;
-                }
-                let o = outer.next()?;
-                *current = Some((o, 0));
-            },
-            Cursor::Semi { node, probe } => loop {
-                let l = probe.next()?;
-                let lrow = l.as_row();
-                let matched = match &node.table {
-                    Some((table, lk, rk)) => table.get(key_hash(lrow, lk)).is_some_and(|matches| {
-                        matches.iter().any(|&ri| {
-                            let rrow = &node.right.rows()[ri];
-                            keys_eq(lrow, lk, rrow, rk)
-                                && node
-                                    .residual
-                                    .as_ref()
-                                    .is_none_or(|c| c.eval_bool_pair(lrow, rrow))
-                        })
-                    }),
-                    None => node.right.rows().iter().any(|rrow| {
-                        node.residual
-                            .as_ref()
-                            .is_none_or(|c| c.eval_bool_pair(lrow, rrow))
-                    }),
-                };
-                if matched == node.keep_matched {
-                    return Some(l);
-                }
-            },
-            Cursor::Concat {
-                left,
-                right,
-                on_right,
-            } => {
-                if !*on_right {
-                    if let Some(r) = left.next() {
-                        return Some(r);
-                    }
-                    *on_right = true;
-                }
-                right.next()
-            }
-            Cursor::Distinct {
-                input,
-                seen,
-                counters,
-            } => loop {
-                let r = input.next()?;
-                if !seen.contains(r.as_row()) {
-                    seen.insert(r.as_row().clone());
-                    counters.rows(1);
-                    return Some(r);
-                }
-            },
-            Cursor::Difference {
-                node,
-                input,
-                seen,
-                counters,
-            } => loop {
-                let r = input.next()?;
-                let row = r.as_row();
-                let in_right = node
-                    .table
-                    .get(row_hash(row))
-                    .is_some_and(|is| is.iter().any(|&i| node.right.rows()[i] == *row));
-                if in_right || seen.contains(row) {
-                    continue;
-                }
-                seen.insert(row.clone());
-                counters.rows(1);
-                return Some(r);
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Batched cursors: the vectorized pipeline
 // ---------------------------------------------------------------------------
 
-/// The batched physical pipeline: each variant pulls [`ColumnBatch`]es
-/// from its input and transforms them column-wise. Constructed only for
-/// [`Node::batchable`] trees; everything else runs the row [`Cursor`]s
-/// (the fallback bridge that keeps every plan runnable).
+/// The physical pipeline: each variant pulls [`ColumnBatch`]es from its
+/// input and transforms them column-wise. Every operator has exactly
+/// this one implementation.
 enum BCursor<'a> {
     /// Chunked scan over `[pos, end)` of a relation's cached columnar
     /// image — the whole image for serial pulls, one morsel for a
@@ -2278,25 +1815,6 @@ impl DedupSpill {
 }
 
 impl Node {
-    /// Does this streaming pipeline have a fully batched implementation?
-    /// (Breaker *inputs* were already materialized at prepare time and
-    /// made their own choice.) Since the pair-batch evaluator covers
-    /// nested loops and residual semijoins, every operator answers yes —
-    /// kept as a method so future operators can opt out again.
-    fn batchable(&self) -> bool {
-        match self {
-            Node::Source(_) => true,
-            Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
-                input.batchable()
-            }
-            Node::HashJoin(n) => n.probe.batchable(),
-            Node::Semi(n) => n.probe.batchable(),
-            Node::NestedLoop(n) => n.outer.batchable(),
-            Node::Concat { left, right } => left.batchable() && right.batchable(),
-            Node::Difference(n) => n.input.batchable(),
-        }
-    }
-
     /// Does any hash join in this tree hold a spilled build side? Such
     /// trees run serial: every morsel cursor would re-drain and
     /// re-probe the on-disk partitions (see `stream`).
@@ -2316,8 +1834,7 @@ impl Node {
         }
     }
 
-    /// Build the batched cursor tree (caller must have checked
-    /// [`Node::batchable`]).
+    /// Build the batched cursor tree over the whole input.
     fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
         match self {
             Node::Source(src) => src.batch_cursor(0, src.rel.len(), counters),
@@ -2400,7 +1917,7 @@ impl Node {
     /// spine's source scans only that morsel's row range, and stateful
     /// operators (distinct / difference seen-sets) keep *morsel-local*
     /// partial seen-sets — the gather replays their global semantics on
-    /// the morsel-ordered output (see [`Streamed::parallel_rows`]).
+    /// the morsel-ordered output (see [`Streamed::gather`]).
     fn morsel_cursor<'a>(
         &'a self,
         idx: usize,
@@ -2593,8 +2110,8 @@ impl<'a> BCursor<'a> {
                     let inner = node.inner.columns();
                     if !inner.is_empty() && *opos < ob.len() {
                         // Enumerate up to BATCH_SIZE cross pairs in
-                        // (outer position, inner row) order — the same
-                        // order the row cursors emit.
+                        // (outer position, inner row) order — the
+                        // reference engine's left-major order.
                         let mut lpos: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
                         let mut rsel: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
                         while lpos.len() < BATCH_SIZE && *opos < ob.len() {
@@ -3064,9 +2581,8 @@ fn join_spilled_partition(
 /// relation's columnar image selected by `rsel` — one logical row per
 /// (left, right) candidate pair, in plan column order. This is the
 /// pair-batch evaluator's input: cross-side residual predicates then run
-/// the ordinary vectorized mask kernels over it, which is what lets
-/// nested-loop theta joins and residual semijoins stay on the batched
-/// engine instead of falling back to row cursors.
+/// the ordinary vectorized mask kernels over it, which is how
+/// nested-loop theta joins and residual semijoins run batched.
 fn pair_batch<'a>(
     left: &ColumnBatch<'a>,
     lpos: &[u32],
@@ -3133,8 +2649,8 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
                     // Key-qualified candidate pairs, residual-checked by
                     // the pair-batch evaluator. Pairs whose probe
                     // position already matched are skipped between
-                    // chunks — the row path's per-row early exit, at
-                    // chunk granularity (matters under key skew).
+                    // chunks — a per-row early exit at chunk
+                    // granularity (matters under key skew).
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     for (pos, h) in hashes.iter().enumerate() {
                         if let Some(matches) = table.get(*h) {
@@ -3173,8 +2689,8 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
             Some(res) => {
                 // All (probe, right) pairs are candidates; chunks are
                 // re-enumerated between evaluations so positions already
-                // matched skip their remaining pairs (the row path's
-                // early exit, batched).
+                // matched skip their remaining pairs (a per-row early
+                // exit, batched).
                 let (mut pos, mut ri) = (0usize, 0usize);
                 let mut lpos: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
                 let mut rsel: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
@@ -3907,17 +3423,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_row_streams_borrowed_rows() {
+    fn for_each_batch_streams_every_row() {
         let c = catalog();
         let s = stream(&Plan::scan("emp"), &c).unwrap();
-        let mut n = 0;
-        s.for_each_row(|r| {
-            assert_eq!(r.len(), 3);
-            n += 1;
+        let mut rows = Vec::new();
+        s.for_each_batch(|b| {
+            rows.extend((0..b.len()).map(|pos| b.row(pos)));
             Ok(())
         })
         .unwrap();
-        assert_eq!(n, 3);
+        assert_eq!(rows, c.get("emp").unwrap().rows());
+        assert_eq!(s.stats().buffers, 0);
     }
 
     #[test]
@@ -3960,18 +3476,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_pipeline_matches_row_path_and_counts_batches() {
+    fn batched_chain_matches_reference_order_and_counts_batches() {
         let c = big_catalog();
         let p = Plan::scan("fact")
             .select(col("tag").eq(lit_str("even")))
             .join(Plan::scan("dim"), col("g").eq(col("d")))
             .select(col("k").lt(lit_i64(1500)))
             .project_names(["k", "name"]);
-        assert!(batched_pipeline(&p, &c));
         let s = stream(&p, &c).unwrap();
-        assert!(s.batched());
-        // Batched collect: the σ/π/probe chain buffers no intermediate
-        // rows but reports its batches and fill.
+        // The σ/π/probe chain buffers no intermediate rows but reports
+        // its batches and fill.
         let batched = s.collect_rows(None).unwrap();
         assert_eq!(batched.len(), 750);
         let stats = s.stats();
@@ -3979,17 +3493,13 @@ mod tests {
         assert!(stats.batches > 1, "scan spans batches: {stats:?}");
         assert_eq!(stats.batch_rows, 750);
         assert!(stats.mean_batch_fill().unwrap() > 0.0);
-        // The row cursor path yields identical rows in identical order
-        // (and, being a fresh pull, resets the batch counters).
-        let mut via_rows = Vec::new();
-        s.for_each_row(|r| {
-            via_rows.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(batched, via_rows);
+        // Both engines probe `fact` against the `dim` build in scan
+        // order: identical rows in identical order.
+        assert_eq!(batched, execute_reference(&p, &c).unwrap().rows());
+        // A fresh pull resets the batch counters; a zero limit pulls
+        // nothing at all.
+        assert!(s.collect_rows(Some(0)).unwrap().is_empty());
         assert_eq!(s.stats().batches, 0);
-        assert_engines_agree(&p, &c);
     }
 
     #[test]
@@ -4001,7 +3511,6 @@ mod tests {
                 .project_names(["d"])
                 .select(col("d").gt(lit_i64(4))),
         );
-        assert!(batched_pipeline(&p, &c));
         assert_engines_agree(&p, &c);
         let (out, stats) = execute_with_stats(&p, &c).unwrap();
         assert_eq!(out.len(), 5); // g ∈ 0..7 minus {5, 6}
@@ -4019,7 +3528,6 @@ mod tests {
             Plan::scan("dim").select(col("d").lt(lit_i64(3))),
             col("g").eq(col("d")),
         );
-        assert!(batched_pipeline(&semi, &c));
         assert_engines_agree(&semi, &c);
         assert_engines_agree(&anti, &c);
         // A residual semijoin runs the pair-batch evaluator — still
@@ -4028,7 +3536,6 @@ mod tests {
             Plan::scan("dim"),
             Expr::and([col("g").eq(col("d")), col("k").gt(col("d"))]),
         );
-        assert!(batched_pipeline(&residual, &c));
         assert_engines_agree(&residual, &c);
         // Non-equi semijoins and antijoins (pure pair-batch paths) too.
         let theta_semi = Plan::scan("fact").semijoin(Plan::scan("dim"), col("g").lt(col("d")));
@@ -4050,22 +3557,18 @@ mod tests {
         let theta = Plan::scan("emp")
             .join(Plan::scan("dept"), col("dept").lt(col("did")))
             .select(col("eid").gt(lit_i64(0)));
-        // Theta joins now vectorize through the pair-batch evaluator.
-        assert!(batched_pipeline(&theta, &c));
+        // Theta joins vectorize through the pair-batch evaluator.
         let s = stream(&theta, &c).unwrap();
-        assert!(s.batched());
         let rows = s.collect_rows(None).unwrap();
         assert!(s.stats().batches > 0);
         assert!(!rows.is_empty());
-        // The row cursors still exist (limited pulls) and agree exactly.
-        let mut via_rows = Vec::new();
-        s.for_each_row(|r| {
-            via_rows.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(via_rows, rows, "pair-batch order must match row order");
-        assert_engines_agree(&theta, &c);
+        // Pairs enumerate left-major, exactly like the reference
+        // engine's nested loop.
+        assert_eq!(
+            rows,
+            execute_reference(&theta, &c).unwrap().rows(),
+            "pair-batch order must match the reference order"
+        );
         // Cross products (empty predicate) take the same path.
         let cross = Plan::scan("emp").join(Plan::scan("dept"), Expr::and([]));
         let s = stream(&cross, &c).unwrap();
@@ -4077,21 +3580,17 @@ mod tests {
     fn pair_batches_cross_batch_boundaries() {
         // An outer wider than one batch against a non-trivial inner: the
         // pair enumeration must chunk across batch boundaries and still
-        // match the row cursors pair-for-pair.
+        // match the reference nested loop pair-for-pair.
         let c = big_catalog();
         let theta = Plan::scan("fact")
             .select(col("k").lt(lit_i64(2000)))
             .join(Plan::scan("dim"), col("g").lt(col("d")));
-        let s = stream(&theta, &c).unwrap();
-        let batched = s.collect_rows(None).unwrap();
-        let mut via_rows = Vec::new();
-        s.for_each_row(|r| {
-            via_rows.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(batched, via_rows);
-        assert_engines_agree(&theta, &c);
+        let batched = execute(&theta, &c).unwrap();
+        assert!(batched.len() > BATCH_SIZE);
+        assert_eq!(
+            batched.rows(),
+            execute_reference(&theta, &c).unwrap().rows()
+        );
     }
 
     #[test]
@@ -4105,17 +3604,58 @@ mod tests {
                 Expr::or([col("k").lt(col("d")), col("tag").eq(lit_str("even"))]),
             ]),
         );
-        assert!(batched_pipeline(&p, &c));
         assert_engines_agree(&p, &c);
     }
 
     #[test]
-    fn limited_pull_stays_on_the_row_path() {
+    fn limited_pull_stops_after_one_batch() {
         let c = big_catalog();
         let s = stream(&Plan::scan("fact").select(col("k").ge(lit_i64(0))), &c).unwrap();
         let two = s.collect_rows(Some(2)).unwrap();
-        assert_eq!(two.len(), 2);
-        assert_eq!(s.stats().batches, 0, "a limited pull must not batch");
+        assert_eq!(two, c.get("fact").unwrap().rows()[..2]);
+        let stats = s.stats();
+        assert_eq!(
+            stats.batches, 1,
+            "early stop at batch granularity: {stats:?}"
+        );
+        assert!(stats.batch_rows >= 2, "{stats:?}");
+    }
+
+    /// Every limited pull of `p` returns exactly the first `k` rows of
+    /// the full pull, for limits around the batch boundaries and past
+    /// the end.
+    fn assert_limited_pulls_are_prefixes(p: &Plan, c: &Catalog) {
+        let s = stream(p, c).unwrap();
+        let all = s.collect_rows(None).unwrap();
+        assert!(all.len() > BATCH_SIZE + 1, "{p:?}");
+        for k in [0, 1, BATCH_SIZE, BATCH_SIZE + 1, all.len(), all.len() + 7] {
+            let got = s.collect_rows(Some(k)).unwrap();
+            assert_eq!(got, all[..k.min(all.len())], "limit {k} over {p:?}");
+        }
+    }
+
+    #[test]
+    fn limited_pulls_are_prefixes_of_the_full_pull() {
+        let scan = Plan::scan("fact").select(col("k").ge(lit_i64(0)));
+        let distinct = Plan::scan("fact").project_names(["k", "tag"]).distinct();
+        for threads in [1, 4] {
+            let mut c = parallel_catalog(threads);
+            c.set_mem_budget(0);
+            assert_limited_pulls_are_prefixes(&scan, &c);
+            assert_limited_pulls_are_prefixes(&distinct, &c);
+            // Under a 256-byte budget the seen-set spills — limited
+            // pulls included — and the spill directory goes with the
+            // execution.
+            c.set_mem_budget(256);
+            assert_limited_pulls_are_prefixes(&distinct, &c);
+            let s = stream(&distinct, &c).unwrap();
+            assert_eq!(s.collect_rows(Some(1)).unwrap().len(), 1);
+            assert!(s.stats().spill_events > 0, "{:?}", s.stats());
+            let dir = s.spill_dir().expect("a spilling pull has a directory");
+            assert!(dir.exists());
+            drop(s);
+            assert!(!dir.exists(), "spill dir must be removed on drop: {dir:?}");
+        }
     }
 
     /// The big catalog reconfigured for parallel execution: N workers,

@@ -3,22 +3,20 @@
 //! Prints the operator tree with the physical strategy the executor will
 //! pick (hash vs nested-loop join, key columns, residual filters), the
 //! optimizer's row estimates, and — for the streaming engine — whether
-//! each node pipelines rows or buffers them, and whether its pipeline
-//! runs `[batched]` (vectorized over column batches) or `[row]` (the
-//! fallback cursor bridge — visible here instead of silent). The final
-//! line reports the number of intermediate row buffers the streaming
-//! executor will allocate ([`crate::exec::predicted_buffers`]), which
-//! matches the runtime [`crate::exec::ExecStats::buffers`]: a fully
-//! pipelined plan reads `0 intermediate row buffer(s)`.
+//! each node pipelines rows or buffers them. Every node is tagged
+//! `[batched]`: the executor has one engine, vectorized over column
+//! batches. The final line reports the number of intermediate row
+//! buffers the streaming executor will allocate
+//! ([`crate::exec::predicted_buffers`]), which matches the runtime
+//! [`crate::exec::ExecStats::buffers`]: a fully pipelined plan reads
+//! `0 intermediate row buffer(s)`.
 //! [`explain_executed`] additionally runs the plan and appends the
 //! observed batch count and mean batch fill.
 
 use crate::batch::BATCH_SIZE;
 use crate::catalog::{Catalog, StorageMode};
 use crate::error::Result;
-use crate::exec::{
-    batched_pipeline, join_build_left, predicted_buffers, predicted_workers, JoinCondition,
-};
+use crate::exec::{join_build_left, predicted_buffers, predicted_workers, JoinCondition};
 use crate::expr::Expr;
 use crate::optimizer::est_rows;
 use crate::plan::Plan;
@@ -83,7 +81,7 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
             );
         }
         None => {
-            let _ = writeln!(out, "-- no batches emitted (empty result or row path)");
+            let _ = writeln!(out, "-- no batches emitted (empty result)");
         }
     }
     if stats.workers > 1 {
@@ -130,17 +128,9 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
     Ok(out)
 }
 
-/// The per-node engine tag: will the pipeline rooted here run
-/// vectorized, or on the row-cursor fallback? Re-derived per rendered
-/// node (quadratic in plan size) — EXPLAIN is a cold, human-facing
-/// path; if that ever changes, compute the tags in one top-down pass.
-fn engine_tag(plan: &Plan, catalog: &Catalog) -> &'static str {
-    if batched_pipeline(plan, catalog) {
-        "[batched]"
-    } else {
-        "[row]"
-    }
-}
+/// The per-node engine tag. Every pipeline runs on the batched cursors,
+/// so it is the same on every node.
+const ENGINE_TAG: &str = "[batched]";
 
 /// Estimated average output-row bytes of a plan: leaf widths come from
 /// table statistics ([`crate::stats::TableStats::avg_row_bytes`]);
@@ -283,7 +273,7 @@ fn render_zone(
 ) {
     indent(depth, out);
     let rows = est_rows(plan, catalog);
-    let tag = engine_tag(plan, catalog);
+    let tag = ENGINE_TAG;
     match plan {
         Plan::Scan(name) => {
             let seg = seg_tag(name, catalog, zone_pred);
@@ -468,24 +458,23 @@ mod tests {
     }
 
     #[test]
-    fn explain_tags_batched_vs_row_pipelines() {
+    fn explain_tags_every_pipeline_batched() {
         let c = catalog();
-        // A hash-join chain runs batched on every node.
+        // A hash-join chain: every node carries the tag.
         let p = Plan::scan("r")
             .select(col("a").gt(lit_i64(0)))
             .join(Plan::scan("s"), col("a").eq(col("c")));
         let text = explain(&p, &c);
-        assert!(text.contains("[batched]"), "{text}");
-        assert!(!text.contains("[row]"), "{text}");
-        // Theta joins run the pair-batch evaluator: no [row] tags left,
-        // on the nested loop or above it.
+        assert_eq!(text.matches("[batched]").count(), 4, "{text}");
+        // Theta joins run the pair-batch evaluator, on the nested loop
+        // and above it.
         let theta = Plan::scan("r")
             .join(Plan::scan("s"), col("a").lt(col("c")))
             .select(col("b").gt(lit_i64(0)));
         let text = explain(&theta, &c);
         assert!(text.contains("Nested Loop Join"), "{text}");
-        assert!(!text.contains("[row]"), "{text}");
         assert!(text.contains("Seq Scan on r  (rows=1) [batched]"), "{text}");
+        assert_eq!(text.matches("[batched]").count(), 4, "{text}");
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! Sort is the canonical pipeline breaker: [`sort_plan`] pulls the
 //! streaming executor's output directly into the sort buffer, so the
 //! plan output is materialized exactly once (instead of once by the
-//! executor and again by the sort) — and since the pull is unlimited,
-//! batchable plans run the vectorized batch pipeline end to end, with
-//! rows materialized only as they enter the buffer. [`limit_plan`]
-//! exploits streaming the other way: it pulls on the row path and stops
-//! after exactly `n` rows, so upstream work for the rest of the input is
-//! never done (a batched pull would overshoot by up to a batch).
+//! executor and again by the sort) — the batch pipeline runs end to end,
+//! with rows materialized only as they enter the buffer. [`limit_plan`]
+//! exploits streaming the other way: it stops pulling after the batch
+//! that reaches `n` rows, so upstream work for the rest of the input is
+//! never done (the overshoot is at most one batch, and the output is
+//! exactly `n` rows).
 
 use crate::catalog::Catalog;
 use crate::error::Result;
@@ -253,8 +253,9 @@ pub fn limit(input: &Relation, n: usize) -> Relation {
     .expect("same schema")
 }
 
-/// LIMIT over a streamed plan: pulling stops after `n` rows, so
-/// upstream operators never produce the rest of the input.
+/// LIMIT over a streamed plan: pulling stops after the batch that
+/// reaches `n` rows, so upstream operators never produce the rest of
+/// the input.
 pub fn limit_plan(plan: &Plan, catalog: &Catalog, n: usize) -> Result<Relation> {
     let streamed = exec::stream(plan, catalog)?;
     let rows = streamed.collect_rows(Some(n))?;

@@ -796,9 +796,9 @@ impl DiskImage {
         })
     }
 
-    /// Materialize the full row store (the fallback for operators that
-    /// need rows — breakers, spill paths, row cursors). Streams one
-    /// segment at a time; the decoded segments are transient.
+    /// Materialize the full row store (for operators that need rows —
+    /// breakers, spill paths). Streams one segment at a time; the
+    /// decoded segments are transient.
     pub fn decode_rows(&self) -> Result<Vec<Row>> {
         let io = IoCounters::default();
         let mut rows: Vec<Row> = Vec::with_capacity(self.len);

@@ -354,20 +354,18 @@ proptest! {
             batched_rows == sorted_rows(&reference),
             "batched vs reference diverge for {q:?}\nplan: {plan:?}"
         );
-        if streamed.batched() && stats.buffers == 0 {
+        if stats.buffers == 0 {
             prop_assert!(
                 stats.buffered_rows == 0,
                 "bufferless batched pipeline copied rows: {stats:?}"
             );
         }
-        // Every batched pipeline accounts for the rows it emitted.
-        if streamed.batched() {
-            prop_assert!(
-                stats.batch_rows >= batched_rows.len(),
-                "batch accounting lost rows: {stats:?} vs {}",
-                batched_rows.len()
-            );
-        }
+        // Every pipeline accounts for the rows it emitted.
+        prop_assert!(
+            stats.batch_rows >= batched_rows.len(),
+            "batch accounting lost rows: {stats:?} vs {}",
+            batched_rows.len()
+        );
     }
 }
 
@@ -478,7 +476,6 @@ fn batched_translated_pipeline_reports_zero_row_buffers() {
     let streamed = exec::stream(&plan, &cat).unwrap();
     let n = streamed.collect_rows(None).unwrap().len();
     let stats = streamed.stats();
-    assert!(streamed.batched(), "translated σ/π chain should vectorize");
     assert!(stats.batches > 0, "{stats:?}");
     assert!(stats.batch_rows >= n, "{stats:?}");
     assert_eq!(
@@ -533,8 +530,8 @@ proptest! {
     /// The spill-vs-in-memory oracle on random *plain* relational plans
     /// (hash joins, nested loops, semi/antijoins, set operations,
     /// distinct): byte-identical output under a tiny budget at 1 and 4
-    /// workers, and limited pulls (the row-cursor path, including the
-    /// spilled-join bridge) agree with prefixes of the full pull.
+    /// workers, and limited pulls (serial, spilling like full ones)
+    /// agree with prefixes of the full pull.
     #[test]
     fn spilled_plain_plans_match_in_memory_byte_for_byte(
         catalog in arb_catalog(),
@@ -557,13 +554,15 @@ proptest! {
                     rows == unbounded_rows,
                     "budgeted x{threads} differs from unbounded for {plan:?}"
                 );
-                // Limited pulls ride the row cursors over the same
-                // prepared tree (spilled builds bridge batch-wise).
-                let prefix = streamed.collect_rows(Some(3)).unwrap();
-                prop_assert!(
-                    prefix == unbounded_rows[..unbounded_rows.len().min(3)].to_vec(),
-                    "limited budgeted pull diverges for {plan:?}"
-                );
+                // Limited pulls run the same batched cursors over the
+                // same prepared tree, stopping at batch granularity.
+                for k in [0, 1, 3, unbounded_rows.len()] {
+                    let prefix = streamed.collect_rows(Some(k)).unwrap();
+                    prop_assert!(
+                        prefix[..] == unbounded_rows[..k.min(unbounded_rows.len())],
+                        "limited budgeted pull (limit {k}) diverges for {plan:?}"
+                    );
+                }
             }
         }
     }
@@ -660,11 +659,13 @@ proptest! {
                             "cold disk run never missed the pool for {plan:?}"
                         );
                     }
-                    let prefix = streamed.collect_rows(Some(3)).unwrap();
-                    prop_assert!(
-                        prefix == plain_rows[..plain_rows.len().min(3)].to_vec(),
-                        "limited {mode:?} pull diverges for {plan:?}"
-                    );
+                    for k in [0, 1, 3, plain_rows.len()] {
+                        let prefix = streamed.collect_rows(Some(k)).unwrap();
+                        prop_assert!(
+                            prefix[..] == plain_rows[..k.min(plain_rows.len())],
+                            "limited {mode:?} pull (limit {k}) diverges for {plan:?}"
+                        );
+                    }
                 }
             }
         }

@@ -66,7 +66,13 @@ fn explain_over_tcp_matches_library() {
     let server = serve(Arc::clone(&udb), test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let prepared = PreparedDb::with_catalog(&udb, udb.to_catalog());
+    let mut prepared = PreparedDb::with_catalog(&udb, udb.to_catalog());
+    // A session runs on its equal share of a global memory budget, and
+    // EXPLAIN prints the budget: the library side takes the same share.
+    let budget = prepared.catalog().config().mem_budget;
+    if budget != usize::MAX {
+        prepared.set_mem_budget((budget / test_config().max_concurrent).max(1));
+    }
     let src = "explain from r as a | join r as b on a.id = b.id | select a.type";
     let (id, raw) = client.query_raw(src).unwrap();
     let lowered = ql::compile(src).unwrap();

@@ -245,20 +245,36 @@ fn spill_directory_is_removed_after_an_aborted_run() {
                 col("p.g").eq(col("b.g")),
             );
         let streamed = exec::stream(&plan, &c).unwrap();
-        *slot.lock().unwrap() = Some(streamed.spill_dir().expect("build spilled at prepare"));
-        let mut n = 0usize;
+        // Recorded only for a spilled build: the checks below then fail
+        // on a run whose build stayed in memory.
+        if streamed.spilled_build() {
+            *slot.lock().unwrap() = streamed.spill_dir();
+        }
+        let mut batches = 0usize;
         streamed
-            .for_each_row(|_| {
-                n += 1;
-                if n > 10 {
+            .for_each_batch(|_| {
+                batches += 1;
+                if batches > 1 {
                     panic!("aborting mid-pull");
                 }
                 Ok(())
             })
             .unwrap();
     });
-    assert!(result.is_err(), "the run must have aborted");
-    let dir = dir_slot.lock().unwrap().clone().expect("dir was recorded");
+    let payload = result.expect_err("the run must have aborted");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("aborting mid-pull"),
+        "aborted elsewhere: {msg}"
+    );
+    let dir = dir_slot
+        .lock()
+        .unwrap()
+        .clone()
+        .expect("the build spilled at prepare");
     assert!(
         !dir.exists(),
         "spill dir must be removed when the run unwinds: {dir:?}"

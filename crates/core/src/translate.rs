@@ -224,8 +224,9 @@ impl<'a> PreparedDb<'a> {
     }
 
     /// Select the base-table storage mode for queries run through this
-    /// `PreparedDb` (plain columnar, compressed segments, a paged
-    /// segment cache, or the on-disk segment store; the default comes
+    /// `PreparedDb` (plain columnar, compressed segments, in-memory
+    /// segments paged through the shared buffer pool, or the on-disk
+    /// segment store; the default comes
     /// from `RELALG_STORAGE`). Answers are byte-identical across modes;
     /// cached plans stay valid — storage is an execution knob, not a
     /// plan property.
@@ -233,10 +234,10 @@ impl<'a> PreparedDb<'a> {
         self.catalog.set_storage(mode);
     }
 
-    /// Cap the decoded segments the disk-mode buffer pool shared across
-    /// relations keeps resident for queries run through this
-    /// `PreparedDb` (floored at 1; the default comes from
-    /// `RELALG_BUFFER_POOL`). Only observable under
+    /// Cap the decoded segments the buffer pool shared across relations
+    /// keeps resident for queries run through this `PreparedDb`
+    /// (floored at 1; the default comes from `RELALG_BUFFER_POOL`).
+    /// Only observable under [`urel_relalg::StorageMode::Paged`] and
     /// [`urel_relalg::StorageMode::Disk`].
     pub fn set_buffer_pool(&mut self, segments: usize) {
         self.catalog.set_buffer_pool(segments);

@@ -1,5 +1,8 @@
 //! The named-relation store with per-relation statistics and the
-//! engine's execution configuration (parallelism knobs).
+//! engine's execution configuration: parallelism, memory budget,
+//! storage mode and segment geometry, the one buffer-pool capacity
+//! that bounds decoded segments under paged and disk storage, fault
+//! injection and deadlines.
 
 use crate::batch::BATCH_SIZE;
 use crate::error::{Error, Result};
@@ -38,21 +41,20 @@ pub struct EngineConfig {
     pub mem_budget: usize,
     /// How base-table scans source their batches (`RELALG_STORAGE`):
     /// the plain columnar image, compressed column segments decoded
-    /// up front, or segments paged through a small eviction cache.
-    /// Every mode produces byte-identical query output.
+    /// once per scan, or segments leased from the shared buffer pool —
+    /// decoded from memory or read from disk. Every mode produces
+    /// byte-identical query output.
     pub storage: StorageMode,
     /// Rows per column segment under [`StorageMode::Segmented`] /
     /// [`StorageMode::Paged`] / [`StorageMode::Disk`]
     /// (`RELALG_SEGMENT_ROWS`, default 64Ki).
     pub segment_rows: usize,
-    /// Decoded segments the paged provider keeps resident per relation
-    /// (`RELALG_SEGMENT_CACHE`, default 8, floored at 1).
-    pub segment_cache: usize,
     /// Decoded segments the shared buffer pool keeps resident *across
-    /// all relations* under [`StorageMode::Disk`]
-    /// (`RELALG_BUFFER_POOL`, default 64, floored at 1). Per-scan
-    /// fetches become leases on this pool, so concurrent scans of
-    /// different relations compete for — and share — the same slots.
+    /// all relations* under [`StorageMode::Paged`] and
+    /// [`StorageMode::Disk`] (`RELALG_BUFFER_POOL`, default 64, floored
+    /// at 1). Per-scan fetches become leases on this pool, so
+    /// concurrent scans of different relations compete for — and
+    /// share — the same slots.
     pub buffer_pool: usize,
     /// Deterministic fault-injection schedule for the execution's I/O
     /// edges (`RELALG_FAULTS=<seed>:<rate>[:<kinds>]`), `None` (the
@@ -67,7 +69,7 @@ pub struct EngineConfig {
 }
 
 /// Storage backend for base-table scans. The mode changes *where*
-/// batch columns come from, never *what* they contain — all three
+/// batch columns come from, never *what* they contain — all four
 /// execute byte-identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageMode {
@@ -76,9 +78,11 @@ pub enum StorageMode {
     /// Compressed column segments ([`crate::segment::SegmentedImage`]),
     /// each decoded at most once per query and then kept resident.
     Segmented,
-    /// Compressed segments decoded lazily behind a clock-eviction cache
-    /// of [`EngineConfig::segment_cache`] decoded segments, so the
-    /// decoded working set — not the table — is what occupies memory.
+    /// [`StorageMode::Disk`] without the file: compressed in-memory
+    /// segments decoded lazily and leased from the buffer pool of
+    /// [`EngineConfig::buffer_pool`] decoded segments shared across all
+    /// relations, so the decoded working set — not the table — is what
+    /// occupies memory.
     Paged,
     /// Encoded segments live in page files on disk
     /// ([`crate::store::DiskImage`]); scans read them through a
@@ -98,9 +102,6 @@ pub const DEFAULT_PARALLEL_MIN_ROWS: usize = 4 * BATCH_SIZE;
 /// Default rows per column segment (64Ki).
 pub const DEFAULT_SEGMENT_ROWS: usize = 64 * 1024;
 
-/// Default decoded-segment cache capacity for the paged provider.
-pub const DEFAULT_SEGMENT_CACHE: usize = 8;
-
 /// Default shared buffer-pool capacity (decoded segments, all relations).
 pub const DEFAULT_BUFFER_POOL: usize = 64;
 
@@ -113,7 +114,6 @@ impl Default for EngineConfig {
             mem_budget: default_mem_budget(),
             storage: default_storage(),
             segment_rows: default_segment_rows(),
-            segment_cache: default_segment_cache(),
             buffer_pool: default_buffer_pool(),
             faults: default_faults(),
             deadline: default_deadline(),
@@ -180,19 +180,6 @@ fn default_segment_rows() -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or(DEFAULT_SEGMENT_ROWS)
-    })
-}
-
-/// `RELALG_SEGMENT_CACHE`, read once per process; unset, unparseable or
-/// zero means [`DEFAULT_SEGMENT_CACHE`].
-fn default_segment_cache() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("RELALG_SEGMENT_CACHE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SEGMENT_CACHE)
     })
 }
 
@@ -291,16 +278,18 @@ impl Catalog {
         self.config.storage = mode;
     }
 
-    /// Set the segment geometry: rows per segment and the paged
-    /// provider's decoded-segment cache capacity (both floored at 1).
-    pub fn set_segment_layout(&mut self, segment_rows: usize, segment_cache: usize) {
+    /// Set the segment geometry: rows per segment and the shared
+    /// buffer pool's capacity in decoded segments (both floored at 1;
+    /// the second argument is [`Catalog::set_buffer_pool`]'s).
+    pub fn set_segment_layout(&mut self, segment_rows: usize, pool_segments: usize) {
         self.config.segment_rows = segment_rows.max(1);
-        self.config.segment_cache = segment_cache.max(1);
+        self.set_buffer_pool(pool_segments);
     }
 
     /// Set the shared buffer pool's capacity in decoded segments
-    /// (floored at 1). Scans under [`StorageMode::Disk`] lease slots
-    /// from the process-wide pool of this capacity.
+    /// (floored at 1). Scans under [`StorageMode::Paged`] and
+    /// [`StorageMode::Disk`] lease slots from the process-wide pool of
+    /// this capacity.
     pub fn set_buffer_pool(&mut self, segments: usize) {
         self.config.buffer_pool = segments.max(1);
     }
@@ -403,10 +392,10 @@ mod tests {
         c.set_segment_layout(256, 2);
         assert_eq!(c.config().storage, StorageMode::Paged);
         assert_eq!(c.config().segment_rows, 256);
-        assert_eq!(c.config().segment_cache, 2);
+        assert_eq!(c.config().buffer_pool, 2);
         c.set_segment_layout(0, 0); // floored at 1
         assert_eq!(c.config().segment_rows, 1);
-        assert_eq!(c.config().segment_cache, 1);
+        assert_eq!(c.config().buffer_pool, 1);
         c.set_storage(StorageMode::Disk);
         c.set_buffer_pool(3);
         assert_eq!(c.config().storage, StorageMode::Disk);

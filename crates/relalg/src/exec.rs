@@ -81,7 +81,7 @@ use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::optimizer::{est_rows, est_rows_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
-use crate::provider::{provider_for, ImageProvider, IoCounters};
+use crate::provider::{ImageProvider, IoCounters, MemImageProvider, PagedImageProvider};
 use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
@@ -154,18 +154,20 @@ pub struct ExecStats {
     /// sargable scan predicate (cumulative, like `segments_scanned`).
     pub segments_skipped: usize,
     /// Approximate bytes materialized by fresh segment decodes
-    /// (provider cache hits add nothing, so under the paged provider
-    /// this measures decode traffic, i.e. cache misses).
+    /// (resident-cache and buffer-pool hits add nothing, so under paged
+    /// and disk storage this measures pool-miss traffic).
     pub decoded_bytes: usize,
     /// Pages read from on-disk segment stores, in [`crate::store::PAGE`]
     /// units (0 unless a scan ran under `StorageMode::Disk`; cumulative
     /// like the segment counters).
     pub pages_read: usize,
-    /// Buffer-pool hits: segment fetches served from the shared pool
-    /// without touching disk (cumulative).
+    /// Buffer-pool hits: segment fetches under paged or disk storage
+    /// served from the shared pool without a decode or a disk read
+    /// (cumulative).
     pub pool_hits: usize,
-    /// Buffer-pool misses: segment fetches that had to read and decode
-    /// from disk before installing into the pool (cumulative).
+    /// Buffer-pool misses: segment fetches under paged or disk storage
+    /// that had to decode (paged) or read and decode (disk) before
+    /// installing into the pool (cumulative).
     pub pool_misses: usize,
     /// Transient-I/O retries taken by the retry layer (injected or
     /// real; cumulative over the execution's lifetime).
@@ -751,32 +753,34 @@ struct SegScan {
 impl SourceNode {
     /// Wrap a materialized relation, attaching a segment provider when
     /// the engine runs segmented storage (plain mode bypasses the whole
-    /// seam; breaker outputs and empty relations stay plain too). Under
-    /// [`StorageMode::Disk`] the provider fetches from the relation's
-    /// on-disk segment store — the native one for disk-loaded tables, a
-    /// scratch spill otherwise — through the buffer pool shared across
-    /// all relations at this capacity.
+    /// seam; breaker outputs and empty relations stay plain too). Paged
+    /// and disk providers lease decoded segments from the buffer pool
+    /// shared across all relations at this capacity; under
+    /// [`StorageMode::Disk`] they come from the relation's on-disk
+    /// segment store — the native one for disk-loaded tables, a scratch
+    /// spill otherwise.
     fn of_scan(rel: Arc<Relation>, config: &EngineConfig) -> Result<SourceNode> {
-        let scan = if config.storage == StorageMode::Plain || rel.is_empty() {
-            None
-        } else if config.storage == StorageMode::Disk {
-            let image = rel.disk_image(config.segment_rows)?;
-            let pool = crate::store::pool_for(config.buffer_pool);
-            Some(SegScan {
-                provider: Arc::new(crate::store::DiskImageProvider::new(image, pool)),
-                zone_preds: Vec::new(),
-            })
-        } else {
-            Some(SegScan {
-                provider: provider_for(
-                    rel.segments(config.segment_rows),
-                    config.storage,
-                    config.segment_cache,
-                ),
-                zone_preds: Vec::new(),
-            })
+        let rows = config.segment_rows;
+        let provider: Arc<dyn ImageProvider> = match config.storage {
+            StorageMode::Plain => return Ok(SourceNode::plain(rel)),
+            _ if rel.is_empty() => return Ok(SourceNode::plain(rel)),
+            StorageMode::Segmented => Arc::new(MemImageProvider::new(rel.segments(rows))),
+            StorageMode::Paged => Arc::new(PagedImageProvider::new(
+                rel.segments(rows),
+                crate::store::pool_for(config.buffer_pool),
+            )),
+            StorageMode::Disk => Arc::new(crate::store::DiskImageProvider::new(
+                rel.disk_image(rows)?,
+                crate::store::pool_for(config.buffer_pool),
+            )),
         };
-        Ok(SourceNode { rel, scan })
+        Ok(SourceNode {
+            rel,
+            scan: Some(SegScan {
+                provider,
+                zone_preds: Vec::new(),
+            }),
+        })
     }
 
     /// Wrap a computed relation (breaker output, inline values): always

@@ -114,8 +114,8 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
     if stats.pages_read + stats.pool_hits + stats.pool_misses > 0 {
         let _ = writeln!(
             out,
-            "-- disk: {} page(s) read, buffer pool {} hit(s) / {} miss(es)",
-            stats.pages_read, stats.pool_hits, stats.pool_misses
+            "-- buffer pool: {} hit(s) / {} miss(es), {} page(s) read",
+            stats.pool_hits, stats.pool_misses, stats.pages_read
         );
     }
     if stats.faults_injected + stats.retries > 0 || stats.cancelled {
@@ -572,6 +572,17 @@ mod tests {
         // The executed report counts actual segment traffic.
         let text = explain_executed(&p, &c).unwrap();
         assert!(text.contains("-- segments: 1 scanned, 3 skipped"), "{text}");
+        assert!(!text.contains("-- buffer pool:"), "{text}");
+        // Paged storage: the same plan text, plus the pool traffic of
+        // in-memory segments — no pages read.
+        let mut paged = c.clone();
+        paged.set_storage(StorageMode::Paged);
+        let paged_text = explain_executed(&p, &paged).unwrap();
+        assert!(paged_text.starts_with(&explain(&p, &c)), "{paged_text}");
+        assert!(
+            paged_text.contains("-- buffer pool: 0 hit(s) / 1 miss(es), 0 page(s) read"),
+            "{paged_text}"
+        );
         // Plain storage: no seg annotations anywhere.
         let mut plain = c.clone();
         plain.set_storage(StorageMode::Plain);

@@ -8,32 +8,29 @@
 //!
 //! * [`MemImageProvider`] decodes each segment at most once and keeps it
 //!   resident — the segmented analog of the plain in-memory image;
-//! * [`PagedImageProvider`] keeps at most `cap` decoded segments behind
-//!   a clock (second-chance) eviction cache, so the decoded *working
-//!   set*, not the table, is what occupies memory; cold segments are
-//!   re-decoded on return;
+//! * [`PagedImageProvider`] decodes segments of the in-memory image on
+//!   demand and leases them from the [`BufferPool`];
 //! * [`crate::store::DiskImageProvider`] reads encoded segments from a
-//!   page file through a [`crate::store::BufferPool`] shared across
-//!   relations.
+//!   page file and leases them from the same [`BufferPool`].
 //!
 //! Providers are created per scan node at prepare time and shared by
-//! all workers of that scan, so decode work is deduplicated across
-//! morsels while queries never observe each other's cache state.
+//! all workers of that scan. The resident provider's cache is private
+//! to its scan; paged and disk scans share one clock-eviction pool per
+//! capacity across relations and queries (keyed by process-unique image
+//! id), so one knob bounds the decoded working set of both.
 //!
-//! **Locking discipline:** no provider ever decodes (or reads disk)
-//! while holding its cache lock. A miss registers the segment as
-//! *in-flight*, releases the lock, pays the decode, then re-locks to
-//! install the result; concurrent workers asking for the same segment
-//! wait on a condvar instead of duplicating the decode, and workers
-//! asking for *different* segments proceed entirely in parallel.
+//! **Locking discipline:** a pooled fetch never decodes (or reads disk)
+//! under the pool lock: the pool registers a miss as *in-flight*,
+//! releases its lock, pays the load, then re-locks to install it (see
+//! [`BufferPool::get`]).
 
-use crate::catalog::StorageMode;
 use crate::error::Result;
-use crate::fault::{self, FaultInjector, FaultKind};
+use crate::fault::{self, FaultInjector};
 use crate::segment::{DecodedSegment, SegmentedImage, ZoneMap};
+use crate::store::BufferPool;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Storage-side counters shared by every cursor of one execution:
 /// bytes materialized by fresh decodes, pages read from segment files,
@@ -43,14 +40,15 @@ use std::sync::{Arc, Condvar, Mutex};
 /// draw their ticks through here.
 #[derive(Debug, Default)]
 pub struct IoCounters {
-    /// Approximate bytes materialized by fresh segment decodes (cache
-    /// and pool hits add nothing).
+    /// Approximate bytes materialized by fresh segment decodes (pool
+    /// and resident-cache hits add nothing).
     pub decoded_bytes: AtomicUsize,
     /// 4 KiB pages read from on-disk segment files.
     pub pages_read: AtomicUsize,
     /// Buffer-pool lookups served by a resident segment.
     pub pool_hits: AtomicUsize,
-    /// Buffer-pool lookups that had to read and decode from disk.
+    /// Buffer-pool lookups that had to load the segment (a page read
+    /// under disk storage, an in-memory decode under paged).
     pub pool_misses: AtomicUsize,
     /// The execution's fault injector, `None` when faults are disabled.
     faults: Option<Arc<FaultInjector>>,
@@ -96,9 +94,10 @@ pub trait ImageProvider: Send + Sync + Debug {
     /// segment's materialized size to `io.decoded_bytes` (cache hits add
     /// nothing), which is how [`crate::exec::ExecStats`] observes decode
     /// traffic and cache effectiveness; disk-backed providers also
-    /// account pages read and pool hits/misses. Fallible: disk reads
-    /// can fail for real, and the paged/disk lease and read edges draw
-    /// from `io`'s fault injector when one is configured.
+    /// account pages read, and pooled providers pool hits/misses.
+    /// Fallible: disk reads can fail for real, and the pool-lease and
+    /// disk-read edges draw from `io`'s fault injector when one is
+    /// configured.
     fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>>;
 }
 
@@ -157,106 +156,21 @@ impl ImageProvider for MemImageProvider {
     }
 }
 
-/// One clock-cache slot: a decoded segment plus its reference bit.
-struct ClockSlot {
-    seg: usize,
-    dec: Arc<DecodedSegment>,
-    referenced: bool,
-}
-
-/// Clock-cache state: the resident slots, the sweep hand, and the
-/// segments currently being decoded outside the lock.
-struct PagedState {
-    slots: Vec<ClockSlot>,
-    hand: usize,
-    /// Segments some worker is decoding right now (lock released). A
-    /// worker wanting one of these waits on the condvar instead of
-    /// duplicating the decode. Tiny (≤ worker count), so a Vec beats a
-    /// set.
-    in_flight: Vec<usize>,
-}
-
-/// Bounded provider: at most `cap` decoded segments stay resident,
-/// evicted by the clock (second-chance) policy — the hand sweeps slots,
-/// clearing reference bits, and evicts the first slot found cold. Scans
-/// touching a segment set its bit, so segments shared by concurrent
-/// morsels survive the sweep.
-///
-/// Decoding happens *outside* the cache lock: a miss marks the segment
-/// in-flight, releases the lock, decodes, then re-locks to install.
-/// Exactly one worker pays each decode (peers wanting the same segment
-/// wait on the latch), and workers on other segments are never
-/// serialized behind it — which matters even more once the "decode" is
-/// a disk read.
+/// Bounded provider: segments of the in-memory `image` are decoded on
+/// demand and leased from a [`BufferPool`] shared with every other
+/// paged and disk scan at the same capacity — `Disk` storage without
+/// the file. The pool's clock eviction keeps the decoded *working set*,
+/// not the table, in memory, and its in-flight latch decodes each
+/// segment once however many workers ask.
 pub struct PagedImageProvider {
     image: Arc<SegmentedImage>,
-    cap: usize,
-    state: Mutex<PagedState>,
-    cv: Condvar,
-    /// Test-only decode gate, called with the segment id after the lock
-    /// is released and before the decode happens. Lets concurrency tests
-    /// hold one decode open while proving others proceed.
-    #[cfg(test)]
-    gate: Option<Arc<dyn Fn(usize) + Send + Sync>>,
+    pool: Arc<BufferPool>,
 }
 
 impl PagedImageProvider {
-    /// Provider over `image` keeping at most `cap` (floored at 1)
-    /// decoded segments resident.
-    pub fn new(image: Arc<SegmentedImage>, cap: usize) -> Self {
-        PagedImageProvider {
-            image,
-            cap: cap.max(1),
-            state: Mutex::new(PagedState {
-                slots: Vec::new(),
-                hand: 0,
-                in_flight: Vec::new(),
-            }),
-            cv: Condvar::new(),
-            #[cfg(test)]
-            gate: None,
-        }
-    }
-
-    #[cfg(test)]
-    fn with_gate(
-        image: Arc<SegmentedImage>,
-        cap: usize,
-        gate: Arc<dyn Fn(usize) + Send + Sync>,
-    ) -> Self {
-        PagedImageProvider {
-            gate: Some(gate),
-            ..PagedImageProvider::new(image, cap)
-        }
-    }
-
-    /// Install a freshly decoded segment into the clock cache (lock
-    /// held). The sweep clears reference bits on the way past, so it
-    /// terminates within two revolutions.
-    fn install(state: &mut PagedState, cap: usize, seg: usize, dec: &Arc<DecodedSegment>) {
-        if state.slots.len() < cap {
-            state.slots.push(ClockSlot {
-                seg,
-                dec: Arc::clone(dec),
-                referenced: true,
-            });
-            return;
-        }
-        loop {
-            let slot = &mut state.slots[state.hand];
-            if slot.referenced {
-                slot.referenced = false;
-                state.hand = (state.hand + 1) % state.slots.len();
-            } else {
-                *slot = ClockSlot {
-                    seg,
-                    dec: Arc::clone(dec),
-                    referenced: true,
-                };
-                state.hand = (state.hand + 1) % state.slots.len();
-                break;
-            }
-        }
+    /// Provider over `image`, leasing decoded segments from `pool`.
+    pub fn new(image: Arc<SegmentedImage>, pool: Arc<BufferPool>) -> Self {
+        PagedImageProvider { image, pool }
     }
 }
 
@@ -264,7 +178,7 @@ impl Debug for PagedImageProvider {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedImageProvider")
             .field("segments", &self.image.seg_count())
-            .field("cap", &self.cap)
+            .field("pool_cap", &self.pool.cap())
             .finish()
     }
 }
@@ -283,82 +197,11 @@ impl ImageProvider for PagedImageProvider {
     }
 
     fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>> {
-        // The lease edge: under paged storage this is the injectable
-        // fault point (decodes themselves are in-memory and infallible).
-        fault::retry_io(io.faults(), || {
-            fault::inject(io.faults(), FaultKind::Lease, "lease segment-cache slot")
+        self.pool.get((self.image.id, seg), io, || {
+            let dec = self.image.decode(seg);
+            io.decoded(dec.bytes);
+            Ok(Arc::new(dec))
         })
-        .map_err(|e| fault::io_error("lease segment-cache slot", &e))?;
-        let mut state = fault::lock_recover(&self.state);
-        loop {
-            if let Some(slot) = state.slots.iter_mut().find(|s| s.seg == seg) {
-                slot.referenced = true;
-                return Ok(Arc::clone(&slot.dec));
-            }
-            if state.in_flight.contains(&seg) {
-                // Someone else is decoding exactly this segment: wait
-                // for the install instead of decoding it twice. After
-                // waking, re-check the cache — under heavy eviction the
-                // segment may already be gone again, in which case this
-                // worker becomes the decoder.
-                state = self
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            } else {
-                break;
-            }
-        }
-        state.in_flight.push(seg);
-        drop(state);
-        // Remove the latch and wake peers on every exit — including an
-        // unwind out of the decode — so no failure wedges this segment.
-        struct Latch<'a> {
-            provider: &'a PagedImageProvider,
-            seg: usize,
-        }
-        impl Drop for Latch<'_> {
-            fn drop(&mut self) {
-                let mut state = fault::lock_recover(&self.provider.state);
-                state.in_flight.retain(|&s| s != self.seg);
-                drop(state);
-                self.provider.cv.notify_all();
-            }
-        }
-        let _latch = Latch {
-            provider: self,
-            seg,
-        };
-        // The decode itself runs with no lock held: workers on other
-        // segments hit or decode concurrently.
-        #[cfg(test)]
-        if let Some(gate) = &self.gate {
-            gate(seg);
-        }
-        let dec = Arc::new(self.image.decode(seg));
-        io.decoded(dec.bytes);
-        let mut state = fault::lock_recover(&self.state);
-        Self::install(&mut state, self.cap, seg, &dec);
-        drop(state);
-        Ok(dec)
-    }
-}
-
-/// The provider the engine's configuration asks for.
-/// [`StorageMode::Plain`] never reaches a provider (scans use the plain
-/// image directly), so it maps to the resident provider for callers
-/// that want one anyway. [`StorageMode::Disk`] is not constructible
-/// from an in-memory image — disk scans build a
-/// [`crate::store::DiskImageProvider`] from the relation's segment
-/// files instead — so it maps to the paged provider here.
-pub fn provider_for(
-    image: Arc<SegmentedImage>,
-    mode: StorageMode,
-    cap: usize,
-) -> Arc<dyn ImageProvider> {
-    match mode {
-        StorageMode::Paged | StorageMode::Disk => Arc::new(PagedImageProvider::new(image, cap)),
-        StorageMode::Plain | StorageMode::Segmented => Arc::new(MemImageProvider::new(image)),
     }
 }
 
@@ -366,10 +209,6 @@ pub fn provider_for(
 mod tests {
     use super::*;
     use crate::value::Value;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::mpsc;
-    use std::sync::Barrier;
-    use std::time::Duration;
 
     fn image(rows: usize, seg_rows: usize) -> Arc<SegmentedImage> {
         let rows: Vec<crate::relation::Row> = (0..rows)
@@ -398,7 +237,7 @@ mod tests {
 
     #[test]
     fn paged_provider_evicts_cold_segments() {
-        let p = PagedImageProvider::new(image(12, 4), 2);
+        let p = PagedImageProvider::new(image(12, 4), Arc::new(BufferPool::new(2)));
         let io = IoCounters::default();
         p.segment(0, &io).unwrap();
         p.segment(1, &io).unwrap();
@@ -415,161 +254,5 @@ mod tests {
         // Values still come back correct after eviction churn.
         let d = p.segment(1, &io).unwrap();
         assert_eq!(d.cols[0].get(0), Value::Int(4));
-    }
-
-    #[test]
-    fn factory_picks_by_mode() {
-        let img = image(4, 2);
-        assert!(format!(
-            "{:?}",
-            provider_for(Arc::clone(&img), StorageMode::Paged, 2)
-        )
-        .contains("Paged"));
-        assert!(format!("{:?}", provider_for(img, StorageMode::Segmented, 2)).contains("Mem"));
-    }
-
-    /// The in-flight latch dedups concurrent decodes: 4 workers racing
-    /// over every segment of one provider (capacity ≥ segment count, so
-    /// nothing is ever evicted) decode each segment exactly once —
-    /// total decoded bytes equal one full tour of the image.
-    #[test]
-    fn concurrent_workers_decode_each_segment_once() {
-        let img = image(64, 4);
-        let segs = img.seg_count();
-        let one_tour: usize = (0..segs).map(|s| img.decode(s).bytes).sum();
-        let p = Arc::new(PagedImageProvider::new(Arc::clone(&img), segs));
-        let io = Arc::new(IoCounters::default());
-        let barrier = Arc::new(Barrier::new(4));
-        let workers: Vec<_> = (0..4)
-            .map(|w| {
-                let (p, io, barrier) = (Arc::clone(&p), Arc::clone(&io), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for i in 0..segs {
-                        // Different starting offsets maximize overlap on
-                        // different segments at any instant.
-                        let seg = (i + w * segs / 4) % segs;
-                        let d = p.segment(seg, &io).unwrap();
-                        assert_eq!(d.start, seg * 4);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(
-            io.decoded_bytes.load(Ordering::Relaxed),
-            one_tour,
-            "latch failed: some segment was decoded more than once"
-        );
-    }
-
-    /// Decodes must not serialize the whole cache: while one worker is
-    /// stuck mid-decode of segment 0 (held open by the test gate), a
-    /// second worker must still complete a *hit* on an already-resident
-    /// segment. If decoding ever moves back under the cache lock, the
-    /// second worker blocks and this test fails by timeout instead of
-    /// hanging the suite.
-    #[test]
-    fn decode_does_not_hold_the_cache_lock() {
-        let entered = Arc::new((Mutex::new(false), Condvar::new()));
-        let release = Arc::new(AtomicBool::new(false));
-        let gate = {
-            let entered = Arc::clone(&entered);
-            let release = Arc::clone(&release);
-            Arc::new(move |seg: usize| {
-                if seg == 0 {
-                    let (flag, cv) = &*entered;
-                    *flag.lock().unwrap() = true;
-                    cv.notify_all();
-                    while !release.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        let p = Arc::new(PagedImageProvider::with_gate(image(12, 4), 3, gate));
-        let io = Arc::new(IoCounters::default());
-        // Make segment 1 resident before anything blocks.
-        p.segment(1, &io).unwrap();
-        let blocked = {
-            let (p, io) = (Arc::clone(&p), Arc::clone(&io));
-            std::thread::spawn(move || p.segment(0, &io).unwrap())
-        };
-        // Wait until the blocked worker is inside the decode (lock
-        // released, gate held).
-        {
-            let (flag, cv) = &*entered;
-            let mut flag = flag.lock().unwrap();
-            while !*flag {
-                flag = cv.wait(flag).unwrap();
-            }
-        }
-        // A hit on segment 1 must complete while the decode is stuck.
-        let (tx, rx) = mpsc::channel();
-        let hitter = {
-            let (p, io) = (Arc::clone(&p), Arc::clone(&io));
-            std::thread::spawn(move || {
-                let d = p.segment(1, &io).unwrap();
-                tx.send(d.start).unwrap();
-            })
-        };
-        let start = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("hit on a resident segment serialized behind an in-flight decode");
-        assert_eq!(start, 4);
-        release.store(true, Ordering::Release);
-        assert_eq!(blocked.join().unwrap().start, 0);
-        hitter.join().unwrap();
-    }
-
-    /// Two workers asking for the *same* in-flight segment: the second
-    /// waits on the latch and reuses the first worker's decode (exactly
-    /// one decode total), rather than duplicating it.
-    #[test]
-    fn same_segment_waiters_share_one_decode() {
-        let entered = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let release = Arc::new(AtomicBool::new(false));
-        let gate = {
-            let entered = Arc::clone(&entered);
-            let release = Arc::clone(&release);
-            Arc::new(move |_seg: usize| {
-                let (count, cv) = &*entered;
-                *count.lock().unwrap() += 1;
-                cv.notify_all();
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-        };
-        let p = Arc::new(PagedImageProvider::with_gate(image(8, 4), 2, gate));
-        let io = Arc::new(IoCounters::default());
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let (p, io) = (Arc::clone(&p), Arc::clone(&io));
-                std::thread::spawn(move || p.segment(0, &io).unwrap())
-            })
-            .collect();
-        // Exactly one worker reaches the decode; the other parks on the
-        // latch. (Give the loser a moment to park, then release.)
-        {
-            let (count, cv) = &*entered;
-            let mut count = count.lock().unwrap();
-            while *count == 0 {
-                count = cv.wait(count).unwrap();
-            }
-            assert_eq!(*count, 1, "both workers entered the decode");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        {
-            let (count, _) = &*entered;
-            assert_eq!(*count.lock().unwrap(), 1, "latch let a duplicate decode in");
-        }
-        release.store(true, Ordering::Release);
-        let decs: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-        assert!(Arc::ptr_eq(&decs[0], &decs[1]), "waiter got its own decode");
-        let one = p.image.decode(0).bytes;
-        assert_eq!(io.decoded_bytes.load(Ordering::Relaxed), one);
     }
 }

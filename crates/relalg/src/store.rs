@@ -1,6 +1,7 @@
 //! The disk half of the segmented store: page files of encoded column
-//! segments, a checksummed per-relation manifest, and a buffer pool
-//! shared across relations.
+//! segments, a checksummed per-relation manifest, and the engine's one
+//! buffer pool of decoded segments, shared across relations and by
+//! disk and paged scans alike.
 //!
 //! A relation persists as two files in a directory:
 //!
@@ -32,7 +33,10 @@
 //! (keyed by a process-unique image id): the pool holds at most `cap`
 //! decoded segments under clock eviction, disk reads happen outside the
 //! pool lock behind a per-segment in-flight latch, and
-//! [`IoCounters`] observes pages read plus pool hits/misses.
+//! [`IoCounters`] observes pages read plus pool hits/misses. Paged
+//! scans of in-memory images lease from the same pool through
+//! [`crate::provider::PagedImageProvider`]; image ids come from one
+//! counter, so their keys never collide with a disk image's.
 
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector, FaultKind};
@@ -40,6 +44,7 @@ use crate::provider::{ImageProvider, IoCounters};
 use crate::relation::{Column, NullMask, Row};
 use crate::segment::{
     value_digest, ColumnSegment, DecodedSegment, SegEncoding, SegmentedImage, ZoneMap,
+    NEXT_IMAGE_ID,
 };
 use crate::stats::TableStats;
 use crate::value::{intern, Value};
@@ -491,8 +496,6 @@ struct BlockRef {
     len: u64,
     crc: u32,
 }
-
-static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// An opened on-disk relation image: the page-file handle, the parsed
 /// manifest (geometry, names, statistics, zone maps, block directory),
@@ -1167,17 +1170,16 @@ struct PoolState {
 }
 
 /// A clock-eviction cache of decoded segments shared across *all*
-/// relations scanned under disk storage: per-scan providers lease slots
-/// from it, so concurrent queries over different tables compete for the
-/// same bounded memory — the paper's "conventional DBMS" discipline.
+/// relations scanned under disk or paged storage: per-scan providers
+/// lease slots from it, so concurrent queries over different tables
+/// compete for the same bounded memory — the paper's "conventional
+/// DBMS" discipline, with one pool where a DBMS has one.
 ///
 /// Disk reads and decodes happen outside the pool lock behind a
 /// per-key in-flight latch (exactly one loader per segment; peers wait
-/// on the condvar; unrelated fetches proceed concurrently), which is
-/// the same locking discipline as
-/// [`crate::provider::PagedImageProvider`] — mandatory here, where a
-/// blocking `read_at` under a global mutex would serialize every morsel
-/// worker on cold pages.
+/// on the condvar; unrelated fetches proceed concurrently) — a
+/// blocking `read_at` or a segment decode under a global mutex would
+/// serialize every morsel worker on cold segments.
 pub struct BufferPool {
     cap: usize,
     state: Mutex<PoolState>,
@@ -1215,6 +1217,7 @@ impl BufferPool {
     /// lock) on a miss. Hits bump `io.pool_hits`; misses bump
     /// `io.pool_misses` and install the loaded segment under clock
     /// eviction. Concurrent callers of the same key share one load.
+    /// Every call draws exactly one [`FaultKind::Lease`] tick.
     ///
     /// The in-flight latch is guarded: if `load` fails *or unwinds*,
     /// the latch entry is removed and waiting peers are woken (the next
@@ -1305,11 +1308,11 @@ impl BufferPool {
     }
 }
 
-/// The process-wide pool registry, keyed by capacity: every scan
-/// configured with the same `buffer_pool` capacity shares one pool (the
-/// "shared across relations" contract), while distinct capacities get
-/// distinct pools so differently-configured catalogs — and tests — stay
-/// isolated from each other.
+/// The process-wide pool registry, keyed by capacity: every disk or
+/// paged scan configured with the same `buffer_pool` capacity shares
+/// one pool (the "shared across relations" contract), while distinct
+/// capacities get distinct pools so differently-configured catalogs —
+/// and tests — stay isolated from each other.
 pub fn pool_for(cap: usize) -> Arc<BufferPool> {
     type PoolRegistry = Vec<(usize, Arc<BufferPool>)>;
     static POOLS: OnceLock<Mutex<PoolRegistry>> = OnceLock::new();
@@ -1376,6 +1379,9 @@ mod tests {
     use super::*;
     use crate::relation::Relation;
     use crate::value::intern;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn rel(n: usize) -> Relation {
         Relation::from_rows(
@@ -1493,9 +1499,19 @@ mod tests {
         let ia = write_image_scratch(&a.segments(8), &names(&a)).unwrap();
         let ib = write_image_scratch(&b.segments(8), &names(&b)).unwrap();
         assert_ne!(ia.id, ib.id, "image ids must be process-unique");
+        // A third, in-memory image with the same segment indices: its
+        // id comes from the same counter, so its keys cannot alias.
+        let c = Relation::from_rows(
+            ["k", "w", "v"],
+            (0..32i64).map(|i| vec![Value::Int(-1 - i), Value::Null, Value::Int(i)]),
+        )
+        .unwrap();
+        let ic = c.segments(8);
+        assert!(ic.id != ia.id && ic.id != ib.id, "image ids must be unique");
         let pool = Arc::new(BufferPool::new(3));
         let pa = DiskImageProvider::new(Arc::clone(&ia), Arc::clone(&pool));
         let pb = DiskImageProvider::new(Arc::clone(&ib), Arc::clone(&pool));
+        let pc = crate::provider::PagedImageProvider::new(ic, Arc::clone(&pool));
         let io = IoCounters::default();
         // Both relations' segments flow through the same slots.
         pa.segment(0, &io).unwrap();
@@ -1518,6 +1534,21 @@ mod tests {
             assert_eq!(d.cols[0].get(0), Value::Int(seg as i64 * 8));
         }
         assert!(io.pool_misses.load(Ordering::Relaxed) > 4);
+        // Interleaved with a disk image, the paged image's segments
+        // churn through the same slots, read no pages, and every value
+        // comes back as its own.
+        for seg in 0..4 {
+            let pages = io.pages_read.load(Ordering::Relaxed);
+            let d = pc.segment(seg, &io).unwrap();
+            assert_eq!(io.pages_read.load(Ordering::Relaxed), pages);
+            for pos in 0..d.len {
+                let k = (d.start + pos) as i64;
+                assert_eq!(d.cols[0].get(pos), Value::Int(-1 - k));
+            }
+            let d = pa.segment(seg, &io).unwrap();
+            assert_eq!(d.cols[0].get(0), Value::Int(seg as i64 * 8));
+        }
+        assert_eq!(pool.resident(), 3);
     }
 
     #[test]
@@ -1580,19 +1611,109 @@ mod tests {
         assert_eq!(err, Error::Io("load failed".into()));
         assert_eq!(pool.in_flight_len(), 0, "failed load leaked its latch");
         // The key stays fetchable: a later load succeeds and installs.
-        let d = pool
-            .get(key, &io, || {
-                Ok(Arc::new(DecodedSegment {
-                    start: 0,
-                    len: 0,
-                    cols: Vec::new(),
-                    bytes: 0,
-                }))
-            })
-            .unwrap();
+        let d = pool.get(key, &io, || Ok(empty_seg(0))).unwrap();
         assert_eq!(d.len, 0);
         assert_eq!(pool.in_flight_len(), 0);
         assert_eq!(pool.resident(), 1);
+    }
+
+    fn empty_seg(start: usize) -> Arc<DecodedSegment> {
+        Arc::new(DecodedSegment {
+            start,
+            len: 0,
+            cols: Vec::new(),
+            bytes: 0,
+        })
+    }
+
+    /// Loads must not serialize the pool: while one fetcher is held
+    /// inside the load of one key, a hit on another, resident key must
+    /// still complete. If loading ever moves back under the pool lock,
+    /// the hit blocks and this test fails by timeout instead of hanging
+    /// the suite.
+    #[test]
+    fn load_does_not_hold_the_pool_lock() {
+        let pool = Arc::new(BufferPool::new(3));
+        let io = Arc::new(IoCounters::default());
+        pool.get((u64::MAX, 1), &io, || Ok(empty_seg(4))).unwrap();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let blocked = {
+            let (pool, io) = (Arc::clone(&pool), Arc::clone(&io));
+            std::thread::spawn(move || {
+                pool.get((u64::MAX, 0), &io, || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(empty_seg(0))
+                })
+                .unwrap()
+            })
+        };
+        // Wait until the blocked fetcher is inside its load (pool lock
+        // released, load held open).
+        entered_rx.recv().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let hitter = {
+            let (pool, io) = (Arc::clone(&pool), Arc::clone(&io));
+            std::thread::spawn(move || {
+                let d = pool.get((u64::MAX, 1), &io, || unreachable!("resident key reloaded"));
+                tx.send(d.unwrap().start).unwrap();
+            })
+        };
+        let start = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("hit on a resident key serialized behind an in-flight load");
+        assert_eq!(start, 4);
+        release_tx.send(()).unwrap();
+        assert_eq!(blocked.join().unwrap().start, 0);
+        hitter.join().unwrap();
+    }
+
+    /// Two fetchers of the *same* in-flight key: the second waits on the
+    /// latch and reuses the first one's load (exactly one load in total)
+    /// rather than duplicating it.
+    #[test]
+    fn same_key_waiters_share_one_load() {
+        let pool = Arc::new(BufferPool::new(2));
+        let io = Arc::new(IoCounters::default());
+        let loads = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (pool, io, loads, release, entered) = (
+                    Arc::clone(&pool),
+                    Arc::clone(&io),
+                    Arc::clone(&loads),
+                    Arc::clone(&release),
+                    entered_tx.clone(),
+                );
+                std::thread::spawn(move || {
+                    pool.get((u64::MAX, 0), &io, || {
+                        loads.fetch_add(1, Ordering::SeqCst);
+                        entered.send(()).unwrap();
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        Ok(empty_seg(0))
+                    })
+                    .unwrap()
+                })
+            })
+            .collect();
+        // Exactly one fetcher reaches the load; the other parks on the
+        // latch. The pause only gives the loser time to park: had it
+        // not arrived yet, it would hit after the install, and every
+        // assertion below holds either way.
+        entered_rx.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(loads.load(Ordering::SeqCst), 1, "duplicate load");
+        release.store(true, Ordering::Release);
+        let decs: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        assert!(Arc::ptr_eq(&decs[0], &decs[1]), "waiter got its own load");
+        assert_eq!(loads.load(Ordering::SeqCst), 1);
+        assert_eq!(io.pool_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(io.pool_hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,47 +1,32 @@
 #!/usr/bin/env python3
-"""Record and diff benchmark baselines.
+"""A/B two captured runs of the same criterion bench binary.
 
 The criterion harness prints lines of the form
 
     bench <group>/<id> ... median <duration> (<n> samples)
 
-This script either records them into a ``BENCH_<name>.json`` baseline or
-diffs a fresh run against a checked-in baseline, flagging regressions
-beyond a threshold ratio.
+This script parses two such captures and fails (exit 1) when the
+geometric-mean ratio B/A exceeds ``1 + tolerance``. CI uses it as the
+fault-layer overhead guard: run A with fault injection disabled (no
+RELALG_FAULTS), run B with an injector armed at rate zero
+(RELALG_FAULTS=<seed>:0, plumbed through every I/O edge but never
+firing) — the pair must agree within 2%.
 
 Usage:
-    # Record a baseline (reads bench output from stdin):
-    UREL_BENCH_SAMPLES=7 cargo bench --bench queries | \
-        scripts/bench_diff.py record BENCH_queries.json
-
-    # Diff a fresh run against the baseline (exit 1 on regression):
-    UREL_BENCH_SAMPLES=7 cargo bench --bench queries | \
-        scripts/bench_diff.py diff BENCH_queries.json --threshold 2.5
-
-    # A/B two captured runs of the SAME binary (exit 1 when the
-    # geometric-mean ratio B/A exceeds 1 + tolerance). CI uses this as
-    # the fault-layer overhead guard: run A with fault injection
-    # disabled (no RELALG_FAULTS), run B with an injector armed at rate
-    # zero (RELALG_FAULTS=<seed>:0, plumbed through every I/O edge but
-    # never firing) — the pair must agree within 2%.
     cargo bench --bench queries > /tmp/a.txt
     RELALG_FAULTS=7:0 cargo bench --bench queries > /tmp/b.txt
     scripts/bench_diff.py ab /tmp/a.txt /tmp/b.txt --tolerance 0.02
 
-Wall-clock medians on shared machines are noisy; the baseline-diff
-default threshold is deliberately loose (2.5x) so the CI step catches
-order-of-magnitude regressions without flaking on scheduler jitter. The
-``ab`` mode gates only the geometric mean across all benches — per-bench
-jitter averages out, so a much tighter 2% bound holds for back-to-back
-runs of the same binary.
+Only the geometric mean across all benches is gated: per-bench jitter
+averages out, so a tight 2% bound holds for back-to-back runs of the
+same binary. End-to-end performance is measured by the repository
+benchmark in ``benchmark/``, not here.
 """
 
-import json
 import math
 import os
 import re
 import sys
-from datetime import date
 
 LINE = re.compile(
     r"^bench\s+(?P<name>\S+)\s+\.\.\.\s+median\s+(?P<dur>[0-9.]+)(?P<unit>ns|µs|us|ms|s)\b"
@@ -58,74 +43,6 @@ def parse_bench_output(lines):
         if m:
             out[m.group("name")] = float(m.group("dur")) * UNIT_SECONDS[m.group("unit")]
     return out
-
-
-def record(baseline_path, benches):
-    payload = {
-        "recorded": date.today().isoformat(),
-        "note": "median wall-clock seconds per bench (UREL_BENCH_SAMPLES samples)",
-        "benches": benches,
-    }
-    with open(baseline_path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"recorded {len(benches)} benches into {baseline_path}")
-    return 0
-
-
-def write_step_summary(baseline_path, rows, verdict):
-    """Append the per-query diff table to $GITHUB_STEP_SUMMARY (markdown),
-    when running under GitHub Actions."""
-    path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not path:
-        return
-    with open(path, "a") as f:
-        f.write(f"### Bench diff vs `{baseline_path}`\n\n")
-        f.write("| bench | baseline (s) | current (s) | ratio |\n")
-        f.write("|---|---:|---:|---:|\n")
-        for name, base, cur, ratio in rows:
-            f.write(f"| `{name}` | {base} | {cur} | {ratio} |\n")
-        f.write(f"\n{verdict}\n\n")
-
-
-def diff(baseline_path, benches, threshold):
-    with open(baseline_path) as f:
-        baseline = json.load(f)["benches"]
-    regressions = []
-    rows = []
-    width = max((len(n) for n in baseline), default=10)
-    print(f"{'bench':<{width}}  {'baseline':>12}  {'current':>12}  ratio")
-    for name, base in sorted(baseline.items()):
-        cur = benches.get(name)
-        if cur is None:
-            print(f"{name:<{width}}  {base:>12.6f}  {'MISSING':>12}  -")
-            regressions.append((name, "missing"))
-            rows.append((name, f"{base:.6f}", "MISSING", "-"))
-            continue
-        ratio = cur / base if base > 0 else float("inf")
-        flag = " <-- REGRESSION" if ratio > threshold else ""
-        print(f"{name:<{width}}  {base:>12.6f}  {cur:>12.6f}  {ratio:5.2f}x{flag}")
-        rows.append((name, f"{base:.6f}", f"{cur:.6f}", f"{ratio:.2f}x{flag and ' ⚠️'}"))
-        if ratio > threshold:
-            regressions.append((name, f"{ratio:.2f}x"))
-    # A bench name the baseline has never seen is an error, not a
-    # footnote: silently skipping it would let renamed (or brand-new)
-    # queries run unguarded until someone notices. Re-record the
-    # baseline when adding or renaming benches.
-    for name in sorted(set(benches) - set(baseline)):
-        print(f"{name:<{width}}  {'NOT IN BASELINE':>12}  {benches[name]:>12.6f}  -")
-        regressions.append((name, "not in baseline"))
-        rows.append((name, "NOT IN BASELINE", f"{benches[name]:.6f}", "-"))
-    if regressions:
-        listed = ", ".join(f"{name} ({why})" for name, why in regressions)
-        verdict = f"**{len(regressions)} regression(s) beyond {threshold}x:** {listed}"
-        print(f"\n{len(regressions)} regression(s) beyond {threshold}x: {listed}")
-        write_step_summary(baseline_path, rows, verdict)
-        return 1
-    verdict = f"no regressions beyond {threshold}x"
-    print(f"\n{verdict}")
-    write_step_summary(baseline_path, rows, verdict)
-    return 0
 
 
 def ab(path_a, path_b, tolerance):
@@ -173,28 +90,13 @@ def ab(path_a, path_b, tolerance):
 
 
 def main(argv):
-    if len(argv) < 3 or argv[1] not in ("record", "diff", "ab"):
+    if len(argv) < 4 or argv[1] != "ab":
         print(__doc__)
         return 2
-    if argv[1] == "ab":
-        if len(argv) < 4:
-            print(__doc__)
-            return 2
-        tolerance = 0.02
-        if "--tolerance" in argv:
-            tolerance = float(argv[argv.index("--tolerance") + 1])
-        return ab(argv[2], argv[3], tolerance)
-    mode, baseline_path = argv[1], argv[2]
-    threshold = 2.5
-    if "--threshold" in argv:
-        threshold = float(argv[argv.index("--threshold") + 1])
-    benches = parse_bench_output(sys.stdin)
-    if not benches:
-        print("no `bench ... median ...` lines found on stdin", file=sys.stderr)
-        return 2
-    if mode == "record":
-        return record(baseline_path, benches)
-    return diff(baseline_path, benches, threshold)
+    tolerance = 0.02
+    if "--tolerance" in argv:
+        tolerance = float(argv[argv.index("--tolerance") + 1])
+    return ab(argv[2], argv[3], tolerance)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@
 //!   anti-no-op guard: a full scan must skip nothing);
 //! * byte-identical output across {plain, segmented, paged, disk} ×
 //!   {1, 4} workers on a multi-operator plan over null-bearing data;
-//! * paged-provider eviction churn with a 2-segment cache, and disk
-//!   scans faulting through an undersized shared buffer pool;
+//! * paged and disk scans faulting through an undersized shared buffer
+//!   pool (eviction churn) and hitting a warm one;
 //! * the CI `storage` leg's no-op guard: when `RELALG_STORAGE` is set,
 //!   the engine default must reflect it and a scan must actually move
 //!   segments — so the matrix leg cannot silently degrade into a plain
@@ -46,13 +46,10 @@ fn seg_rel(n: i64) -> Relation {
 
 /// A catalog configured *before* inserts, so registration derives table
 /// statistics from the segmented image when the mode asks for one.
-fn storage_catalog(mode: StorageMode, seg_rows: usize, cache: usize, threads: usize) -> Catalog {
+fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize, threads: usize) -> Catalog {
     let mut c = Catalog::new();
     c.set_storage(mode);
-    c.set_segment_layout(seg_rows, cache);
-    // Disk mode routes fetches through the shared buffer pool instead of
-    // the per-provider clock cache; give it the same (tiny) capacity.
-    c.set_buffer_pool(cache);
+    c.set_segment_layout(seg_rows, pool);
     c.set_threads(threads);
     c.set_parallel_granularity(64, 0);
     c
@@ -119,8 +116,8 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         )
         .project_names(["k", "region", "v"])
         .distinct();
-    let build = |mode, cache, threads| {
-        let mut c = storage_catalog(mode, 16, cache, threads);
+    let build = |mode, pool, threads| {
+        let mut c = storage_catalog(mode, 16, pool, threads);
         c.insert("t", seg_rel(300));
         c.insert(
             "u",
@@ -160,40 +157,44 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
 fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
     // 20 segments through a 2-slot buffer pool: the cold scan faults
     // every segment in (and evicts most of them again), stays
-    // byte-identical to plain, and reports page/pool traffic. A second
-    // catalog with a pool larger than the working set hits on re-scan.
+    // byte-identical to plain, and reports pool traffic — plus pages
+    // read when the segments live on disk. A second catalog with a pool
+    // larger than the working set hits on re-scan. Paged storage leases
+    // from the same pools, so it must behave the same minus the pages.
     let p = Plan::scan("t").select(col("v").ge(lit_i64(0)));
     let baseline = {
         let mut c = storage_catalog(StorageMode::Plain, 16, 2, 1);
         c.insert("t", seg_rel(320));
         exec::stream(&p, &c).unwrap().collect_rows(None).unwrap()
     };
-    let mut small = storage_catalog(StorageMode::Disk, 16, 2, 1);
-    small.insert("t", seg_rel(320));
-    let streamed = exec::stream(&p, &small).unwrap();
-    assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
-    let stats = streamed.stats();
-    assert!(stats.pages_read > 0, "{stats:?}");
-    assert!(
-        stats.pool_misses >= 20,
-        "20 cold segments through 2 slots must all miss: {stats:?}"
-    );
-    // A pool bigger than the working set: scan twice, second pass hits.
-    let mut large = storage_catalog(StorageMode::Disk, 16, 64, 1);
-    large.insert("t", seg_rel(320));
-    let warm = exec::stream(&p, &large).unwrap();
-    assert_eq!(warm.collect_rows(None).unwrap(), baseline);
-    assert_eq!(warm.collect_rows(None).unwrap(), baseline);
-    let stats = warm.stats();
-    assert!(
-        stats.pool_hits >= 20,
-        "re-scan under a roomy pool must hit: {stats:?}"
-    );
+    for mode in [StorageMode::Paged, StorageMode::Disk] {
+        let mut small = storage_catalog(mode, 16, 2, 1);
+        small.insert("t", seg_rel(320));
+        let streamed = exec::stream(&p, &small).unwrap();
+        assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
+        let stats = streamed.stats();
+        assert_eq!(stats.pages_read > 0, mode == StorageMode::Disk, "{stats:?}");
+        assert!(
+            stats.pool_misses >= 20,
+            "{mode:?}: 20 cold segments through 2 slots must all miss: {stats:?}"
+        );
+        // A pool bigger than the working set: scan twice, second pass hits.
+        let mut large = storage_catalog(mode, 16, 64, 1);
+        large.insert("t", seg_rel(320));
+        let warm = exec::stream(&p, &large).unwrap();
+        assert_eq!(warm.collect_rows(None).unwrap(), baseline);
+        assert_eq!(warm.collect_rows(None).unwrap(), baseline);
+        let stats = warm.stats();
+        assert!(
+            stats.pool_hits >= 20,
+            "{mode:?}: re-scan under a roomy pool must hit: {stats:?}"
+        );
+    }
 }
 
 #[test]
 fn paged_provider_evicts_under_a_tiny_cache_and_stays_correct() {
-    // 20 segments stream through a 2-slot clock cache: every decode
+    // 20 segments stream through a 2-slot buffer pool: every decode
     // past the second evicts a resident segment, and batches handed
     // downstream keep their `Arc`ed columns alive past the eviction.
     let mut paged = storage_catalog(StorageMode::Paged, 16, 2, 1);
@@ -251,16 +252,19 @@ fn ci_storage_leg_actually_moves_segments() {
         stats.segments_scanned > 0,
         "segmented storage configured but no segment traffic: {stats:?}"
     );
-    // The disk leg must additionally move pages through the buffer pool
-    // (the CI leg shrinks RELALG_BUFFER_POOL below the working set).
+    // The paged and disk legs must additionally move segments through
+    // the buffer pool (the CI legs shrink RELALG_BUFFER_POOL below the
+    // working set), and the disk leg must read pages.
+    if env_mode != Some(StorageMode::Segmented) {
+        assert!(
+            stats.pool_misses > 0,
+            "pooled storage configured but the buffer pool never missed: {stats:?}"
+        );
+    }
     if env_mode == Some(StorageMode::Disk) {
         assert!(
             stats.pages_read > 0,
             "disk storage configured but no page traffic: {stats:?}"
-        );
-        assert!(
-            stats.pool_misses > 0,
-            "disk storage configured but the buffer pool never missed: {stats:?}"
         );
     }
 }

@@ -224,12 +224,10 @@ impl<'a> PreparedDb<'a> {
     }
 
     /// Select the base-table storage mode for queries run through this
-    /// `PreparedDb` (plain columnar, compressed segments, in-memory
-    /// segments paged through the shared buffer pool, or the on-disk
-    /// segment store; the default comes
-    /// from `RELALG_STORAGE`). Answers are byte-identical across modes;
-    /// cached plans stay valid — storage is an execution knob, not a
-    /// plan property.
+    /// `PreparedDb` (plain columnar, compressed segments, or the on-disk
+    /// segment store; the default comes from `RELALG_STORAGE`). Answers
+    /// are byte-identical across modes; cached plans stay valid —
+    /// storage is an execution knob, not a plan property.
     pub fn set_storage(&mut self, mode: urel_relalg::StorageMode) {
         self.catalog.set_storage(mode);
     }
@@ -237,8 +235,7 @@ impl<'a> PreparedDb<'a> {
     /// Cap the decoded segments the buffer pool shared across relations
     /// keeps resident for queries run through this `PreparedDb`
     /// (floored at 1; the default comes from `RELALG_BUFFER_POOL`).
-    /// Only observable under [`urel_relalg::StorageMode::Paged`] and
-    /// [`urel_relalg::StorageMode::Disk`].
+    /// Only observable under [`urel_relalg::StorageMode::Disk`].
     pub fn set_buffer_pool(&mut self, segments: usize) {
         self.catalog.set_buffer_pool(segments);
     }

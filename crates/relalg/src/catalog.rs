@@ -1,8 +1,8 @@
 //! The named-relation store with per-relation statistics and the
 //! engine's execution configuration: parallelism, memory budget,
 //! storage mode and segment geometry, the one buffer-pool capacity
-//! that bounds decoded segments under paged and disk storage, fault
-//! injection and deadlines.
+//! that bounds decoded segments under disk storage, fault injection
+//! and deadlines.
 
 use crate::batch::BATCH_SIZE;
 use crate::error::{Error, Result};
@@ -41,20 +41,17 @@ pub struct EngineConfig {
     pub mem_budget: usize,
     /// How base-table scans source their batches (`RELALG_STORAGE`):
     /// the plain columnar image, compressed column segments decoded
-    /// once per scan, or segments leased from the shared buffer pool —
-    /// decoded from memory or read from disk. Every mode produces
-    /// byte-identical query output.
+    /// once per scan, or on-disk segments leased from the shared buffer
+    /// pool. Every mode produces byte-identical query output.
     pub storage: StorageMode,
     /// Rows per column segment under [`StorageMode::Segmented`] /
-    /// [`StorageMode::Paged`] / [`StorageMode::Disk`]
-    /// (`RELALG_SEGMENT_ROWS`, default 64Ki).
+    /// [`StorageMode::Disk`] (`RELALG_SEGMENT_ROWS`, default 64Ki).
     pub segment_rows: usize,
     /// Decoded segments the shared buffer pool keeps resident *across
-    /// all relations* under [`StorageMode::Paged`] and
-    /// [`StorageMode::Disk`] (`RELALG_BUFFER_POOL`, default 64, floored
-    /// at 1). Per-scan fetches become leases on this pool, so
-    /// concurrent scans of different relations compete for — and
-    /// share — the same slots.
+    /// all relations* under [`StorageMode::Disk`] (`RELALG_BUFFER_POOL`,
+    /// default 64, floored at 1). Per-scan fetches become leases on this
+    /// pool, so concurrent scans of different relations compete for —
+    /// and share — the same slots.
     pub buffer_pool: usize,
     /// Deterministic fault-injection schedule for the execution's I/O
     /// edges (`RELALG_FAULTS=<seed>:<rate>[:<kinds>]`), `None` (the
@@ -69,7 +66,7 @@ pub struct EngineConfig {
 }
 
 /// Storage backend for base-table scans. The mode changes *where*
-/// batch columns come from, never *what* they contain — all four
+/// batch columns come from, never *what* they contain — all three
 /// execute byte-identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageMode {
@@ -78,12 +75,6 @@ pub enum StorageMode {
     /// Compressed column segments ([`crate::segment::SegmentedImage`]),
     /// each decoded at most once per query and then kept resident.
     Segmented,
-    /// [`StorageMode::Disk`] without the file: compressed in-memory
-    /// segments decoded lazily and leased from the buffer pool of
-    /// [`EngineConfig::buffer_pool`] decoded segments shared across all
-    /// relations, so the decoded working set — not the table — is what
-    /// occupies memory.
-    Paged,
     /// Encoded segments live in page files on disk
     /// ([`crate::store::DiskImage`]); scans read them through a
     /// checksum-verified buffer pool of [`EngineConfig::buffer_pool`]
@@ -145,13 +136,12 @@ fn default_deadline() -> Option<Duration> {
     })
 }
 
-/// `RELALG_STORAGE` (`plain` | `segmented` | `paged` | `disk`), read
+/// `RELALG_STORAGE` (`plain` | `segmented` | `disk`), read
 /// once per process; unset or unrecognized means plain.
 fn default_storage() -> StorageMode {
     static STORAGE: std::sync::OnceLock<StorageMode> = std::sync::OnceLock::new();
     *STORAGE.get_or_init(|| match std::env::var("RELALG_STORAGE").as_deref() {
         Ok("segmented") => StorageMode::Segmented,
-        Ok("paged") => StorageMode::Paged,
         Ok("disk") => StorageMode::Disk,
         _ => StorageMode::Plain,
     })
@@ -287,9 +277,8 @@ impl Catalog {
     }
 
     /// Set the shared buffer pool's capacity in decoded segments
-    /// (floored at 1). Scans under [`StorageMode::Paged`] and
-    /// [`StorageMode::Disk`] lease slots from the process-wide pool of
-    /// this capacity.
+    /// (floored at 1). Scans under [`StorageMode::Disk`] lease slots
+    /// from the process-wide pool of this capacity.
     pub fn set_buffer_pool(&mut self, segments: usize) {
         self.config.buffer_pool = segments.max(1);
     }
@@ -388,17 +377,15 @@ mod tests {
         assert_eq!(c.config().mem_budget, 1 << 20);
         c.set_mem_budget(0); // 0 = unbounded, like the env convention
         assert_eq!(c.config().mem_budget, usize::MAX);
-        c.set_storage(StorageMode::Paged);
+        c.set_storage(StorageMode::Disk);
         c.set_segment_layout(256, 2);
-        assert_eq!(c.config().storage, StorageMode::Paged);
+        assert_eq!(c.config().storage, StorageMode::Disk);
         assert_eq!(c.config().segment_rows, 256);
         assert_eq!(c.config().buffer_pool, 2);
         c.set_segment_layout(0, 0); // floored at 1
         assert_eq!(c.config().segment_rows, 1);
         assert_eq!(c.config().buffer_pool, 1);
-        c.set_storage(StorageMode::Disk);
         c.set_buffer_pool(3);
-        assert_eq!(c.config().storage, StorageMode::Disk);
         assert_eq!(c.config().buffer_pool, 3);
         c.set_buffer_pool(0); // floored at 1
         assert_eq!(c.config().buffer_pool, 1);

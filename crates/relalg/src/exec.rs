@@ -81,7 +81,7 @@ use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::optimizer::{est_rows, est_rows_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
-use crate::provider::{ImageProvider, IoCounters, MemImageProvider, PagedImageProvider};
+use crate::provider::{ImageProvider, IoCounters, MemImageProvider};
 use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
@@ -154,20 +154,18 @@ pub struct ExecStats {
     /// sargable scan predicate (cumulative, like `segments_scanned`).
     pub segments_skipped: usize,
     /// Approximate bytes materialized by fresh segment decodes
-    /// (resident-cache and buffer-pool hits add nothing, so under paged
-    /// and disk storage this measures pool-miss traffic).
+    /// (resident-cache and buffer-pool hits add nothing, so under disk
+    /// storage this measures pool-miss traffic).
     pub decoded_bytes: usize,
     /// Pages read from on-disk segment stores, in [`crate::store::PAGE`]
     /// units (0 unless a scan ran under `StorageMode::Disk`; cumulative
     /// like the segment counters).
     pub pages_read: usize,
-    /// Buffer-pool hits: segment fetches under paged or disk storage
-    /// served from the shared pool without a decode or a disk read
-    /// (cumulative).
+    /// Buffer-pool hits: segment fetches under disk storage served
+    /// from the shared pool without a disk read (cumulative).
     pub pool_hits: usize,
-    /// Buffer-pool misses: segment fetches under paged or disk storage
-    /// that had to decode (paged) or read and decode (disk) before
-    /// installing into the pool (cumulative).
+    /// Buffer-pool misses: segment fetches under disk storage that had
+    /// to read and decode before installing into the pool (cumulative).
     pub pool_misses: usize,
     /// Transient-I/O retries taken by the retry layer (injected or
     /// real; cumulative over the execution's lifetime).
@@ -753,22 +751,17 @@ struct SegScan {
 impl SourceNode {
     /// Wrap a materialized relation, attaching a segment provider when
     /// the engine runs segmented storage (plain mode bypasses the whole
-    /// seam; breaker outputs and empty relations stay plain too). Paged
-    /// and disk providers lease decoded segments from the buffer pool
-    /// shared across all relations at this capacity; under
-    /// [`StorageMode::Disk`] they come from the relation's on-disk
+    /// seam; breaker outputs and empty relations stay plain too). Under
+    /// [`StorageMode::Disk`] segments come from the relation's on-disk
     /// segment store — the native one for disk-loaded tables, a scratch
-    /// spill otherwise.
+    /// spill otherwise — leased from the buffer pool shared across all
+    /// relations at this capacity.
     fn of_scan(rel: Arc<Relation>, config: &EngineConfig) -> Result<SourceNode> {
         let rows = config.segment_rows;
         let provider: Arc<dyn ImageProvider> = match config.storage {
             StorageMode::Plain => return Ok(SourceNode::plain(rel)),
             _ if rel.is_empty() => return Ok(SourceNode::plain(rel)),
             StorageMode::Segmented => Arc::new(MemImageProvider::new(rel.segments(rows))),
-            StorageMode::Paged => Arc::new(PagedImageProvider::new(
-                rel.segments(rows),
-                crate::store::pool_for(config.buffer_pool),
-            )),
             StorageMode::Disk => Arc::new(crate::store::DiskImageProvider::new(
                 rel.disk_image(rows)?,
                 crate::store::pool_for(config.buffer_pool),

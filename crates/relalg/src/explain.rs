@@ -573,15 +573,15 @@ mod tests {
         let text = explain_executed(&p, &c).unwrap();
         assert!(text.contains("-- segments: 1 scanned, 3 skipped"), "{text}");
         assert!(!text.contains("-- buffer pool:"), "{text}");
-        // Paged storage: the same plan text, plus the pool traffic of
-        // in-memory segments — no pages read.
-        let mut paged = c.clone();
-        paged.set_storage(StorageMode::Paged);
-        let paged_text = explain_executed(&p, &paged).unwrap();
-        assert!(paged_text.starts_with(&explain(&p, &c)), "{paged_text}");
+        // Disk storage: the same plan text, plus the pool traffic of the
+        // one surviving segment — a single-column block, one page read.
+        let mut disk = c.clone();
+        disk.set_storage(StorageMode::Disk);
+        let disk_text = explain_executed(&p, &disk).unwrap();
+        assert!(disk_text.starts_with(&explain(&p, &c)), "{disk_text}");
         assert!(
-            paged_text.contains("-- buffer pool: 0 hit(s) / 1 miss(es), 0 page(s) read"),
-            "{paged_text}"
+            disk_text.contains("-- buffer pool: 0 hit(s) / 1 miss(es), 1 page(s) read"),
+            "{disk_text}"
         );
         // Plain storage: no seg annotations anywhere.
         let mut plain = c.clone();

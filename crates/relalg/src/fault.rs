@@ -56,7 +56,7 @@ pub enum FaultKind {
     Write,
     /// Opening/creating files and directories (incl. manifest open).
     Open,
-    /// Acquiring a buffer-pool lease (paged and disk segment fetches).
+    /// Acquiring a buffer-pool lease (disk segment fetches).
     Lease,
 }
 

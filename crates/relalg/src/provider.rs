@@ -3,31 +3,28 @@
 //! An [`ImageProvider`] hands scan cursors decoded segments of one
 //! relation's image — in-memory compressed segments or on-disk segment
 //! files — behind a layout interface (`seg_rows`/`zone`) so the cursor
-//! never needs to know where the bytes live. The implementations trade
-//! memory for decode/IO work:
+//! never needs to know where the bytes live. There are two
+//! implementations:
 //!
 //! * [`MemImageProvider`] decodes each segment at most once and keeps it
 //!   resident — the segmented analog of the plain in-memory image;
-//! * [`PagedImageProvider`] decodes segments of the in-memory image on
-//!   demand and leases them from the [`BufferPool`];
 //! * [`crate::store::DiskImageProvider`] reads encoded segments from a
-//!   page file and leases them from the same [`BufferPool`].
+//!   page file and leases them from the [`crate::store::BufferPool`].
 //!
 //! Providers are created per scan node at prepare time and shared by
 //! all workers of that scan. The resident provider's cache is private
-//! to its scan; paged and disk scans share one clock-eviction pool per
-//! capacity across relations and queries (keyed by process-unique image
-//! id), so one knob bounds the decoded working set of both.
+//! to its scan; disk scans share one clock-eviction pool per capacity
+//! across relations and queries (keyed by process-unique image id), so
+//! one knob bounds the decoded working set.
 //!
-//! **Locking discipline:** a pooled fetch never decodes (or reads disk)
+//! **Locking discipline:** a pooled fetch never decodes or reads disk
 //! under the pool lock: the pool registers a miss as *in-flight*,
 //! releases its lock, pays the load, then re-locks to install it (see
-//! [`BufferPool::get`]).
+//! [`crate::store::BufferPool::get`]).
 
 use crate::error::Result;
 use crate::fault::{self, FaultInjector};
 use crate::segment::{DecodedSegment, SegmentedImage, ZoneMap};
-use crate::store::BufferPool;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,8 +44,7 @@ pub struct IoCounters {
     pub pages_read: AtomicUsize,
     /// Buffer-pool lookups served by a resident segment.
     pub pool_hits: AtomicUsize,
-    /// Buffer-pool lookups that had to load the segment (a page read
-    /// under disk storage, an in-memory decode under paged).
+    /// Buffer-pool lookups that had to read and decode the segment.
     pub pool_misses: AtomicUsize,
     /// The execution's fault injector, `None` when faults are disabled.
     faults: Option<Arc<FaultInjector>>,
@@ -93,8 +89,8 @@ pub trait ImageProvider: Send + Sync + Debug {
     /// A decoded view of segment `seg`. Every *fresh* decode adds the
     /// segment's materialized size to `io.decoded_bytes` (cache hits add
     /// nothing), which is how [`crate::exec::ExecStats`] observes decode
-    /// traffic and cache effectiveness; disk-backed providers also
-    /// account pages read, and pooled providers pool hits/misses.
+    /// traffic and cache effectiveness; the disk provider also accounts
+    /// pages read and pool hits/misses.
     /// Fallible: disk reads can fail for real, and the pool-lease and
     /// disk-read edges draw from `io`'s fault injector when one is
     /// configured.
@@ -156,55 +152,6 @@ impl ImageProvider for MemImageProvider {
     }
 }
 
-/// Bounded provider: segments of the in-memory `image` are decoded on
-/// demand and leased from a [`BufferPool`] shared with every other
-/// paged and disk scan at the same capacity — `Disk` storage without
-/// the file. The pool's clock eviction keeps the decoded *working set*,
-/// not the table, in memory, and its in-flight latch decodes each
-/// segment once however many workers ask.
-pub struct PagedImageProvider {
-    image: Arc<SegmentedImage>,
-    pool: Arc<BufferPool>,
-}
-
-impl PagedImageProvider {
-    /// Provider over `image`, leasing decoded segments from `pool`.
-    pub fn new(image: Arc<SegmentedImage>, pool: Arc<BufferPool>) -> Self {
-        PagedImageProvider { image, pool }
-    }
-}
-
-impl Debug for PagedImageProvider {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PagedImageProvider")
-            .field("segments", &self.image.seg_count())
-            .field("pool_cap", &self.pool.cap())
-            .finish()
-    }
-}
-
-impl ImageProvider for PagedImageProvider {
-    fn seg_rows(&self) -> usize {
-        self.image.seg_rows()
-    }
-
-    fn seg_count(&self) -> usize {
-        self.image.seg_count()
-    }
-
-    fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        self.image.zone(col, seg)
-    }
-
-    fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>> {
-        self.pool.get((self.image.id, seg), io, || {
-            let dec = self.image.decode(seg);
-            io.decoded(dec.bytes);
-            Ok(Arc::new(dec))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,26 +180,5 @@ mod tests {
         assert_eq!(p.seg_rows(), 4);
         assert_eq!(p.seg_count(), 3);
         assert_eq!(p.zone(0, 0).min, Value::Int(0));
-    }
-
-    #[test]
-    fn paged_provider_evicts_cold_segments() {
-        let p = PagedImageProvider::new(image(12, 4), Arc::new(BufferPool::new(2)));
-        let io = IoCounters::default();
-        p.segment(0, &io).unwrap();
-        p.segment(1, &io).unwrap();
-        let full = io.decoded_bytes.load(Ordering::Relaxed);
-        // Hits don't decode.
-        p.segment(0, &io).unwrap();
-        assert_eq!(io.decoded_bytes.load(Ordering::Relaxed), full);
-        // A third segment evicts one of the two; touring all three with
-        // cap 2 forces re-decodes.
-        p.segment(2, &io).unwrap();
-        p.segment(0, &io).unwrap();
-        p.segment(1, &io).unwrap();
-        assert!(io.decoded_bytes.load(Ordering::Relaxed) > full);
-        // Values still come back correct after eviction churn.
-        let d = p.segment(1, &io).unwrap();
-        assert_eq!(d.cols[0].get(0), Value::Int(4));
     }
 }

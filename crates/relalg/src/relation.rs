@@ -613,8 +613,8 @@ impl Relation {
 
     /// The compressed segmented image at `seg_rows` rows per segment,
     /// built directly from row storage (never via the plain columnar
-    /// image — in paged storage mode that image is exactly what must not
-    /// be materialized) and cached. Asking for a different segment size
+    /// image — segmented and disk storage must not materialize it) and
+    /// cached. Asking for a different segment size
     /// rebuilds; clones and renames share the cache.
     pub fn segments(&self, seg_rows: usize) -> Arc<SegmentedImage> {
         let mut cache = self.segmented.lock().expect("segment cache");

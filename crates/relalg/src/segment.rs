@@ -32,7 +32,6 @@ use crate::stats::TableStats;
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-(column, segment) summary statistics: the min/max bounds under
@@ -400,12 +399,6 @@ pub struct DecodedSegment {
     pub bytes: usize,
 }
 
-/// Source of process-unique image ids, shared by in-memory
-/// [`SegmentedImage`]s and on-disk [`crate::store::DiskImage`]s so both
-/// can key segments in one [`crate::store::BufferPool`] without
-/// collisions.
-pub(crate) static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
-
 /// The compressed column-segment image of a relation: `cols[c][s]` is
 /// segment `s` of column `c`, every column split at the same fixed
 /// `seg_rows` boundary (the last segment may be short). Carries the
@@ -413,9 +406,6 @@ pub(crate) static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
 /// in segmented storage never touches the plain columnar image.
 #[derive(Debug)]
 pub struct SegmentedImage {
-    /// Process-unique id keying this image's segments in the shared
-    /// buffer pool.
-    pub(crate) id: u64,
     seg_rows: usize,
     len: usize,
     cols: Vec<Vec<ColumnSegment>>,
@@ -589,7 +579,6 @@ impl SegmentedBuilder {
             minmax,
         };
         SegmentedImage {
-            id: NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed),
             seg_rows: self.seg_rows,
             len: self.len,
             cols: self.cols,

@@ -1,7 +1,6 @@
 //! The disk half of the segmented store: page files of encoded column
 //! segments, a checksummed per-relation manifest, and the engine's one
-//! buffer pool of decoded segments, shared across relations and by
-//! disk and paged scans alike.
+//! buffer pool of decoded segments, shared across relations.
 //!
 //! A relation persists as two files in a directory:
 //!
@@ -33,10 +32,7 @@
 //! (keyed by a process-unique image id): the pool holds at most `cap`
 //! decoded segments under clock eviction, disk reads happen outside the
 //! pool lock behind a per-segment in-flight latch, and
-//! [`IoCounters`] observes pages read plus pool hits/misses. Paged
-//! scans of in-memory images lease from the same pool through
-//! [`crate::provider::PagedImageProvider`]; image ids come from one
-//! counter, so their keys never collide with a disk image's.
+//! [`IoCounters`] observes pages read plus pool hits/misses.
 
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector, FaultKind};
@@ -44,7 +40,6 @@ use crate::provider::{ImageProvider, IoCounters};
 use crate::relation::{Column, NullMask, Row};
 use crate::segment::{
     value_digest, ColumnSegment, DecodedSegment, SegEncoding, SegmentedImage, ZoneMap,
-    NEXT_IMAGE_ID,
 };
 use crate::stats::TableStats;
 use crate::value::{intern, Value};
@@ -496,6 +491,10 @@ struct BlockRef {
     len: u64,
     crc: u32,
 }
+
+/// Source of process-unique image ids, keying each [`DiskImage`]'s
+/// segments in the shared [`BufferPool`].
+static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// An opened on-disk relation image: the page-file handle, the parsed
 /// manifest (geometry, names, statistics, zone maps, block directory),
@@ -1170,10 +1169,10 @@ struct PoolState {
 }
 
 /// A clock-eviction cache of decoded segments shared across *all*
-/// relations scanned under disk or paged storage: per-scan providers
-/// lease slots from it, so concurrent queries over different tables
-/// compete for the same bounded memory — the paper's "conventional
-/// DBMS" discipline, with one pool where a DBMS has one.
+/// relations scanned under disk storage: per-scan providers lease slots
+/// from it, so concurrent queries over different tables compete for the
+/// same bounded memory — the paper's "conventional DBMS" discipline,
+/// with one pool where a DBMS has one.
 ///
 /// Disk reads and decodes happen outside the pool lock behind a
 /// per-key in-flight latch (exactly one loader per segment; peers wait
@@ -1308,11 +1307,11 @@ impl BufferPool {
     }
 }
 
-/// The process-wide pool registry, keyed by capacity: every disk or
-/// paged scan configured with the same `buffer_pool` capacity shares
-/// one pool (the "shared across relations" contract), while distinct
-/// capacities get distinct pools so differently-configured catalogs —
-/// and tests — stay isolated from each other.
+/// The process-wide pool registry, keyed by capacity: every disk scan
+/// configured with the same `buffer_pool` capacity shares one pool (the
+/// "shared across relations" contract), while distinct capacities get
+/// distinct pools so differently-configured catalogs — and tests — stay
+/// isolated from each other.
 pub fn pool_for(cap: usize) -> Arc<BufferPool> {
     type PoolRegistry = Vec<(usize, Arc<BufferPool>)>;
     static POOLS: OnceLock<Mutex<PoolRegistry>> = OnceLock::new();
@@ -1499,19 +1498,9 @@ mod tests {
         let ia = write_image_scratch(&a.segments(8), &names(&a)).unwrap();
         let ib = write_image_scratch(&b.segments(8), &names(&b)).unwrap();
         assert_ne!(ia.id, ib.id, "image ids must be process-unique");
-        // A third, in-memory image with the same segment indices: its
-        // id comes from the same counter, so its keys cannot alias.
-        let c = Relation::from_rows(
-            ["k", "w", "v"],
-            (0..32i64).map(|i| vec![Value::Int(-1 - i), Value::Null, Value::Int(i)]),
-        )
-        .unwrap();
-        let ic = c.segments(8);
-        assert!(ic.id != ia.id && ic.id != ib.id, "image ids must be unique");
         let pool = Arc::new(BufferPool::new(3));
         let pa = DiskImageProvider::new(Arc::clone(&ia), Arc::clone(&pool));
         let pb = DiskImageProvider::new(Arc::clone(&ib), Arc::clone(&pool));
-        let pc = crate::provider::PagedImageProvider::new(ic, Arc::clone(&pool));
         let io = IoCounters::default();
         // Both relations' segments flow through the same slots.
         pa.segment(0, &io).unwrap();
@@ -1534,21 +1523,6 @@ mod tests {
             assert_eq!(d.cols[0].get(0), Value::Int(seg as i64 * 8));
         }
         assert!(io.pool_misses.load(Ordering::Relaxed) > 4);
-        // Interleaved with a disk image, the paged image's segments
-        // churn through the same slots, read no pages, and every value
-        // comes back as its own.
-        for seg in 0..4 {
-            let pages = io.pages_read.load(Ordering::Relaxed);
-            let d = pc.segment(seg, &io).unwrap();
-            assert_eq!(io.pages_read.load(Ordering::Relaxed), pages);
-            for pos in 0..d.len {
-                let k = (d.start + pos) as i64;
-                assert_eq!(d.cols[0].get(pos), Value::Int(-1 - k));
-            }
-            let d = pa.segment(seg, &io).unwrap();
-            assert_eq!(d.cols[0].get(0), Value::Int(seg as i64 * 8));
-        }
-        assert_eq!(pool.resident(), 3);
     }
 
     #[test]

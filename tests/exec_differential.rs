@@ -37,10 +37,10 @@
 //!
 //! 5. **Storage modes** — compressed column segments with zone-map
 //!    skipping (PR 6) must be invisible to query output: the same plan
-//!    under {segmented, paged with a 2-slot cache, disk with a 2-slot
-//!    buffer pool} × {1, 4} workers, with 3-row segments so even tiny
-//!    databases cross segment boundaries and evict, must emit exactly
-//!    the plain-image serial row vector.
+//!    under {segmented, disk with a 2-slot buffer pool} × {1, 4}
+//!    workers, with 3-row segments so even tiny databases cross segment
+//!    boundaries and evict, must emit exactly the plain-image serial row
+//!    vector.
 //!
 //! Case counts scale with `PROPTEST_CASES` (the CI differential job
 //! raises it well above the local default); generation is deterministic
@@ -574,10 +574,10 @@ proptest! {
     /// The storage oracle on *translated* plans: random reduced or-set
     /// databases and random logical queries run against the plain
     /// columnar image and against compressed segments — decoded eagerly
-    /// (segmented), through a 2-slot paged cache, and from on-disk
-    /// segment files through a 2-slot buffer pool — at 1 and 4 workers.
-    /// Segments are 3 rows so tiny databases still span several and the
-    /// paged provider / buffer pool actually evict; output must be
+    /// (segmented) and from on-disk segment files through a 2-slot
+    /// buffer pool — at 1 and 4 workers. Segments are 3 rows so tiny
+    /// databases still span several and the buffer pool actually
+    /// evicts; output must be
     /// **byte-identical** (rows and order) to the plain serial pull,
     /// and the cold disk run must actually miss the undersized pool.
     #[test]
@@ -593,7 +593,7 @@ proptest! {
             cat.set_threads(1);
             exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
         };
-        for mode in [StorageMode::Segmented, StorageMode::Paged, StorageMode::Disk] {
+        for mode in [StorageMode::Segmented, StorageMode::Disk] {
             for threads in [1usize, 4] {
                 let mut cat = prepared.catalog().clone();
                 cat.set_storage(mode);
@@ -639,7 +639,7 @@ proptest! {
                 cat.set_threads(1);
                 exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
             };
-            for mode in [StorageMode::Segmented, StorageMode::Paged, StorageMode::Disk] {
+            for mode in [StorageMode::Segmented, StorageMode::Disk] {
                 for threads in [1usize, 4] {
                     let mut cat = catalog.clone();
                     cat.set_storage(mode);

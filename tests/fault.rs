@@ -6,9 +6,10 @@
 //! never a wrong answer — and afterwards no spill files, buffer-pool
 //! leases or poisoned locks remain. These tests drive that contract:
 //!
-//! * 256 seeded schedules (64 seeds × {disk, paged} storage × {1, 4}
-//!   workers) over a spilling join + distinct plan, with a per-schedule
-//!   result/error check and a per-schedule leak check;
+//! * 256 seeded schedules (128 seeds × {1, 4} workers, on disk storage
+//!   through four distinct pool capacities) over a spilling join +
+//!   distinct plan, with a per-schedule result/error check and a
+//!   per-schedule leak check;
 //! * an anti-no-op guard: across the whole sweep the injector must have
 //!   actually fired, so the suite cannot silently degrade into a plain
 //!   differential re-run;
@@ -59,13 +60,13 @@ fn plan() -> Plan {
         .distinct()
 }
 
-/// A catalog pinned against the process environment: every knob the CI
-/// matrix can set (`RELALG_FAULTS`, `RELALG_DEADLINE_MS`,
-/// `RELALG_STORAGE`, `RELALG_MEM_BUDGET`) is overridden explicitly so
-/// each test controls its own schedule.
-fn catalog(mode: StorageMode, threads: usize, pool_cap: usize) -> Catalog {
+/// A disk-storage catalog pinned against the process environment:
+/// every knob the CI matrix can set (`RELALG_FAULTS`,
+/// `RELALG_DEADLINE_MS`, `RELALG_STORAGE`, `RELALG_MEM_BUDGET`) is
+/// overridden explicitly so each test controls its own schedule.
+fn catalog(threads: usize, pool_cap: usize) -> Catalog {
     let mut c = Catalog::new().with_config(EngineConfig::serial());
-    c.set_storage(mode);
+    c.set_storage(StorageMode::Disk);
     c.set_segment_layout(16, 2);
     c.set_buffer_pool(pool_cap);
     c.set_threads(threads);
@@ -82,12 +83,11 @@ fn catalog(mode: StorageMode, threads: usize, pool_cap: usize) -> Catalog {
 /// retried)` and leak-check the execution's spill directory and buffer
 /// pool on the way out.
 fn run_schedule(
-    mode: StorageMode,
     threads: usize,
     pool_cap: usize,
     faults: Option<FaultConfig>,
 ) -> (Result<Vec<u_relations::relalg::Row>, Error>, usize, usize) {
-    let mut cat = catalog(mode, threads, pool_cap);
+    let mut cat = catalog(threads, pool_cap);
     cat.set_faults(faults);
     let (res, injected, retries, spill_dir) = match exec::stream(&plan(), &cat) {
         Ok(streamed) => {
@@ -108,30 +108,31 @@ fn run_schedule(
 
 #[test]
 fn fault_schedules_are_byte_identical_or_clean_errors() {
-    // 64 seeds × {disk, paged} × {1, 4} workers = 256 schedules.
+    // 128 seeds × {1, 4} workers = 256 schedules on disk storage; each
+    // seed half runs through its own pool capacity.
     let mut injected_total = 0usize;
     let mut retried_total = 0usize;
     let mut failed = 0usize;
     let mut ran = 0usize;
-    for (mode, threads, pool_cap) in [
-        (StorageMode::Disk, 1, 17),
-        (StorageMode::Disk, 4, 19),
-        (StorageMode::Paged, 1, 21),
-        (StorageMode::Paged, 4, 23),
+    for (threads, pool_cap, seeds) in [
+        (1, 17, 0..64u64),
+        (4, 19, 0..64),
+        (1, 21, 64..128),
+        (4, 23, 64..128),
     ] {
-        let (baseline, _, _) = run_schedule(mode, threads, pool_cap, None);
-        let baseline = baseline.unwrap_or_else(|e| panic!("{mode:?} x{threads} baseline: {e}"));
+        let (baseline, _, _) = run_schedule(threads, pool_cap, None);
+        let baseline = baseline.unwrap_or_else(|e| panic!("x{threads} baseline: {e}"));
         assert!(!baseline.is_empty());
-        for seed in 0..64u64 {
+        for seed in seeds {
             let (res, injected, retries) =
-                run_schedule(mode, threads, pool_cap, Some(FaultConfig::new(seed, 0.001)));
+                run_schedule(threads, pool_cap, Some(FaultConfig::new(seed, 0.001)));
             injected_total += injected;
             retried_total += retries;
             ran += 1;
             match res {
                 Ok(rows) => assert_eq!(
                     rows, baseline,
-                    "{mode:?} x{threads} seed {seed}: survived faults but diverged"
+                    "x{threads} seed {seed}: survived faults but diverged"
                 ),
                 Err(e) => {
                     // A clean, displayable error — any variant; the
@@ -160,7 +161,7 @@ fn fault_schedules_are_byte_identical_or_clean_errors() {
 
 #[test]
 fn expired_deadline_cancels_cleanly_and_releases_resources() {
-    let mut cat = catalog(StorageMode::Disk, 1, 25);
+    let mut cat = catalog(1, 25);
     cat.set_deadline(Some(Duration::from_millis(0)));
     match exec::stream(&plan(), &cat) {
         Ok(streamed) => {
@@ -189,7 +190,7 @@ fn expired_deadline_cancels_cleanly_and_releases_resources() {
 #[test]
 fn cancel_token_stops_a_query_from_another_thread() {
     for threads in [1, 4] {
-        let cat = catalog(StorageMode::Disk, threads, 27);
+        let cat = catalog(threads, 27);
         let streamed = exec::stream(&plan(), &cat).unwrap();
         let token = streamed.cancel_token();
         std::thread::spawn(move || token.cancel()).join().unwrap();

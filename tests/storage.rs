@@ -7,14 +7,14 @@
 //! * zone-map skipping on clustered integer and dictionary-string
 //!   columns, visible through `ExecStats::segments_skipped` (the
 //!   anti-no-op guard: a full scan must skip nothing);
-//! * byte-identical output across {plain, segmented, paged, disk} ×
-//!   {1, 4} workers on a multi-operator plan over null-bearing data;
-//! * paged and disk scans faulting through an undersized shared buffer
-//!   pool (eviction churn) and hitting a warm one;
-//! * the CI `storage` leg's no-op guard: when `RELALG_STORAGE` is set,
-//!   the engine default must reflect it and a scan must actually move
-//!   segments — so the matrix leg cannot silently degrade into a plain
-//!   re-run of the suite.
+//! * byte-identical output across {plain, segmented, disk} × {1, 4}
+//!   workers on a multi-operator plan over null-bearing data;
+//! * disk scans faulting through an undersized shared buffer pool
+//!   (eviction churn) and hitting a warm one;
+//! * the storage legs' no-op guard: when `RELALG_STORAGE` is set, the
+//!   engine default must reflect it and a scan must actually move
+//!   segments — so a leg cannot silently degrade into a plain re-run of
+//!   the suite.
 
 use u_relations::relalg::{
     col, exec, lit_i64, lit_str, Catalog, EngineConfig, Expr, Plan, Relation, StorageMode, Value,
@@ -137,11 +137,7 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         .collect_rows(None)
         .unwrap();
     assert!(!baseline.is_empty());
-    for mode in [
-        StorageMode::Segmented,
-        StorageMode::Paged,
-        StorageMode::Disk,
-    ] {
+    for mode in [StorageMode::Segmented, StorageMode::Disk] {
         for threads in [1, 4] {
             let cat = build(mode, 2, threads);
             let rows = exec::stream(&plan, &cat)
@@ -157,48 +153,45 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
 fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
     // 20 segments through a 2-slot buffer pool: the cold scan faults
     // every segment in (and evicts most of them again), stays
-    // byte-identical to plain, and reports pool traffic — plus pages
-    // read when the segments live on disk. A second catalog with a pool
-    // larger than the working set hits on re-scan. Paged storage leases
-    // from the same pools, so it must behave the same minus the pages.
+    // byte-identical to plain, and reports pool traffic and pages read.
+    // A second catalog with a pool larger than the working set hits on
+    // re-scan.
     let p = Plan::scan("t").select(col("v").ge(lit_i64(0)));
     let baseline = {
         let mut c = storage_catalog(StorageMode::Plain, 16, 2, 1);
         c.insert("t", seg_rel(320));
         exec::stream(&p, &c).unwrap().collect_rows(None).unwrap()
     };
-    for mode in [StorageMode::Paged, StorageMode::Disk] {
-        let mut small = storage_catalog(mode, 16, 2, 1);
-        small.insert("t", seg_rel(320));
-        let streamed = exec::stream(&p, &small).unwrap();
-        assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
-        let stats = streamed.stats();
-        assert_eq!(stats.pages_read > 0, mode == StorageMode::Disk, "{stats:?}");
-        assert!(
-            stats.pool_misses >= 20,
-            "{mode:?}: 20 cold segments through 2 slots must all miss: {stats:?}"
-        );
-        // A pool bigger than the working set: scan twice, second pass hits.
-        let mut large = storage_catalog(mode, 16, 64, 1);
-        large.insert("t", seg_rel(320));
-        let warm = exec::stream(&p, &large).unwrap();
-        assert_eq!(warm.collect_rows(None).unwrap(), baseline);
-        assert_eq!(warm.collect_rows(None).unwrap(), baseline);
-        let stats = warm.stats();
-        assert!(
-            stats.pool_hits >= 20,
-            "{mode:?}: re-scan under a roomy pool must hit: {stats:?}"
-        );
-    }
+    let mut small = storage_catalog(StorageMode::Disk, 16, 2, 1);
+    small.insert("t", seg_rel(320));
+    let streamed = exec::stream(&p, &small).unwrap();
+    assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
+    let stats = streamed.stats();
+    assert!(stats.pages_read > 0, "{stats:?}");
+    assert!(
+        stats.pool_misses >= 20,
+        "20 cold segments through 2 slots must all miss: {stats:?}"
+    );
+    // A pool bigger than the working set: scan twice, second pass hits.
+    let mut large = storage_catalog(StorageMode::Disk, 16, 64, 1);
+    large.insert("t", seg_rel(320));
+    let warm = exec::stream(&p, &large).unwrap();
+    assert_eq!(warm.collect_rows(None).unwrap(), baseline);
+    assert_eq!(warm.collect_rows(None).unwrap(), baseline);
+    let stats = warm.stats();
+    assert!(
+        stats.pool_hits >= 20,
+        "re-scan under a roomy pool must hit: {stats:?}"
+    );
 }
 
 #[test]
-fn paged_provider_evicts_under_a_tiny_cache_and_stays_correct() {
+fn disk_provider_evicts_under_a_tiny_cache_and_stays_correct() {
     // 20 segments stream through a 2-slot buffer pool: every decode
     // past the second evicts a resident segment, and batches handed
     // downstream keep their `Arc`ed columns alive past the eviction.
-    let mut paged = storage_catalog(StorageMode::Paged, 16, 2, 1);
-    paged.insert("t", seg_rel(320));
+    let mut disk = storage_catalog(StorageMode::Disk, 16, 2, 1);
+    disk.insert("t", seg_rel(320));
     let mut plain = storage_catalog(StorageMode::Plain, 16, 2, 1);
     plain.insert("t", seg_rel(320));
     // Self-join forces two full scans of the same provider.
@@ -209,7 +202,7 @@ fn paged_provider_evicts_under_a_tiny_cache_and_stays_correct() {
         .unwrap()
         .collect_rows(None)
         .unwrap();
-    let streamed = exec::stream(&p, &paged).unwrap();
+    let streamed = exec::stream(&p, &disk).unwrap();
     let rows = streamed.collect_rows(None).unwrap();
     assert_eq!(rows, baseline);
     let stats = streamed.stats();
@@ -219,19 +212,23 @@ fn paged_provider_evicts_under_a_tiny_cache_and_stays_correct() {
     assert!(stats.decoded_bytes > 0, "{stats:?}");
 }
 
-/// The CI `storage` matrix leg's anti-no-op guard. When `RELALG_STORAGE`
-/// is set (as that leg sets it), the engine default must reflect it and
-/// a plain scan must actually move segments — if the env plumbing ever
-/// breaks, this fails rather than letting the leg silently test nothing.
-/// Without the env var the test exercises the same workload under an
-/// explicit paged catalog.
+/// The storage legs' anti-no-op guard. When `RELALG_STORAGE` names a
+/// segmented mode (as the CI legs set it), the engine default must
+/// reflect it and a plain scan must actually move segments — if the env
+/// plumbing ever breaks, this fails rather than letting the leg silently
+/// test nothing. Unset or `plain`, the test exercises the same workload
+/// under an explicit disk catalog; any other value is a stale or
+/// misspelled mode the engine would silently run as plain, so it fails.
 #[test]
 fn ci_storage_leg_actually_moves_segments() {
-    let env_mode = match std::env::var("RELALG_STORAGE").as_deref() {
-        Ok("segmented") => Some(StorageMode::Segmented),
-        Ok("paged") => Some(StorageMode::Paged),
-        Ok("disk") => Some(StorageMode::Disk),
-        _ => None,
+    let env_mode = match std::env::var("RELALG_STORAGE").ok().as_deref() {
+        None | Some("plain") => None,
+        Some("segmented") => Some(StorageMode::Segmented),
+        Some("disk") => Some(StorageMode::Disk),
+        Some(other) => panic!(
+            "RELALG_STORAGE={other:?} names no storage mode (plain | segmented | disk); \
+             the engine would silently run it as plain"
+        ),
     };
     let mut cat;
     if let Some(mode) = env_mode {
@@ -242,7 +239,7 @@ fn ci_storage_leg_actually_moves_segments() {
         );
         cat = Catalog::new();
     } else {
-        cat = storage_catalog(StorageMode::Paged, 256, 2, 1);
+        cat = storage_catalog(StorageMode::Disk, 256, 2, 1);
     }
     cat.insert("t", seg_rel(2048));
     let p = Plan::scan("t").select(col("v").ge(lit_i64(0)));
@@ -252,16 +249,14 @@ fn ci_storage_leg_actually_moves_segments() {
         stats.segments_scanned > 0,
         "segmented storage configured but no segment traffic: {stats:?}"
     );
-    // The paged and disk legs must additionally move segments through
-    // the buffer pool (the CI legs shrink RELALG_BUFFER_POOL below the
-    // working set), and the disk leg must read pages.
+    // Disk storage must additionally move segments through the buffer
+    // pool (the CI legs shrink RELALG_BUFFER_POOL below the working set)
+    // and read pages.
     if env_mode != Some(StorageMode::Segmented) {
         assert!(
             stats.pool_misses > 0,
-            "pooled storage configured but the buffer pool never missed: {stats:?}"
+            "disk storage configured but the buffer pool never missed: {stats:?}"
         );
-    }
-    if env_mode == Some(StorageMode::Disk) {
         assert!(
             stats.pages_read > 0,
             "disk storage configured but no page traffic: {stats:?}"

@@ -1,16 +1,18 @@
-//! Selective-scan benchmarks for the segmented storage modes (PR 6):
-//! the same predicate over the plain columnar image and over
-//! zone-mapped compressed segments, at high and low selectivity, on a
-//! clustered integer column and a dictionary string column. Segmented
-//! mode should win on the selective shapes (whole segments skip) and
-//! stay competitive on the non-selective ones (decode once, then the
-//! same vectorized pipeline).
+//! Selective-scan benchmarks for compressed segment storage: the same
+//! predicate over the plain columnar image and over zone-mapped
+//! compressed disk segments, at high and low selectivity, on a
+//! clustered integer column and a dictionary string column. The
+//! `segmented/*` shapes scan a primed disk catalog whose buffer pool
+//! holds all 49 segments, so they price zone skipping plus pool hits,
+//! not page reads: segments should win on the selective shapes (whole
+//! segments skip) and stay competitive on the non-selective ones
+//! (resident decoded segments, then the same vectorized pipeline).
 //!
-//! PR 7 adds the disk mode's cold-vs-warm pair on the unprunable scan:
-//! the cold run faults every segment through a 2-slot buffer pool (page
-//! reads + checksum + decode every iteration), the warm run re-scans
-//! with the whole working set resident in a roomy pool — the spread
-//! between the two is the price of a page fault.
+//! The cold-vs-warm pair on the unprunable scan: the cold run faults
+//! every segment through a 2-slot buffer pool (page reads + checksum +
+//! decode every iteration), the warm run re-scans with the whole
+//! working set resident in a roomy pool — the spread between the two is
+//! the price of a page fault.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use urel_relalg::{col, exec, lit_i64, lit_str, Catalog, Plan, Relation, StorageMode, Value};
@@ -40,14 +42,16 @@ fn rel() -> Relation {
     .unwrap()
 }
 
-fn storage_catalog(mode: StorageMode) -> Catalog {
+/// A serial catalog over [`rel`] under `mode`, with a `pool`-slot
+/// buffer pool. Disk catalogs are primed: the segment-file write (and,
+/// for a roomy pool, the fault-in) is paid outside the timed region.
+fn storage_catalog(mode: StorageMode, pool: usize) -> Catalog {
     let mut c = Catalog::new();
     c.set_threads(1);
     c.set_storage(mode);
-    c.set_segment_layout(SEG_ROWS, 8);
+    c.set_segment_layout(SEG_ROWS, pool);
     c.insert("t", rel());
-    if mode != StorageMode::Plain {
-        // Pay the one-time encode outside the timed region.
+    if mode == StorageMode::Disk {
         let _ = exec::execute(&Plan::scan("t"), &c).unwrap();
     }
     c
@@ -56,8 +60,11 @@ fn storage_catalog(mode: StorageMode) -> Catalog {
 fn bench_selective_scans(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage_scan");
     group.sample_size(10);
-    let plain = storage_catalog(StorageMode::Plain);
-    let seg = storage_catalog(StorageMode::Segmented);
+    let plain = storage_catalog(StorageMode::Plain, 8);
+    // 49 segments through a 64-slot pool: resident after the priming
+    // scan. A 2-slot pool churns on every iteration.
+    let warm = storage_catalog(StorageMode::Disk, 64);
+    let cold = storage_catalog(StorageMode::Disk, 2);
     // (name, plan): selectivities over the clustered int column, the
     // dictionary column, and the unprunable scrambled column.
     let shapes: Vec<(&str, Plan)> = vec![
@@ -83,27 +90,10 @@ fn bench_selective_scans(c: &mut Criterion) {
             b.iter(|| exec::execute(plan, &plain).unwrap().len());
         });
         group.bench_function(format!("segmented/{name}"), |b| {
-            b.iter(|| exec::execute(plan, &seg).unwrap().len());
+            b.iter(|| exec::execute(plan, &warm).unwrap().len());
         });
     }
-    // Disk mode, cold vs warm, on the unprunable scan (every segment
-    // read): 49 segments through a 2-slot pool churn on every
-    // iteration; through a 64-slot pool the working set stays resident
-    // after the priming scan.
-    let disk_catalog = |pool: usize| {
-        let mut c = Catalog::new();
-        c.set_threads(1);
-        c.set_storage(StorageMode::Disk);
-        c.set_segment_layout(SEG_ROWS, 8);
-        c.set_buffer_pool(pool);
-        c.insert("t", rel());
-        // Pay the encode + segment-file write (and, for the roomy pool,
-        // the fault-in) outside the timed region.
-        let _ = exec::execute(&Plan::scan("t"), &c).unwrap();
-        c
-    };
-    let cold = disk_catalog(2);
-    let warm = disk_catalog(64);
+    // Cold vs warm on the unprunable scan (every segment read).
     let scan = Plan::scan("t").select(col("v").lt(lit_i64(500_000)));
     group.bench_function("disk_cold/scrambled", |b| {
         b.iter(|| exec::execute(&scan, &cold).unwrap().len());

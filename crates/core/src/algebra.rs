@@ -4,7 +4,7 @@
 //! [`oracle_possible`] / [`oracle_certain`] evaluate a query by literally
 //! enumerating every world and running the query in each — exponential,
 //! but the ground truth that the efficient translation of
-//! [`crate::translate`] is tested against.
+//! [`crate::translate()`] is tested against.
 
 use crate::error::{Error, Result};
 use crate::udb::UDatabase;

@@ -13,7 +13,7 @@
 //!   possible-worlds semantics used as the test oracle.
 //! * [`algebra`] — positive relational algebra + `poss` and its
 //!   world-at-a-time reference evaluation.
-//! * [`translate`] — the `[[·]]` translation of Figure 4 (σ→σ, π→π,
+//! * [`translate`](mod@translate) — the `[[·]]` translation of Figure 4 (σ→σ, π→π,
 //!   ⋈→⋈ with α/ψ conditions, poss→π), partition pruning and merging.
 //! * [`reduce`] — semijoin reduction (Proposition 3.3).
 //! * [`normalize`] — Algorithm 1: descriptor normalization.

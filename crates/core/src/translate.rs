@@ -224,8 +224,8 @@ impl<'a> PreparedDb<'a> {
     }
 
     /// Select the base-table storage mode for queries run through this
-    /// `PreparedDb` (plain columnar, compressed segments, or the on-disk
-    /// segment store; the default comes from `RELALG_STORAGE`). Answers
+    /// `PreparedDb` (plain columnar or the compressed on-disk segment
+    /// store; the default comes from `RELALG_STORAGE`). Answers
     /// are byte-identical across modes; cached plans stay valid —
     /// storage is an execution knob, not a plan property.
     pub fn set_storage(&mut self, mode: urel_relalg::StorageMode) {

@@ -1,6 +1,6 @@
 //! Uncertainty-*creating* and world-manipulation constructs — the
 //! "support for new language constructs" direction of Section 7,
-//! following the companion paper [5] (Antova, Koch, Olteanu, SIGMOD 2007:
+//! following the companion paper \[5\] (Antova, Koch, Olteanu, SIGMOD 2007:
 //! "From Complete to Incomplete Information and Back") and MayBMS.
 //!
 //! * [`repair_key`] — the `REPAIR KEY` primitive: given a complete

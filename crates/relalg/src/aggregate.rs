@@ -481,7 +481,7 @@ pub fn aggregate_plan(
 
 /// [`aggregate_plan`] plus the execution's [`ExecStats`] — under a
 /// memory budget this is where aggregation spills show up
-/// (`spill_events` / `spilled_bytes`; see [`AggSpill`]).
+/// (`spill_events` / `spilled_bytes`; see `AggSpill`).
 pub fn aggregate_plan_with_stats(
     plan: &Plan,
     catalog: &Catalog,

@@ -14,7 +14,7 @@
 //! * a hash-join probe emits probe-side columns re-selected by match
 //!   position and build-side columns as views of the build relation's
 //!   image — both sides zero-copy;
-//! * a segmented-storage scan emits [`BatchCol::Shared`] — the same
+//! * a disk-storage scan emits [`BatchCol::Shared`] — the same
 //!   contiguous-window shape as a slice, but holding an `Arc` to the
 //!   decoded segment column so eviction can't pull storage out from
 //!   under an in-flight batch (narrowed to [`BatchCol::SharedView`]);
@@ -50,7 +50,7 @@ pub enum BatchCol<'a> {
     Const(Value),
     /// Like [`BatchCol::Slice`], but over an owning handle: decoded
     /// storage segments aren't borrowed from a relation's image, so the
-    /// batch keeps them alive itself (the provider's cache slot may be
+    /// batch keeps them alive itself (the buffer-pool slot may be
     /// evicted while the batch is in flight).
     Shared { col: Arc<Column>, start: usize },
     /// Like [`BatchCol::View`], over an owning handle — what a

@@ -40,12 +40,12 @@ pub struct EngineConfig {
     /// guaranteed byte-identical to the unbounded engine.
     pub mem_budget: usize,
     /// How base-table scans source their batches (`RELALG_STORAGE`):
-    /// the plain columnar image, compressed column segments decoded
-    /// once per scan, or on-disk segments leased from the shared buffer
-    /// pool. Every mode produces byte-identical query output.
+    /// the plain columnar image, or compressed on-disk segments leased
+    /// from the shared buffer pool. Both modes produce byte-identical
+    /// query output.
     pub storage: StorageMode,
-    /// Rows per column segment under [`StorageMode::Segmented`] /
-    /// [`StorageMode::Disk`] (`RELALG_SEGMENT_ROWS`, default 64Ki).
+    /// Rows per column segment under [`StorageMode::Disk`]
+    /// (`RELALG_SEGMENT_ROWS`, default 64Ki).
     pub segment_rows: usize,
     /// Decoded segments the shared buffer pool keeps resident *across
     /// all relations* under [`StorageMode::Disk`] (`RELALG_BUFFER_POOL`,
@@ -66,17 +66,16 @@ pub struct EngineConfig {
 }
 
 /// Storage backend for base-table scans. The mode changes *where*
-/// batch columns come from, never *what* they contain — all three
-/// execute byte-identically.
+/// batch columns come from, never *what* they contain — both execute
+/// byte-identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageMode {
     /// The monolithic in-memory columnar image (the default).
     Plain,
-    /// Compressed column segments ([`crate::segment::SegmentedImage`]),
-    /// each decoded at most once per query and then kept resident.
-    Segmented,
-    /// Encoded segments live in page files on disk
-    /// ([`crate::store::DiskImage`]); scans read them through a
+    /// Compressed column segments ([`crate::segment`]) live in page
+    /// files on disk ([`crate::store::DiskImage`]) — a relation built
+    /// in memory is written to a scratch store on its first disk
+    /// scan — and scans read them through a
     /// checksum-verified buffer pool of [`EngineConfig::buffer_pool`]
     /// decoded segments shared across all relations. Neither the row
     /// store nor the full encoded image needs to fit in memory.
@@ -136,12 +135,11 @@ fn default_deadline() -> Option<Duration> {
     })
 }
 
-/// `RELALG_STORAGE` (`plain` | `segmented` | `disk`), read
-/// once per process; unset or unrecognized means plain.
+/// `RELALG_STORAGE` (`plain` | `disk`), read once per process; unset
+/// or unrecognized means plain.
 fn default_storage() -> StorageMode {
     static STORAGE: std::sync::OnceLock<StorageMode> = std::sync::OnceLock::new();
     *STORAGE.get_or_init(|| match std::env::var("RELALG_STORAGE").as_deref() {
-        Ok("segmented") => StorageMode::Segmented,
         Ok("disk") => StorageMode::Disk,
         _ => StorageMode::Plain,
     })
@@ -313,17 +311,12 @@ impl Catalog {
     /// image, as a side effect) are (re)computed.
     pub fn insert_shared(&mut self, name: impl Into<String>, rel: Arc<Relation>) {
         let name = name.into();
-        // Under segmented storage the statistics fall out of the segment
-        // build itself (zone-map folds), so the plain columnar image is
-        // never forced into existence; disk-native relations carry the
-        // statistics their writer accumulated in the manifest, so
-        // registering them decodes nothing at all.
-        let stats = if let Some(img) = rel.native_disk_image() {
-            img.stats().clone()
-        } else if self.config.storage == StorageMode::Plain {
-            TableStats::compute(&rel)
-        } else {
-            rel.segments(self.config.segment_rows).stats().clone()
+        // Disk-native relations carry the statistics their writer
+        // accumulated in the manifest, so registering them decodes
+        // nothing at all.
+        let stats = match rel.native_disk_image() {
+            Some(img) => img.stats().clone(),
+            None => TableStats::compute(&rel),
         };
         self.rels.insert(name.clone(), rel);
         self.stats.insert(name, Arc::new(stats));
@@ -402,28 +395,43 @@ mod tests {
     }
 
     #[test]
-    fn segmented_catalog_derives_stats_from_segments() {
-        let mut c = Catalog::new();
-        c.set_storage(StorageMode::Segmented);
-        c.set_segment_layout(2, 1);
-        let rel = Arc::new(
-            Relation::from_rows(
-                ["a"],
+    fn disk_catalog_stats_match_plain() {
+        let rel = Relation::from_rows(
+            ["a", "b"],
+            (0..7).map(|i| {
                 vec![
-                    vec![Value::Int(5)],
-                    vec![Value::Int(1)],
-                    vec![Value::Int(5)],
-                ],
-            )
-            .unwrap(),
-        );
-        c.insert_shared("t", Arc::clone(&rel));
-        let st = c.stats("t").unwrap();
-        assert_eq!(st.rows, 3);
-        assert_eq!(st.ndv, vec![2]);
-        assert_eq!(st.minmax(0), Some(&(Value::Int(1), Value::Int(5))));
-        // The segment image was built and cached; the plain image wasn't.
-        assert!(rel.segments_cached());
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i % 4)
+                    },
+                    Value::str(["x", "y"][i as usize % 2]),
+                ]
+            }),
+        )
+        .unwrap();
+        let mut plain = Catalog::new();
+        plain.set_storage(StorageMode::Plain);
+        plain.insert("t", rel.clone());
+        // Under disk storage: the in-memory relation (stats computed as
+        // under plain) and its disk-native twin (stats from the manifest
+        // its writer streamed) both register with plain's statistics.
+        let mut disk = Catalog::new();
+        disk.set_storage(StorageMode::Disk);
+        disk.set_segment_layout(2, 1);
+        let native = Relation::from_disk_image(rel.disk_image(2).unwrap());
+        disk.insert("t", rel);
+        disk.insert("n", native);
+        let p = plain.stats("t").unwrap();
+        for name in ["t", "n"] {
+            let d = disk.stats(name).unwrap();
+            assert_eq!(d.rows, p.rows, "{name}");
+            assert_eq!(d.ndv, p.ndv, "{name}");
+            assert_eq!(d.pair_ndv, p.pair_ndv, "{name}");
+            assert_eq!(d.bytes, p.bytes, "{name}");
+            assert_eq!(d.minmax, p.minmax, "{name}");
+        }
+        assert_eq!(p.minmax(0), Some(&(Value::Null, Value::Int(2))));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!    in morsel order — replaying deferred distinct/difference seen-set
 //!    semantics — so parallel output is **byte-identical** to serial.
 //!    Hash-table builds fan out too (parallel digests into
-//!    digest-routed [`RowTable`] partitions), and
+//!    digest-routed `RowTable` partitions), and
 //!    [`Streamed::fold_batches_parallel`] hands aggregation per-worker
 //!    partial states to merge. `EXPLAIN` tags parallel roots
 //!    `[parallel xN]`; [`ExecStats::workers`] reports the fan-out used.
@@ -81,11 +81,11 @@ use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::optimizer::{est_rows, est_rows_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
-use crate::provider::{ImageProvider, IoCounters, MemImageProvider};
 use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
 use crate::spill::{merge_runs, MergeRuns, Record, Run, SpillCtx};
+use crate::store::{DiskImageProvider, IoCounters};
 use crate::value::Value;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -145,7 +145,7 @@ pub struct ExecStats {
     /// Estimated bytes of buffered data written to spill runs
     /// (cumulative, like `spill_events`).
     pub spilled_bytes: usize,
-    /// Storage segments decoded and scanned by segmented base-table
+    /// Storage segments decoded and scanned by disk base-table
     /// cursors (0 under plain storage; cumulative over the prepared
     /// execution's lifetime, counted per cursor visit — a segment read
     /// by two morsels counts twice).
@@ -154,8 +154,8 @@ pub struct ExecStats {
     /// sargable scan predicate (cumulative, like `segments_scanned`).
     pub segments_skipped: usize,
     /// Approximate bytes materialized by fresh segment decodes
-    /// (resident-cache and buffer-pool hits add nothing, so under disk
-    /// storage this measures pool-miss traffic).
+    /// (buffer-pool hits add nothing, so this measures pool-miss
+    /// traffic).
     pub decoded_bytes: usize,
     /// Pages read from on-disk segment stores, in [`crate::store::PAGE`]
     /// units (0 unless a scan ran under `StorageMode::Disk`; cumulative
@@ -205,7 +205,7 @@ struct Counters {
     /// Memory budget, spill directory, and spill counters — shared
     /// across the worker-local counter sets of one execution.
     spill: Arc<SpillCtx>,
-    /// Segmented-storage counters, likewise shared across worker-local
+    /// Disk-storage counters, likewise shared across worker-local
     /// counter sets (scan cursors on any worker bump one tally).
     seg: Arc<SegCounters>,
     /// Per-execution deterministic fault injector (`None` = fault layer
@@ -730,7 +730,7 @@ impl Streamed {
 // Physical operators
 // ---------------------------------------------------------------------------
 
-/// A materialized scan input plus, under segmented storage, the scan's
+/// A materialized scan input plus, under disk storage, the scan's
 /// storage seam: the provider serving decoded segments and the sargable
 /// conjuncts (pushed down from the fusing `Filter` above) whose zone-map
 /// refutation lets whole segments be skipped.
@@ -739,9 +739,9 @@ struct SourceNode {
     scan: Option<SegScan>,
 }
 
-/// One scan's view of segmented storage.
+/// One scan's view of disk storage.
 struct SegScan {
-    provider: Arc<dyn ImageProvider>,
+    provider: DiskImageProvider,
     /// `(column, op, literal)` conjuncts of the filter directly above
     /// the scan; *copies* — the filter still evaluates them per row, so
     /// zone pruning only ever has to be conservative, never exact.
@@ -750,23 +750,20 @@ struct SegScan {
 
 impl SourceNode {
     /// Wrap a materialized relation, attaching a segment provider when
-    /// the engine runs segmented storage (plain mode bypasses the whole
-    /// seam; breaker outputs and empty relations stay plain too). Under
-    /// [`StorageMode::Disk`] segments come from the relation's on-disk
-    /// segment store — the native one for disk-loaded tables, a scratch
-    /// spill otherwise — leased from the buffer pool shared across all
-    /// relations at this capacity.
+    /// the engine runs [`StorageMode::Disk`] (plain mode bypasses the
+    /// whole seam; breaker outputs and empty relations stay plain too).
+    /// Segments come from the relation's on-disk segment store — the
+    /// native one for disk-loaded tables, a scratch spill otherwise —
+    /// leased from the buffer pool shared across all relations at this
+    /// capacity.
     fn of_scan(rel: Arc<Relation>, config: &EngineConfig) -> Result<SourceNode> {
-        let rows = config.segment_rows;
-        let provider: Arc<dyn ImageProvider> = match config.storage {
-            StorageMode::Plain => return Ok(SourceNode::plain(rel)),
-            _ if rel.is_empty() => return Ok(SourceNode::plain(rel)),
-            StorageMode::Segmented => Arc::new(MemImageProvider::new(rel.segments(rows))),
-            StorageMode::Disk => Arc::new(crate::store::DiskImageProvider::new(
-                rel.disk_image(rows)?,
-                crate::store::pool_for(config.buffer_pool),
-            )),
-        };
+        if config.storage == StorageMode::Plain || rel.is_empty() {
+            return Ok(SourceNode::plain(rel));
+        }
+        let provider = DiskImageProvider::new(
+            rel.disk_image(config.segment_rows)?,
+            crate::store::pool_for(config.buffer_pool),
+        );
         Ok(SourceNode {
             rel,
             scan: Some(SegScan {
@@ -783,7 +780,7 @@ impl SourceNode {
     }
 
     /// The batched scan cursor over rows `[start, end)` — plain image
-    /// slices, or provider-served segments under segmented storage.
+    /// slices, or provider-served segments under disk storage.
     fn batch_cursor<'a>(&'a self, start: usize, end: usize, counters: &'a Counters) -> BCursor<'a> {
         match &self.scan {
             Some(scan) => BCursor::SegSource {
@@ -802,7 +799,7 @@ impl SourceNode {
     }
 }
 
-/// Hand a filter's sargable conjuncts to a directly-scanned segmented
+/// Hand a filter's sargable conjuncts to a directly-scanned disk
 /// source as zone predicates. They are *copies*: the filter still
 /// applies them row-by-row, the scan merely gains a license to skip
 /// segments whose zone maps prove no row can match. Re-run after each
@@ -1442,8 +1439,8 @@ pub fn predicted_workers(plan: &Plan, catalog: &Catalog) -> usize {
 fn plan_morsel_count(plan: &Plan, catalog: &Catalog, morsel_rows: usize) -> usize {
     match plan {
         // Arithmetic on the row count (not via the columnar image) so
-        // counting morsels never forces the plain image under segmented
-        // storage; matches `ColumnarImage::morsel_count`.
+        // counting morsels never forces the plain image of a disk-native
+        // relation; matches `ColumnarImage::morsel_count`.
         Plan::Scan(name) => catalog
             .get(name)
             .map(|r| r.len().div_ceil(morsel_rows.max(1)))
@@ -1542,7 +1539,7 @@ enum BCursor<'a> {
         pos: usize,
         end: usize,
     },
-    /// Chunked scan over `[pos, end)` of a relation's segmented image:
+    /// Chunked scan over `[pos, end)` of a relation's disk image:
     /// batches come from provider-decoded segments ([`BatchCol::Shared`]
     /// columns, so eviction can't invalidate an in-flight batch), and
     /// segments whose zone maps refute one of the scan's sargable
@@ -1893,8 +1890,8 @@ impl Node {
     /// both children, left first).
     fn morsel_count(&self, morsel_rows: usize) -> usize {
         match self {
-            // Arithmetic (not via the columnar image) so segmented
-            // execution never forces the plain image into existence;
+            // Arithmetic (not via the columnar image) so disk execution
+            // never forces a disk-native relation's plain image;
             // the formula matches `ColumnarImage::morsel_count`.
             Node::Source(src) => src.rel.len().div_ceil(morsel_rows.max(1)),
             Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
@@ -3791,8 +3788,8 @@ mod tests {
 
     #[test]
     fn scan_images_are_cached_across_executions() {
-        // Pinned to plain storage: under a segmented default the plain
-        // image is (correctly) never built — segments are the cache.
+        // Pinned to plain storage: under a disk default the scans read
+        // segments, not the plain image this test watches.
         let mut c = big_catalog();
         c.set_storage(StorageMode::Plain);
         let p = Plan::scan("fact").select(col("g").eq(lit_i64(1)));

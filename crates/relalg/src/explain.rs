@@ -210,11 +210,14 @@ fn side_label(side: &Plan) -> &'static str {
     }
 }
 
-/// The ` [seg K/M]` / ` [seg M]` annotation of a segmented-storage
-/// scan: `M` segments total, of which `K` survive zone-map pruning
-/// under the filter directly above the scan (omitted entirely when no
-/// conjunct is sargable, and under plain storage). Empty string when
-/// the scan won't run segmented.
+/// The ` [seg K/M]` / ` [seg M]` annotation of a disk-storage scan: `M`
+/// segments total, of which `K` survive zone-map pruning under the
+/// filter directly above the scan (`K/` omitted when no conjunct is
+/// sargable). Zone maps come from the relation's disk image — the
+/// manifest of a disk-native relation, else the scratch store its
+/// first scan writes — so no page file is read just to EXPLAIN. Empty
+/// string under plain storage, for an empty relation, or when the
+/// scratch write fails (the scan itself then reports the error).
 fn seg_tag(name: &str, catalog: &Catalog, zone_pred: Option<&Expr>) -> String {
     if catalog.config().storage == StorageMode::Plain {
         return String::new();
@@ -225,26 +228,13 @@ fn seg_tag(name: &str, catalog: &Catalog, zone_pred: Option<&Expr>) -> String {
     if rel.is_empty() {
         return String::new();
     }
+    let Ok(img) = rel.disk_image(catalog.config().segment_rows) else {
+        return String::new();
+    };
     let mut zone = Vec::new();
     if let Some(compiled) = zone_pred.and_then(|p| p.compile(rel.schema()).ok()) {
         compiled.collect_sargable(&mut zone);
     }
-    // Disk-native relations answer from the manifest's zone maps — no
-    // page-file access and no in-memory re-encode just to EXPLAIN.
-    if let Some(img) = rel.native_disk_image() {
-        let total = img.seg_count();
-        if zone.is_empty() {
-            return format!(" [seg {total}]");
-        }
-        let kept = (0..total)
-            .filter(|&s| {
-                zone.iter()
-                    .all(|(c, op, lit)| img.zone(*c, s).may_match(*op, lit))
-            })
-            .count();
-        return format!(" [seg {kept}/{total}]");
-    }
-    let img = rel.segments(catalog.config().segment_rows);
     let total = img.seg_count();
     if zone.is_empty() {
         return format!(" [seg {total}]");
@@ -548,7 +538,7 @@ mod tests {
     #[test]
     fn explain_tags_segmented_scans_with_zone_pruning() {
         let mut c = Catalog::new().with_config(crate::catalog::EngineConfig::serial());
-        c.set_storage(StorageMode::Segmented);
+        c.set_storage(StorageMode::Disk);
         c.set_segment_layout(4, 2);
         c.insert(
             "t",
@@ -569,26 +559,27 @@ mod tests {
         let p = Plan::scan("t").select(col("a").lt(lit_i64(4)));
         let text = explain(&p, &c);
         assert!(text.contains("[seg 1/4]"), "{text}");
-        // The executed report counts actual segment traffic.
-        let text = explain_executed(&p, &c).unwrap();
-        assert!(text.contains("-- segments: 1 scanned, 3 skipped"), "{text}");
-        assert!(!text.contains("-- buffer pool:"), "{text}");
-        // Disk storage: the same plan text, plus the pool traffic of the
-        // one surviving segment — a single-column block, one page read.
-        let mut disk = c.clone();
-        disk.set_storage(StorageMode::Disk);
-        let disk_text = explain_executed(&p, &disk).unwrap();
-        assert!(disk_text.starts_with(&explain(&p, &c)), "{disk_text}");
+        // The executed report keeps the plan text and counts actual
+        // segment traffic, plus the pool traffic of the one surviving
+        // segment of a fresh image — a single-column block, one page
+        // read.
+        let executed = explain_executed(&p, &c).unwrap();
+        assert!(executed.starts_with(&text), "{executed}");
         assert!(
-            disk_text.contains("-- buffer pool: 0 hit(s) / 1 miss(es), 1 page(s) read"),
-            "{disk_text}"
+            executed.contains("-- segments: 1 scanned, 3 skipped"),
+            "{executed}"
         );
-        // Plain storage: no seg annotations anywhere.
+        assert!(
+            executed.contains("-- buffer pool: 0 hit(s) / 1 miss(es), 1 page(s) read"),
+            "{executed}"
+        );
+        // Plain storage: no seg annotations or storage footers anywhere.
         let mut plain = c.clone();
         plain.set_storage(StorageMode::Plain);
         let text = explain_executed(&p, &plain).unwrap();
         assert!(!text.contains("[seg"), "{text}");
         assert!(!text.contains("-- segments:"), "{text}");
+        assert!(!text.contains("-- buffer pool:"), "{text}");
     }
 
     #[test]

@@ -11,11 +11,9 @@ use crate::catalog::{EngineConfig, StorageMode};
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::segment::SegmentedBuilder;
 use crate::store::DiskTableWriter;
 use crate::value::Value;
 use std::io::{BufRead, Write};
-use std::sync::Arc;
 
 /// Write a relation as CSV (header + rows).
 pub fn write_csv(rel: &Relation, out: &mut impl Write) -> std::io::Result<()> {
@@ -43,11 +41,10 @@ pub fn write_csv(rel: &Relation, out: &mut impl Write) -> std::io::Result<()> {
 
 /// Read a relation from CSV (header defines the schema).
 ///
-/// Under a segmented default storage mode the rows are encoded into
-/// segments as they stream in; under [`StorageMode::Disk`] they stream
-/// straight into an on-disk segment store ([`DiskTableWriter`]) and the
-/// returned relation is disk-backed — the row store is never
-/// materialized during the load.
+/// Under a [`StorageMode::Disk`] default the rows stream straight into
+/// an on-disk segment store ([`DiskTableWriter`]) and the returned
+/// relation is disk-backed — the row store is never materialized
+/// during the load.
 pub fn read_csv(input: &mut impl BufRead) -> Result<Relation> {
     let mut lines = input.lines();
     let header = lines
@@ -66,10 +63,6 @@ pub fn read_csv(input: &mut impl BufRead) -> Result<Relation> {
         None
     };
     let mut rel = Relation::empty(Schema::named(&names));
-    // Under a segmented default storage mode, encode segments while the
-    // rows stream in so the first scan never pays a bulk re-encode pass.
-    let mut builder = (writer.is_none() && config.storage != StorageMode::Plain)
-        .then(|| SegmentedBuilder::new(names.len(), config.segment_rows));
     for line in lines {
         let line = line.map_err(|e| Error::Invalid(format!("io error: {e}")))?;
         if line.is_empty() {
@@ -90,17 +83,10 @@ pub fn read_csv(input: &mut impl BufRead) -> Result<Relation> {
             w.push(&row)?;
             continue;
         }
-        if let Some(b) = builder.as_mut() {
-            b.push(&row);
-        }
         rel.push(row)?;
     }
     if let Some(w) = writer {
         return Ok(Relation::from_disk_image(w.finish()?));
-    }
-    // After the last push: `push` invalidates cached images.
-    if let Some(b) = builder {
-        rel.attach_segments(Arc::new(b.finish()));
     }
     Ok(rel)
 }

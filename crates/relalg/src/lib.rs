@@ -34,11 +34,11 @@
 //!   temp directory cleaned on drop. Base tables can live as
 //!   **compressed column segments** ([`segment`]) — dictionary-coded
 //!   strings and frame-of-reference bit-packed integers with
-//!   per-segment zone maps — served through an [`ImageProvider`]
-//!   ([`provider`]) that either keeps decoded segments resident or
-//!   pages them through a small clock-eviction cache
-//!   (`RELALG_STORAGE` / [`Catalog::set_storage`]); scans skip whole
-//!   segments whose zone maps refute a sargable predicate. The
+//!   per-segment zone maps — in checksummed page files on disk
+//!   ([`store`]), leased through one clock-eviction [`BufferPool`]
+//!   shared across relations (`RELALG_STORAGE` /
+//!   [`Catalog::set_storage`]); scans skip whole segments whose zone
+//!   maps refute a sargable predicate. The
 //!   retained operator-at-a-time engine
 //!   ([`exec::execute_reference`]) is the differential baseline;
 //! * [`optimizer::optimize`] — conjunct splitting, selection pushdown,
@@ -67,7 +67,6 @@ pub mod io;
 pub mod optimizer;
 pub mod plan;
 pub mod pool;
-pub mod provider;
 pub mod relation;
 pub mod schema;
 pub mod segment;
@@ -87,10 +86,9 @@ pub use expr::{col, lit, lit_bool, lit_i64, lit_str, ArithOp, CmpOp, Expr};
 pub use fault::{CancelToken, FaultConfig, FaultInjector, FaultKind, FaultKinds};
 pub use plan::Plan;
 pub use pool::TaskPool;
-pub use provider::{ImageProvider, IoCounters};
 pub use relation::{Column, ColumnarImage, NullMask, Relation, Row};
 pub use schema::{ColRef, Schema};
-pub use segment::{SegmentedBuilder, SegmentedImage, ZoneMap};
+pub use segment::ZoneMap;
 pub use spill::{MemBudget, SpillCtx};
-pub use store::{BufferPool, DiskImage, DiskImageProvider, DiskTableWriter};
+pub use store::{BufferPool, DiskImage, DiskImageProvider, DiskTableWriter, IoCounters};
 pub use value::Value;

@@ -15,7 +15,7 @@
 //!    and treating them as ordinary predicates made ψ-joins look far
 //!    smaller than they are. Pair scoring is pure arithmetic over
 //!    per-leaf distinct-count tables bound once during flattening.
-//!    Estimates are memoized per plan node ([`EstCache`]); the executor
+//!    Estimates are memoized per plan node (`EstCache`); the executor
 //!    reuses them when picking hash-join build sides.
 //! 3. **Projection pruning** — narrowing projections are inserted above
 //!    join inputs so only live columns flow through joins (the paper's
@@ -1088,8 +1088,9 @@ fn range_fraction(op: CmpOp, k: i64, lo: i64, hi: i64) -> f64 {
 }
 
 /// Integer min/max of a plan output column, traced through the
-/// operators down to base-table statistics (populated from the zone
-/// maps under segmented storage, or the columnar fold under plain).
+/// operators down to base-table statistics (folded from the zone maps
+/// by the writer of a disk-native relation, else from the columnar
+/// image).
 /// `None` when the column is not integer-typed or has no known bounds;
 /// selections deliberately pass bounds through unchanged — a superset
 /// range only makes the interpolation conservative.

@@ -4,8 +4,7 @@
 use crate::error::{Error, Result};
 use crate::fxhash::FxHasher;
 use crate::schema::{ColRef, Schema};
-use crate::segment::SegmentedImage;
-use crate::store::DiskImage;
+use crate::store::{DiskImage, DiskTableWriter};
 use crate::value::{str_eq, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -399,11 +398,6 @@ pub struct Relation {
     /// Shared across clones and zero-copy renames; reset by the
     /// copy-on-write mutators. Not part of relation equality.
     columnar: OnceLock<Arc<ColumnarImage>>,
-    /// Lazily built compressed segmented image (see
-    /// [`Relation::segments`]). Cached for one segment size at a time;
-    /// shared across clones and renames like the plain image; reset by
-    /// the copy-on-write mutators. Not part of relation equality.
-    segmented: Mutex<Option<Arc<SegmentedImage>>>,
     /// Scratch spill cache for in-memory relations scanned under
     /// [`crate::catalog::StorageMode::Disk`] (see
     /// [`Relation::disk_image`]); written once, shared across clones,
@@ -417,7 +411,6 @@ impl Clone for Relation {
             schema: self.schema.clone(),
             rows: self.rows.clone(),
             columnar: self.columnar.clone(),
-            segmented: Mutex::new(self.segmented.lock().expect("segment cache").clone()),
             disk: Mutex::new(self.disk.lock().expect("disk cache").clone()),
         }
     }
@@ -438,7 +431,6 @@ impl Relation {
             schema,
             rows: RowStore::Mem(Arc::new(Vec::new())),
             columnar: OnceLock::new(),
-            segmented: Mutex::new(None),
             disk: Mutex::new(None),
         }
     }
@@ -482,7 +474,6 @@ impl Relation {
             schema,
             rows: RowStore::Mem(Arc::new(rows)),
             columnar: OnceLock::new(),
-            segmented: Mutex::new(None),
             disk: Mutex::new(None),
         })
     }
@@ -499,7 +490,6 @@ impl Relation {
                 rows: OnceLock::new(),
             },
             columnar: OnceLock::new(),
-            segmented: Mutex::new(None),
             disk: Mutex::new(None),
         }
     }
@@ -515,9 +505,10 @@ impl Relation {
 
     /// An on-disk segment image for this relation under disk storage:
     /// the native image when the relation was loaded from disk,
-    /// otherwise a scratch spill of the encoded segmented image —
-    /// written once into a temp directory that is deleted when the last
-    /// reference drops, cached across scans, reset by mutators.
+    /// otherwise a scratch spill streamed from the row store through a
+    /// [`DiskTableWriter`] — written once into a temp directory that is
+    /// deleted when the last reference drops, cached across scans (for
+    /// one segment size at a time), reset by mutators.
     pub fn disk_image(&self, seg_rows: usize) -> Result<Arc<DiskImage>> {
         if let Some(img) = self.native_disk_image() {
             return Ok(img);
@@ -534,7 +525,13 @@ impl Relation {
             .iter()
             .map(|c| c.to_string())
             .collect();
-        let img = crate::store::write_image_scratch(&self.segments(seg_rows), &names)?;
+        // No fault injector: the scratch write is not an I/O edge of
+        // any execution, so it draws no ticks from a fault schedule.
+        let mut writer = DiskTableWriter::create_scratch("rel", names, seg_rows)?;
+        for row in self.rows_arc().iter() {
+            writer.push(row)?;
+        }
+        let img = writer.finish()?;
         *cache = Some(Arc::clone(&img));
         Ok(img)
     }
@@ -554,7 +551,6 @@ impl Relation {
             schema,
             rows: self.rows.clone(),
             columnar: self.columnar.clone(),
-            segmented: Mutex::new(self.segmented.lock().expect("segment cache").clone()),
             disk: Mutex::new(self.disk.lock().expect("disk cache").clone()),
         })
     }
@@ -611,42 +607,6 @@ impl Relation {
         self.columnar.get().is_some()
     }
 
-    /// The compressed segmented image at `seg_rows` rows per segment,
-    /// built directly from row storage (never via the plain columnar
-    /// image — segmented and disk storage must not materialize it) and
-    /// cached. Asking for a different segment size
-    /// rebuilds; clones and renames share the cache.
-    pub fn segments(&self, seg_rows: usize) -> Arc<SegmentedImage> {
-        let mut cache = self.segmented.lock().expect("segment cache");
-        if let Some(img) = cache.as_ref() {
-            if img.seg_rows() == seg_rows.max(1) {
-                return Arc::clone(img);
-            }
-        }
-        let img = Arc::new(SegmentedImage::build(
-            self.schema.arity(),
-            self.rows_arc(),
-            seg_rows,
-        ));
-        *cache = Some(Arc::clone(&img));
-        img
-    }
-
-    /// `true` iff a segmented image is cached (test hook).
-    pub fn segments_cached(&self) -> bool {
-        self.segmented.lock().expect("segment cache").is_some()
-    }
-
-    /// Attach a pre-built segmented image (loaders that stream rows
-    /// straight into a segment builder hand the result over here, so
-    /// [`Relation::segments`] never re-encodes). The image must describe
-    /// exactly this relation's rows.
-    pub fn attach_segments(&self, img: Arc<SegmentedImage>) {
-        debug_assert_eq!(img.len(), self.len());
-        debug_assert_eq!(img.arity(), self.schema.arity());
-        *self.segmented.lock().expect("segment cache") = Some(img);
-    }
-
     /// `true` iff both relations alias the same row storage (used by the
     /// zero-copy tests; content equality is `==` / [`Relation::set_eq`]).
     pub fn shares_rows_with(&self, other: &Relation) -> bool {
@@ -684,7 +644,6 @@ impl Relation {
         };
         Arc::make_mut(rows).push(row.into_boxed_slice());
         self.columnar = OnceLock::new(); // rows changed: images are stale
-        self.segmented = Mutex::new(None);
         Ok(())
     }
 
@@ -724,7 +683,6 @@ impl Relation {
             schema,
             rows: self.rows,
             columnar: self.columnar,
-            segmented: self.segmented,
             disk: self.disk,
         })
     }
@@ -739,7 +697,6 @@ impl Relation {
             schema: self.schema.clone(),
             rows: RowStore::Mem(Arc::new(rows)),
             columnar: OnceLock::new(),
-            segmented: Mutex::new(None),
             disk: Mutex::new(None),
         }
     }
@@ -754,7 +711,6 @@ impl Relation {
         rows.sort();
         rows.dedup();
         self.columnar = OnceLock::new(); // rows changed: images are stale
-        self.segmented = Mutex::new(None);
     }
 
     /// Total payload size in bytes (Figure 9 accounting). Disk-backed

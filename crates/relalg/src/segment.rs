@@ -1,9 +1,9 @@
-//! Compressed column segments with zone maps — the storage layer under
-//! the executor.
+//! Compressed column segments with zone maps — the encoding under the
+//! disk store.
 //!
-//! A [`SegmentedImage`] splits each relation column into fixed-size
-//! segments (default 64Ki rows, `RELALG_SEGMENT_ROWS`) and encodes each
-//! segment independently:
+//! The store ([`crate::store`]) splits each relation column into
+//! fixed-size segments (default 64Ki rows, `RELALG_SEGMENT_ROWS`) and
+//! encodes each segment independently as a [`ColumnSegment`]:
 //!
 //! * integer segments as **frame-of-reference + bit-packing**
 //!   ([`SegEncoding::ForInt`]): deltas from the segment minimum, packed
@@ -16,22 +16,17 @@
 //!
 //! Every (column, segment) pair carries a [`ZoneMap`] (min/max, null
 //! count, exact per-segment NDV). Scans consult zone maps to skip whole
-//! segments for sargable predicates before decoding anything; the same
-//! statistics fold into [`TableStats`] so the optimizer's estimates
-//! sharpen for free. Decoding a segment reproduces a [`Column`] whose
-//! values hash and compare identically to the plain image's — segmented
-//! execution is byte-for-byte the same as plain execution.
-//!
-//! [`SegmentedBuilder`] streams rows straight into segments (loaders use
-//! it so the plain columnar image never needs to exist) and computes the
-//! relation's [`TableStats`] as a byproduct of the same pass.
+//! segments for sargable predicates before decoding anything; the
+//! store's writer folds the same min/max into the relation's
+//! [`crate::stats::TableStats`]. Decoding a segment reproduces a
+//! [`Column`] whose values hash and compare identically to the plain
+//! image's — disk execution is byte-for-byte the same as plain
+//! execution.
 
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use crate::relation::{Column, NullMask, Row};
-use crate::stats::TableStats;
+use crate::relation::{Column, NullMask};
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-(column, segment) summary statistics: the min/max bounds under
@@ -386,7 +381,7 @@ fn unpack_at(packed: &[u64], width: u8, idx: usize) -> u64 {
 
 /// One decoded segment: the columns covering rows
 /// `[start, start + len)`, `Arc`-shared so batch columns can outlive the
-/// provider's cache slot that produced them.
+/// buffer-pool slot that produced them.
 #[derive(Clone, Debug)]
 pub struct DecodedSegment {
     /// First row covered.
@@ -399,196 +394,8 @@ pub struct DecodedSegment {
     pub bytes: usize,
 }
 
-/// The compressed column-segment image of a relation: `cols[c][s]` is
-/// segment `s` of column `c`, every column split at the same fixed
-/// `seg_rows` boundary (the last segment may be short). Carries the
-/// [`TableStats`] computed during the build, so registering a relation
-/// in segmented storage never touches the plain columnar image.
-#[derive(Debug)]
-pub struct SegmentedImage {
-    seg_rows: usize,
-    len: usize,
-    cols: Vec<Vec<ColumnSegment>>,
-    stats: TableStats,
-}
-
-impl SegmentedImage {
-    /// Build from row storage (one streaming pass).
-    pub fn build(arity: usize, rows: &[Row], seg_rows: usize) -> SegmentedImage {
-        let mut b = SegmentedBuilder::new(arity, seg_rows);
-        for r in rows {
-            b.push(r);
-        }
-        b.finish()
-    }
-
-    /// Rows per segment.
-    pub fn seg_rows(&self) -> usize {
-        self.seg_rows
-    }
-
-    /// Total rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Number of segments.
-    pub fn seg_count(&self) -> usize {
-        self.len.div_ceil(self.seg_rows)
-    }
-
-    /// The row range `[start, end)` of segment `seg`.
-    pub fn seg_bounds(&self, seg: usize) -> Range<usize> {
-        let start = (seg * self.seg_rows).min(self.len);
-        start..(start + self.seg_rows).min(self.len)
-    }
-
-    /// The zone map of (column `col`, segment `seg`).
-    pub fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        self.cols[col][seg].zone()
-    }
-
-    /// The encoded segments of column `col`.
-    pub fn col_segments(&self, col: usize) -> &[ColumnSegment] {
-        &self.cols[col]
-    }
-
-    /// Decode segment `seg` across all columns.
-    pub fn decode(&self, seg: usize) -> DecodedSegment {
-        let bounds = self.seg_bounds(seg);
-        DecodedSegment {
-            start: bounds.start,
-            len: bounds.len(),
-            cols: self.cols.iter().map(|c| c[seg].decode()).collect(),
-            bytes: self.cols.iter().map(|c| c[seg].decoded_bytes()).sum(),
-        }
-    }
-
-    /// The table statistics computed while building the image.
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
-    }
-
-    /// Approximate encoded footprint in bytes.
-    pub fn encoded_bytes(&self) -> usize {
-        self.cols
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(ColumnSegment::encoded_bytes)
-            .sum()
-    }
-}
-
-/// Streaming builder: push rows, get a [`SegmentedImage`]. Each full
-/// `seg_rows` chunk is encoded and released as it completes, and the
-/// global statistics ([`TableStats`]: per-column and adjacent-pair NDV
-/// digest sets, payload bytes, min/max folded from the zone maps) are
-/// accumulated in the same pass — loaders stream generation straight
-/// into segments without ever materializing a whole-relation column.
-pub struct SegmentedBuilder {
-    seg_rows: usize,
-    cur: Vec<Vec<Value>>,
-    in_cur: usize,
-    cols: Vec<Vec<ColumnSegment>>,
-    len: usize,
-    bytes: usize,
-    col_digests: Vec<FxHashSet<u64>>,
-    pair_digests: Vec<FxHashSet<u64>>,
-}
-
-impl SegmentedBuilder {
-    /// Builder over `arity` columns at `seg_rows` rows per segment
-    /// (floored at 1).
-    pub fn new(arity: usize, seg_rows: usize) -> SegmentedBuilder {
-        SegmentedBuilder {
-            seg_rows: seg_rows.max(1),
-            cur: vec![Vec::new(); arity],
-            in_cur: 0,
-            cols: vec![Vec::new(); arity],
-            len: 0,
-            bytes: 0,
-            col_digests: vec![FxHashSet::default(); arity],
-            pair_digests: vec![FxHashSet::default(); arity.saturating_sub(1)],
-        }
-    }
-
-    /// Append one row (must match the builder's arity).
-    pub fn push(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.cur.len());
-        for (c, v) in row.iter().enumerate() {
-            self.bytes += v.size_bytes();
-            self.col_digests[c].insert(value_digest(v));
-            self.cur[c].push(v.clone());
-        }
-        for c in 0..row.len().saturating_sub(1) {
-            let mut h = FxHasher::default();
-            row[c].hash(&mut h);
-            row[c + 1].hash(&mut h);
-            self.pair_digests[c].insert(h.finish());
-        }
-        self.in_cur += 1;
-        self.len += 1;
-        if self.in_cur == self.seg_rows {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        for (col, seg) in self.cols.iter_mut().zip(&mut self.cur) {
-            col.push(ColumnSegment::encode(std::mem::take(seg)));
-        }
-        self.in_cur = 0;
-    }
-
-    /// Finish: encode the trailing partial segment and assemble the
-    /// image with its statistics.
-    pub fn finish(mut self) -> SegmentedImage {
-        if self.in_cur > 0 {
-            self.flush();
-        }
-        let minmax = self
-            .cols
-            .iter()
-            .map(|segs| {
-                segs.iter().map(ColumnSegment::zone).fold(None, |acc, z| {
-                    Some(match acc {
-                        None => (z.min.clone(), z.max.clone()),
-                        Some((lo, hi)) => (
-                            if z.min < lo { z.min.clone() } else { lo },
-                            if z.max > hi { z.max.clone() } else { hi },
-                        ),
-                    })
-                })
-            })
-            .collect();
-        let stats = TableStats {
-            rows: self.len,
-            ndv: self.col_digests.iter().map(|s| s.len().max(1)).collect(),
-            pair_ndv: self.pair_digests.iter().map(|s| s.len().max(1)).collect(),
-            bytes: self.bytes,
-            minmax,
-        };
-        SegmentedImage {
-            seg_rows: self.seg_rows,
-            len: self.len,
-            cols: self.cols,
-            stats,
-        }
-    }
-}
-
 /// 64-bit FxHash digest of a value (the NDV approximation unit). Shared
-/// with the disk writer's streaming statistics pass.
+/// with the writer's streaming statistics pass.
 pub(crate) fn value_digest(v: &Value) -> u64 {
     let mut h = FxHasher::default();
     v.hash(&mut h);
@@ -599,7 +406,10 @@ pub(crate) fn value_digest(v: &Value) -> u64 {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use crate::relation::Relation;
+    use crate::store::IoCounters;
     use crate::value::intern;
+    use std::sync::atomic::Ordering;
 
     fn roundtrip(vals: Vec<Value>) -> (ColumnSegment, Arc<Column>) {
         let seg = ColumnSegment::encode(vals);
@@ -795,24 +605,29 @@ mod tests {
 
     #[test]
     fn segmented_image_partitions_rows_and_folds_stats() {
-        let rows: Vec<Row> = (0..25)
-            .map(|i| {
+        let rel = Relation::from_rows(
+            ["n", "c"],
+            (0..25).map(|i| {
                 vec![
                     Value::Int(i % 10),
                     Value::Str(intern(["red", "green"][i as usize % 2])),
                 ]
-                .into_boxed_slice()
-            })
-            .collect();
-        let img = SegmentedImage::build(2, &rows, 8);
+            }),
+        )
+        .unwrap();
+        let rows = rel.rows();
+        // An in-memory relation is segmented by streaming it through the
+        // disk writer into a scratch image.
+        let img = rel.disk_image(8).unwrap();
         assert_eq!(img.len(), 25);
         assert_eq!(img.seg_count(), 4);
         assert_eq!(img.seg_bounds(0), 0..8);
         assert_eq!(img.seg_bounds(3), 24..25);
         assert_eq!(img.arity(), 2);
         // Decoded segments reproduce the rows exactly.
+        let io = IoCounters::default();
         for seg in 0..img.seg_count() {
-            let d = img.decode(seg);
+            let d = img.read_segment(seg, &io).unwrap();
             assert_eq!(d.start, seg * 8);
             for pos in 0..d.len {
                 for (c, col) in d.cols.iter().enumerate() {
@@ -820,7 +635,7 @@ mod tests {
                 }
             }
         }
-        // Stats come out of the same pass as the build.
+        // Stats come out of the same pass as the write.
         let st = img.stats();
         assert_eq!(st.rows, 25);
         assert_eq!(st.ndv, vec![10, 2]);
@@ -836,19 +651,21 @@ mod tests {
         // The last segment holds only row 24 (value 4).
         assert_eq!(img.zone(0, 3).min, Value::Int(4));
         assert_eq!(img.zone(0, 3).max, Value::Int(4));
-        assert!(img.encoded_bytes() > 0);
+        assert!(io.decoded_bytes.load(Ordering::Relaxed) > 0);
     }
 
     #[test]
     fn empty_and_zero_arity_images_are_fine() {
-        let img = SegmentedImage::build(2, &[], 8);
+        let rel = Relation::from_rows(["a", "b"], Vec::<Vec<Value>>::new()).unwrap();
+        let img = rel.disk_image(8).unwrap();
         assert_eq!(img.len(), 0);
         assert_eq!(img.seg_count(), 0);
         assert!(img.is_empty());
-        let rows: Vec<Row> = (0..3).map(|_| Vec::new().into_boxed_slice()).collect();
-        let img = SegmentedImage::build(0, &rows, 2);
+        let rel = Relation::from_rows(Vec::<String>::new(), (0..3).map(|_| Vec::new())).unwrap();
+        let img = rel.disk_image(2).unwrap();
         assert_eq!(img.len(), 3);
         assert_eq!(img.seg_count(), 2);
-        assert_eq!(img.decode(0).cols.len(), 0);
+        let d = img.read_segment(0, &IoCounters::default()).unwrap();
+        assert_eq!((d.len, d.cols.len()), (2, 0));
     }
 }

@@ -35,7 +35,7 @@ pub struct TableStats {
     pub bytes: usize,
     /// Per-column (min, max) bounds under the total `Value` order, or
     /// `None` for an empty relation. Folded from per-segment zone maps
-    /// when the relation is built segmented; computed directly here
+    /// by the writer of a disk-native relation; computed directly here
     /// otherwise. Range-predicate selectivity reads these.
     pub minmax: Vec<Option<(Value, Value)>>,
 }

@@ -1,8 +1,12 @@
-//! The disk half of the segmented store: page files of encoded column
-//! segments, a checksummed per-relation manifest, and the engine's one
-//! buffer pool of decoded segments, shared across relations.
+//! The compressed store: page files of encoded column segments
+//! ([`crate::segment`]), a checksummed per-relation manifest, and the
+//! engine's one buffer pool of decoded segments, shared across
+//! relations.
 //!
-//! A relation persists as two files in a directory:
+//! A relation persists as two files in a directory, written by one
+//! encoder, the streaming [`DiskTableWriter`] — loaders stream rows into
+//! it, and an in-memory relation streams its rows into a scratch writer
+//! on its first disk scan:
 //!
 //! * **`<name>.seg`** — the page file: one self-describing block per
 //!   (column, segment), in segment-major order so fetching one segment
@@ -36,11 +40,8 @@
 
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector, FaultKind};
-use crate::provider::{ImageProvider, IoCounters};
 use crate::relation::{Column, NullMask, Row};
-use crate::segment::{
-    value_digest, ColumnSegment, DecodedSegment, SegEncoding, SegmentedImage, ZoneMap,
-};
+use crate::segment::{value_digest, ColumnSegment, DecodedSegment, SegEncoding, ZoneMap};
 use crate::stats::TableStats;
 use crate::value::{intern, Value};
 use std::fmt::Debug;
@@ -49,7 +50,7 @@ use std::hash::{Hash, Hasher};
 use std::io::{self, Write as _};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Page size: blocks in the page file start on this alignment, and
@@ -61,6 +62,47 @@ const MAGIC: &[u8; 8] = b"URELSEG1";
 
 /// Manifest format version.
 const VERSION: u32 = 1;
+
+/// Storage-side counters shared by every cursor of one execution:
+/// bytes materialized by fresh decodes, pages read from segment files,
+/// and buffer-pool hit/miss tallies. Atomics because parallel morsel
+/// workers bump them concurrently. Also carries the execution's fault
+/// injector (if any) down to the storage edges — read and lease faults
+/// draw their ticks through here.
+#[derive(Debug, Default)]
+pub struct IoCounters {
+    /// Approximate bytes materialized by fresh segment decodes (pool
+    /// hits add nothing).
+    pub decoded_bytes: AtomicUsize,
+    /// 4 KiB pages read from on-disk segment files.
+    pub pages_read: AtomicUsize,
+    /// Buffer-pool lookups served by a resident segment.
+    pub pool_hits: AtomicUsize,
+    /// Buffer-pool lookups that had to read and decode the segment.
+    pub pool_misses: AtomicUsize,
+    /// The execution's fault injector, `None` when faults are disabled.
+    faults: Option<Arc<FaultInjector>>,
+}
+
+impl IoCounters {
+    /// Counters wired to an execution's fault injector.
+    pub fn with_faults(faults: Option<Arc<FaultInjector>>) -> IoCounters {
+        IoCounters {
+            faults,
+            ..IoCounters::default()
+        }
+    }
+
+    /// The fault injector drawn by this execution's storage edges.
+    pub fn faults(&self) -> Option<&FaultInjector> {
+        self.faults.as_deref()
+    }
+
+    /// Record a fresh decode of `bytes` materialized bytes.
+    pub fn decoded(&self, bytes: usize) {
+        self.decoded_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE), table-driven — no dependencies.
@@ -557,7 +599,7 @@ fn io_fail(what: &str, path: &Path, e: io::Error) -> Error {
 impl DiskImage {
     /// Open and fully validate `<dir>/<name>.{manifest,seg}`.
     pub fn open(dir: &Path, name: &str) -> Result<Arc<DiskImage>> {
-        DiskImage::open_with(dir, name, None)
+        DiskImage::open_with(dir, name).map(Arc::new)
     }
 
     /// [`DiskImage::open`] with an [`Open`](FaultKind::Open) fault edge
@@ -572,10 +614,10 @@ impl DiskImage {
             fault::inject(faults, FaultKind::Open, "open segment manifest")
         })
         .map_err(|e| fault::io_error("open segment manifest", &e))?;
-        DiskImage::open_with(dir, name, None)
+        DiskImage::open(dir, name)
     }
 
-    fn open_with(dir: &Path, name: &str, scratch_dir: Option<PathBuf>) -> Result<Arc<DiskImage>> {
+    fn open_with(dir: &Path, name: &str) -> Result<DiskImage> {
         let mpath = manifest_path(dir, name);
         let bytes =
             fs::read(&mpath).map_err(|e| io_fail("cannot read segment manifest", &mpath, e))?;
@@ -659,7 +701,7 @@ impl DiskImage {
             stats,
             dir: dir_entries,
             zones,
-            scratch_dir,
+            scratch_dir: None,
         };
         // Validate every block now: bounds against the real file length,
         // checksum, and a full parse. One streaming pass over the page
@@ -680,7 +722,7 @@ impl DiskImage {
                     .map(drop)?;
             }
         }
-        Ok(Arc::new(img))
+        Ok(img)
     }
 
     /// Read, checksum-verify and parse one block. `fail` turns a
@@ -878,103 +920,6 @@ impl PageWriter {
     }
 }
 
-/// Assemble and write the manifest, then reopen through the validating
-/// reader — every writer exit runs the full read path once, so a broken
-/// writer can never silently produce an unreadable store.
-#[allow(clippy::too_many_arguments)]
-fn write_manifest(
-    dir: &Path,
-    name: &str,
-    seg_rows: usize,
-    len: usize,
-    names: &[String],
-    stats: &TableStats,
-    blocks: &[(BlockRef, ZoneMap)], // col-major: [col * seg_count + seg]
-    scratch_dir: Option<PathBuf>,
-) -> Result<Arc<DiskImage>> {
-    let mut e = Enc::default();
-    e.buf.extend_from_slice(MAGIC);
-    e.u32(VERSION);
-    e.u64(seg_rows as u64);
-    e.u64(len as u64);
-    e.u32(names.len() as u32);
-    e.u32(len.div_ceil(seg_rows) as u32);
-    // The exact page-file length: lets the reader reject a torn final
-    // page even when only zero padding went missing.
-    let spath = seg_path(dir, name);
-    let page_len = fs::metadata(&spath)
-        .map_err(|e| io_fail("cannot stat page file", &spath, e))?
-        .len();
-    e.u64(page_len);
-    e.u32(names.len() as u32);
-    for n in names {
-        e.str(n);
-    }
-    encode_stats(&mut e, stats);
-    for (r, zone) in blocks {
-        e.u64(r.offset);
-        e.u64(r.len);
-        e.u32(r.crc);
-        encode_zone(&mut e, zone);
-    }
-    let crc = crc32(&e.buf);
-    e.u32(crc);
-    let mpath = manifest_path(dir, name);
-    fs::write(&mpath, &e.buf).map_err(|e| io_fail("cannot write manifest", &mpath, e))?;
-    DiskImage::open_with(dir, name, scratch_dir)
-}
-
-/// Serialize an already-encoded in-memory [`SegmentedImage`] into a
-/// segment store — the transparent-spill path for relations that were
-/// built in memory but scanned under [`crate::catalog::StorageMode::Disk`].
-pub fn write_image(
-    image: &SegmentedImage,
-    names: &[String],
-    dir: &Path,
-    name: &str,
-) -> Result<Arc<DiskImage>> {
-    write_image_with(image, names, dir, name, None)
-}
-
-/// [`write_image`] into a fresh scratch directory removed when the
-/// returned image drops.
-pub fn write_image_scratch(image: &SegmentedImage, names: &[String]) -> Result<Arc<DiskImage>> {
-    let dir = new_scratch_dir()?;
-    write_image_with(image, names, &dir, "rel", Some(dir.clone()))
-}
-
-fn write_image_with(
-    image: &SegmentedImage,
-    names: &[String],
-    dir: &Path,
-    name: &str,
-    scratch_dir: Option<PathBuf>,
-) -> Result<Arc<DiskImage>> {
-    debug_assert_eq!(names.len(), image.arity());
-    let mut pw = PageWriter::create(seg_path(dir, name))?;
-    let seg_count = image.seg_count();
-    let mut blocks: Vec<Option<(BlockRef, ZoneMap)>> = vec![None; names.len() * seg_count];
-    // Segment-major on disk (one segment's columns are contiguous),
-    // column-major in the directory (matching the manifest layout).
-    for seg in 0..seg_count {
-        for col in 0..image.arity() {
-            let s = &image.col_segments(col)[seg];
-            blocks[col * seg_count + seg] = Some((pw.block(s)?, s.zone().clone()));
-        }
-    }
-    let blocks: Vec<(BlockRef, ZoneMap)> = blocks.into_iter().map(|b| b.unwrap()).collect();
-    write_manifest(
-        dir,
-        name,
-        image.seg_rows(),
-        image.len(),
-        names,
-        image.stats(),
-        &blocks,
-        scratch_dir,
-    )
-}
-
 /// Streaming disk-table writer: rows go straight into encoded segment
 /// blocks on disk — neither the row store nor the full encoded image is
 /// ever materialized in memory. Only the current partial segment (at
@@ -991,7 +936,8 @@ pub struct DiskTableWriter {
     cur: Vec<Vec<Value>>,
     in_cur: usize,
     len: usize,
-    /// Per column, in segment order (transposed to col-major at finish).
+    /// Per column, in segment order: flattened, this is the manifest's
+    /// column-major block directory.
     blocks: Vec<Vec<(BlockRef, ZoneMap)>>,
     bytes: usize,
     col_digests: Vec<crate::fxhash::FxHashSet<u64>>,
@@ -1011,15 +957,18 @@ impl DiskTableWriter {
     }
 
     /// Create in a fresh scratch directory that is deleted when the
-    /// finished image drops — the loaders' path under transparent
-    /// [`crate::catalog::StorageMode::Disk`] defaults.
+    /// finished image drops (or with the writer, if it never finishes)
+    /// — the path of loaders under a [`crate::catalog::StorageMode::Disk`]
+    /// default and of in-memory relations on their first disk scan.
     pub fn create_scratch(
         name: &str,
         names: Vec<String>,
         seg_rows: usize,
     ) -> Result<DiskTableWriter> {
         let dir = new_scratch_dir()?;
-        Self::create_with(dir.clone(), name, names, seg_rows, Some(dir))
+        Self::create_with(dir.clone(), name, names, seg_rows, Some(dir.clone())).inspect_err(|_| {
+            let _ = fs::remove_dir_all(&dir);
+        })
     }
 
     fn create_with(
@@ -1095,58 +1044,88 @@ impl DiskTableWriter {
     }
 
     /// Flush the trailing partial segment, write the manifest and
-    /// reopen the finished store through the validating reader.
+    /// reopen the finished store through the validating reader. A
+    /// scratch writer hands its directory to the image only once the
+    /// image opened; on any failure the directory goes with the writer.
     pub fn finish(mut self) -> Result<Arc<DiskImage>> {
         if self.in_cur > 0 {
             self.flush()?;
         }
-        let minmax = self
-            .blocks
-            .iter()
-            .map(|segs| {
-                segs.iter().map(|(_, z)| z).fold(None, |acc, z| {
-                    Some(match acc {
-                        None => (z.min.clone(), z.max.clone()),
-                        Some((lo, hi)) => (
-                            if z.min < lo { z.min.clone() } else { lo },
-                            if z.max > hi { z.max.clone() } else { hi },
-                        ),
-                    })
-                })
-            })
-            .collect();
-        let stats = TableStats {
-            rows: self.len,
-            ndv: self.col_digests.iter().map(|s| s.len().max(1)).collect(),
-            pair_ndv: self.pair_digests.iter().map(|s| s.len().max(1)).collect(),
-            bytes: self.bytes,
-            minmax,
-        };
-        let seg_count = self.len.div_ceil(self.seg_rows);
-        let mut blocks: Vec<Option<(BlockRef, ZoneMap)>> = vec![None; self.names.len() * seg_count];
-        for (col, segs) in self.blocks.iter().enumerate() {
-            debug_assert_eq!(segs.len(), seg_count);
-            for (seg, entry) in segs.iter().enumerate() {
-                blocks[col * seg_count + seg] = Some(entry.clone());
-            }
-        }
-        let blocks: Vec<(BlockRef, ZoneMap)> = blocks.into_iter().map(|b| b.unwrap()).collect();
         fault::inject(
             self.pw.faults.as_deref(),
             FaultKind::Write,
             "write manifest",
         )
         .map_err(|e| fault::io_error("write manifest", &e))?;
-        write_manifest(
-            &self.dir,
-            &self.name,
-            self.seg_rows,
-            self.len,
-            &self.names,
-            &stats,
-            &blocks,
-            self.scratch_dir.clone(),
-        )
+        let mut img = self.write_manifest()?;
+        img.scratch_dir = self.scratch_dir.take();
+        Ok(Arc::new(img))
+    }
+
+    /// Assemble and write the manifest — geometry, names, the streamed
+    /// statistics (min/max folded from the zone maps) and the block
+    /// directory — then reopen through the validating reader, so a
+    /// broken writer can never silently produce an unreadable store.
+    fn write_manifest(&self) -> Result<DiskImage> {
+        let minmax = self.blocks.iter().map(|segs| {
+            segs.iter().map(|(_, z)| z).fold(None, |acc, z| {
+                Some(match acc {
+                    None => (z.min.clone(), z.max.clone()),
+                    Some((lo, hi)) => (
+                        if z.min < lo { z.min.clone() } else { lo },
+                        if z.max > hi { z.max.clone() } else { hi },
+                    ),
+                })
+            })
+        });
+        let stats = TableStats {
+            rows: self.len,
+            ndv: self.col_digests.iter().map(|s| s.len().max(1)).collect(),
+            pair_ndv: self.pair_digests.iter().map(|s| s.len().max(1)).collect(),
+            bytes: self.bytes,
+            minmax: minmax.collect(),
+        };
+        let mut e = Enc::default();
+        e.buf.extend_from_slice(MAGIC);
+        e.u32(VERSION);
+        e.u64(self.seg_rows as u64);
+        e.u64(self.len as u64);
+        e.u32(self.names.len() as u32);
+        e.u32(self.len.div_ceil(self.seg_rows) as u32);
+        // The exact page-file length: lets the reader reject a torn final
+        // page even when only zero padding went missing.
+        let spath = seg_path(&self.dir, &self.name);
+        let page_len = fs::metadata(&spath)
+            .map_err(|e| io_fail("cannot stat page file", &spath, e))?
+            .len();
+        e.u64(page_len);
+        e.u32(self.names.len() as u32);
+        for n in &self.names {
+            e.str(n);
+        }
+        encode_stats(&mut e, &stats);
+        // Column-major: `[col * seg_count + seg]`.
+        for (r, zone) in self.blocks.iter().flatten() {
+            e.u64(r.offset);
+            e.u64(r.len);
+            e.u32(r.crc);
+            encode_zone(&mut e, zone);
+        }
+        let crc = crc32(&e.buf);
+        e.u32(crc);
+        let mpath = manifest_path(&self.dir, &self.name);
+        fs::write(&mpath, &e.buf).map_err(|e| io_fail("cannot write manifest", &mpath, e))?;
+        DiskImage::open_with(&self.dir, &self.name)
+    }
+}
+
+impl Drop for DiskTableWriter {
+    /// A scratch writer that errored or was dropped unfinished removes
+    /// its directory; `finish` has already moved it out on success.
+    fn drop(&mut self) {
+        if let Some(dir) = &self.scratch_dir {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 }
 
@@ -1329,19 +1308,14 @@ pub fn pool_for(cap: usize) -> Arc<BufferPool> {
 // DiskImageProvider
 // ---------------------------------------------------------------------------
 
-/// [`ImageProvider`] over an opened [`DiskImage`]: layout and zone maps
-/// come from the manifest; segment fetches lease slots from the shared
-/// [`BufferPool`].
+/// A scan's view of an opened [`DiskImage`]: layout and zone maps come
+/// from the manifest — so a cursor walks segment boundaries and
+/// consults zone maps without decoding — and segment fetches lease
+/// slots from the shared [`BufferPool`]. Created per scan node at
+/// prepare time and shared by all workers of that scan.
 pub struct DiskImageProvider {
     image: Arc<DiskImage>,
     pool: Arc<BufferPool>,
-}
-
-impl DiskImageProvider {
-    /// Provider over `image`, fetching through `pool`.
-    pub fn new(image: Arc<DiskImage>, pool: Arc<BufferPool>) -> DiskImageProvider {
-        DiskImageProvider { image, pool }
-    }
 }
 
 impl Debug for DiskImageProvider {
@@ -1353,20 +1327,29 @@ impl Debug for DiskImageProvider {
     }
 }
 
-impl ImageProvider for DiskImageProvider {
-    fn seg_rows(&self) -> usize {
+impl DiskImageProvider {
+    /// Provider over `image`, fetching through `pool`.
+    pub fn new(image: Arc<DiskImage>, pool: Arc<BufferPool>) -> DiskImageProvider {
+        DiskImageProvider { image, pool }
+    }
+
+    /// Rows per segment (the last segment may be short).
+    pub fn seg_rows(&self) -> usize {
         self.image.seg_rows()
     }
 
-    fn seg_count(&self) -> usize {
-        self.image.seg_count()
-    }
-
-    fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
+    /// The zone map of (column `col`, segment `seg`).
+    pub fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
         self.image.zone(col, seg)
     }
 
-    fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>> {
+    /// A decoded view of segment `seg`, leased from the pool. A miss
+    /// reads and decodes outside the pool lock, adding the pages read
+    /// and the bytes materialized to `io`; hits add nothing but the
+    /// hit tally. Fallible: disk reads can fail for real, and the
+    /// pool-lease and disk-read edges draw from `io`'s fault injector
+    /// when one is configured.
+    pub fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>> {
         self.pool.get((self.image.id, seg), io, || {
             Ok(Arc::new(self.image.read_segment(seg, io)?))
         })
@@ -1376,6 +1359,7 @@ impl ImageProvider for DiskImageProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
     use crate::relation::Relation;
     use crate::value::intern;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
@@ -1404,14 +1388,25 @@ mod tests {
         r.schema().columns().iter().map(|c| c.to_string()).collect()
     }
 
+    /// `r` streamed through a writer into `<dir>/t.{seg,manifest}`.
+    fn write(r: &Relation, dir: &Path, seg_rows: usize) -> Arc<DiskImage> {
+        let mut w = DiskTableWriter::create(dir, "t", names(r), seg_rows).unwrap();
+        for row in r.rows() {
+            w.push(row).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
     #[test]
     fn write_image_roundtrips_byte_identically() {
         let r = rel(100);
         let dir = tempdir();
-        let img = write_image(&r.segments(16), &names(&r), &dir, "t").unwrap();
+        let img = write(&r, &dir, 16);
         assert_eq!(img.len(), 100);
         assert_eq!(img.seg_rows(), 16);
         assert_eq!(img.seg_count(), 7);
+        assert_eq!(img.seg_bounds(0), 0..16);
+        assert_eq!(img.seg_bounds(6), 96..100);
         assert_eq!(img.arity(), 3);
         assert_eq!(img.names(), &["k", "w", "v"]);
         let io = IoCounters::default();
@@ -1429,19 +1424,27 @@ mod tests {
             }
         }
         assert!(io.pages_read.load(Ordering::Relaxed) >= img.seg_count() * img.arity());
-        // Zone maps and stats survived the manifest roundtrip.
-        let mem = r.segments(16);
+        // Zone maps survived the manifest roundtrip: each equals the
+        // zone map of its own segment's values.
         for col in 0..3 {
             for seg in 0..img.seg_count() {
-                assert_eq!(img.zone(col, seg).min, mem.zone(col, seg).min);
-                assert_eq!(img.zone(col, seg).max, mem.zone(col, seg).max);
-                assert_eq!(img.zone(col, seg).null_count, mem.zone(col, seg).null_count);
-                assert_eq!(img.zone(col, seg).ndv, mem.zone(col, seg).ndv);
+                let vals = r.rows()[img.seg_bounds(seg)]
+                    .iter()
+                    .map(|row| row[col].clone());
+                let want = ColumnSegment::encode(vals.collect()).zone().clone();
+                let got = img.zone(col, seg);
+                assert_eq!(got.min, want.min);
+                assert_eq!(got.max, want.max);
+                assert_eq!(got.null_count, want.null_count);
+                assert_eq!(got.ndv, want.ndv);
             }
         }
-        assert_eq!(img.stats().rows, mem.stats().rows);
-        assert_eq!(img.stats().ndv, mem.stats().ndv);
-        assert_eq!(img.stats().minmax, mem.stats().minmax);
+        // Segment 0 of `k` holds rows 0..16 (values 0..=15); the last
+        // holds rows 96..100.
+        assert_eq!(img.zone(0, 0).min, Value::Int(0));
+        assert_eq!(img.zone(0, 0).max, Value::Int(15));
+        assert_eq!(img.zone(0, 6).min, Value::Int(96));
+        assert_eq!(img.zone(0, 6).max, Value::Int(99));
         // decode_rows reproduces the row store exactly.
         assert_eq!(img.decode_rows().unwrap(), r.rows());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1451,18 +1454,16 @@ mod tests {
     fn streaming_writer_matches_the_in_memory_builder() {
         let r = rel(53);
         let dir = tempdir();
-        let mut w = DiskTableWriter::create(&dir, "t", names(&r), 8).unwrap();
-        for row in r.rows() {
-            w.push(row).unwrap();
-        }
-        let img = w.finish().unwrap();
+        let img = write(&r, &dir, 8);
         assert_eq!(img.decode_rows().unwrap(), r.rows());
-        let mem = r.segments(8);
-        assert_eq!(img.stats().rows, mem.stats().rows);
-        assert_eq!(img.stats().ndv, mem.stats().ndv);
-        assert_eq!(img.stats().pair_ndv, mem.stats().pair_ndv);
-        assert_eq!(img.stats().bytes, mem.stats().bytes);
-        assert_eq!(img.stats().minmax, mem.stats().minmax);
+        // The statistics streamed into the manifest equal the plain
+        // in-memory computation, so plans do not depend on the storage.
+        let mem = TableStats::compute(&r);
+        assert_eq!(img.stats().rows, mem.rows);
+        assert_eq!(img.stats().ndv, mem.ndv);
+        assert_eq!(img.stats().pair_ndv, mem.pair_ndv);
+        assert_eq!(img.stats().bytes, mem.bytes);
+        assert_eq!(img.stats().minmax, mem.minmax);
         // Arity is enforced per row.
         let mut w = DiskTableWriter::create(&dir, "u", vec!["a".into()], 4).unwrap();
         assert!(w.push(&[Value::Int(1), Value::Int(2)]).is_err());
@@ -1477,26 +1478,81 @@ mod tests {
         assert!(img.is_empty());
         assert_eq!(img.seg_count(), 0);
         assert_eq!(img.decode_rows().unwrap(), Vec::<Row>::new());
+        // Zero columns, three rows: two segments that decode to no
+        // columns but keep their row counts.
+        let mut w = DiskTableWriter::create(&dir, "nullary", Vec::new(), 2).unwrap();
+        for _ in 0..3 {
+            w.push(&[]).unwrap();
+        }
+        let img = w.finish().unwrap();
+        assert_eq!(img.len(), 3);
+        assert_eq!(img.seg_count(), 2);
+        let d = img.read_segment(0, &IoCounters::default()).unwrap();
+        assert_eq!((d.len, d.cols.len()), (2, 0));
+        assert_eq!(img.decode_rows().unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn scratch_images_clean_up_on_drop() {
         let r = rel(10);
-        let img = write_image_scratch(&r.segments(4), &names(&r)).unwrap();
+        let img = r.disk_image(4).unwrap();
         let dir = img.scratch_dir.clone().unwrap();
         assert!(dir.exists());
         assert_eq!(img.decode_rows().unwrap(), r.rows());
+        drop(r);
         drop(img);
         assert!(!dir.exists(), "scratch dir survived the image");
+    }
+
+    /// A scratch writer owns its directory until `finish` hands it to
+    /// an opened image: an error or an unfinished drop removes it.
+    #[test]
+    fn scratch_writers_clean_up_on_every_failed_exit() {
+        let scratch = |faults: Option<&str>| {
+            let w = DiskTableWriter::create_scratch("t", vec!["a".into()], 2).unwrap();
+            let faults =
+                faults.map(|f| Arc::new(FaultInjector::new(FaultConfig::parse(f).unwrap())));
+            let w = w.with_faults(faults);
+            let dir = w.scratch_dir.clone().unwrap();
+            assert!(dir.exists());
+            (w, dir)
+        };
+        // 1. An arity error, then drop.
+        let (mut w, dir) = scratch(None);
+        let err = w.push(&[Value::Int(1), Value::Int(2)]).unwrap_err();
+        assert_eq!(
+            err,
+            Error::ArityMismatch {
+                expected: 1,
+                got: 2
+            }
+        );
+        drop(w);
+        assert!(!dir.exists(), "arity error leaked {}", dir.display());
+        // 2. Every write fails: the first block write errors cleanly.
+        let (mut w, dir) = scratch(Some("7:1:write"));
+        w.push(&[Value::Int(1)]).unwrap();
+        let err = w.push(&[Value::Int(2)]).unwrap_err();
+        assert!(
+            matches!(&err, Error::Io(m) if m.contains("write page block")),
+            "{err}"
+        );
+        drop(w);
+        assert!(!dir.exists(), "failed block write leaked {}", dir.display());
+        // 3. An unfinished writer dropped.
+        let (mut w, dir) = scratch(None);
+        w.push(&[Value::Int(1)]).unwrap();
+        drop(w);
+        assert!(!dir.exists(), "unfinished writer leaked {}", dir.display());
     }
 
     #[test]
     fn buffer_pool_shares_across_images_and_evicts_cold_segments() {
         let a = rel(32);
         let b = rel(32);
-        let ia = write_image_scratch(&a.segments(8), &names(&a)).unwrap();
-        let ib = write_image_scratch(&b.segments(8), &names(&b)).unwrap();
+        let ia = a.disk_image(8).unwrap();
+        let ib = b.disk_image(8).unwrap();
         assert_ne!(ia.id, ib.id, "image ids must be process-unique");
         let pool = Arc::new(BufferPool::new(3));
         let pa = DiskImageProvider::new(Arc::clone(&ia), Arc::clone(&pool));
@@ -1538,7 +1594,7 @@ mod tests {
     #[test]
     fn concurrent_pool_loads_dedup_per_key() {
         let r = rel(64);
-        let img = write_image_scratch(&r.segments(8), &names(&r)).unwrap();
+        let img = r.disk_image(8).unwrap();
         let pool = Arc::new(BufferPool::new(8));
         let io = Arc::new(IoCounters::default());
         let barrier = Arc::new(std::sync::Barrier::new(4));

@@ -3,7 +3,7 @@
 //! One process serves one [`UDatabase`]. The database is encoded into
 //! a [`Catalog`] **once**; every session clones it (cheap — base
 //! relations are `Arc`-shared) into its own
-//! [`PreparedDb`](urel_core::translate::PreparedDb), so sessions share
+//! [`PreparedDb`], so sessions share
 //! base data but keep private prepared-statement plan caches.
 //!
 //! Execution is bounded by an [`AdmissionGate`] shared by all

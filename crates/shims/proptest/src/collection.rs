@@ -52,7 +52,7 @@ pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     elem: S,

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no registry access, so this workspace ships
-//! the subset of the proptest API its test suites use: the [`Strategy`]
+//! the subset of the proptest API its test suites use: the [`Strategy`](strategy::Strategy)
 //! trait with `prop_map` / `prop_flat_map` / `prop_recursive` / `boxed`,
 //! range and tuple strategies, `Just`, weighted unions (`prop_oneof!`),
 //! `prop::collection::{vec, btree_map}`, `any::<bool>()`, and the

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use urel_relalg::value::date_to_days;
-use urel_relalg::{DiskTableWriter, EngineConfig, Relation, SegmentedBuilder, StorageMode, Value};
+use urel_relalg::{DiskTableWriter, EngineConfig, Relation, StorageMode, Value};
 
 /// What kind of values a column holds — drives both base generation and
 /// the sampling of *alternative* values for uncertain fields.
@@ -90,12 +90,11 @@ pub struct TableSpec {
 }
 
 impl TableSpec {
-    /// As a plain relation. Under a segmented default storage mode
-    /// (`RELALG_STORAGE`), rows stream straight into compressed column
-    /// segments as the relation is built, so the first scan never pays
-    /// a bulk re-encode pass; under disk mode they stream straight into
-    /// an on-disk segment store and the relation comes back disk-backed
-    /// without ever materializing its row store.
+    /// As a relation. Under a disk default storage mode
+    /// (`RELALG_STORAGE=disk`) the rows stream straight into an on-disk
+    /// segment store and the relation comes back disk-backed without
+    /// ever materializing its row store; otherwise it is a plain
+    /// in-memory relation.
     pub fn relation(&self) -> Relation {
         let config = EngineConfig::default();
         if config.storage == StorageMode::Disk {
@@ -112,22 +111,14 @@ impl TableSpec {
                 writer.finish().expect("scratch segment store is writable"),
             );
         }
-        let rel = Relation::from_rows(
+        Relation::from_rows(
             self.columns
                 .iter()
                 .map(|(n, _)| n.clone())
                 .collect::<Vec<_>>(),
             self.rows.clone(),
         )
-        .expect("generator emits consistent rows");
-        if config.storage != StorageMode::Plain {
-            let mut builder = SegmentedBuilder::new(self.columns.len(), config.segment_rows);
-            for row in &self.rows {
-                builder.push(row);
-            }
-            rel.attach_segments(std::sync::Arc::new(builder.finish()));
-        }
-        rel
+        .expect("generator emits consistent rows")
     }
 }
 

@@ -35,12 +35,12 @@
 //!    the serial row vector — same rows, same order — while `ExecStats`
 //!    reports the planned worker count.
 //!
-//! 5. **Storage modes** — compressed column segments with zone-map
-//!    skipping (PR 6) must be invisible to query output: the same plan
-//!    under {segmented, disk with a 2-slot buffer pool} × {1, 4}
+//! 5. **Storage modes** — compressed on-disk column segments with
+//!    zone-map skipping must be invisible to query output: the same plan
+//!    under disk storage with {a 2-slot buffer pool that evicts, a
+//!    64-slot one that keeps every decoded segment resident} × {1, 4}
 //!    workers, with 3-row segments so even tiny databases cross segment
-//!    boundaries and evict, must emit exactly the plain-image serial row
-//!    vector.
+//!    boundaries, must emit exactly the plain-image serial row vector.
 //!
 //! Case counts scale with `PROPTEST_CASES` (the CI differential job
 //! raises it well above the local default); generation is deterministic
@@ -573,13 +573,12 @@ proptest! {
 
     /// The storage oracle on *translated* plans: random reduced or-set
     /// databases and random logical queries run against the plain
-    /// columnar image and against compressed segments — decoded eagerly
-    /// (segmented) and from on-disk segment files through a 2-slot
-    /// buffer pool — at 1 and 4 workers. Segments are 3 rows so tiny
-    /// databases still span several and the buffer pool actually
-    /// evicts; output must be
+    /// columnar image and against on-disk segment files through a 2-slot
+    /// buffer pool (which evicts) and a 64-slot one (which keeps every
+    /// decoded segment resident), at 1 and 4 workers. Segments are 3
+    /// rows so tiny databases still span several; output must be
     /// **byte-identical** (rows and order) to the plain serial pull,
-    /// and the cold disk run must actually miss the undersized pool.
+    /// and each pool's first, cold pull must actually miss it.
     #[test]
     fn segmented_translated_plans_match_plain_byte_for_byte(
         db in arb_udb(),
@@ -593,27 +592,26 @@ proptest! {
             cat.set_threads(1);
             exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
         };
-        for mode in [StorageMode::Segmented, StorageMode::Disk] {
+        for pool in [2usize, 64] {
             for threads in [1usize, 4] {
                 let mut cat = prepared.catalog().clone();
-                cat.set_storage(mode);
-                cat.set_segment_layout(3, 2);
-                cat.set_buffer_pool(2);
+                cat.set_storage(StorageMode::Disk);
+                cat.set_segment_layout(3, pool);
                 cat.set_threads(threads);
                 cat.set_parallel_granularity(4, 0);
                 let streamed = exec::stream(&plan, &cat).unwrap();
                 let rows = streamed.collect_rows(None).unwrap();
                 prop_assert!(
                     rows == plain_rows,
-                    "{mode:?} x{threads} differs from plain for {q:?}\nplan: {plan:?}"
+                    "disk pool {pool} x{threads} differs from plain for {q:?}\nplan: {plan:?}"
                 );
-                // The first disk pull is cold: every produced row came
-                // through a segment fetch, so the 2-slot pool must miss.
-                if mode == StorageMode::Disk && threads == 1 && !plain_rows.is_empty() {
+                // Each pool's first pull is cold: every produced row came
+                // through a segment fetch, so the pool must miss.
+                if threads == 1 && !plain_rows.is_empty() {
                     let stats = streamed.stats();
                     prop_assert!(
                         stats.pool_misses > 0,
-                        "cold disk run never missed the 2-slot buffer pool for {q:?}"
+                        "cold disk run never missed the {pool}-slot buffer pool for {q:?}"
                     );
                 }
             }
@@ -639,31 +637,30 @@ proptest! {
                 cat.set_threads(1);
                 exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
             };
-            for mode in [StorageMode::Segmented, StorageMode::Disk] {
+            for pool in [2usize, 64] {
                 for threads in [1usize, 4] {
                     let mut cat = catalog.clone();
-                    cat.set_storage(mode);
-                    cat.set_segment_layout(3, 2);
-                    cat.set_buffer_pool(2);
+                    cat.set_storage(StorageMode::Disk);
+                    cat.set_segment_layout(3, pool);
                     cat.set_threads(threads);
                     cat.set_parallel_granularity(3, 0);
                     let streamed = exec::stream(&plan, &cat).unwrap();
                     let rows = streamed.collect_rows(None).unwrap();
                     prop_assert!(
                         rows == plain_rows,
-                        "{mode:?} x{threads} differs from plain for {plan:?}"
+                        "disk pool {pool} x{threads} differs from plain for {plan:?}"
                     );
-                    if mode == StorageMode::Disk && threads == 1 && !plain_rows.is_empty() {
+                    if threads == 1 && !plain_rows.is_empty() {
                         prop_assert!(
                             streamed.stats().pool_misses > 0,
-                            "cold disk run never missed the pool for {plan:?}"
+                            "cold disk run never missed the {pool}-slot pool for {plan:?}"
                         );
                     }
                     for k in [0, 1, 3, plain_rows.len()] {
                         let prefix = streamed.collect_rows(Some(k)).unwrap();
                         prop_assert!(
                             prefix[..] == plain_rows[..k.min(plain_rows.len())],
-                            "limited {mode:?} pull (limit {k}) diverges for {plan:?}"
+                            "limited disk pool {pool} pull (limit {k}) diverges for {plan:?}"
                         );
                     }
                 }

@@ -1,4 +1,4 @@
-//! Deterministic tests of the segmented-storage subsystem (PR 6).
+//! Deterministic tests of the segmented disk store.
 //!
 //! The differential suites in `exec_differential.rs` prove byte-identity
 //! on random plans across storage modes; these tests pin the individual
@@ -7,8 +7,9 @@
 //! * zone-map skipping on clustered integer and dictionary-string
 //!   columns, visible through `ExecStats::segments_skipped` (the
 //!   anti-no-op guard: a full scan must skip nothing);
-//! * byte-identical output across {plain, segmented, disk} × {1, 4}
-//!   workers on a multi-operator plan over null-bearing data;
+//! * byte-identical output against plain storage across {disk with a
+//!   2-slot pool, disk with a 64-slot pool} × {1, 4} workers on a
+//!   multi-operator plan over null-bearing data;
 //! * disk scans faulting through an undersized shared buffer pool
 //!   (eviction churn) and hitting a warm one;
 //! * the storage legs' no-op guard: when `RELALG_STORAGE` is set, the
@@ -44,8 +45,8 @@ fn seg_rel(n: i64) -> Relation {
     .unwrap()
 }
 
-/// A catalog configured *before* inserts, so registration derives table
-/// statistics from the segmented image when the mode asks for one.
+/// A catalog configured *before* inserts (storage, segment geometry,
+/// pool capacity, workers, and morsels small enough to go parallel).
 fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize, threads: usize) -> Catalog {
     let mut c = Catalog::new();
     c.set_storage(mode);
@@ -57,7 +58,7 @@ fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize, threads: usi
 
 #[test]
 fn selective_scan_skips_segments_and_full_scan_skips_none() {
-    let mut cat = storage_catalog(StorageMode::Segmented, 16, 8, 1);
+    let mut cat = storage_catalog(StorageMode::Disk, 16, 8, 1);
     cat.insert("t", seg_rel(256)); // 16 segments of 16 rows
     let selective = Plan::scan("t").select(col("k").lt(lit_i64(16)));
     let (out, stats) = exec::execute_with_stats(&selective, &cat).unwrap();
@@ -77,7 +78,7 @@ fn selective_scan_skips_segments_and_full_scan_skips_none() {
 fn string_zone_maps_prune_dictionary_segments() {
     // Each 64-row word run spans four 16-row segments, so an equality
     // on one word keeps 1/4 of the segments (min == max == word there).
-    let mut cat = storage_catalog(StorageMode::Segmented, 16, 8, 1);
+    let mut cat = storage_catalog(StorageMode::Disk, 16, 8, 1);
     cat.insert("t", seg_rel(256));
     let p = Plan::scan("t").select(col("w").eq(lit_str("ASIA")));
     let (out, stats) = exec::execute_with_stats(&p, &cat).unwrap();
@@ -91,7 +92,7 @@ fn null_bearing_segments_survive_range_predicates() {
     // `v < 10` must not prune segments whose zone min is Null — nulls
     // make min() = Null < Int, keeping the segment alive; the row-level
     // filter then drops the nulls (three-valued comparison is false).
-    let mut cat = storage_catalog(StorageMode::Segmented, 16, 8, 1);
+    let mut cat = storage_catalog(StorageMode::Disk, 16, 8, 1);
     cat.insert("t", seg_rel(256));
     let p = Plan::scan("t").select(col("v").lt(lit_i64(10)));
     let plain = {
@@ -137,14 +138,16 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         .collect_rows(None)
         .unwrap();
     assert!(!baseline.is_empty());
-    for mode in [StorageMode::Segmented, StorageMode::Disk] {
+    // A 2-slot pool evicts while scanning; a 64-slot one keeps every
+    // decoded segment resident.
+    for pool in [2, 64] {
         for threads in [1, 4] {
-            let cat = build(mode, 2, threads);
+            let cat = build(StorageMode::Disk, pool, threads);
             let rows = exec::stream(&plan, &cat)
                 .unwrap()
                 .collect_rows(None)
                 .unwrap();
-            assert_eq!(rows, baseline, "{mode:?} x{threads} diverged");
+            assert_eq!(rows, baseline, "disk pool {pool} x{threads} diverged");
         }
     }
 }
@@ -212,29 +215,29 @@ fn disk_provider_evicts_under_a_tiny_cache_and_stays_correct() {
     assert!(stats.decoded_bytes > 0, "{stats:?}");
 }
 
-/// The storage legs' anti-no-op guard. When `RELALG_STORAGE` names a
-/// segmented mode (as the CI legs set it), the engine default must
-/// reflect it and a plain scan must actually move segments — if the env
+/// The storage legs' anti-no-op guard. When `RELALG_STORAGE=disk` (as
+/// the CI legs set it), the engine default must reflect it and a plain
+/// scan must actually move segments through the buffer pool — if the env
 /// plumbing ever breaks, this fails rather than letting the leg silently
 /// test nothing. Unset or `plain`, the test exercises the same workload
-/// under an explicit disk catalog; any other value is a stale or
-/// misspelled mode the engine would silently run as plain, so it fails.
+/// under an explicit disk catalog; any other value (a removed mode such
+/// as `segmented`, or a misspelling) is one the engine would silently run
+/// as plain, so it fails.
 #[test]
 fn ci_storage_leg_actually_moves_segments() {
-    let env_mode = match std::env::var("RELALG_STORAGE").ok().as_deref() {
-        None | Some("plain") => None,
-        Some("segmented") => Some(StorageMode::Segmented),
-        Some("disk") => Some(StorageMode::Disk),
+    let env_disk = match std::env::var("RELALG_STORAGE").ok().as_deref() {
+        None | Some("plain") => false,
+        Some("disk") => true,
         Some(other) => panic!(
-            "RELALG_STORAGE={other:?} names no storage mode (plain | segmented | disk); \
+            "RELALG_STORAGE={other:?} names no storage mode (plain | disk); \
              the engine would silently run it as plain"
         ),
     };
     let mut cat;
-    if let Some(mode) = env_mode {
+    if env_disk {
         assert_eq!(
             EngineConfig::default().storage,
-            mode,
+            StorageMode::Disk,
             "RELALG_STORAGE is set but the engine default ignores it"
         );
         cat = Catalog::new();
@@ -247,19 +250,16 @@ fn ci_storage_leg_actually_moves_segments() {
     assert!(!out.is_empty());
     assert!(
         stats.segments_scanned > 0,
-        "segmented storage configured but no segment traffic: {stats:?}"
+        "disk storage configured but no segment traffic: {stats:?}"
     );
-    // Disk storage must additionally move segments through the buffer
-    // pool (the CI legs shrink RELALG_BUFFER_POOL below the working set)
-    // and read pages.
-    if env_mode != Some(StorageMode::Segmented) {
-        assert!(
-            stats.pool_misses > 0,
-            "disk storage configured but the buffer pool never missed: {stats:?}"
-        );
-        assert!(
-            stats.pages_read > 0,
-            "disk storage configured but no page traffic: {stats:?}"
-        );
-    }
+    // Segments must move through the buffer pool (the CI legs shrink
+    // RELALG_BUFFER_POOL below the working set) and read pages.
+    assert!(
+        stats.pool_misses > 0,
+        "disk storage configured but the buffer pool never missed: {stats:?}"
+    );
+    assert!(
+        stats.pages_read > 0,
+        "disk storage configured but no page traffic: {stats:?}"
+    );
 }

@@ -152,27 +152,28 @@ pub fn certain_exact(u: &URelation, w: &WorldTable) -> Result<Relation> {
     Ok(out)
 }
 
-/// World-count ceiling for the exact-expansion fallback taken by
-/// [`certain_answers`] on databases with partial or-set fields.
-pub const CERTAIN_EXPANSION_CAP: usize = 4096;
-
 /// End-to-end certain answers of a logical query: evaluate the translated
 /// query, normalize the result (Algorithm 1), and apply Lemma 4.3.
 ///
-/// Lemma 4.3 is only sound over databases satisfying Proposition 3.3's
-/// reduction guarantee — every tuple present in a world has all of its
-/// fields defined there. A *partial* or-set field (defined in only some
-/// worlds) breaks that guarantee and would make this path
-/// over-approximate, so such databases are detected up front
-/// ([`UDatabase::has_partial_fields`]) and answered by exact world
-/// expansion instead, up to [`CERTAIN_EXPANSION_CAP`] worlds; above the
-/// cap this returns [`Error::TooLarge`] rather than a wrong answer.
+/// Lemma 4.3 is only sound on a result whose descriptors say exactly in
+/// which worlds each row is an answer. Pruned leaves give that under
+/// Proposition 3.3's reduction guarantee — every tuple present in a
+/// world has all of its fields defined there. A *partial* or-set field
+/// (defined in only some worlds) breaks that guarantee, so each relation
+/// that has one ([`UDatabase::partial_relations`]) reads every
+/// attribute instead, and `merge`'s ψ rebuilds the worlds in which its
+/// tuples exist. No world is enumerated, so the answer is exact at any
+/// world count. Each call prepares the database afresh; repeated
+/// statements should go through [`crate::PreparedDb::certain`].
 pub fn certain_answers(udb: &UDatabase, q: &UQuery) -> Result<Relation> {
     crate::translate::PreparedDb::new(udb).certain(q)
 }
 
 /// Certain answers of a result U-relation under an explicit coverage
 /// computation method, with each reported tuple's coverage probability.
+/// `u`'s descriptors must say exactly in which worlds each row is an
+/// answer, as [`crate::PreparedDb::certain_with_confidence`]'s
+/// translation guarantees on databases with partial fields too.
 ///
 /// The *exact* method reproduces [`certain_exact`]: a tuple is reported
 /// iff its descriptors' union covers every world (coverage 1, decided
@@ -218,11 +219,12 @@ pub fn certain_with_coverage(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algebra::{oracle_certain, table};
     use crate::descriptor::WsDescriptor;
     use crate::normalize::normalize_urelations;
+    use crate::prob::ConfidenceMethod;
     use crate::translate::evaluate;
     use crate::udb::figure1_database;
     use crate::world::Var;
@@ -353,7 +355,7 @@ mod tests {
 
     /// `r[a, b]` where tuple 1's `a` is certain but `b` is a partial
     /// or-set: defined under x1 ↦ 0 and x1 ↦ 1, undefined under x1 ↦ 2.
-    fn partial_db() -> UDatabase {
+    pub(crate) fn partial_db() -> UDatabase {
         let mut w = WorldTable::new();
         w.add_var(Var(1), vec![0, 1, 2]).unwrap();
         let mut db = UDatabase::new(w);
@@ -376,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_or_set_fields_take_the_exact_expansion_path() {
+    fn partial_or_set_fields_get_exact_certain_answers() {
         let db = partial_db();
         assert!(db.has_partial_fields().unwrap());
         assert!(!figure1_database().has_partial_fields().unwrap());
@@ -390,26 +392,50 @@ mod tests {
         assert!(got.set_eq(&want), "{got} vs {want}");
     }
 
+    /// The same probe through each exact entry point of one
+    /// `PreparedDb`: `certain`, and both confidence methods.
     #[test]
-    fn partial_fields_above_the_expansion_cap_error_clearly() {
+    fn partial_fields_are_exact_on_every_entry_point() {
+        let db = partial_db();
+        let p = db.prepare();
+        let q = table("r").project(["a"]);
+        let got = p.certain(&q).unwrap();
+        assert!(got.is_empty(), "{got}");
+        let got = p
+            .certain_with_confidence(&q, ConfidenceMethod::Exact)
+            .unwrap();
+        assert!(got.is_empty(), "{got:?}");
+        // Tuple 1 exists under x1 ↦ 0 and x1 ↦ 1: two of three worlds.
+        let got = p
+            .possible_with_confidence(&q, ConfidenceMethod::Exact)
+            .unwrap();
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].0, vec![Value::Int(7)]);
+        assert!((got[0].1 - 2.0 / 3.0).abs() < 1e-12, "{got:?}");
+    }
+
+    #[test]
+    fn partial_fields_past_12288_worlds_are_answered_exactly() {
         let mut db = partial_db();
-        // Pad the world table past the cap: 12 extra binary variables
-        // make 3 · 2¹² = 12288 > 4096 worlds.
+        // Pad the world table: 12 extra binary variables make
+        // 3 · 2¹² = 12288 worlds, three times the 4096 that world
+        // expansion once capped `certain` at.
         for i in 0..12 {
             db.world.add_var(Var(100 + i), vec![0, 1]).unwrap();
         }
-        let err = certain_answers(&db, &table("r")).unwrap_err();
-        assert!(matches!(err, Error::TooLarge(_)), "{err}");
-        assert!(err.to_string().contains("partial or-set"), "{err}");
+        for q in [table("r"), table("r").project(["a"])] {
+            let got = certain_answers(&db, &q).unwrap();
+            let (_, want) = crate::worldops::expand_answers(&db, &q, 12288).unwrap();
+            assert!(got.set_eq(&want), "{q:?}: {got} vs {want}");
+            assert!(got.is_empty(), "{got}");
+        }
     }
 
-    /// The cap is inclusive and exact: a world table of *exactly*
-    /// [`CERTAIN_EXPANSION_CAP`] worlds expands, one more world errors
-    /// cleanly.
+    /// 4096 and 4097 worlds, either side of the old expansion cap, both
+    /// answer exactly.
     #[test]
     fn expansion_cap_boundary_is_exact() {
-        // `b` is partial (defined only under x1 ↦ 0), so certain_answers
-        // must take the expansion path.
+        // `b` is partial (defined only under x1 ↦ 0).
         let partial_over = |world: WorldTable| {
             let mut db = UDatabase::new(world);
             db.add_relation("r", ["a", "b"]).unwrap();
@@ -431,28 +457,66 @@ mod tests {
         for i in 0..12u32 {
             w.add_var(Var(1 + i), vec![0, 1]).unwrap();
         }
-        let db = partial_over(w);
-        assert_eq!(
-            db.world.world_count_exact(),
-            Some(CERTAIN_EXPANSION_CAP as u128)
-        );
-        // At the cap the expansion runs: in worlds with x1 ↦ 1 tuple 1
-        // loses its `b` field, so nothing is certain.
-        let got = certain_answers(&db, &table("r").project(["a"])).unwrap();
-        assert!(got.is_empty(), "{got}");
-
-        // Exactly 4097 = 17 · 241 worlds: one world over the cap errors
-        // cleanly — TooLarge, never a panic or a wrong answer.
+        let four_k = partial_over(w);
+        // Exactly 4097 = 17 · 241 worlds.
         let mut w = WorldTable::new();
         w.add_var(Var(1), (0..17).collect()).unwrap();
         w.add_var(Var(2), (0..241).collect()).unwrap();
-        let db = partial_over(w);
-        assert_eq!(
-            db.world.world_count_exact(),
-            Some(CERTAIN_EXPANSION_CAP as u128 + 1)
-        );
-        let err = certain_answers(&db, &table("r").project(["a"])).unwrap_err();
-        assert!(matches!(err, Error::TooLarge(_)), "{err}");
+        let four_k_one = partial_over(w);
+
+        let q = table("r").project(["a"]);
+        for (db, worlds) in [(four_k, 4096), (four_k_one, 4097)] {
+            assert_eq!(db.world.world_count_exact(), Some(worlds as u128));
+            // In worlds with x1 ↦ 1 tuple 1 loses its `b` field, so
+            // nothing is certain.
+            let got = certain_answers(&db, &q).unwrap();
+            assert!(got.is_empty(), "{worlds} worlds: {got}");
+            let (_, want) = crate::worldops::expand_answers(&db, &q, worlds).unwrap();
+            assert!(got.set_eq(&want), "{worlds} worlds: {got} vs {want}");
+        }
+    }
+
+    /// `r[a, b]` stored as `u_a`, `u_b` and an overlapping `u_ab` that
+    /// defines tuple 1 only under x1 ↦ 0, while `u_a` and `u_b` define
+    /// its fields everywhere: tuple 1 is certain. A merge of the covering
+    /// `u_ab` alone would place it in one world of three; the exact path
+    /// reads each field from every partition that holds it.
+    #[test]
+    fn overlapping_partitions_are_exact_on_certain_and_confidence() {
+        use ConfidenceMethod::Exact;
+        let mut w = WorldTable::new();
+        w.add_var(Var(1), vec![0, 1, 2]).unwrap();
+        let mut db = UDatabase::new(w);
+        db.add_relation("r", ["a", "b"]).unwrap();
+        let mut u_ab = URelation::partition("u_ab", ["a", "b"]);
+        let defined = WsDescriptor::singleton(Var(1), 0);
+        u_ab.push_simple(defined, 1, vec![Value::Int(7), Value::Int(0)])
+            .unwrap();
+        db.add_partition("r", u_ab).unwrap();
+        let mut u_a = URelation::partition("u_a", ["a"]);
+        u_a.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(7)])
+            .unwrap();
+        db.add_partition("r", u_a).unwrap();
+        let mut u_b = URelation::partition("u_b", ["b"]);
+        u_b.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(0)])
+            .unwrap();
+        db.add_partition("r", u_b).unwrap();
+        db.validate().unwrap();
+        assert!(crate::reduce::is_reduced(&db).unwrap());
+        assert_eq!(db.partial_relations().unwrap().len(), 1);
+
+        let prepared = db.prepare();
+        for q in [table("r"), table("r").project(["a"])] {
+            let (_, want) = crate::worldops::expand_answers(&db, &q, 64).unwrap();
+            assert_eq!(want.len(), 1);
+            let got = prepared.certain(&q).unwrap();
+            assert!(got.set_eq(&want), "{q:?}: {got} vs {want}");
+            let got = prepared.certain_with_confidence(&q, Exact).unwrap();
+            assert_eq!(got.len(), 1, "{q:?}: {got:?}");
+            let got = prepared.possible_with_confidence(&q, Exact).unwrap();
+            assert_eq!(got.len(), 1, "{q:?}: {got:?}");
+            assert!((got[0].1 - 1.0).abs() < 1e-12, "{q:?}: {got:?}");
+        }
     }
 
     #[test]

@@ -69,7 +69,27 @@ pub fn translate(udb: &UDatabase, q: &UQuery) -> Result<TPlan> {
 
 /// Translate with explicit options.
 pub fn translate_with(udb: &UDatabase, q: &UQuery, opts: TranslateOptions) -> Result<TPlan> {
-    let mut tr = Translator { udb, next: 0, opts };
+    translate_unpruned(udb, q, opts, ALL_PRUNED)
+}
+
+/// No relation exempt from `prune_partitions`.
+const ALL_PRUNED: &BTreeSet<String> = &BTreeSet::new();
+
+/// Translate with every attribute of the `unpruned` relations read at
+/// their leaves, whatever `opts.prune_partitions` says (the exact path of
+/// [`PreparedDb::certain`] and the confidence entry points).
+fn translate_unpruned(
+    udb: &UDatabase,
+    q: &UQuery,
+    opts: TranslateOptions,
+    unpruned: &BTreeSet<String>,
+) -> Result<TPlan> {
+    let mut tr = Translator {
+        udb,
+        next: 0,
+        opts,
+        unpruned,
+    };
     let t = tr.query(q, None)?;
     Ok(canonicalize(t))
 }
@@ -138,21 +158,36 @@ pub fn certain_with_confidence(
 /// steady-state query latency, since translation + optimization cost as
 /// much as execution at these scales. The cache is sound because the
 /// database is immutably borrowed for the `PreparedDb`'s lifetime. The
-/// free functions [`evaluate`] / [`possible`] remain one-shot
-/// conveniences that prepare internally.
+/// same borrow lets the set of relations with partial fields
+/// ([`UDatabase::partial_relations`]) be computed once, on the first
+/// `certain` or confidence call, and kept. The free functions
+/// [`evaluate`] / [`possible`] remain one-shot conveniences that prepare
+/// internally.
 pub struct PreparedDb<'a> {
     udb: &'a UDatabase,
     catalog: Catalog,
-    /// Prepared-statement cache: `(query, options, optimized)` →
-    /// translated (+ optimized) plan and decode bookkeeping. A `Mutex`
+    /// Prepared-statement cache: `(query, options, optimized, unpruned)`
+    /// → translated (+ optimized) plan and decode bookkeeping. A `Mutex`
     /// (not `RefCell`) keeps `PreparedDb: Sync`; contention is per
     /// query, never per row.
     plans: std::sync::Mutex<Vec<PlanCacheEntry>>,
+    /// The relations with partial fields, filled by the first exact
+    /// (`certain` or confidence) call. A failed scan leaves it empty, so
+    /// the error is returned again rather than read as "none". Threads
+    /// racing on the first call may each scan; their sets are equal.
+    partial: std::sync::OnceLock<BTreeSet<String>>,
 }
 
 /// One prepared-statement cache slot: the statement key (query, options,
-/// optimizer toggle) and its physical plan.
-type PlanCacheEntry = (UQuery, TranslateOptions, bool, std::sync::Arc<CachedPlan>);
+/// optimizer toggle, whether the partial relations' leaves read every
+/// partition) and its physical plan.
+type PlanCacheEntry = (
+    UQuery,
+    TranslateOptions,
+    bool,
+    bool,
+    std::sync::Arc<CachedPlan>,
+);
 
 /// A cached physical plan with the decode info `evaluate` needs.
 struct CachedPlan {
@@ -173,6 +208,7 @@ impl<'a> PreparedDb<'a> {
             udb,
             catalog: udb.to_catalog(),
             plans: std::sync::Mutex::new(Vec::new()),
+            partial: std::sync::OnceLock::new(),
         }
     }
 
@@ -190,6 +226,7 @@ impl<'a> PreparedDb<'a> {
             udb,
             catalog,
             plans: std::sync::Mutex::new(Vec::new()),
+            partial: std::sync::OnceLock::new(),
         }
     }
 
@@ -273,29 +310,53 @@ impl<'a> PreparedDb<'a> {
         opts: TranslateOptions,
         optimize: bool,
     ) -> Result<URelation> {
-        let entry = self.plan_for(q, opts, optimize)?;
+        let entry = self.plan_for(q, opts, optimize, ALL_PRUNED)?;
         let rel = exec::execute(&entry.plan, &self.catalog)?;
         URelation::decode("result", &rel, entry.desc_arity, entry.tid_count)
     }
 
+    /// Evaluate `q` so that the result's descriptors say *exactly* in
+    /// which worlds each row is an answer: every relation with a partial
+    /// field reads all of its attributes, so `merge`'s ψ rebuilds the
+    /// worlds where each of its tuples exists. The other relations keep
+    /// their pruned leaves, which Proposition 3.3 makes exact once the
+    /// database is reduced.
+    fn evaluate_exact(&self, q: &UQuery) -> Result<URelation> {
+        let entry = self.plan_for(q, TranslateOptions::default(), true, self.partial()?)?;
+        let rel = exec::execute(&entry.plan, &self.catalog)?;
+        URelation::decode("result", &rel, entry.desc_arity, entry.tid_count)
+    }
+
+    /// The relations with partial fields, scanned on first use.
+    fn partial(&self) -> Result<&BTreeSet<String>> {
+        if let Some(set) = self.partial.get() {
+            return Ok(set);
+        }
+        let set = self.udb.partial_relations()?;
+        Ok(self.partial.get_or_init(|| set))
+    }
+
     /// Look up (or translate, optimize, and insert) the physical plan
-    /// for a statement.
+    /// for a statement whose `unpruned` relations read every attribute.
     fn plan_for(
         &self,
         q: &UQuery,
         opts: TranslateOptions,
         optimize: bool,
+        unpruned: &BTreeSet<String>,
     ) -> Result<std::sync::Arc<CachedPlan>> {
+        // An empty set translates like the default, so the two share
+        // cache slots.
+        let full = !unpruned.is_empty();
         {
             let plans = self.plans.lock().expect("plan cache poisoned");
-            if let Some((_, _, _, e)) = plans
-                .iter()
-                .find(|(cq, co, copt, _)| cq == q && *co == opts && *copt == optimize)
-            {
+            if let Some((.., e)) = plans.iter().find(|(cq, co, copt, cfull, _)| {
+                cq == q && *co == opts && *copt == optimize && *cfull == full
+            }) {
                 return Ok(std::sync::Arc::clone(e));
             }
         }
-        let t = translate_with(self.udb, q, opts)?;
+        let t = translate_unpruned(self.udb, q, opts, unpruned)?;
         let plan = if optimize {
             optimizer::optimize(&t.plan, &self.catalog)?
         } else {
@@ -310,7 +371,13 @@ impl<'a> PreparedDb<'a> {
         if plans.len() >= PLAN_CACHE_CAP {
             plans.clear();
         }
-        plans.push((q.clone(), opts, optimize, std::sync::Arc::clone(&entry)));
+        plans.push((
+            q.clone(),
+            opts,
+            optimize,
+            full,
+            std::sync::Arc::clone(&entry),
+        ));
         Ok(entry)
     }
 
@@ -328,7 +395,7 @@ impl<'a> PreparedDb<'a> {
             UQuery::Poss { .. } => q.clone(),
             _ => q.clone().poss(),
         };
-        let entry = self.plan_for(&wrapped, TranslateOptions::default(), true)?;
+        let entry = self.plan_for(&wrapped, TranslateOptions::default(), true, ALL_PRUNED)?;
         let (rel, stats) = exec::execute_with_stats(&entry.plan, &self.catalog)?;
         let u = URelation::decode("result", &rel, entry.desc_arity, entry.tid_count)?;
         Ok((u.possible_tuples(), stats))
@@ -344,45 +411,35 @@ impl<'a> PreparedDb<'a> {
             UQuery::Poss { .. } => q.clone(),
             _ => q.clone().poss(),
         };
-        let entry = self.plan_for(&wrapped, TranslateOptions::default(), true)?;
+        let entry = self.plan_for(&wrapped, TranslateOptions::default(), true, ALL_PRUNED)?;
         Ok(urel_relalg::explain::explain(&entry.plan, &self.catalog))
     }
 
     /// Certain answers of `Q` through the prepared-statement plan cache
     /// (the serving path for the query surface's `certain` clause):
     /// evaluate the translated query, normalize (Algorithm 1), and
-    /// apply Lemma 4.3 — with the partial-or-set-field detection and
-    /// exact world-expansion fallback of
-    /// [`crate::certain::certain_answers`], which this supersedes for
-    /// repeated statements (the translated plan is cached; the
-    /// normalization and Lemma 4.3 passes run per call on the result).
+    /// apply Lemma 4.3. Relations with partial or-set fields read every
+    /// attribute at their leaves, which keeps Lemma 4.3 exact on them
+    /// (see [`UDatabase::partial_relations`]); which relations those are
+    /// is found on the first exact call and kept for the `PreparedDb`'s
+    /// lifetime. The translated plan is cached; normalization and Lemma
+    /// 4.3 run per call on the result.
     pub fn certain(&self, q: &UQuery) -> Result<Relation> {
-        if self.udb.has_partial_fields()? {
-            let cap = crate::certain::CERTAIN_EXPANSION_CAP;
-            let (_possible, certain) =
-                crate::worldops::expand_answers(self.udb, q, cap).map_err(|e| match e {
-                    Error::TooLarge(msg) => Error::TooLarge(format!(
-                        "`certain` on a database with partial or-set fields needs exact world \
-                         expansion: {msg}"
-                    )),
-                    other => other,
-                })?;
-            return Ok(certain);
-        }
         // NB: `q` is evaluated exactly as written — an explicit
         // `poss(Q)` wrapper projects descriptors away, making the
         // result deterministic, so its certain answers are the
         // possible answers (the world-expansion oracle pins this).
-        let u = self.evaluate(q)?;
+        let u = self.evaluate_exact(q)?;
         let normalized = crate::normalize::normalize_urelations(&[&u], &self.udb.world)?;
         crate::certain::certain_lemma43(&normalized.relations[0], &normalized.world)
     }
 
     /// Evaluate `poss(Q)` with a confidence per answer tuple. The query
     /// is evaluated *without* the final `poss` projection (confidence
-    /// needs the result descriptors), then each distinct value tuple
-    /// gets the union probability of its descriptors, exact or
-    /// Monte-Carlo estimated per `method`.
+    /// needs the result descriptors), on the exact translation of
+    /// [`PreparedDb::certain`], then each distinct value tuple gets the
+    /// union probability of its descriptors, exact or Monte-Carlo
+    /// estimated per `method`.
     pub fn possible_with_confidence(
         &self,
         q: &UQuery,
@@ -392,14 +449,15 @@ impl<'a> PreparedDb<'a> {
             UQuery::Poss { input } => input,
             _ => q,
         };
-        let u = self.evaluate(inner)?;
+        let u = self.evaluate_exact(inner)?;
         crate::prob::tuple_confidences_with(&u, &self.udb.world, method)
     }
 
     /// Certain answers with a coverage probability per tuple: evaluated
     /// without the final `poss` projection (coverage needs the result
-    /// descriptors), then each distinct value tuple's descriptor union
-    /// is checked for full world coverage — combinatorially for
+    /// descriptors), on the exact translation of [`PreparedDb::certain`],
+    /// then each distinct value tuple's descriptor union is checked for
+    /// full world coverage — combinatorially for
     /// [`crate::prob::ConfidenceMethod::Exact`], by world sampling
     /// within the Hoeffding half-width `ε(10⁻⁶)` for the Monte-Carlo
     /// estimator.
@@ -413,7 +471,7 @@ impl<'a> PreparedDb<'a> {
             UQuery::Poss { input } => input,
             _ => q,
         };
-        let u = self.evaluate(inner)?;
+        let u = self.evaluate_exact(inner)?;
         crate::certain::certain_with_coverage(&u, &self.udb.world, method, DELTA)
     }
 }
@@ -422,6 +480,10 @@ struct Translator<'a> {
     udb: &'a UDatabase,
     next: usize,
     opts: TranslateOptions,
+    /// Relations whose leaves read every attribute, whatever
+    /// `opts.prune_partitions` says: a merge of every partition, or
+    /// [`Translator::fields`] where partitions share columns.
+    unpruned: &'a BTreeSet<String>,
 }
 
 impl<'a> Translator<'a> {
@@ -533,8 +595,10 @@ impl<'a> Translator<'a> {
         };
         let key = alias.unwrap_or(rel).to_string();
 
-        // Which attributes must the leaf produce?
-        let wanted: Vec<String> = match (needed, self.opts.prune_partitions) {
+        // Which attributes must the leaf produce? A relation with partial
+        // fields needs all of them to tell where its tuples exist.
+        let exact = self.unpruned.contains(rel);
+        let wanted: Vec<String> = match (needed, self.opts.prune_partitions && !exact) {
             (Some(n), true) => attrs
                 .iter()
                 .filter(|a| n.iter().any(|r| mk(a).matches(r)))
@@ -548,6 +612,10 @@ impl<'a> Translator<'a> {
             return Err(Error::InvalidQuery(format!(
                 "relation `{rel}` has no partitions"
             )));
+        }
+        let width: usize = parts.iter().map(|p| p.value_cols().len()).sum();
+        if exact && width > attrs.len() {
+            return self.fields(rel, parts, &attrs, &key, &mk);
         }
 
         // Greedy set cover of the wanted attributes.
@@ -617,6 +685,45 @@ impl<'a> Translator<'a> {
         t.value_cols
             .sort_by_key(|c| attrs.iter().position(|a| *c == mk(a)).unwrap_or(usize::MAX));
         Ok(t)
+    }
+
+    /// The exact leaf of a relation with partial fields whose partitions
+    /// share value columns. A merge of covering partitions would be
+    /// wrong there: a tuple exists wherever each *field* is defined, by
+    /// any partition that holds it, so one partition may define the
+    /// tuple in fewer worlds than it exists in. Instead each attribute
+    /// reads the union of its columns across partitions, and the fields
+    /// are merged — the semantics of [`UDatabase::instantiate`], built
+    /// from the translation's own `union` and `merge`.
+    fn fields(
+        &mut self,
+        rel: &str,
+        parts: &[URelation],
+        attrs: &[String],
+        key: &str,
+        mk: &dyn Fn(&str) -> ColRef,
+    ) -> Result<TPlan> {
+        let mut acc: Option<TPlan> = None;
+        for a in attrs {
+            let mut field: Option<TPlan> = None;
+            for p in parts {
+                if p.value_cols().contains(a) {
+                    let leaf = self.leaf(p, key, mk, &[a])?;
+                    field = Some(match field {
+                        None => leaf,
+                        Some(prev) => self.union(prev, leaf)?,
+                    });
+                }
+            }
+            let field = field.ok_or_else(|| {
+                Error::InvalidDatabase(format!("attribute `{a}` of `{rel}` is not covered"))
+            })?;
+            acc = Some(match acc {
+                None => field,
+                Some(prev) => self.merge(prev, field)?,
+            });
+        }
+        acc.ok_or_else(|| Error::InvalidQuery(format!("relation `{rel}` has no attributes")))
     }
 
     /// A scan of one encoded partition, re-projected to translator-unique
@@ -912,6 +1019,7 @@ fn canonicalize(t: TPlan) -> TPlan {
 mod tests {
     use super::*;
     use crate::algebra::{oracle_certain, oracle_possible, table, table_as};
+    use crate::certain::tests::partial_db;
     use crate::udb::figure1_database;
     use urel_relalg::{col, lit_str, Value};
 
@@ -952,6 +1060,56 @@ mod tests {
             )
             .unwrap();
         assert_eq!(prepared.cached_plan_count(), n + 1);
+    }
+
+    /// `PreparedDb` stays `Sync`: the server shares one across threads,
+    /// and the partial-relation cache must not break that.
+    const _: fn() = || {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<PreparedDb<'static>>();
+    };
+
+    /// `certain` translates flagged relations without pruning, but under
+    /// its own cache key: the `possible` plans, and so `explain`, stay
+    /// byte-identical, with or without partial fields.
+    #[test]
+    fn certain_leaves_possible_plans_unchanged() {
+        let cases = [
+            // `certain(poss(Q))` shares `explain`'s slot unless the
+            // database has partial fields.
+            (figure1_database(), enemy_tanks(), 1),
+            (partial_db(), table("r").project(["a"]), 2),
+        ];
+        for (db, q, new_slots) in cases {
+            let prepared = PreparedDb::new(&db);
+            let before = prepared.explain(&q).unwrap();
+            let slots = prepared.cached_plan_count();
+            prepared.certain(&q).unwrap();
+            prepared.certain(&q.clone().poss()).unwrap();
+            assert_eq!(prepared.explain(&q).unwrap(), before);
+            assert_eq!(prepared.cached_plan_count(), slots + new_slots);
+        }
+    }
+
+    /// A partial-field scan that fails is reported on every call, never
+    /// cached as "no partial fields".
+    #[test]
+    fn partial_scan_errors_are_not_cached() {
+        let mut db = partial_db();
+        // `u_b`'s descriptors name x1, which this world table lacks.
+        db.world = crate::WorldTable::new();
+        let prepared = PreparedDb::new(&db);
+        let q = table("r").project(["a"]);
+        for _ in 0..2 {
+            assert!(prepared.certain(&q).is_err());
+            assert!(prepared
+                .possible_with_confidence(&q, crate::prob::ConfidenceMethod::Exact)
+                .is_err());
+            assert!(prepared
+                .certain_with_confidence(&q, crate::prob::ConfidenceMethod::Exact)
+                .is_err());
+            assert!(prepared.partial.get().is_none());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::descriptor::WsDescriptor;
 use crate::error::{Error, Result};
 use crate::urelation::URelation;
 use crate::world::{Valuation, WorldTable};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use urel_relalg::{Catalog, Relation, Schema, Value};
 
 /// A U-relational database.
@@ -181,43 +181,55 @@ impl UDatabase {
 
     /// Does any tuple field carry a *partial* or-set — a non-empty set
     /// of defining rows whose descriptors do not jointly cover every
-    /// world?
+    /// world? Precisely: is [`UDatabase::partial_relations`] non-empty,
+    /// which, where partitions share value columns, also counts one
+    /// partition defining a tuple in fewer worlds than another does.
     ///
     /// Proposition 3.3's reduction guarantee assumes that a tuple
     /// present in a world has all of its fields defined there; a
-    /// partial field breaks that assumption, and the Lemma 4.3
-    /// `certain` path over-approximates on such databases.
-    /// [`crate::certain::certain_answers`] uses this check to route
-    /// them through exact world expansion instead. A field with *no*
-    /// defining rows is not partial: the tuple never completes and the
-    /// per-tuple-id field join drops it in every world.
+    /// partial field breaks that assumption. Each call rescans every
+    /// partition; [`crate::PreparedDb`] runs the scan once and keeps
+    /// the per-relation answer.
     pub fn has_partial_fields(&self) -> Result<bool> {
-        for (rel, attrs) in &self.schema {
-            // (tid, attribute position) → descriptors of the rows that
-            // define the field.
-            let mut fields: BTreeMap<(i64, usize), Vec<WsDescriptor>> = BTreeMap::new();
-            for p in &self.partitions[rel] {
-                let positions: Vec<usize> = p
-                    .value_cols()
-                    .iter()
-                    .map(|c| attrs.iter().position(|a| a == c).expect("validated"))
-                    .collect();
+        Ok(!self.partial_relations()?.is_empty())
+    }
+
+    /// The logical relations in which some partition defines a tuple's
+    /// fields in only some worlds: its rows for that tuple id have
+    /// descriptors that do not jointly cover every world. Partitions
+    /// that share no value columns — the usual layout — define each
+    /// field in exactly one partition, so this is "has a partial
+    /// field". Where partitions overlap it also flags a partition that
+    /// is partial while another one defines the same fields everywhere.
+    ///
+    /// A relation outside this set satisfies Proposition 3.3 once
+    /// reduced, so a `Table` leaf may merge only the partitions a query
+    /// needs. A relation in it must read every field before its
+    /// descriptors say exactly in which worlds a tuple exists: a leaf
+    /// that reads only `a` cannot see that the tuple's `b` is undefined
+    /// in some worlds. A tuple id with *no* rows in a partition is not
+    /// partial: the tuple never completes, and reduction removes its
+    /// other rows.
+    pub fn partial_relations(&self) -> Result<BTreeSet<String>> {
+        let mut out = BTreeSet::new();
+        'relations: for (rel, parts) in &self.partitions {
+            for p in parts {
+                let mut by_tid: BTreeMap<i64, Vec<WsDescriptor>> = BTreeMap::new();
                 for row in p.rows() {
-                    for &pos in &positions {
-                        fields
-                            .entry((row.tids[0], pos))
-                            .or_default()
-                            .push(row.desc.clone());
+                    by_tid
+                        .entry(row.tids[0])
+                        .or_default()
+                        .push(row.desc.clone());
+                }
+                for descs in by_tid.values() {
+                    if !crate::prob::covers_all_worlds(descs, &self.world)? {
+                        out.insert(rel.clone());
+                        continue 'relations;
                     }
                 }
             }
-            for descs in fields.values() {
-                if !crate::prob::covers_all_worlds(descs, &self.world)? {
-                    return Ok(true);
-                }
-            }
         }
-        Ok(false)
+        Ok(out)
     }
 
     /// Materialize the possible world selected by a total valuation:

@@ -47,11 +47,12 @@
 //! per test name, so failures reproduce exactly.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use u_relations::core::certain::certain_answers;
 use u_relations::core::reduce::reduce;
 use u_relations::core::{
-    expand_answers, possible, table, table_as, translate, UDatabase, UQuery, URelation, Var,
-    WorldTable, WsDescriptor,
+    expand_answers, oracle_eval, possible, table, table_as, translate, ConfidenceMethod, UDatabase,
+    UQuery, URelation, Var, WorldTable, WsDescriptor,
 };
 use u_relations::relalg::{
     col, exec, lit_i64, optimizer, Catalog, Expr, Plan, Relation, Row, StorageMode, Value,
@@ -76,12 +77,14 @@ fn cases(default: u32) -> u32 {
 /// world has *all* its fields defined there. `Partial` or-sets
 /// deliberately break that guarantee (the field is defined in only some
 /// worlds, so the tuple silently drops out of the rest). `possible`
-/// stays correct on them — every surviving row completes somewhere —
-/// but the Lemma 4.3 `certain` path would over-approximate, which this
-/// very harness demonstrated; `certain_answers` now detects partial
-/// fields and answers by exact world expansion, and the generator
-/// produces them so the oracle keeps that route honest. `Absent` fields
-/// make whole tuples uncompletable and exercise the reduction cascade.
+/// stays correct on them with pruned leaves — every surviving row
+/// completes somewhere — but `certain` and confidence need descriptors
+/// that say exactly where a tuple exists: read from pruned leaves they
+/// over-approximate, which this very harness demonstrated. Those entry
+/// points therefore read every partition of a relation with a partial
+/// field, and the generator produces such fields so the oracle keeps
+/// that route honest. `Absent` fields make whole tuples uncompletable
+/// and exercise the reduction cascade.
 #[derive(Clone, Debug)]
 enum Cell {
     /// No row: the field is undefined everywhere (the reduction step
@@ -300,7 +303,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
     /// The tentpole differential: translated + optimized + streamed
-    /// query answers equal the expand-all-worlds ground truth.
+    /// query answers equal the expand-all-worlds ground truth — the
+    /// possible and certain sets, the tuples `certain_with_confidence`
+    /// reports, and each `possible_with_confidence` probability.
     #[test]
     fn streaming_possible_and_certain_match_world_expansion(
         db in arb_udb(),
@@ -321,7 +326,110 @@ proptest! {
         for row in got_cert.rows() {
             prop_assert!(want_poss.rows().contains(row));
         }
+
+        exact_entry_points_match_world_expansion(&db, &q)?;
     }
+
+    /// The same exact entry points on relations whose partitions share
+    /// value columns, where a merge of covering partitions may define a
+    /// tuple in fewer worlds than its fields do. Plain `possible` reads
+    /// such a covering merge and misses tuples on this shape, so it is
+    /// not checked here.
+    #[test]
+    fn exact_entry_points_match_world_expansion_on_overlapping_partitions(
+        db in arb_overlapping_udb(),
+        q in arb_query(),
+    ) {
+        let (_, want_cert) = expand_answers(&db, &q, 64).unwrap();
+        let got_cert = certain_answers(&db, &q).unwrap();
+        prop_assert!(
+            got_cert.set_eq(&want_cert),
+            "certain answers diverge for {q:?}\nstreaming: {got_cert}\noracle: {want_cert}"
+        );
+        exact_entry_points_match_world_expansion(&db, &q)?;
+    }
+}
+
+/// `certain_with_confidence(Exact)` reports the certain set and
+/// `possible_with_confidence(Exact)` each tuple's Σ P(world) over the
+/// worlds whose answer holds it.
+fn exact_entry_points_match_world_expansion(
+    db: &UDatabase,
+    q: &UQuery,
+) -> Result<(), TestCaseError> {
+    // The confidence entry points evaluate `Q` without a top-level
+    // `poss`, so the oracle answers that query.
+    let inner = match q {
+        UQuery::Poss { input } => input.as_ref(),
+        other => other,
+    };
+    let prepared = db.prepare();
+    let (_, want_inner_cert) = expand_answers(db, inner, 64).unwrap();
+    let got: BTreeSet<Vec<Value>> = prepared
+        .certain_with_confidence(inner, ConfidenceMethod::Exact)
+        .unwrap()
+        .into_iter()
+        .map(|(t, _)| t)
+        .collect();
+    let want: BTreeSet<Vec<Value>> = want_inner_cert.rows().iter().map(|r| r.to_vec()).collect();
+    prop_assert!(
+        got == want,
+        "certain_with_confidence diverges for {inner:?}: {got:?} vs {want:?}"
+    );
+
+    // Confidence of a tuple: Σ P(world) over the worlds whose answer
+    // holds it.
+    let mut want: BTreeMap<Vec<Value>, f64> = BTreeMap::new();
+    for f in db.world.worlds(64).unwrap() {
+        let p = db.world.world_prob(&f).unwrap();
+        for row in oracle_eval(inner, db, &f, 64).unwrap().rows() {
+            *want.entry(row.to_vec()).or_default() += p;
+        }
+    }
+    let got: BTreeMap<Vec<Value>, f64> = prepared
+        .possible_with_confidence(inner, ConfidenceMethod::Exact)
+        .unwrap()
+        .into_iter()
+        .collect();
+    prop_assert!(
+        got.keys().eq(want.keys()),
+        "possible_with_confidence tuples diverge for {inner:?}: {got:?} vs {want:?}"
+    );
+    for (t, p) in &got {
+        prop_assert!(
+            (p - want[t]).abs() < 1e-9,
+            "confidence of {t:?} in {inner:?}: {p} vs {}",
+            want[t]
+        );
+    }
+    Ok(())
+}
+
+/// [`arb_udb`] plus a third partition `u_ab[a, b]` holding a random
+/// subset of the consistent `(u_a, u_b)` row pairs of each tuple, merged:
+/// valid, since its values are those rows' values under narrower
+/// descriptors, and re-reduced before use.
+fn arb_overlapping_udb() -> impl Strategy<Value = UDatabase> {
+    (arb_udb(), prop::collection::vec(any::<bool>(), 16)).prop_map(|(mut db, keep)| {
+        let parts = db.partitions_of("r").unwrap();
+        let mut u_ab = URelation::partition("u_ab", ["a", "b"]);
+        let mut k = 0;
+        for ra in parts[0].rows() {
+            for rb in parts[1].rows().iter().filter(|rb| rb.tids == ra.tids) {
+                if let Some(desc) = ra.desc.union(&rb.desc) {
+                    if keep[k % keep.len()] {
+                        let vals = vec![ra.vals[0].clone(), rb.vals[0].clone()];
+                        u_ab.push_simple(desc, ra.tids[0], vals).unwrap();
+                    }
+                    k += 1;
+                }
+            }
+        }
+        db.add_partition("r", u_ab).unwrap();
+        db.validate().expect("generated database is valid");
+        reduce(&mut db).expect("reduction succeeds");
+        db
+    })
 }
 
 proptest! {

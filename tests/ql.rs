@@ -285,3 +285,36 @@ fn lowering_errors_are_golden() {
         assert_eq!(e.to_string(), want, "golden mismatch for `{src}`");
     }
 }
+
+/// The text path the server serves: `possible confidence ε` on a
+/// relation with a partial field. Tuple 1's `a` is unconditional but
+/// its `b` is defined only under x1 ↦ 0 and x1 ↦ 1 (of three values),
+/// so `a = 7` holds in two worlds of three, not in all of them.
+#[test]
+fn possible_confidence_sees_partial_fields() {
+    use u_relations::core::{UDatabase, URelation, Var, WorldTable, WsDescriptor};
+    use u_relations::relalg::Value;
+    let mut w = WorldTable::new();
+    w.add_var(Var(1), vec![0, 1, 2]).unwrap();
+    let mut db = UDatabase::new(w);
+    db.add_relation("r", ["a", "b"]).unwrap();
+    let mut ua = URelation::partition("u_a", ["a"]);
+    ua.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(7)])
+        .unwrap();
+    db.add_partition("r", ua).unwrap();
+    let mut ub = URelation::partition("u_b", ["b"]);
+    for l in [0, 1] {
+        ub.push_simple(WsDescriptor::singleton(Var(1), l), 1, vec![Value::Int(0)])
+            .unwrap();
+    }
+    db.add_partition("r", ub).unwrap();
+    db.validate().unwrap();
+
+    let lowered = ql::compile("from r | select a | possible confidence 0.01").unwrap();
+    let ql::Answers::WithConfidence { rows } = ql::execute(&db.prepare(), &lowered).unwrap() else {
+        panic!("`confidence` answers carry probabilities");
+    };
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert_eq!(rows[0].0, vec![Value::Int(7)]);
+    assert!((rows[0].1 - 2.0 / 3.0).abs() < 0.01, "{rows:?}");
+}

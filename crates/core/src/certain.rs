@@ -19,7 +19,7 @@
 
 use crate::algebra::UQuery;
 use crate::error::{Error, Result};
-use crate::prob::covers_all_worlds;
+use crate::prob::{covers_all_worlds_of, tuple_groups, ConfidenceMethod};
 use crate::udb::UDatabase;
 use crate::urelation::URelation;
 use crate::world::{WorldTable, TOP};
@@ -136,17 +136,10 @@ pub fn certain_lemma43_relational(u: &URelation, w: &WorldTable) -> Result<Relat
 /// Exact certain answers of an arbitrary result U-relation: a tuple is
 /// certain iff the union of its rows' descriptors covers every world.
 pub fn certain_exact(u: &URelation, w: &WorldTable) -> Result<Relation> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<crate::descriptor::WsDescriptor>> = BTreeMap::new();
-    for row in u.rows() {
-        groups
-            .entry(row.vals.to_vec())
-            .or_default()
-            .push(row.desc.clone());
-    }
     let mut out = Relation::empty(Schema::named(u.value_cols()));
-    for (tuple, descs) in groups {
-        if covers_all_worlds(&descs, w)? {
-            out.push(tuple).expect("arity fixed");
+    for (tuple, descs) in tuple_groups(u) {
+        if covers_all_worlds_of(descs, w)? {
+            out.push(tuple.to_vec()).expect("arity fixed");
         }
     }
     Ok(out)
@@ -189,28 +182,23 @@ pub fn certain_answers(udb: &UDatabase, q: &UQuery) -> Result<Relation> {
 pub fn certain_with_coverage(
     u: &URelation,
     w: &WorldTable,
-    method: crate::prob::ConfidenceMethod,
+    method: ConfidenceMethod,
     delta: f64,
 ) -> Result<Vec<(Vec<Value>, f64)>> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<crate::descriptor::WsDescriptor>> = BTreeMap::new();
-    for row in u.rows() {
-        groups
-            .entry(row.vals.to_vec())
-            .or_default()
-            .push(row.desc.clone());
-    }
+    let threshold = 1.0 - method.error_bound(delta);
+    let mut estimator = method.estimator(w);
     let mut out = Vec::new();
-    for (tuple, descs) in groups {
+    for (tuple, descs) in tuple_groups(u) {
         match method {
-            crate::prob::ConfidenceMethod::Exact => {
-                if covers_all_worlds(&descs, w)? {
-                    out.push((tuple, 1.0));
+            ConfidenceMethod::Exact => {
+                if covers_all_worlds_of(descs, w)? {
+                    out.push((tuple.to_vec(), 1.0));
                 }
             }
-            crate::prob::ConfidenceMethod::MonteCarlo { .. } => {
-                let coverage = crate::prob::coverage_probability(&descs, w, method)?;
-                if coverage >= 1.0 - method.error_bound(delta) {
-                    out.push((tuple, coverage));
+            ConfidenceMethod::MonteCarlo { .. } => {
+                let coverage = estimator.confidence(&descs)?;
+                if coverage >= threshold {
+                    out.push((tuple.to_vec(), coverage));
                 }
             }
         }
@@ -224,7 +212,6 @@ pub(crate) mod tests {
     use crate::algebra::{oracle_certain, table};
     use crate::descriptor::WsDescriptor;
     use crate::normalize::normalize_urelations;
-    use crate::prob::ConfidenceMethod;
     use crate::translate::evaluate;
     use crate::udb::figure1_database;
     use crate::world::Var;

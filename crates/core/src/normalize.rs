@@ -20,32 +20,30 @@ use std::collections::BTreeMap;
 /// normalization would not fit in memory anyway.
 const MAX_COMPONENT_DOMAIN: u128 = 1 << 22;
 
-/// Union–find over variable ids.
+/// Union–find over dense variable positions.
 struct UnionFind {
-    parent: BTreeMap<Var, Var>,
+    parent: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new() -> Self {
+    fn new(n: usize) -> Self {
         UnionFind {
-            parent: BTreeMap::new(),
+            parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, v: Var) -> Var {
-        let p = *self.parent.entry(v).or_insert(v);
-        if p == v {
-            return v;
+    fn find(&mut self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            self.parent[i] = self.parent[self.parent[i]];
+            i = self.parent[i];
         }
-        let root = self.find(p);
-        self.parent.insert(v, root);
-        root
+        i
     }
 
-    fn union(&mut self, a: Var, b: Var) {
+    fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent.insert(ra, rb);
+            self.parent[ra] = rb;
         }
     }
 }
@@ -55,8 +53,7 @@ impl UnionFind {
 pub struct Normalized {
     /// Rewritten relations, in input order.
     pub relations: Vec<URelation>,
-    /// The new world table (one variable per fused component, plus the
-    /// untouched variables).
+    /// The new world table: one variable per fused component.
     pub world: WorldTable,
     /// Fused components: new variable → ordered original members.
     pub components: BTreeMap<Var, Vec<Var>>,
@@ -64,42 +61,73 @@ pub struct Normalized {
 
 /// Normalize a set of U-relations sharing one world table (Algorithm 1).
 ///
+/// Only the variables that the inputs' descriptors mention are fused
+/// into `W'`: the others constrain no row, so dropping them changes no
+/// answer of Lemma 4.3 or of confidence, and the work follows the result
+/// rather than `W`. [`normalize`] keeps them, as Theorem 4.2 needs.
+///
 /// The input should be reduced (Algorithm 1's precondition); rows whose
 /// descriptors are already of size ≤ 1 and whose variable co-occurs with
 /// nothing are passed through unchanged.
 pub fn normalize_urelations(us: &[&URelation], w: &WorldTable) -> Result<Normalized> {
-    // 1. Connected components of the co-occurrence graph.
-    let mut uf = UnionFind::new();
-    for v in w.vars() {
-        uf.find(v);
+    fuse(us, w, false)
+}
+
+/// Algorithm 1 over the variables the descriptors of `us` mention, plus
+/// every variable of `w` when `all_vars` is set.
+fn fuse(us: &[&URelation], w: &WorldTable, all_vars: bool) -> Result<Normalized> {
+    // 1. Dense positions for the variables in scope, then the connected
+    // components of the co-occurrence graph.
+    let mut vars: Vec<Var> = us
+        .iter()
+        .flat_map(|u| u.rows())
+        .flat_map(|row| row.desc.vars())
+        .collect();
+    if all_vars {
+        vars.extend(w.vars());
     }
+    vars.sort_unstable();
+    vars.dedup();
+    let pos = |v: Var| vars.binary_search(&v).expect("collected");
+    let mut uf = UnionFind::new(vars.len());
     for u in us {
         for row in u.rows() {
-            let vars: Vec<Var> = row.desc.vars().collect();
-            for pair in vars.windows(2) {
-                uf.union(pair[0], pair[1]);
+            let mut it = row.desc.vars();
+            if let Some(first) = it.next() {
+                let first = pos(first);
+                for v in it {
+                    uf.union(first, pos(v));
+                }
             }
         }
     }
-    let mut members: BTreeMap<Var, Vec<Var>> = BTreeMap::new();
-    for v in w.vars() {
-        members.entry(uf.find(v)).or_default().push(v);
+    // Components in order of their smallest member, members ascending.
+    let mut comp_of_root: Vec<Option<usize>> = vec![None; vars.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in 0..vars.len() {
+        let root = uf.find(i);
+        let c = *comp_of_root[root].get_or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[c].push(i);
     }
 
     // 2. One fresh variable per component; domain = product of member
     // domains under the mixed-radix encoding.
     let mut new_world = WorldTable::new();
-    let mut comp_var: BTreeMap<Var, Var> = BTreeMap::new(); // member → fused var
     let mut comp_members: BTreeMap<Var, Vec<Var>> = BTreeMap::new();
-    let mut strides: BTreeMap<Var, (u64, Vec<u64>)> = BTreeMap::new(); // member → (stride, domain)
-    for (next_id, (_, mut group)) in (1u32..).zip(members) {
-        group.sort();
-        let fused = Var(next_id);
+    // Per position: (component, stride, domain).
+    let mut place: Vec<(usize, u64, &[u64])> = vec![(0, 0, &[]); vars.len()];
+    let mut fused_of: Vec<Var> = Vec::with_capacity(groups.len());
+    for (c, group) in groups.iter().enumerate() {
+        let fused = Var(c as u32 + 1);
         let mut size: u128 = 1;
         let mut stride: u64 = 1;
         let mut probs: Vec<f64> = vec![1.0];
-        for &m in &group {
-            let dom = w.domain(m)?.to_vec();
+        for &i in group {
+            let m = vars[i];
+            let dom = w.domain(m)?;
             size *= dom.len() as u128;
             if size > MAX_COMPONENT_DOMAIN {
                 return Err(Error::TooLarge(format!(
@@ -109,7 +137,7 @@ pub fn normalize_urelations(us: &[&URelation], w: &WorldTable) -> Result<Normali
             // Probabilities multiply across members in stride order.
             if w.is_probabilistic() {
                 let mut next_probs = Vec::with_capacity(probs.len() * dom.len());
-                for &dval in &dom {
+                for &dval in dom {
                     let p = w.prob(m, dval)?;
                     for q in &probs {
                         next_probs.push(q * p);
@@ -117,17 +145,17 @@ pub fn normalize_urelations(us: &[&URelation], w: &WorldTable) -> Result<Normali
                 }
                 probs = next_probs;
             }
-            strides.insert(m, (stride, dom.clone()));
+            place[i] = (c, stride, dom);
             stride = stride
                 .checked_mul(dom.len() as u64)
                 .ok_or_else(|| Error::TooLarge("component stride overflow".into()))?;
-            comp_var.insert(m, fused);
         }
         new_world.add_var(fused, (0..size as u64).collect())?;
         if w.is_probabilistic() {
             new_world.set_probabilities(fused, probs)?;
         }
-        comp_members.insert(fused, group);
+        comp_members.insert(fused, group.iter().map(|&i| vars[i]).collect());
+        fused_of.push(fused);
     }
 
     // 3. Rewrite every row: expand over the unconstrained members of its
@@ -140,33 +168,31 @@ pub fn normalize_urelations(us: &[&URelation], w: &WorldTable) -> Result<Normali
             u.value_cols().to_vec(),
         );
         for row in u.rows() {
-            if row.desc.is_empty() {
+            let Some(first) = row.desc.vars().next() else {
                 out.push(row.clone())?;
                 continue;
-            }
-            let fused = comp_var[&row.desc.iter().next().unwrap().0];
-            let group = &comp_members[&fused];
+            };
+            let c = place[pos(first)].0;
             // Base offset from the constrained members; free members are
             // the rest.
             let mut base: u64 = 0;
-            let mut free: Vec<Var> = Vec::new();
-            for &m in group {
-                let (stride, dom) = &strides[&m];
-                match row.desc.get(m) {
+            let mut free: Vec<usize> = Vec::new();
+            for &i in &groups[c] {
+                let (_, stride, dom) = place[i];
+                match row.desc.get(vars[i]) {
                     Some(val) => {
-                        let idx = dom
-                            .binary_search(&val)
-                            .map_err(|_| Error::UnknownWorld(format!("{m} ↦ {val} not in W")))?
-                            as u64;
+                        let idx = dom.binary_search(&val).map_err(|_| {
+                            Error::UnknownWorld(format!("{} ↦ {val} not in W", vars[i]))
+                        })? as u64;
                         base += idx * stride;
                     }
-                    None => free.push(m),
+                    None => free.push(i),
                 }
             }
             // Enumerate all completions over the free members.
             let mut offsets: Vec<u64> = vec![0];
-            for m in &free {
-                let (stride, dom) = &strides[m];
+            for &i in &free {
+                let (_, stride, dom) = place[i];
                 let mut next = Vec::with_capacity(offsets.len() * dom.len());
                 for idx in 0..dom.len() as u64 {
                     for &o in &offsets {
@@ -177,7 +203,7 @@ pub fn normalize_urelations(us: &[&URelation], w: &WorldTable) -> Result<Normali
             }
             for o in offsets {
                 out.push(URow::new(
-                    WsDescriptor::singleton(fused, base + o),
+                    WsDescriptor::singleton(fused_of[c], base + o),
                     row.tids.to_vec(),
                     row.vals.to_vec(),
                 ))?;
@@ -194,7 +220,9 @@ pub fn normalize_urelations(us: &[&URelation], w: &WorldTable) -> Result<Normali
 }
 
 /// Normalize a whole U-relational database (Theorem 4.2). The result
-/// represents the same world-set with all descriptors of size ≤ 1.
+/// represents the same world-set with all descriptors of size ≤ 1; the
+/// variables no partition mentions stay, one fused variable each, so the
+/// world count is kept too.
 pub fn normalize(db: &UDatabase) -> Result<UDatabase> {
     let rels: Vec<String> = db.relations().map(str::to_string).collect();
     let mut refs: Vec<&URelation> = Vec::new();
@@ -204,7 +232,7 @@ pub fn normalize(db: &UDatabase) -> Result<UDatabase> {
         layout.push((r.clone(), parts.len()));
         refs.extend(parts.iter());
     }
-    let normalized = normalize_urelations(&refs, &db.world)?;
+    let normalized = fuse(&refs, &db.world, true)?;
     let mut out = UDatabase::new(normalized.world);
     let mut it = normalized.relations.into_iter();
     for (r, n) in layout {
@@ -219,6 +247,9 @@ pub fn normalize(db: &UDatabase) -> Result<UDatabase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::table;
+    use crate::certain::certain_lemma43;
+    use crate::certain::tests::partial_db;
     use crate::udb::figure1_database;
     use std::collections::BTreeSet;
     use urel_relalg::Value;
@@ -283,6 +314,73 @@ mod tests {
             .rows()
             .iter()
             .any(|r| r.vals[0] == Value::str("a1") && r.desc == a2.desc));
+    }
+
+    /// A result that mentions 2 of 40 variables normalizes to a world
+    /// of its touched components only.
+    #[test]
+    fn only_mentioned_variables_are_fused() {
+        let mut w = WorldTable::new();
+        for i in 1..=40 {
+            w.add_var(Var(i), vec![0, 1]).unwrap();
+        }
+        let mut u = URelation::partition("u", ["a"]);
+        for l in [0, 1] {
+            u.push_simple(WsDescriptor::singleton(Var(3), l), 1, vec![Value::Int(1)])
+                .unwrap();
+        }
+        u.push_simple(WsDescriptor::singleton(Var(17), 1), 2, vec![Value::Int(2)])
+            .unwrap();
+        u.push_simple(WsDescriptor::empty(), 3, vec![Value::Int(3)])
+            .unwrap();
+        let n = normalize_urelations(&[&u], &w).unwrap();
+        assert_eq!(n.world.var_count(), 2);
+        assert_eq!(n.components.len(), 2);
+        let full = fuse(&[&u], &w, true).unwrap();
+        assert_eq!(full.world.var_count(), 40);
+        let cert = certain_lemma43(&n.relations[0], &n.world).unwrap();
+        assert!(cert.set_eq(&certain_lemma43(&full.relations[0], &full.world).unwrap()));
+        assert_eq!(cert.len(), 2, "{cert}");
+
+        // x3 and x17 co-occurring make one touched component.
+        let both = WsDescriptor::from_pairs([(Var(3), 0), (Var(17), 0)]).unwrap();
+        u.push_simple(both, 4, vec![Value::Int(4)]).unwrap();
+        let n = normalize_urelations(&[&u], &w).unwrap();
+        assert_eq!(n.world.var_count(), 1);
+        assert_eq!(n.components.len(), 1);
+    }
+
+    /// Lemma 4.3 over the touched-only normalization answers as over the
+    /// full-`W` one.
+    #[test]
+    fn touched_normalization_keeps_certain_answers() {
+        let check = |u: &URelation, w: &WorldTable| {
+            let touched = normalize_urelations(&[u], w).unwrap();
+            let full = fuse(&[u], w, true).unwrap();
+            assert!(touched.world.var_count() <= full.world.var_count());
+            let got = certain_lemma43(&touched.relations[0], &touched.world).unwrap();
+            let want = certain_lemma43(&full.relations[0], &full.world).unwrap();
+            assert!(got.set_eq(&want), "{got} vs {want}");
+        };
+        let (u, mut w) = figure5_input();
+        check(&u, &w);
+        for i in 4..=12 {
+            w.add_var(Var(i), vec![0, 1, 2]).unwrap();
+        }
+        check(&u, &w);
+
+        let db = partial_db();
+        for u in db.partitions_of("r").unwrap() {
+            check(u, &db.world);
+        }
+        let prepared = db.prepare();
+        for q in [
+            table("r"),
+            table("r").project(["a"]),
+            table("r").project(["b"]),
+        ] {
+            check(&prepared.evaluate(&q).unwrap(), &db.world);
+        }
     }
 
     #[test]

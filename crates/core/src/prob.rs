@@ -8,14 +8,29 @@
 //! provides an exact Shannon-expansion (variable elimination) algorithm
 //! plus a Monte-Carlo estimator, matching the paper's "practical
 //! approximation techniques" research note.
+//!
+//! The estimator restarts one seeded stream for every tuple group and
+//! draws each of the group's variables, in ascending order, from one
+//! `next_u64` word per sample: `word % n` in a uniform world, the inverse
+//! CDF at `(word >> 11)·2⁻⁵³` in a probabilistic one (the `rand` shim's
+//! `gen_range` and `gen::<f64>()`). Sample `s` of a group of `k`
+//! variables therefore reads words `s·k … s·k + k − 1` whichever group it
+//! is, and groups whose variables have the same *draw maps* (the domain
+//! length in a uniform world, the variable itself in a probabilistic
+//! one) see the same draws. One joint histogram of those draws, built
+//! once per call, gives each such group its hit count exactly, so
+//! sharing it is bit-identical to sampling group by group. Groups with
+//! more than 1,024 joint values stream their samples instead;
+//! neither path allocates in proportion to the sample count.
 
 use crate::descriptor::WsDescriptor;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::urelation::URelation;
 use crate::world::{Var, WorldTable, TOP};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use rand::{RngCore, SeedableRng};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use urel_relalg::Value;
 
 /// Exact probability of the union of the descriptors' world-sets.
@@ -26,15 +41,23 @@ use urel_relalg::Value;
 /// linear when descriptors are pairwise variable-disjoint after the first
 /// split, which is the common shape of query results.
 pub fn confidence(descs: &[WsDescriptor], w: &WorldTable) -> Result<f64> {
-    // ⊤-only descriptors count as empty.
+    Ok(shannon(&cleaned(descs, w)?, w))
+}
+
+/// The descriptors with ⊤ entries dropped (⊤-only descriptors count as
+/// empty), each checked against `w`.
+fn cleaned<'a>(
+    descs: impl IntoIterator<Item = &'a WsDescriptor>,
+    w: &WorldTable,
+) -> Result<Vec<WsDescriptor>> {
     let cleaned: Vec<WsDescriptor> = descs
-        .iter()
+        .into_iter()
         .map(|d| WsDescriptor::decode(d.iter().copied()))
         .collect::<Result<_>>()?;
     for d in &cleaned {
         w.check_descriptor(d)?;
     }
-    Ok(shannon(&cleaned, w))
+    Ok(cleaned)
 }
 
 fn shannon(descs: &[WsDescriptor], w: &WorldTable) -> f64 {
@@ -137,14 +160,15 @@ fn shannon_connected(descs: &[WsDescriptor], w: &WorldTable) -> f64 {
 /// descriptors' union has full coverage.) Exact, via the same expansion
 /// with uniform probabilities replaced by world counting.
 pub fn covers_all_worlds(descs: &[WsDescriptor], w: &WorldTable) -> Result<bool> {
-    let cleaned: Vec<WsDescriptor> = descs
-        .iter()
-        .map(|d| WsDescriptor::decode(d.iter().copied()))
-        .collect::<Result<_>>()?;
-    for d in &cleaned {
-        w.check_descriptor(d)?;
-    }
-    Ok(covers(&cleaned, w))
+    covers_all_worlds_of(descs, w)
+}
+
+/// [`covers_all_worlds`] over borrowed descriptors.
+pub(crate) fn covers_all_worlds_of<'a>(
+    descs: impl IntoIterator<Item = &'a WsDescriptor>,
+    w: &WorldTable,
+) -> Result<bool> {
+    Ok(covers(&cleaned(descs, w)?, w))
 }
 
 fn covers(descs: &[WsDescriptor], w: &WorldTable) -> bool {
@@ -185,54 +209,232 @@ pub fn confidence_monte_carlo(
     samples: usize,
     seed: u64,
 ) -> Result<f64> {
-    for d in descs {
-        w.check_descriptor(d)?;
+    let descs: Vec<&WsDescriptor> = descs.iter().collect();
+    Sampler::new(w, samples, seed).estimate(&descs)
+}
+
+/// How one variable's value is read off one word of the sample stream,
+/// as a domain index.
+enum Draw<'w> {
+    /// `word % n`: the `rand` shim's `gen_range(0..n)`.
+    Uniform(u64),
+    /// Inverse CDF over these probabilities at `(word >> 11)·2⁻⁵³`, the
+    /// shim's `gen::<f64>()`; the last index absorbs rounding.
+    Weighted(Cow<'w, [f64]>),
+}
+
+impl<'w> Draw<'w> {
+    fn of(w: &'w WorldTable, v: Var) -> Result<Self> {
+        let n = w.domain(v)?.len();
+        Ok(if !w.is_probabilistic() {
+            Draw::Uniform(n as u64)
+        } else if let Some(p) = w.explicit_probs(v) {
+            Draw::Weighted(Cow::Borrowed(p))
+        } else {
+            Draw::Weighted(Cow::Owned(vec![1.0 / n as f64; n]))
+        })
     }
-    // Only variables that occur in some descriptor matter.
-    let mut vars: Vec<Var> = descs.iter().flat_map(|d| d.vars()).collect();
-    vars.sort_unstable();
-    vars.dedup();
-    vars.retain(|&v| v != TOP);
-    if descs.iter().any(WsDescriptor::is_empty) {
-        return Ok(1.0);
+
+    fn len(&self) -> usize {
+        match self {
+            Draw::Uniform(n) => *n as usize,
+            Draw::Weighted(p) => p.len(),
+        }
     }
-    if descs.is_empty() || samples == 0 {
-        return Ok(0.0);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut hits = 0usize;
-    let mut assignment: BTreeMap<Var, u64> = BTreeMap::new();
-    for _ in 0..samples {
-        assignment.clear();
-        for &v in &vars {
-            let dom = w.domain(v)?;
-            let val = if w.is_probabilistic() {
-                // Inverse-CDF sampling over the domain.
-                let mut u: f64 = rng.gen();
-                let mut chosen = dom[dom.len() - 1];
-                for &d in dom {
-                    let p = w.prob(v, d)?;
-                    if u < p {
-                        chosen = d;
-                        break;
+
+    #[inline]
+    fn index(&self, word: u64) -> usize {
+        match self {
+            Draw::Uniform(n) => (word % n) as usize,
+            Draw::Weighted(p) => {
+                let mut u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                for (i, &pi) in p.iter().enumerate() {
+                    if u < pi {
+                        return i;
                     }
-                    u -= p;
+                    u -= pi;
                 }
-                chosen
-            } else {
-                dom[rng.gen_range(0..dom.len())]
-            };
-            assignment.insert(v, val);
-        }
-        let hit = descs.iter().any(|d| {
-            d.iter()
-                .all(|&(v, val)| v == TOP && val == 0 || assignment.get(&v) == Some(&val))
-        });
-        if hit {
-            hits += 1;
+                p.len() - 1
+            }
         }
     }
-    Ok(hits as f64 / samples as f64)
+}
+
+/// One tuple group's descriptors over dense variable positions: its
+/// variables in ascending order (the order each sample draws them in)
+/// and every descriptor entry as `(position, domain index)`.
+struct Group<'w> {
+    vars: Vec<Var>,
+    draws: Vec<Draw<'w>>,
+    /// Descriptor entries, one descriptor after another; descriptor `i`
+    /// ends at `ends[i]`.
+    terms: Vec<(usize, usize)>,
+    ends: Vec<usize>,
+    /// Some descriptor holds only ⊤ entries, so every world extends it.
+    always: bool,
+}
+
+impl<'w> Group<'w> {
+    /// Validate the descriptors against `w` (as
+    /// [`WorldTable::check_descriptor`] does) and compile them.
+    fn compile(descs: &[&WsDescriptor], w: &'w WorldTable) -> Result<Self> {
+        let mut entries: Vec<(Var, usize)> = Vec::new();
+        let mut ends = Vec::with_capacity(descs.len());
+        let mut always = false;
+        for d in descs {
+            let start = entries.len();
+            for &(v, val) in d.iter() {
+                let idx = w
+                    .domain(v)
+                    .ok()
+                    .and_then(|dom| dom.binary_search(&val).ok())
+                    .ok_or_else(|| {
+                        Error::UnknownWorld(format!("descriptor entry {v} ↦ {val} not in W"))
+                    })?;
+                if v != TOP {
+                    entries.push((v, idx));
+                }
+            }
+            always |= entries.len() == start;
+            ends.push(entries.len());
+        }
+        let mut vars: Vec<Var> = entries.iter().map(|&(v, _)| v).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let terms = entries
+            .iter()
+            .map(|&(v, idx)| (vars.binary_search(&v).expect("collected"), idx))
+            .collect();
+        Ok(Group {
+            draws: vars
+                .iter()
+                .map(|&v| Draw::of(w, v))
+                .collect::<Result<_>>()?,
+            vars,
+            terms,
+            ends,
+            always,
+        })
+    }
+
+    /// The number of joint draws: the product of the domain lengths.
+    fn cells(&self) -> Option<usize> {
+        self.draws
+            .iter()
+            .try_fold(1usize, |n, d| n.checked_mul(d.len()))
+    }
+
+    /// Does the world drawn as these domain indices extend some
+    /// descriptor?
+    fn hit(&self, drawn: &[usize]) -> bool {
+        let mut start = 0;
+        self.ends.iter().any(|&end| {
+            let desc = &self.terms[start..end];
+            start = end;
+            desc.iter().all(|&(pos, idx)| drawn[pos] == idx)
+        })
+    }
+}
+
+/// Joint histograms cover at most this many cells; groups whose domain
+/// lengths multiply to more stream their samples instead.
+const MAX_CELLS: usize = 1 << 10;
+
+/// Seeded Monte-Carlo estimation of many descriptor groups over one
+/// world table. Every group restarts the same sample stream, so groups
+/// with the same draw maps see the same draws, and one histogram per
+/// sequence of draw maps serves them all (see the module doc).
+pub(crate) struct Sampler<'w> {
+    w: &'w WorldTable,
+    samples: usize,
+    seed: u64,
+    /// How many of the `samples` joint draws land on each cell (mixed
+    /// radix, first variable fastest), per sequence of draw maps: `(⊤,
+    /// n)` for a uniform domain of `n` values, `(v, n)` for variable `v`
+    /// of a probabilistic world.
+    hists: HashMap<Vec<(Var, usize)>, Vec<usize>>,
+}
+
+impl<'w> Sampler<'w> {
+    pub(crate) fn new(w: &'w WorldTable, samples: usize, seed: u64) -> Self {
+        Sampler {
+            w,
+            samples,
+            seed,
+            hists: HashMap::new(),
+        }
+    }
+
+    /// The fraction of the sampled worlds that extend some descriptor.
+    pub(crate) fn estimate(&mut self, descs: &[&WsDescriptor]) -> Result<f64> {
+        let group = Group::compile(descs, self.w)?;
+        if descs.iter().any(|d| d.is_empty()) {
+            return Ok(1.0);
+        }
+        if descs.is_empty() || self.samples == 0 {
+            return Ok(0.0);
+        }
+        let hits = match group.cells() {
+            _ if group.always => self.samples,
+            Some(cells) if cells <= MAX_CELLS => self.histogram_hits(&group, cells),
+            _ => self.stream_hits(&group),
+        };
+        Ok(hits as f64 / self.samples as f64)
+    }
+
+    /// Hits read off the shared histogram of the group's draw maps:
+    /// the counts of the cells some descriptor covers.
+    fn histogram_hits(&mut self, g: &Group<'_>, cells: usize) -> usize {
+        let probabilistic = self.w.is_probabilistic();
+        let key = g
+            .vars
+            .iter()
+            .zip(&g.draws)
+            .map(|(&v, d)| (if probabilistic { v } else { TOP }, d.len()))
+            .collect();
+        let (samples, seed) = (self.samples, self.seed);
+        let hist = self.hists.entry(key).or_insert_with(|| {
+            let mut hist = vec![0; cells];
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..samples {
+                let (mut cell, mut stride) = (0, 1);
+                for draw in &g.draws {
+                    cell += draw.index(rng.next_u64()) * stride;
+                    stride *= draw.len();
+                }
+                hist[cell] += 1;
+            }
+            hist
+        });
+        let mut drawn = vec![0; g.draws.len()];
+        let mut hits = 0;
+        for (cell, &count) in hist.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            let mut rest = cell;
+            for (slot, draw) in drawn.iter_mut().zip(&g.draws) {
+                *slot = rest % draw.len();
+                rest /= draw.len();
+            }
+            if g.hit(&drawn) {
+                hits += count;
+            }
+        }
+        hits
+    }
+
+    /// Hits of a group with too many cells to share: one pass over the
+    /// stream, drawing every variable of each sample in position order.
+    fn stream_hits(&self, g: &Group<'_>) -> usize {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut drawn = vec![0; g.draws.len()];
+        let mut hits = 0;
+        for _ in 0..self.samples {
+            for (slot, draw) in drawn.iter_mut().zip(&g.draws) {
+                *slot = draw.index(rng.next_u64());
+            }
+            hits += usize::from(g.hit(&drawn));
+        }
+        hits
+    }
 }
 
 /// How tuple confidences are computed.
@@ -263,16 +465,20 @@ impl ConfidenceMethod {
     /// zero-sample Monte-Carlo request is rejected (it would estimate
     /// nothing while `error_bound` diverges).
     pub fn confidence(&self, descs: &[WsDescriptor], w: &WorldTable) -> Result<f64> {
-        match *self {
-            ConfidenceMethod::Exact => confidence(descs, w),
-            ConfidenceMethod::MonteCarlo { samples: 0, .. } => {
-                Err(crate::error::Error::InvalidQuery(
-                    "Monte-Carlo confidence needs at least one sample".into(),
-                ))
-            }
-            ConfidenceMethod::MonteCarlo { samples, seed } => {
-                confidence_monte_carlo(descs, w, samples, seed)
-            }
+        let descs: Vec<&WsDescriptor> = descs.iter().collect();
+        self.estimator(w).confidence(&descs)
+    }
+
+    /// An estimator for many descriptor groups over `w`, sharing its
+    /// Monte-Carlo draws between them.
+    pub(crate) fn estimator<'w>(&self, w: &'w WorldTable) -> Estimator<'w> {
+        let (samples, seed) = match *self {
+            ConfidenceMethod::Exact => (0, 0),
+            ConfidenceMethod::MonteCarlo { samples, seed } => (samples, seed),
+        };
+        Estimator {
+            method: *self,
+            sampler: Sampler::new(w, samples, seed),
         }
     }
 
@@ -313,6 +519,38 @@ pub fn tuple_confidences(u: &URelation, w: &WorldTable) -> Result<Vec<(Vec<Value
     tuple_confidences_with(u, w, ConfidenceMethod::Exact)
 }
 
+/// [`ConfidenceMethod::confidence`] applied group after group over one
+/// world table.
+pub(crate) struct Estimator<'w> {
+    method: ConfidenceMethod,
+    sampler: Sampler<'w>,
+}
+
+impl Estimator<'_> {
+    /// Confidence of one descriptor union.
+    pub(crate) fn confidence(&mut self, descs: &[&WsDescriptor]) -> Result<f64> {
+        match self.method {
+            ConfidenceMethod::Exact => {
+                let cleaned = cleaned(descs.iter().copied(), self.sampler.w)?;
+                Ok(shannon(&cleaned, self.sampler.w))
+            }
+            ConfidenceMethod::MonteCarlo { samples: 0, .. } => Err(Error::InvalidQuery(
+                "Monte-Carlo confidence needs at least one sample".into(),
+            )),
+            ConfidenceMethod::MonteCarlo { .. } => self.sampler.estimate(descs),
+        }
+    }
+}
+
+/// The rows of `u` grouped by value tuple, in tuple order.
+pub(crate) fn tuple_groups(u: &URelation) -> BTreeMap<&[Value], Vec<&WsDescriptor>> {
+    let mut groups: BTreeMap<&[Value], Vec<&WsDescriptor>> = BTreeMap::new();
+    for row in u.rows() {
+        groups.entry(&row.vals).or_default().push(&row.desc);
+    }
+    groups
+}
+
 /// [`tuple_confidences`] with an explicit computation method (exact
 /// variable elimination or seeded Monte-Carlo estimation).
 pub fn tuple_confidences_with(
@@ -320,16 +558,10 @@ pub fn tuple_confidences_with(
     w: &WorldTable,
     method: ConfidenceMethod,
 ) -> Result<Vec<(Vec<Value>, f64)>> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<WsDescriptor>> = BTreeMap::new();
-    for row in u.rows() {
-        groups
-            .entry(row.vals.to_vec())
-            .or_default()
-            .push(row.desc.clone());
-    }
-    groups
+    let mut estimator = method.estimator(w);
+    tuple_groups(u)
         .into_iter()
-        .map(|(vals, descs)| Ok((vals, method.confidence(&descs, w)?)))
+        .map(|(vals, descs)| Ok((vals.to_vec(), estimator.confidence(&descs)?)))
         .collect()
 }
 

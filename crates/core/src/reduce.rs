@@ -4,51 +4,77 @@
 //! full tuple in at least one world. Reduction filters each partition by
 //! semijoins with the sibling partitions of the same relation (conditions
 //! α: same tuple id, ψ: consistent descriptors), iterated to a fixpoint
-//! since removals can cascade.
+//! since removals can cascade. A tuple takes each field from *any*
+//! partition that holds it ([`UDatabase::instantiate`]), so a row needs a
+//! partner for each attribute it lacks in some partition holding that
+//! attribute; on the usual layout, where partitions share no value
+//! columns, that is a partner in every sibling.
 
 use crate::error::Result;
 use crate::udb::UDatabase;
 use crate::urelation::URow;
 use std::collections::BTreeMap;
 
-/// Remove rows that cannot find a consistent same-tuple partner in every
-/// sibling partition. Returns the number of rows removed.
+/// Remove rows that cannot be completed to a tuple: a row is kept when
+/// each attribute it does not hold has a consistent same-tuple row in
+/// some partition that holds it, and each sibling partition without
+/// value columns has one too. Returns the number of rows removed.
 pub fn reduce(db: &mut UDatabase) -> Result<usize> {
     let rels: Vec<String> = db.relations().map(str::to_string).collect();
     let mut removed = 0;
     for rel in rels {
+        let attrs = db.attrs(&rel)?.to_vec();
         loop {
             let parts = db.partitions_of(rel.as_str())?;
             let n = parts.len();
             if n <= 1 {
                 break;
             }
+            let by_tid: Vec<BTreeMap<i64, Vec<&URow>>> = parts
+                .iter()
+                .map(|q| {
+                    let mut m: BTreeMap<i64, Vec<&URow>> = BTreeMap::new();
+                    for r in q.rows() {
+                        m.entry(r.tids[0]).or_default().push(r);
+                    }
+                    m
+                })
+                .collect();
+            // Semijoin: `r` has a partner in partition `j` iff `j` has a
+            // row with the same tid and a consistent descriptor.
+            let partner = |j: usize, r: &URow| {
+                by_tid[j]
+                    .get(&r.tids[0])
+                    .is_some_and(|group| group.iter().any(|s| s.desc.consistent_with(&r.desc)))
+            };
             // For each partition, find the surviving row indices.
             let mut keep: Vec<Vec<bool>> = Vec::with_capacity(n);
             for (i, p) in parts.iter().enumerate() {
-                let mut flags = vec![true; p.len()];
-                for (j, q) in parts.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    // Semijoin: row r of p survives this sibling iff q has
-                    // a row with the same tid and a consistent descriptor.
-                    let mut by_tid: BTreeMap<i64, Vec<&URow>> = BTreeMap::new();
-                    for r in q.rows() {
-                        by_tid.entry(r.tids[0]).or_default().push(r);
-                    }
-                    for (k, r) in p.rows().iter().enumerate() {
-                        if !flags[k] {
-                            continue;
-                        }
-                        let ok = by_tid.get(&r.tids[0]).is_some_and(|group| {
-                            group.iter().any(|s| s.desc.consistent_with(&r.desc))
-                        });
-                        if !ok {
-                            flags[k] = false;
-                        }
-                    }
-                }
+                // One requirement per lacking attribute (the siblings that
+                // hold it) and per sibling without value columns.
+                let mut needs: Vec<Vec<usize>> = attrs
+                    .iter()
+                    .filter(|a| !p.value_cols().contains(a))
+                    .map(|a| {
+                        (0..n)
+                            .filter(|&j| j != i && parts[j].value_cols().contains(a))
+                            .collect()
+                    })
+                    .collect();
+                needs.extend(
+                    (0..n)
+                        .filter(|&j| j != i && parts[j].value_cols().is_empty())
+                        .map(|j| vec![j]),
+                );
+                let flags = p
+                    .rows()
+                    .iter()
+                    .map(|r| {
+                        needs
+                            .iter()
+                            .all(|holders| holders.iter().any(|&j| partner(j, r)))
+                    })
+                    .collect();
                 keep.push(flags);
             }
             let mut changed = false;
@@ -154,6 +180,49 @@ mod tests {
         let mut db = figure1_database();
         assert!(is_reduced(&db).unwrap());
         assert_eq!(reduce(&mut db).unwrap(), 0);
+    }
+
+    /// `r[a, b]` as `u_ab`, `u_a` and `u_b`: tuple 2 is missing from
+    /// `u_ab` but complete in world x1 ↦ 0 through `u_a` and `u_b`, and
+    /// tuple 3 has an `a` but no `b` anywhere.
+    #[test]
+    fn overlapping_partitions_keep_tuples_completed_elsewhere() {
+        let mut w = WorldTable::new();
+        w.add_var(Var(1), vec![0, 1]).unwrap();
+        let mut db = UDatabase::new(w);
+        db.add_relation("r", ["a", "b"]).unwrap();
+        let mut u_ab = URelation::partition("u_ab", ["a", "b"]);
+        u_ab.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(7), Value::Int(0)])
+            .unwrap();
+        db.add_partition("r", u_ab).unwrap();
+        let x1_0 = WsDescriptor::singleton(Var(1), 0);
+        let mut u_a = URelation::partition("u_a", ["a"]);
+        u_a.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(7)])
+            .unwrap();
+        u_a.push_simple(x1_0.clone(), 2, vec![Value::Int(8)])
+            .unwrap();
+        u_a.push_simple(WsDescriptor::empty(), 3, vec![Value::Int(5)])
+            .unwrap();
+        db.add_partition("r", u_a).unwrap();
+        let mut u_b = URelation::partition("u_b", ["b"]);
+        u_b.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(0)])
+            .unwrap();
+        u_b.push_simple(x1_0, 2, vec![Value::Int(9)]).unwrap();
+        db.add_partition("r", u_b).unwrap();
+        db.validate().unwrap();
+
+        let before = db.possible_worlds(16).unwrap();
+        // Only tuple 3's `a` row goes.
+        assert_eq!(reduce(&mut db).unwrap(), 1);
+        assert!(is_reduced(&db).unwrap());
+        let after = db.possible_worlds(16).unwrap();
+        assert_eq!(before.len(), after.len());
+        for ((f1, w1), (f2, w2)) in before.iter().zip(&after) {
+            assert_eq!(f1, f2);
+            assert!(w1["r"].set_eq(&w2["r"]));
+        }
+        // Tuple 2 is in world x1 ↦ 0.
+        assert_eq!(after[0].1["r"].len(), 2);
     }
 
     #[test]

@@ -481,8 +481,9 @@ struct Translator<'a> {
     next: usize,
     opts: TranslateOptions,
     /// Relations whose leaves read every attribute, whatever
-    /// `opts.prune_partitions` says: a merge of every partition, or
-    /// [`Translator::fields`] where partitions share columns.
+    /// `opts.prune_partitions` says: a merge of every partition
+    /// ([`Translator::fields`] reads every attribute of any relation
+    /// whose partitions share columns anyway).
     unpruned: &'a BTreeSet<String>,
 }
 
@@ -613,8 +614,11 @@ impl<'a> Translator<'a> {
                 "relation `{rel}` has no partitions"
             )));
         }
+        // Partitions that share value columns need every field, on every
+        // entry point: a covering merge may define a tuple in fewer
+        // worlds than its fields are defined.
         let width: usize = parts.iter().map(|p| p.value_cols().len()).sum();
-        if exact && width > attrs.len() {
+        if width > attrs.len() {
             return self.fields(rel, parts, &attrs, &key, &mk);
         }
 
@@ -687,8 +691,8 @@ impl<'a> Translator<'a> {
         Ok(t)
     }
 
-    /// The exact leaf of a relation with partial fields whose partitions
-    /// share value columns. A merge of covering partitions would be
+    /// The leaf of a relation whose partitions share value columns, on
+    /// every entry point. A merge of covering partitions would be
     /// wrong there: a tuple exists wherever each *field* is defined, by
     /// any partition that holds it, so one partition may define the
     /// tuple in fewer worlds than it exists in. Instead each attribute

@@ -138,6 +138,12 @@ impl WorldTable {
         })
     }
 
+    /// The explicit probabilities of a variable, parallel to its domain;
+    /// `None` for a uniform variable.
+    pub(crate) fn explicit_probs(&self, var: Var) -> Option<&[f64]> {
+        self.probs.get(&var).map(Vec::as_slice)
+    }
+
     /// The domain of a variable.
     pub fn domain(&self, var: Var) -> Result<&[u64]> {
         self.domains

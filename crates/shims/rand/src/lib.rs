@@ -7,6 +7,12 @@
 //! that every artifact stays reproducible from a `u64` seed. To use the
 //! real crate, swap the `rand` entry in `[workspace.dependencies]` for a
 //! registry version — no source changes needed.
+//!
+//! Every draw takes exactly one `next_u64` word: `gen_range(lo..hi)` is
+//! `lo + word % (hi − lo)` and `gen::<f64>()` is `(word >> 11)·2⁻⁵³`.
+//! The Monte-Carlo confidence estimator reads its samples as raw words
+//! with this mapping, so the output bytes of a `confidence ε` statement
+//! depend on it; `one_word_per_draw` pins it.
 
 pub mod rngs;
 pub mod seq;
@@ -153,6 +159,23 @@ mod tests {
         assert!((2000..3000).contains(&hits), "{hits}");
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0)));
+    }
+
+    /// Each draw consumes one word: `gen_range(0..n)` is `word % n` and
+    /// `gen::<f64>()` is `(word >> 11)·2⁻⁵³`.
+    #[test]
+    fn one_word_per_draw() {
+        let mut draws = StdRng::seed_from_u64(0xC0FF_1DE5);
+        let mut words = StdRng::seed_from_u64(0xC0FF_1DE5);
+        for n in (1usize..=50).chain([97, 1 << 20, usize::MAX]) {
+            assert_eq!(
+                draws.gen_range(0..n),
+                (words.next_u64() % n as u64) as usize
+            );
+            let u: f64 = draws.gen();
+            let want = (words.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            assert_eq!(u.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

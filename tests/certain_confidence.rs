@@ -305,3 +305,190 @@ fn repair_key_on_generated_duplicates() {
         assert_eq!(n, keys.len(), "key must be unique per world");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bit identity of the Monte-Carlo estimator against a per-group reference
+// ---------------------------------------------------------------------------
+
+mod sampler_bits {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+    use std::collections::BTreeMap;
+    use u_relations::core::certain::certain_with_coverage;
+    use u_relations::core::prob::{
+        confidence_monte_carlo, tuple_confidences_with, ConfidenceMethod,
+    };
+    use u_relations::core::{URelation, Var, WorldTable, WsDescriptor};
+    use u_relations::relalg::Value;
+
+    /// Distinct answer values; the rows of value `k` mention only
+    /// variables `k + 1 ..= k + WINDOW`, so groups hold 1–4 variables and
+    /// neighbouring groups share some.
+    const VALUES: u32 = 6;
+    const WINDOW: u32 = 4;
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// The per-group sampler: every group restarts the stream at `seed`
+    /// and draws each of its variables, in ascending order, from one
+    /// `next_u64` word per sample, with the `rand` shim's mapping
+    /// (`word % n` for a uniform world, the inverse CDF at
+    /// `(word >> 11)·2⁻⁵³` for a probabilistic one). Written over raw
+    /// words, it pins the estimator under any `rand` implementation.
+    fn reference(descs: &[&WsDescriptor], w: &WorldTable, samples: usize, seed: u64) -> f64 {
+        if descs.iter().any(|d| d.is_empty()) {
+            return 1.0;
+        }
+        if descs.is_empty() || samples == 0 {
+            return 0.0;
+        }
+        let mut vars: Vec<Var> = descs.iter().flat_map(|d| d.vars()).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut hits = 0usize;
+        for _ in 0..samples {
+            let mut assignment: BTreeMap<Var, u64> = BTreeMap::new();
+            for &v in &vars {
+                let dom = w.domain(v).unwrap();
+                let word = rng.next_u64();
+                let val = if w.is_probabilistic() {
+                    let mut u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                    let mut chosen = dom[dom.len() - 1];
+                    for &d in dom {
+                        let p = w.prob(v, d).unwrap();
+                        if u < p {
+                            chosen = d;
+                            break;
+                        }
+                        u -= p;
+                    }
+                    chosen
+                } else {
+                    dom[(word as u128 % dom.len() as u128) as usize]
+                };
+                assignment.insert(v, val);
+            }
+            if descs
+                .iter()
+                .any(|d| d.iter().all(|&(v, val)| assignment.get(&v) == Some(&val)))
+            {
+                hits += 1;
+            }
+        }
+        hits as f64 / samples as f64
+    }
+
+    /// `VALUES + WINDOW` variables with 1–3 domain values each (not
+    /// `0..n`, so values and domain indices differ). In a probabilistic
+    /// world every other variable carries explicit weights and the rest
+    /// stay uniform.
+    fn arb_world() -> impl Strategy<Value = WorldTable> {
+        let var = (1u64..=3, prop::collection::vec(1u32..=9, 3));
+        (
+            prop::collection::vec(var, (VALUES + WINDOW) as usize),
+            any::<bool>(),
+        )
+            .prop_map(|(vars, probabilistic)| {
+                let mut w = WorldTable::new();
+                for (i, (len, weights)) in vars.into_iter().enumerate() {
+                    let v = Var(i as u32 + 1);
+                    w.add_var(v, (0..len).map(|x| 3 * x + 1).collect()).unwrap();
+                    if probabilistic && i % 2 == 0 {
+                        let weights = &weights[..len as usize];
+                        let total: u32 = weights.iter().sum();
+                        let probs = weights.iter().map(|&x| x as f64 / total as f64);
+                        w.set_probabilities(v, probs.collect()).unwrap();
+                    }
+                }
+                w
+            })
+    }
+
+    /// Rows `(value, window offset ↦ domain position, duplicated?)`; an
+    /// empty map is a ⊤ row.
+    type Row = (u32, BTreeMap<u32, u64>, bool);
+
+    fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+        let row = (
+            0..VALUES,
+            prop::collection::btree_map(0..WINDOW, 0u64..8, 0..=2),
+            any::<bool>(),
+        );
+        prop::collection::vec(row, 1..=16)
+    }
+
+    fn relation(rows: &[Row], w: &WorldTable) -> URelation {
+        let mut u = URelation::partition("u", ["a"]);
+        let mut tid = 0;
+        for (k, entries, duplicated) in rows {
+            let desc = WsDescriptor::from_pairs(entries.iter().map(|(&off, &pos)| {
+                let v = Var(k + off + 1);
+                let dom = w.domain(v).unwrap();
+                (v, dom[pos as usize % dom.len()])
+            }))
+            .unwrap();
+            for _ in 0..=usize::from(*duplicated) {
+                tid += 1;
+                u.push_simple(desc.clone(), tid, vec![Value::Int(*k as i64)])
+                    .unwrap();
+            }
+        }
+        u
+    }
+
+    fn groups(u: &URelation) -> BTreeMap<Vec<Value>, Vec<&WsDescriptor>> {
+        let mut groups: BTreeMap<Vec<Value>, Vec<&WsDescriptor>> = BTreeMap::new();
+        for row in u.rows() {
+            groups.entry(row.vals.to_vec()).or_default().push(&row.desc);
+        }
+        groups
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+        /// `tuple_confidences_with`, `certain_with_coverage` (threshold
+        /// included) and `confidence_monte_carlo` return, bit for bit,
+        /// what the per-group reference sampler returns.
+        #[test]
+        fn monte_carlo_matches_the_per_group_sampler_bit_for_bit(
+            w in arb_world(),
+            rows in arb_rows(),
+            samples in prop_oneof![Just(1usize), Just(2), Just(7), Just(1000), Just(4097)],
+            seed in prop_oneof![Just(0u64), Just(0xC0FF_1DE5), any::<u64>()],
+            delta in prop_oneof![Just(1e-6), Just(0.5)],
+        ) {
+            let u = relation(&rows, &w);
+            let method = ConfidenceMethod::MonteCarlo { samples, seed };
+            let want: Vec<(Vec<Value>, f64)> = groups(&u)
+                .into_iter()
+                .map(|(vals, descs)| (vals, reference(&descs, &w, samples, seed)))
+                .collect();
+            let bits = |rows: &[(Vec<Value>, f64)]| -> Vec<(Vec<Value>, u64)> {
+                rows.iter().map(|(t, p)| (t.clone(), p.to_bits())).collect()
+            };
+
+            let got = tuple_confidences_with(&u, &w, method).unwrap();
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            let threshold = 1.0 - method.error_bound(delta);
+            let want_certain: Vec<(Vec<Value>, f64)> =
+                want.iter().filter(|(_, p)| *p >= threshold).cloned().collect();
+            let got = certain_with_coverage(&u, &w, method, delta).unwrap();
+            prop_assert_eq!(bits(&got), bits(&want_certain));
+
+            for (descs, (_, p)) in groups(&u).values().zip(&want) {
+                let owned: Vec<WsDescriptor> = descs.iter().map(|d| (*d).clone()).collect();
+                let got = confidence_monte_carlo(&owned, &w, samples, seed).unwrap();
+                prop_assert_eq!(got.to_bits(), p.to_bits());
+            }
+        }
+    }
+}

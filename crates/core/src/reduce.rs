@@ -17,8 +17,9 @@ use std::collections::BTreeMap;
 
 /// Remove rows that cannot be completed to a tuple: a row is kept when
 /// each attribute it does not hold has a consistent same-tuple row in
-/// some partition that holds it, and each sibling partition without
-/// value columns has one too. Returns the number of rows removed.
+/// some partition that holds it. Partitions without value columns
+/// define no field, so they are never required as partners (as in
+/// [`UDatabase::instantiate`]). Returns the number of rows removed.
 pub fn reduce(db: &mut UDatabase) -> Result<usize> {
     let rels: Vec<String> = db.relations().map(str::to_string).collect();
     let mut removed = 0;
@@ -50,9 +51,9 @@ pub fn reduce(db: &mut UDatabase) -> Result<usize> {
             // For each partition, find the surviving row indices.
             let mut keep: Vec<Vec<bool>> = Vec::with_capacity(n);
             for (i, p) in parts.iter().enumerate() {
-                // One requirement per lacking attribute (the siblings that
-                // hold it) and per sibling without value columns.
-                let mut needs: Vec<Vec<usize>> = attrs
+                // One requirement per lacking attribute: the siblings
+                // that hold it.
+                let needs: Vec<Vec<usize>> = attrs
                     .iter()
                     .filter(|a| !p.value_cols().contains(a))
                     .map(|a| {
@@ -61,11 +62,6 @@ pub fn reduce(db: &mut UDatabase) -> Result<usize> {
                             .collect()
                     })
                     .collect();
-                needs.extend(
-                    (0..n)
-                        .filter(|&j| j != i && parts[j].value_cols().is_empty())
-                        .map(|j| vec![j]),
-                );
                 let flags = p
                     .rows()
                     .iter()
@@ -103,7 +99,7 @@ pub fn is_reduced(db: &UDatabase) -> Result<bool> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::descriptor::WsDescriptor;
     use crate::udb::figure1_database;
@@ -223,6 +219,34 @@ mod tests {
         }
         // Tuple 2 is in world x1 ↦ 0.
         assert_eq!(after[0].1["r"].len(), 2);
+    }
+
+    /// `r[a]` held by `u_a` (tuple 1 under ⊤) beside an empty `u_p[]`
+    /// without value columns: tuple 1 exists in every world, so
+    /// reduction must keep it.
+    pub(crate) fn valueless_sibling_db() -> UDatabase {
+        let mut w = WorldTable::new();
+        w.add_var(Var(1), vec![0, 1]).unwrap();
+        let mut db = UDatabase::new(w);
+        db.add_relation("r", ["a"]).unwrap();
+        let mut u_a = URelation::partition("u_a", ["a"]);
+        u_a.push_simple(WsDescriptor::empty(), 1, vec![Value::Int(7)])
+            .unwrap();
+        db.add_partition("r", u_a).unwrap();
+        db.add_partition("r", URelation::partition("u_p", Vec::<String>::new()))
+            .unwrap();
+        db.validate().unwrap();
+        db
+    }
+
+    #[test]
+    fn valueless_siblings_are_not_required_partners() {
+        let mut db = valueless_sibling_db();
+        let before = db.possible_worlds(16).unwrap();
+        assert!(before.iter().all(|(_, w)| w["r"].len() == 1));
+        assert!(is_reduced(&db).unwrap());
+        assert_eq!(reduce(&mut db).unwrap(), 0);
+        assert_eq!(db.partitions_of("r").unwrap()[0].len(), 1);
     }
 
     #[test]

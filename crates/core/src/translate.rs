@@ -654,10 +654,34 @@ impl<'a> Translator<'a> {
             chosen.push(best);
         }
         if chosen.is_empty() {
-            // Presence-only leaf (e.g. π over other side of a join):
-            // the smallest partition witnesses tuple existence in a
-            // *reduced* database.
-            chosen.push(parts.iter().min_by_key(|p| p.len()).unwrap());
+            // Presence-only leaf (e.g. π over other side of a join): in
+            // a *reduced* database every partition holding a value
+            // column witnesses tuple existence, so the smallest does.
+            // A partition without value columns defines no field and
+            // witnesses nothing (see `UDatabase::instantiate`) — except
+            // in a zero-attribute relation, whose tuples exist wherever
+            // any of its partitions has a row.
+            if attrs.is_empty() {
+                let mut acc: Option<TPlan> = None;
+                for p in parts {
+                    let leaf = self.leaf(p, &key, &mk, &[])?;
+                    acc = Some(match acc {
+                        None => leaf,
+                        Some(prev) => self.union(prev, leaf)?,
+                    });
+                }
+                return Ok(acc.expect("at least one partition"));
+            }
+            let witness = parts
+                .iter()
+                .filter(|p| !p.value_cols().is_empty())
+                .min_by_key(|p| p.len())
+                .ok_or_else(|| {
+                    Error::InvalidDatabase(format!(
+                        "attributes of `{rel}` are not covered by any partition"
+                    ))
+                })?;
+            chosen.push(witness);
         }
 
         // Build one leaf TPlan per chosen partition, then fold with merge.
@@ -1259,6 +1283,47 @@ mod tests {
             // A 0-ary relation has at most one (empty) tuple; it is
             // present because r is non-empty in every world.
             assert_eq!(got.len(), 1);
+        }
+    }
+
+    #[test]
+    fn presence_is_witnessed_by_a_partition_with_values() {
+        // `r[a]` as `u_a` (tuple 1 under ⊤) plus an empty `u_p[]`: the
+        // valueless partition defines no field, so π∅ r still has
+        // its one (empty) tuple, as the world expansion says.
+        let db = crate::reduce::tests::valueless_sibling_db();
+        let q = table("r").project(Vec::<String>::new());
+        let got = possible(&db, &q).unwrap();
+        assert_eq!(got.len(), 1);
+        assert!(got.set_eq(&oracle_possible(&q, &db, 16).unwrap()));
+        assert_eq!(possible(&db, &table("r")).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn zero_attribute_presence_unions_its_partitions() {
+        // A zero-attribute relation's tuple exists wherever any of its
+        // partitions has a row: here in both worlds, though each
+        // partition covers only one.
+        use crate::urelation::URelation;
+        use crate::world::{Var, WorldTable};
+        use crate::WsDescriptor;
+        let mut w = WorldTable::new();
+        w.add_var(Var(1), vec![0, 1]).unwrap();
+        let mut db = UDatabase::new(w);
+        db.add_relation("z", Vec::<String>::new()).unwrap();
+        for (name, val) in [("z0", 0), ("z1", 1)] {
+            let mut p = URelation::partition(name, Vec::<String>::new());
+            p.push_simple(WsDescriptor::singleton(Var(1), val), 1, vec![])
+                .unwrap();
+            db.add_partition("z", p).unwrap();
+        }
+        db.validate().unwrap();
+        let q = table("z");
+        let u = evaluate(&db, &q).unwrap();
+        for f in db.world.worlds(4).unwrap() {
+            let want = crate::algebra::oracle_eval(&q, &db, &f, 4).unwrap();
+            assert_eq!(want.len(), 1);
+            assert_eq!(u.tuples_in_world(&db.world, &f).len(), 1, "{f:?}");
         }
     }
 

@@ -23,8 +23,9 @@
 //!
 //! Row-major materialization happens once, at the consumer.
 
-use crate::relation::{Column, ColumnarImage, Row};
+use crate::relation::{null_str_slot, Column, ColumnarImage, NullMask, Row};
 use crate::value::Value;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Target number of logical rows per batch. Large enough to amortize
@@ -255,6 +256,191 @@ impl<'a> ColumnBatch<'a> {
     }
 }
 
+/// Appends batches column by column into a [`ColumnarImage`] — how a
+/// pipeline breaker buffers its input without a row round trip. Each
+/// column is gathered through the batch's selection vector into typed
+/// storage, and ends up typed exactly as [`Column::from_values`] would
+/// type the same values (all `Int` → [`Column::Int`], `Int` and `Null`
+/// → [`Column::IntN`], any other mix → [`Column::Mixed`], …), so the
+/// image hashes and compares like one built from rows.
+pub(crate) struct ImageBuilder {
+    cols: Vec<ColumnBuilder>,
+    len: usize,
+}
+
+impl ImageBuilder {
+    /// An empty builder for batches of `arity` columns.
+    pub(crate) fn new(arity: usize) -> ImageBuilder {
+        ImageBuilder {
+            cols: (0..arity).map(|_| ColumnBuilder::Nulls(0)).collect(),
+            len: 0,
+        }
+    }
+
+    /// Append the logical positions `range` of `b`.
+    pub(crate) fn append(&mut self, b: &ColumnBatch<'_>, range: Range<usize>) {
+        debug_assert_eq!(b.cols.len(), self.cols.len());
+        if range.is_empty() {
+            return;
+        }
+        for (out, c) in self.cols.iter_mut().zip(&b.cols) {
+            match c {
+                BatchCol::Slice { col, start } => {
+                    out.gather(col, range.start + start..range.end + start)
+                }
+                BatchCol::Shared { col, start } => {
+                    out.gather(col, range.start + start..range.end + start)
+                }
+                BatchCol::View { col, sel } => {
+                    out.gather(col, sel[range.clone()].iter().map(|&i| i as usize))
+                }
+                BatchCol::SharedView { col, sel } => {
+                    out.gather(col, sel[range.clone()].iter().map(|&i| i as usize))
+                }
+                BatchCol::Owned(col) => out.gather(col, range.clone()),
+                BatchCol::Const(v) => range.clone().for_each(|_| out.push(v.clone())),
+            }
+        }
+        self.len += range.len();
+    }
+
+    /// The finished image.
+    pub(crate) fn finish(self) -> ColumnarImage {
+        let cols = self.cols.into_iter().map(ColumnBuilder::finish).collect();
+        ColumnarImage::from_columns(cols, self.len)
+    }
+}
+
+/// One column under construction, in the narrowest typing the values
+/// seen so far allow. Null positions are kept aside until
+/// [`ColumnBuilder::finish`] picks the dense or the nullable form.
+enum ColumnBuilder {
+    /// Nothing but nulls so far (possibly nothing at all).
+    Nulls(usize),
+    /// At least one integer, plus the positions of nulls among them.
+    Int(Vec<i64>, Vec<usize>),
+    /// At least one string, plus the positions of nulls among them.
+    Str(Vec<Arc<str>>, Vec<usize>),
+    /// Any other mix.
+    Mixed(Vec<Value>),
+}
+
+impl ColumnBuilder {
+    /// Append `col`'s values at the row indices `idx` (non-empty):
+    /// typed loops where the source column's type matches the state,
+    /// one value at a time otherwise.
+    fn gather(&mut self, col: &Column, idx: impl Iterator<Item = usize>) {
+        if matches!(self, ColumnBuilder::Nulls(0)) {
+            match col {
+                Column::Int(_) => *self = ColumnBuilder::Int(Vec::new(), Vec::new()),
+                Column::Str(_) => *self = ColumnBuilder::Str(Vec::new(), Vec::new()),
+                _ => {}
+            }
+        }
+        match (&mut *self, col) {
+            (ColumnBuilder::Int(v, _), Column::Int(src)) => v.extend(idx.map(|i| src[i])),
+            (ColumnBuilder::Str(v, _), Column::Str(src)) => {
+                v.extend(idx.map(|i| Arc::clone(&src[i])))
+            }
+            (ColumnBuilder::Int(v, nulls), Column::IntN(src, m)) => {
+                for i in idx {
+                    if m.is_null(i) {
+                        nulls.push(v.len());
+                        v.push(0);
+                    } else {
+                        v.push(src[i]);
+                    }
+                }
+            }
+            (ColumnBuilder::Str(v, nulls), Column::StrN(src, m)) => {
+                for i in idx {
+                    if m.is_null(i) {
+                        nulls.push(v.len());
+                        v.push(null_str_slot());
+                    } else {
+                        v.push(Arc::clone(&src[i]));
+                    }
+                }
+            }
+            _ => idx.for_each(|i| self.push(col.get(i))),
+        }
+    }
+
+    /// Append one value, widening the state when its type demands.
+    fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (ColumnBuilder::Mixed(vals), v) => vals.push(v),
+            (ColumnBuilder::Nulls(n), Value::Null) => *n += 1,
+            (ColumnBuilder::Int(vals, _), Value::Int(x)) => vals.push(x),
+            (ColumnBuilder::Int(vals, nulls), Value::Null) => {
+                nulls.push(vals.len());
+                vals.push(0);
+            }
+            (ColumnBuilder::Str(vals, _), Value::Str(s)) => vals.push(s),
+            (ColumnBuilder::Str(vals, nulls), Value::Null) => {
+                nulls.push(vals.len());
+                vals.push(null_str_slot());
+            }
+            (ColumnBuilder::Nulls(n), Value::Int(x)) => {
+                let n = *n;
+                let mut vals = vec![0; n];
+                vals.push(x);
+                *self = ColumnBuilder::Int(vals, (0..n).collect());
+            }
+            (ColumnBuilder::Nulls(n), Value::Str(s)) => {
+                let n = *n;
+                let mut vals = vec![null_str_slot(); n];
+                vals.push(s);
+                *self = ColumnBuilder::Str(vals, (0..n).collect());
+            }
+            (_, v) => {
+                let mut vals = std::mem::replace(self, ColumnBuilder::Nulls(0)).into_values();
+                vals.push(v);
+                *self = ColumnBuilder::Mixed(vals);
+            }
+        }
+    }
+
+    /// The values as a generic vector (the widening to `Mixed`).
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            ColumnBuilder::Nulls(n) => vec![Value::Null; n],
+            ColumnBuilder::Int(vals, nulls) => {
+                let mut out: Vec<Value> = vals.into_iter().map(Value::Int).collect();
+                nulls.into_iter().for_each(|i| out[i] = Value::Null);
+                out
+            }
+            ColumnBuilder::Str(vals, nulls) => {
+                let mut out: Vec<Value> = vals.into_iter().map(Value::Str).collect();
+                nulls.into_iter().for_each(|i| out[i] = Value::Null);
+                out
+            }
+            ColumnBuilder::Mixed(vals) => vals,
+        }
+    }
+
+    fn finish(self) -> Column {
+        let mask = |len: usize, nulls: Vec<usize>| {
+            let mut m = NullMask::new(len);
+            nulls.into_iter().for_each(|i| m.set_null(i));
+            m
+        };
+        match self {
+            ColumnBuilder::Int(vals, nulls) if nulls.is_empty() => Column::Int(vals),
+            ColumnBuilder::Int(vals, nulls) => {
+                let m = mask(vals.len(), nulls);
+                Column::IntN(vals, m)
+            }
+            ColumnBuilder::Str(vals, nulls) if nulls.is_empty() => Column::Str(vals),
+            ColumnBuilder::Str(vals, nulls) => {
+                let m = mask(vals.len(), nulls);
+                Column::StrN(vals, m)
+            }
+            other => Column::Mixed(other.into_values()),
+        }
+    }
+}
+
 fn gather_owned(col: &Column, take: &[u32]) -> Column {
     match col {
         Column::Int(v) => Column::Int(take.iter().map(|&p| v[p as usize]).collect()),
@@ -411,6 +597,72 @@ mod tests {
         assert_eq!(b.value(0, 3), Value::Int(1));
         assert_eq!(b.value(1, 0), Value::Null);
         assert_eq!(b.value(1, 2), Value::str("b"));
+    }
+
+    /// Build one column through [`ImageBuilder`] from `vals`, fed as
+    /// several batches of different column kinds (a slice, a selection
+    /// view, an owned column and constants), and compare it with
+    /// [`Column::from_values`] over the same values.
+    fn assert_builder_types_like_from_values(vals: Vec<Value>) {
+        let want = Column::from_values(vals.clone());
+        let rel = Relation::from_rows(["c"], vals.iter().map(|v| vec![v.clone()])).unwrap();
+        let image = rel.columns();
+        let mut builder = ImageBuilder::new(1);
+        let n = vals.len();
+        let (a, b) = (n / 3, 2 * n / 3);
+        builder.append(&ColumnBatch::slice_of(image, 0, a), 0..a);
+        let mut view = ColumnBatch::slice_of(image, a, b - a);
+        view.compact(&vec![true; b - a]);
+        builder.append(&view, 0..b - a);
+        let rest = ColumnBatch {
+            cols: vec![BatchCol::Owned(Arc::new(Column::from_values(
+                vals[b..n.saturating_sub(1)].to_vec(),
+            )))],
+            len: n.saturating_sub(1).saturating_sub(b),
+        };
+        builder.append(&rest, 0..rest.len());
+        if let Some(last) = vals.last().filter(|_| n > b) {
+            let konst = ColumnBatch {
+                cols: vec![BatchCol::Const(last.clone())],
+                len: 3,
+            };
+            builder.append(&konst, 2..3);
+        }
+        let got = builder.finish();
+        assert_eq!(got.len(), n);
+        let col = &got.cols()[0];
+        assert_eq!(
+            std::mem::discriminant(col),
+            std::mem::discriminant(&want),
+            "{vals:?}: {col:?} vs {want:?}"
+        );
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(col.get(i), *v, "{vals:?} at {i}");
+        }
+    }
+
+    #[test]
+    fn image_builder_types_columns_like_from_values() {
+        let (i, s, null) = (Value::Int, Value::str, || Value::Null);
+        let cases: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![i(1), i(2), i(3), i(4)],
+            vec![s("a"), s("b"), s("c"), s("d")],
+            vec![null(), null(), i(3), i(4), null()],
+            vec![i(1), null(), i(3), null(), i(5), i(6)],
+            vec![null(), s("b"), null(), s("d"), s("e")],
+            vec![i(1), s("b"), i(3), null(), i(5)],
+            vec![null(), null(), null()],
+            vec![Value::Bool(true), i(2), null()],
+            vec![null(), null(), null(), s("x")],
+        ];
+        for vals in cases {
+            assert_builder_types_like_from_values(vals);
+        }
+        // Zero-arity batches still count rows.
+        let mut b = ImageBuilder::new(0);
+        b.append(&ColumnBatch::empty(4), 0..4);
+        assert_eq!(b.finish().len(), 4);
     }
 
     #[test]

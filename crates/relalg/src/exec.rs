@@ -6,10 +6,12 @@
 //!    tree of physical operators. All name resolution, predicate
 //!    compilation and schema checks happen here, so pulling rows later is
 //!    infallible. Pipeline *breakers* do their buffering work now: a hash
-//!    join materializes its build side (unless that side is an
-//!    already-materialized scan, in which case the hash table indexes the
-//!    shared storage directly) and set-difference materializes its right
-//!    side.
+//!    join buffers its build side, semi/antijoins, set-difference and
+//!    nested loops their right side — each as a column-major
+//!    [`ColumnarImage`] appended batch by batch, column by column (no
+//!    row round trip), or, when that side is an already-materialized
+//!    scan, the scan's own cached image — and index it with a flat
+//!    chained digest table.
 //! 2. **Pull** ([`Streamed`]): the prepared tree executes on one engine,
 //!    the batched cursors, and every pull — full, limited, or batch-wise
 //!    — runs on it.
@@ -39,8 +41,8 @@
 //!    atomic exchange, and the gather re-assembles per-morsel outputs
 //!    in morsel order — replaying deferred distinct/difference seen-set
 //!    semantics — so parallel output is **byte-identical** to serial.
-//!    Hash-table builds fan out too (parallel digests into
-//!    digest-routed `RowTable` partitions), and
+//!    Hash-table builds stay serial (a column-at-a-time digest pass and
+//!    one tight insert loop), and
 //!    [`Streamed::fold_batches_parallel`] hands aggregation per-worker
 //!    partial states to merge. `EXPLAIN` tags parallel roots
 //!    `[parallel xN]`; [`ExecStats::workers`] reports the fan-out used.
@@ -72,7 +74,7 @@
 //! as [`execute_reference`], the differential baseline the property
 //! suites compare against.
 
-use crate::batch::{BatchCol, ColumnBatch, BATCH_SIZE};
+use crate::batch::{BatchCol, ColumnBatch, ImageBuilder, BATCH_SIZE};
 use crate::catalog::{Catalog, EngineConfig, StorageMode};
 use crate::error::{Error, Result};
 use crate::expr::{CmpOp, CompiledExpr, Expr};
@@ -390,15 +392,12 @@ pub struct Streamed {
     worker_batches: RefCell<Vec<(usize, usize)>>,
 }
 
-/// Prepare-time context: the catalog plus the buffer counters, the
-/// shared estimate cache, and the parallel-execution knobs (hash-table
-/// builds already fan out at prepare time).
+/// Prepare-time context: the catalog plus the buffer counters and the
+/// shared estimate cache.
 struct PrepCtx<'a> {
     catalog: &'a Catalog,
     counters: &'a Counters,
     est: &'a EstCache,
-    pool: TaskPool,
-    cfg: EngineConfig,
 }
 
 /// Prepare a plan for streaming execution: resolve, compile, and build
@@ -422,8 +421,6 @@ pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
         catalog,
         counters: &counters,
         est: &est,
-        pool: TaskPool::new(cfg.threads),
-        cfg,
     };
     // Prepare-time breaker materializations pull through the same
     // infallible cursor interfaces as query pulls, so mid-pull I/O
@@ -853,60 +850,67 @@ enum Node {
     Difference(DifferenceNode),
 }
 
-/// A hash table from key digest to row indices, split into digest-routed
-/// partitions so a parallel build fills disjoint partitions without
-/// locks. Serial builds use a single partition. Bucket contents are in
-/// ascending row order either way (each partition worker scans the
-/// digests in row order), so probe results are identical to a serial
-/// build's — the parallel build is invisible to consumers.
+/// A hash table from key digest to the rows of a buffered image: a flat
+/// chained table, `heads` mapping each digest to its lowest row index and
+/// `next` linking every row to the next higher one with the same digest.
+/// Filled in reverse row order, so every chain ascends and probe results
+/// come out in build-row order.
 struct RowTable {
-    parts: Vec<FxHashMap<u64, Vec<usize>>>,
+    heads: FxHashMap<u64, u32>,
+    next: Vec<u32>,
 }
 
+/// End of a [`RowTable`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
 impl RowTable {
-    /// Build from per-row digests, fanning the insert out over digest
-    /// partitions when the pool and input size justify it.
-    fn build(digests: &[u64], pool: &TaskPool, min_rows: usize) -> Result<RowTable> {
-        let nparts = if pool.threads() > 1 && digests.len() >= min_rows {
-            pool.threads()
-        } else {
-            1
-        };
-        if nparts == 1 {
-            let mut m: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for (i, &h) in digests.iter().enumerate() {
-                m.entry(h).or_default().push(i);
+    /// Index rows by their digests (`digests[i]` is row `i`'s).
+    fn build(digests: &[u64]) -> RowTable {
+        let mut heads = FxHashMap::with_capacity_and_hasher(digests.len(), Default::default());
+        let mut next = vec![CHAIN_END; digests.len()];
+        for (i, &h) in digests.iter().enumerate().rev() {
+            if let Some(older) = heads.insert(h, i as u32) {
+                next[i] = older;
             }
-            return Ok(RowTable { parts: vec![m] });
         }
-        let parts = pool.scatter_gather(nparts, |p| {
-            let mut m: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for (i, &h) in digests.iter().enumerate() {
-                if (h as usize) % nparts == p {
-                    m.entry(h).or_default().push(i);
-                }
-            }
-            m
-        })?;
-        Ok(RowTable { parts })
+        RowTable { heads, next }
     }
 
-    /// Row indices whose key hashed to `h` (ascending; hash collisions
+    /// Row indices whose key hashed to `h`, ascending (hash collisions
     /// included — callers re-check exact equality).
     #[inline]
-    fn get(&self, h: u64) -> Option<&[usize]> {
-        let part = if self.parts.len() == 1 {
-            &self.parts[0]
-        } else {
-            &self.parts[(h as usize) % self.parts.len()]
-        };
-        part.get(&h).map(Vec::as_slice)
+    fn get(&self, h: u64) -> Chain<'_> {
+        Chain {
+            next: &self.next,
+            cur: self.heads.get(&h).copied().unwrap_or(CHAIN_END),
+        }
+    }
+}
+
+/// Iterator over one [`RowTable`] chain.
+struct Chain<'a> {
+    next: &'a [u32],
+    cur: u32,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        (self.cur != CHAIN_END).then(|| {
+            let row = self.cur as usize;
+            self.cur = self.next[row];
+            row
+        })
     }
 }
 
 struct DifferenceNode {
     input: Box<Node>,
-    right: Arc<Relation>,
+    right: Arc<ColumnarImage>,
+    /// Every column of the right side: the membership key.
+    cols: Vec<usize>,
     /// Full-row digest → right-side row indices (membership table).
     table: RowTable,
 }
@@ -925,8 +929,11 @@ struct HashJoinNode {
 /// to digest-routed partitions when materializing it blew the memory
 /// budget's per-worker share.
 enum JoinBuild {
-    /// In-memory build: the materialized relation plus its digest table.
-    Mem { rel: Arc<Relation>, table: RowTable },
+    /// In-memory build: the buffered image plus its digest table.
+    Mem {
+        image: Arc<ColumnarImage>,
+        table: RowTable,
+    },
     /// On-disk build: partition run files of `(build row index, key
     /// digest, row)` records, routed by [`spill_part`] at depth 0 and
     /// each in ascending row-index order. Probing runs the hybrid-hash
@@ -962,7 +969,7 @@ fn spill_part(digest: u64, depth: usize) -> usize {
 
 struct NestedLoopNode {
     outer: Box<Node>,
-    inner: Arc<Relation>,
+    inner: Arc<ColumnarImage>,
     pred: Option<CompiledExpr>,
 }
 
@@ -972,7 +979,7 @@ type KeyedTable = (RowTable, Vec<usize>, Vec<usize>);
 
 struct SemiNode {
     probe: Box<Node>,
-    right: Arc<Relation>,
+    right: Arc<ColumnarImage>,
     /// `None` falls back to scanning the buffered right side per probe
     /// row (non-equi predicates).
     table: Option<KeyedTable>,
@@ -980,43 +987,14 @@ struct SemiNode {
     keep_matched: bool,
 }
 
-/// Per-row key digests of a materialized relation, computed in parallel
-/// chunks when large enough (`keys` empty → full-row digests). The
-/// digests feed [`RowTable::build`]; both stages are the "parallel
-/// partial build" half of a partitioned hash-join build.
-fn table_digests(
-    rel: &Relation,
-    keys: &[usize],
-    pool: &TaskPool,
-    min_rows: usize,
-) -> Result<Vec<u64>> {
-    let rows = rel.rows();
-    let digest = |row: &Row| {
-        if keys.is_empty() {
-            row_hash(row)
-        } else {
-            key_hash(row, keys)
-        }
-    };
-    if pool.threads() <= 1 || rows.len() < min_rows.max(pool.threads()) {
-        return Ok(rows.iter().map(digest).collect());
-    }
-    let chunk = rows.len().div_ceil(pool.threads());
-    let chunks: Vec<&[Row]> = rows.chunks(chunk).collect();
-    Ok(pool
-        .scatter_gather(chunks.len(), |i| {
-            chunks[i].iter().map(digest).collect::<Vec<u64>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect())
-}
-
-/// Build the digest-keyed row table of a breaker side (parallel partial
-/// build + partitioned insert when worthwhile).
-fn build_table(rel: &Relation, keys: &[usize], ctx: &PrepCtx<'_>) -> Result<RowTable> {
-    let digests = table_digests(rel, keys, &ctx.pool, ctx.cfg.parallel_min_rows)?;
-    RowTable::build(&digests, &ctx.pool, ctx.cfg.parallel_min_rows)
+/// Build the digest-keyed row table of a buffered image: the digests
+/// of the `keys` columns, hashed column at a time exactly as probe
+/// batches hash theirs.
+fn build_table(image: &ColumnarImage, keys: &[usize]) -> RowTable {
+    RowTable::build(&batch_key_hashes(
+        &ColumnBatch::slice_of(image, 0, image.len()),
+        keys,
+    ))
 }
 
 fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
@@ -1149,18 +1127,17 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
             } else {
                 Some(residual.compile(&joint)?)
             };
-            let right_rel = materialize(rnode, &rs, counters)?;
+            let right = materialize(rnode, &rs, counters)?;
             let table = if cond.equi.is_empty() {
                 None
             } else {
                 let (lk, rk): (Vec<usize>, Vec<usize>) = cond.equi.iter().cloned().unzip();
-                let table = build_table(&right_rel, &rk, ctx)?;
-                Some((table, lk, rk))
+                Some((build_table(&right, &rk), lk, rk))
             };
             Ok((
                 Node::Semi(SemiNode {
                     probe: Box::new(lnode),
-                    right: right_rel,
+                    right,
                     table,
                     residual,
                     keep_matched,
@@ -1195,13 +1172,15 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                     right: rs.to_string(),
                 });
             }
-            let right_rel = materialize(rnode, &rs, counters)?;
-            let table = build_table(&right_rel, &[], ctx)?;
+            let right = materialize(rnode, &rs, counters)?;
+            let cols: Vec<usize> = (0..rs.arity()).collect();
+            let table = build_table(&right, &cols);
             counters.breaker(); // the seen-set filled at pull time
             Ok((
                 Node::Difference(DifferenceNode {
                     input: Box::new(lnode),
-                    right: right_rel,
+                    right,
+                    cols,
                     table,
                 }),
                 ls,
@@ -1220,50 +1199,65 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
     }
 }
 
-/// Run a breaker-side node to completion. An already-materialized source
-/// is reused as-is — no rows are copied and no buffer is counted;
-/// anything else runs vectorized into the buffer. Under a memory
-/// budget the copied rows are *charged* (so `ExecStats` tracks them and
-/// sibling breakers spill earlier), but non-join breaker inputs do not
-/// themselves spill — only hash-join builds, sort, aggregation and the
-/// dedup seen-sets have spill paths.
-fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<Relation>> {
+/// Run a breaker-side node to completion into a column-major image. An
+/// already-materialized source hands back its relation's cached image —
+/// no values are copied and no buffer is counted; anything else runs
+/// vectorized, each batch appended column by column. Under a memory
+/// budget the buffered rows are *charged* their [`row_footprint`] (so
+/// `ExecStats` tracks them and sibling breakers spill earlier), but
+/// non-join breaker inputs do not themselves spill — only hash-join
+/// builds, sort, aggregation and the dedup seen-sets have spill paths.
+fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<ColumnarImage>> {
     if let Node::Source(src) = node {
-        return Ok(src.rel);
+        return Ok(src.rel.columns_arc());
     }
-    let mut rows = Vec::new();
+    let budget = counters.spill.budget();
+    let mut buf = ImageBuilder::new(schema.arity());
+    let mut bytes = 0usize;
     let mut cur = node.batch_cursor(counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
-        rows.extend((0..b.len()).map(|pos| b.row(pos)));
+        if budget.enabled() {
+            bytes += batch_footprints(&b).iter().sum::<usize>();
+        }
+        buf.append(&b, 0..b.len());
     }
-    if counters.spill.budget().enabled() {
-        counters
-            .spill
-            .budget()
-            .charge(rows.iter().map(row_footprint).sum());
-    }
-    counters.buffer(rows.len());
+    budget.charge(bytes);
+    let image = buf.finish();
+    counters.buffer(image.len());
     // Seen-set rows of nested breakers pulled during this prepare-time
     // materialization are permanent, not part of a re-runnable pull.
     counters.commit_pull();
-    Relation::new(schema.clone(), rows).map(Arc::new)
+    Ok(Arc::new(image))
+}
+
+/// The [`row_footprint`] of every row of a batch, without building the
+/// rows.
+fn batch_footprints(b: &ColumnBatch<'_>) -> Vec<usize> {
+    let mut fps = vec![24 + 24 * b.cols.len(); b.len()];
+    for c in &b.cols {
+        for (pos, fp) in fps.iter_mut().enumerate() {
+            *fp += c.value(pos).size_bytes();
+        }
+    }
+    fps
 }
 
 /// Materialize a hash-join build side under the memory budget.
 ///
 /// An already-materialized source stays zero-copy (the hash table
-/// indexes the shared storage; nothing is charged — the budget governs
+/// indexes the shared image; nothing is charged — the budget governs
 /// intermediate buffers, not the catalog's resident data), and with no
 /// budget configured this is exactly [`materialize`] + [`build_table`].
-/// Under a budget, a *computed* build side streams into an in-memory
-/// buffer; the moment the buffer exceeds the per-worker share it is
-/// flushed into [`SPILL_JOIN_PARTS`] digest-routed partition run files
-/// and every remaining row streams straight to disk, so the resident
-/// footprint stays near the share. Partition files hold `(build row
-/// index, key digest, row)` records in ascending index order — the
-/// order the hybrid-hash probe needs to reproduce in-memory output
-/// byte-for-byte.
+/// Under a budget, a *computed* build side streams into the same
+/// column-major buffer, charging each row its [`row_footprint`]; the
+/// moment the buffer exceeds the per-worker share it is flushed into
+/// [`SPILL_JOIN_PARTS`] digest-routed partition run files and every
+/// remaining row streams straight to disk, so the resident footprint
+/// stays near the share. Rows are built only for those files, which
+/// hold `(build row index, key digest, row)` records in ascending index
+/// order — the order the hybrid-hash probe needs to reproduce in-memory
+/// output byte-for-byte.
 fn prepare_join_build(
     node: Node,
     schema: &Schema,
@@ -1271,65 +1265,73 @@ fn prepare_join_build(
     ctx: &PrepCtx<'_>,
 ) -> Result<JoinBuild> {
     let counters = ctx.counters;
-    if !counters.spill.budget().enabled() || matches!(node, Node::Source(_)) {
-        let rel = materialize(node, schema, counters)?;
-        let table = build_table(&rel, keys, ctx)?;
-        return Ok(JoinBuild::Mem { rel, table });
-    }
     let spill = &counters.spill;
+    if !spill.budget().enabled() || matches!(node, Node::Source(_)) {
+        let image = materialize(node, schema, counters)?;
+        let table = build_table(&image, keys);
+        return Ok(JoinBuild::Mem { image, table });
+    }
     let share = spill.budget().share();
-    let mut rows: Vec<Row> = Vec::new();
+    let mut buf = ImageBuilder::new(schema.arity());
     let mut resident_bytes = 0usize;
     let mut tail_bytes = 0usize;
     let mut total_rows = 0usize;
     let mut writers: Option<Vec<crate::spill::RunWriter>> = None;
-    let mut push = |row: Row,
-                    rows: &mut Vec<Row>,
-                    writers: &mut Option<Vec<crate::spill::RunWriter>>|
-     -> Result<()> {
-        let bytes = row_footprint(&row);
-        let idx = total_rows as u64;
-        total_rows += 1;
-        if let Some(ws) = writers {
-            let digest = key_hash(&row, keys);
-            ws[spill_part(digest, 0)].push(&[idx, digest], &row)?;
-            tail_bytes += bytes;
-            return Ok(());
-        }
-        spill.budget().charge(bytes);
-        resident_bytes += bytes;
-        rows.push(row);
-        if resident_bytes > share {
-            // Over the share: divert to disk. Buffered rows flush into
-            // digest partitions (their indices are their positions).
-            let mut ws: Vec<crate::spill::RunWriter> = (0..SPILL_JOIN_PARTS)
-                .map(|_| spill.writer("join-build"))
-                .collect::<Result<_>>()?;
-            for (i, r) in rows.drain(..).enumerate() {
-                let digest = key_hash(&r, keys);
-                ws[spill_part(digest, 0)].push(&[i as u64, digest], &r)?;
-            }
-            spill.record_spill(resident_bytes);
-            spill.budget().release(resident_bytes);
-            resident_bytes = 0;
-            *writers = Some(ws);
-        }
-        Ok(())
-    };
     let mut cur = node.batch_cursor(counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
-        for pos in 0..b.len() {
-            push(b.row(pos), &mut rows, &mut writers)?;
+        let fps = batch_footprints(&b);
+        // Rows stay resident up to and including the one whose charge
+        // crosses the share; the rest of the batch goes to disk.
+        let mut resident_end = 0;
+        if writers.is_none() {
+            let mut charged = 0;
+            for fp in &fps {
+                charged += fp;
+                resident_end += 1;
+                if resident_bytes + charged > share {
+                    break;
+                }
+            }
+            spill.budget().charge(charged);
+            resident_bytes += charged;
+            buf.append(&b, 0..resident_end);
+            if resident_bytes > share {
+                // Over the share: divert to disk. Buffered rows flush
+                // into digest partitions (their indices are their
+                // positions).
+                let mut ws: Vec<crate::spill::RunWriter> = (0..SPILL_JOIN_PARTS)
+                    .map(|_| spill.writer("join-build"))
+                    .collect::<Result<_>>()?;
+                let image = std::mem::replace(&mut buf, ImageBuilder::new(0)).finish();
+                let rows = ColumnBatch::slice_of(&image, 0, image.len());
+                for (i, digest) in batch_key_hashes(&rows, keys).into_iter().enumerate() {
+                    ws[spill_part(digest, 0)].push(&[i as u64, digest], &rows.row(i))?;
+                }
+                spill.record_spill(resident_bytes);
+                spill.budget().release(resident_bytes);
+                resident_bytes = 0;
+                writers = Some(ws);
+            }
         }
+        if let Some(ws) = writers.as_mut() {
+            let digests = batch_key_hashes(&b, keys);
+            for pos in resident_end..b.len() {
+                let digest = digests[pos];
+                let idx = (total_rows + pos) as u64;
+                ws[spill_part(digest, 0)].push(&[idx, digest], &b.row(pos))?;
+                tail_bytes += fps[pos];
+            }
+        }
+        total_rows += b.len();
     }
     counters.buffer(total_rows);
     counters.commit_pull();
     match writers {
         None => {
-            let rel = Arc::new(Relation::new(schema.clone(), rows)?);
-            let table = build_table(&rel, keys, ctx)?;
-            Ok(JoinBuild::Mem { rel, table })
+            let image = Arc::new(buf.finish());
+            let table = build_table(&image, keys);
+            Ok(JoinBuild::Mem { image, table })
         }
         Some(ws) => {
             if tail_bytes > 0 {
@@ -1577,7 +1579,7 @@ enum BCursor<'a> {
     /// matches as re-selected probe views + build-image views.
     HashJoin {
         node: &'a HashJoinNode,
-        rel: &'a Arc<Relation>,
+        image: &'a ColumnarImage,
         table: &'a RowTable,
         probe: Box<BCursor<'a>>,
     },
@@ -1841,9 +1843,9 @@ impl Node {
                 exprs,
             },
             Node::HashJoin(node) => match &node.build {
-                JoinBuild::Mem { rel, table } => BCursor::HashJoin {
+                JoinBuild::Mem { image, table } => BCursor::HashJoin {
                     node,
-                    rel,
+                    image,
                     table,
                     probe: Box::new(node.probe.batch_cursor(counters)),
                 },
@@ -1935,9 +1937,9 @@ impl Node {
                 exprs,
             },
             Node::HashJoin(node) => match &node.build {
-                JoinBuild::Mem { rel, table } => BCursor::HashJoin {
+                JoinBuild::Mem { image, table } => BCursor::HashJoin {
                     node,
-                    rel,
+                    image,
                     table,
                     probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
                 },
@@ -2101,7 +2103,7 @@ impl<'a> BCursor<'a> {
                 pending,
             } => loop {
                 if let Some((ob, opos, ipos)) = pending.as_mut() {
-                    let inner = node.inner.columns();
+                    let inner: &ColumnarImage = &node.inner;
                     if !inner.is_empty() && *opos < ob.len() {
                         // Enumerate up to BATCH_SIZE cross pairs in
                         // (outer position, inner row) order — the
@@ -2159,29 +2161,27 @@ impl<'a> BCursor<'a> {
             }
             BCursor::HashJoin {
                 node,
-                rel,
+                image,
                 table,
                 probe,
             } => loop {
                 let b = probe.next_batch()?;
-                let build_image = rel.columns();
+                let build_image: &'a ColumnarImage = image;
                 let hashes = batch_key_hashes(&b, &node.probe_keys);
                 let mut probe_pos: Vec<u32> = Vec::new();
                 let mut build_idx: Vec<u32> = Vec::new();
                 for (pos, h) in hashes.iter().enumerate() {
-                    if let Some(matches) = table.get(*h) {
-                        for &bi in matches {
-                            if batch_keys_eq(
-                                &b,
-                                &node.probe_keys,
-                                pos,
-                                build_image,
-                                &node.build_keys,
-                                bi,
-                            ) {
-                                probe_pos.push(pos as u32);
-                                build_idx.push(bi as u32);
-                            }
+                    for bi in table.get(*h) {
+                        if batch_keys_eq(
+                            &b,
+                            &node.probe_keys,
+                            pos,
+                            build_image,
+                            &node.build_keys,
+                            bi,
+                        ) {
+                            probe_pos.push(pos as u32);
+                            build_idx.push(bi as u32);
                         }
                     }
                 }
@@ -2405,10 +2405,10 @@ impl<'a> BCursor<'a> {
                     let digest = batch_row_hash(&b, pos);
                     // The right-membership test is stateless and runs in
                     // both phases.
-                    let in_right = node.table.get(digest).is_some_and(|is| {
-                        is.iter()
-                            .any(|&i| batch_row_eq(&b, pos, &node.right.rows()[i]))
-                    });
+                    let in_right = node
+                        .table
+                        .get(digest)
+                        .any(|i| batch_keys_eq(&b, &node.cols, pos, &node.right, &node.cols, i));
                     if in_right {
                         continue;
                     }
@@ -2624,7 +2624,7 @@ fn mark_residual_matches(
 /// a residual (digest probe + pair-batch evaluation of the residual),
 /// and non-equi (pair-batch evaluation over all candidate pairs).
 fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
-    let right_image = node.right.columns();
+    let right_image: &ColumnarImage = &node.right;
     let mut matched = vec![false; b.len()];
     match &node.table {
         Some((table, lk, rk)) => {
@@ -2632,11 +2632,9 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
             match &node.residual {
                 None => {
                     for (pos, h) in hashes.iter().enumerate() {
-                        matched[pos] = table.get(*h).is_some_and(|matches| {
-                            matches
-                                .iter()
-                                .any(|&ri| batch_keys_eq(b, lk, pos, right_image, rk, ri))
-                        });
+                        matched[pos] = table
+                            .get(*h)
+                            .any(|ri| batch_keys_eq(b, lk, pos, right_image, rk, ri));
                     }
                 }
                 Some(res) => {
@@ -2647,11 +2645,9 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
                     // granularity (matters under key skew).
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     for (pos, h) in hashes.iter().enumerate() {
-                        if let Some(matches) = table.get(*h) {
-                            for &ri in matches {
-                                if batch_keys_eq(b, lk, pos, right_image, rk, ri) {
-                                    cands.push((pos as u32, ri as u32));
-                                }
+                        for ri in table.get(*h) {
+                            if batch_keys_eq(b, lk, pos, right_image, rk, ri) {
+                                cands.push((pos as u32, ri as u32));
                             }
                         }
                     }
@@ -2717,8 +2713,9 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
 }
 
 /// Per-row FxHash digests of the key columns of a batch, column-at-a-time
-/// and byte-compatible with [`key_hash`] over rows (the probe digests
-/// must hit the row-built hash tables).
+/// and byte-compatible with [`key_hash`] over rows (build images are
+/// hashed through this too, so probe and build digests always agree,
+/// and spilled rows keep the digests of the in-memory path).
 fn batch_key_hashes(b: &ColumnBatch<'_>, keys: &[usize]) -> Vec<u64> {
     let mut hashers = vec![FxHasher::default(); b.len()];
     for &k in keys {
@@ -3784,6 +3781,70 @@ mod tests {
         // fact splits into 3 one-batch morsels: 3 of the 4 configured
         // workers get one each.
         assert_eq!(par_stats.workers, 3);
+    }
+
+    #[test]
+    fn row_table_chains_ascend_through_duplicate_digests() {
+        let table = RowTable::build(&[5, 3, 5, 5, 3, 9]);
+        assert_eq!(table.get(5).collect::<Vec<_>>(), [0, 2, 3]);
+        assert_eq!(table.get(3).collect::<Vec<_>>(), [1, 4]);
+        assert_eq!(table.get(9).collect::<Vec<_>>(), [5]);
+        assert_eq!(table.get(7).count(), 0);
+    }
+
+    #[test]
+    fn row_table_collisions_are_filtered_by_key_equality() {
+        // Every build row shares one digest: the chain hands back all of
+        // them, and the exact-key check keeps only the equal one.
+        let build = Relation::from_rows(
+            ["k", "s"],
+            (0..5)
+                .map(|i| vec![Value::Int(i), Value::str(format!("v{}", i % 2))])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let image = build.columns();
+        let table = RowTable::build(&[42; 5]);
+        assert_eq!(table.get(42).count(), 5);
+        let probe = Relation::from_rows(
+            ["k", "s"],
+            vec![
+                vec![Value::Int(3), Value::str("v1")],
+                vec![Value::Int(3), Value::str("v0")],
+            ],
+        )
+        .unwrap();
+        let b = ColumnBatch::slice_of(probe.columns(), 0, 2);
+        let matches = |pos: usize, keys: &[usize]| -> Vec<usize> {
+            table
+                .get(42)
+                .filter(|&r| batch_keys_eq(&b, keys, pos, image, keys, r))
+                .collect()
+        };
+        assert_eq!(matches(0, &[0, 1]), [3]);
+        assert!(matches(1, &[0, 1]).is_empty());
+        assert_eq!(matches(1, &[1]), [0, 2, 4]);
+    }
+
+    #[test]
+    fn empty_build_sides_index_and_join_nothing() {
+        let table = RowTable::build(&[]);
+        assert_eq!(table.get(0).count(), 0);
+        // A computed build side that filters every row away.
+        let c = catalog();
+        let p = Plan::scan("emp").select(col("eid").gt(lit_i64(0))).join(
+            Plan::scan("dept").select(col("did").lt(lit_i64(0))),
+            col("dept").eq(col("did")),
+        );
+        let (out, stats) = execute_with_stats(&p, &c).unwrap();
+        assert!(out.is_empty());
+        assert_eq!((stats.buffers, stats.buffered_rows), (1, 0));
+        let minus = Plan::scan("emp").project_names(["eid"]).difference(
+            Plan::scan("emp")
+                .select(col("eid").lt(lit_i64(0)))
+                .project_names(["eid"]),
+        );
+        assert_eq!(execute(&minus, &c).unwrap().len(), 3);
     }
 
     #[test]

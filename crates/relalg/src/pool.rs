@@ -9,21 +9,17 @@
 //! claims are `fetch_add`, the task ids one worker processes are always
 //! increasing, which the executor's deterministic merges rely on.
 //!
-//! Two drivers cover the executor's needs:
-//!
-//! * [`TaskPool::scatter_gather`] — run every task, then hand back the
-//!   results **in task order** (the Exchange→Gather shape: workers emit
-//!   `(task id, result)` and the gather re-sorts, so parallel output is
-//!   byte-identical to a serial run).
-//! * [`TaskPool::fold_tasks`] — each worker folds the tasks it claims
-//!   into its own partial state (hash-join build partitions, partial
-//!   aggregation states); the caller merges the per-worker states.
+//! One driver covers the executor's needs: [`TaskPool::fold_tasks`] —
+//! each worker folds the tasks it claims into its own partial state
+//! (per-morsel outputs, partial aggregation states, sorted runs); the
+//! caller merges the per-worker states, in task order where the output
+//! must be byte-identical to a serial run.
 //!
 //! Threads are `std::thread::scope` workers, so tasks may borrow the
 //! prepared operator tree (and the catalog's shared relations) without
 //! any `'static` bounds — and the pool needs no dependencies beyond std.
 //!
-//! Both drivers are **panic-safe**: each worker body runs under
+//! The driver is **panic-safe**: each worker body runs under
 //! `catch_unwind`, the first failure — a genuine panic or an engine
 //! error unwound via [`crate::fault::rethrow`] — trips a shared abort
 //! flag that stops sibling workers at their next claim, and the
@@ -74,32 +70,6 @@ impl TaskPool {
         } else {
             (total / self.threads).max(1)
         }
-    }
-
-    /// Run `tasks` independent tasks and return their results in task
-    /// order (the Exchange→Gather driver). `task` must be safe to call
-    /// concurrently for distinct ids; each id runs exactly once. A
-    /// failing task (panic or [`crate::fault::rethrow`]n error) cancels
-    /// the remaining tasks and surfaces as `Err`.
-    pub fn scatter_gather<T, F>(&self, tasks: usize, task: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let per_worker = self.fold_tasks(tasks, Vec::new, |acc: &mut Vec<(usize, T)>, id| {
-            acc.push((id, task(id)))
-        })?;
-        // Gather: restore task order. Each id occurs exactly once, so
-        // placing into an indexed buffer is a stable O(n) re-sort.
-        let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-        for (id, t) in per_worker.into_iter().flatten() {
-            debug_assert!(slots[id].is_none(), "task {id} ran twice");
-            slots[id] = Some(t);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every task ran"))
-            .collect())
     }
 
     /// Run `tasks` tasks, folding each into the claiming worker's own
@@ -190,21 +160,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn scatter_gather_preserves_task_order() {
-        for threads in [1, 2, 4, 9] {
-            let pool = TaskPool::new(threads);
-            let out = pool.scatter_gather(23, |i| i * i).unwrap();
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn every_task_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         TaskPool::new(4)
-            .scatter_gather(100, |i| {
-                counters[i].fetch_add(1, Ordering::Relaxed);
-            })
+            .fold_tasks(
+                100,
+                || (),
+                |_, i| {
+                    counters[i].fetch_add(1, Ordering::Relaxed);
+                },
+            )
             .unwrap();
         for c in &counters {
             assert_eq!(c.load(Ordering::Relaxed), 1);
@@ -240,8 +205,13 @@ mod tests {
     #[test]
     fn zero_and_one_task_edge_cases() {
         let pool = TaskPool::new(4);
-        assert!(pool.scatter_gather(0, |_| 0).unwrap().is_empty());
-        assert_eq!(pool.scatter_gather(1, |i| i + 7).unwrap(), vec![7]);
+        let ids = |tasks| -> Vec<usize> {
+            pool.fold_tasks(tasks, Vec::new, |acc: &mut Vec<usize>, i| acc.push(i))
+                .unwrap()
+                .concat()
+        };
+        assert!(ids(0).is_empty());
+        assert_eq!(ids(1), vec![0]);
         assert_eq!(pool.workers_for(0), 1);
         assert_eq!(pool.workers_for(3), 3);
         assert_eq!(pool.workers_for(100), 4);

@@ -320,6 +320,13 @@ pub struct ColumnarImage {
 }
 
 impl ColumnarImage {
+    /// An image over already-built columns of `len` rows each (`len`
+    /// is explicit: a zero-arity image has rows but no columns).
+    pub(crate) fn from_columns(cols: Vec<Column>, len: usize) -> ColumnarImage {
+        debug_assert!(cols.iter().all(|c| c.len() == len));
+        ColumnarImage { cols, len }
+    }
+
     fn build(schema: &Schema, rows: &[Row]) -> ColumnarImage {
         ColumnarImage {
             cols: (0..schema.arity())
@@ -597,6 +604,16 @@ impl Relation {
     /// scans read this; the conversion is paid once per relation even
     /// across repeated queries (clones and renames share the cache).
     pub fn columns(&self) -> &ColumnarImage {
+        self.columnar_arc()
+    }
+
+    /// The cached column-major image as a shared handle — what a
+    /// pipeline breaker keeps when its buffered side is this relation.
+    pub(crate) fn columns_arc(&self) -> Arc<ColumnarImage> {
+        Arc::clone(self.columnar_arc())
+    }
+
+    fn columnar_arc(&self) -> &Arc<ColumnarImage> {
         self.columnar
             .get_or_init(|| Arc::new(ColumnarImage::build(&self.schema, self.rows_arc())))
     }

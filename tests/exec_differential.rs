@@ -42,6 +42,11 @@
 //!    workers, with 3-row segments so even tiny databases cross segment
 //!    boundaries, must emit exactly the plain-image serial row vector.
 //!
+//! 6. **Typed breaker buffers** — hash-join build sides and
+//!    set-difference right sides buffer a column-major image appended
+//!    batch by batch; a null-padded, type-mixing union there must give
+//!    the reference engine's rows in the reference engine's order.
+//!
 //! Case counts scale with `PROPTEST_CASES` (the CI differential job
 //! raises it well above the local default); generation is deterministic
 //! per test name, so failures reproduce exactly.
@@ -55,7 +60,8 @@ use u_relations::core::{
     UQuery, URelation, Var, WorldTable, WsDescriptor,
 };
 use u_relations::relalg::{
-    col, exec, lit_i64, optimizer, Catalog, Expr, Plan, Relation, Row, StorageMode, Value,
+    col, exec, lit, lit_i64, lit_str, optimizer, Catalog, ColRef, Expr, Plan, Relation, Row,
+    StorageMode, Value,
 };
 
 fn cases(default: u32) -> u32 {
@@ -816,6 +822,110 @@ proptest! {
                     stats.buffers
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed breaker buffers
+// ---------------------------------------------------------------------------
+
+/// The union both breakers buffer. Its arms pad with null literals or
+/// disagree on type, so the buffered image holds every column kind: `x`
+/// is `Int` padded with `Null` (`IntN`), `y` is `Str` padded with
+/// `Null` (`StrN`), `z` is `Int` on one arm and `Str` on the other
+/// (`Mixed`), and `w` is fed by constant batch columns alone.
+fn padded_union() -> Plan {
+    let arm = |cols: [(Expr, &str); 4]| -> Vec<(Expr, ColRef)> {
+        cols.into_iter().map(|(e, n)| (e, ColRef::new(n))).collect()
+    };
+    Plan::scan("a")
+        .project(arm([
+            (col("k"), "x"),
+            (col("s"), "y"),
+            (col("k"), "z"),
+            (lit_str("c"), "w"),
+        ]))
+        .union(
+            Plan::scan("a")
+                .select(col("k").lt(lit_i64(12)))
+                .project(arm([
+                    (lit(Value::Null), "x"),
+                    (lit(Value::Null), "y"),
+                    (col("s"), "z"),
+                    (lit_str("c"), "w"),
+                ])),
+        )
+}
+
+/// A hash join whose build side and a difference whose right side are
+/// [`padded_union`] give the reference engine's rows in its order —
+/// serial and at four workers — with each column kind as the join key:
+/// digests hashed off the buffered image must hit the probe's digests
+/// for every kind.
+#[test]
+fn padded_union_breaker_sides_match_reference_in_order() {
+    let mut cat = Catalog::new();
+    cat.insert(
+        "a",
+        Relation::from_rows(
+            ["k", "s"],
+            (0..40i64)
+                .map(|i| vec![Value::Int(i), Value::interned(format!("s{}", i % 13))])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap(),
+    );
+    cat.insert(
+        "p",
+        Relation::from_rows(
+            ["pk", "ps", "pz", "pw"],
+            (0..4000i64)
+                .map(|i| {
+                    let s = Value::interned(format!("s{}", i % 17));
+                    vec![
+                        if i % 9 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(i % 45)
+                        },
+                        if i % 11 == 0 { Value::Null } else { s.clone() },
+                        if i % 2 == 0 { Value::Int(i % 45) } else { s },
+                        Value::interned(if i % 3 == 0 { "d" } else { "c" }),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        )
+        .unwrap(),
+    );
+    let probe = Plan::scan("p");
+    let joins = [
+        col("x").eq(col("pk")),
+        col("y").eq(col("ps")),
+        col("z").eq(col("pz")),
+        Expr::and([col("w").eq(col("pw")), col("x").eq(col("pk"))]),
+    ];
+    let mut plans: Vec<Plan> = joins
+        .into_iter()
+        .map(|pred| padded_union().join(probe.clone(), pred))
+        .collect();
+    plans.push(
+        Plan::scan("p")
+            .project_names(["pk", "ps", "pz", "pw"])
+            .difference(padded_union()),
+    );
+    for threads in [1, 4] {
+        let mut c = cat.clone();
+        c.set_threads(threads);
+        c.set_parallel_granularity(256, 0);
+        for plan in &plans {
+            if let Plan::Join { left, right, .. } = plan {
+                assert!(exec::join_build_left(left, right, &c), "{plan:?}");
+            }
+            let want = exec::execute_reference(plan, &c).unwrap();
+            let got = exec::execute(plan, &c).unwrap();
+            assert!(!want.is_empty(), "{plan:?}");
+            assert_eq!(got.rows(), want.rows(), "{threads} workers: {plan:?}");
         }
     }
 }

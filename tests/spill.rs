@@ -281,6 +281,76 @@ fn spill_directory_is_removed_after_an_aborted_run() {
     );
 }
 
+/// `n` rows of `(k, g, tag)` whose tag strings vary in length, so the
+/// per-row footprint a breaker charges depends on the values it holds.
+fn tagged_rel(n: i64, m: i64) -> Relation {
+    Relation::from_rows(
+        ["k", "g", "tag"],
+        (0..n)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % m),
+                    Value::interned("t".repeat((i % 5) as usize + 1)),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    )
+    .unwrap()
+}
+
+/// A computed hash-join build side charges the memory budget exactly
+/// `row_footprint` bytes per buffered row, whether it stays resident or
+/// spills: the pinned counters were recorded from the row-buffering
+/// build and must not move when the buffer's form changes.
+#[test]
+fn join_build_budget_charges_are_pinned() {
+    let mut cat = unbounded_catalog();
+    cat.insert("probe", tagged_rel(1500, 61));
+    cat.insert("build", tagged_rel(700, 61));
+    let plan = Plan::scan("probe")
+        .select(col("k").ge(lit_i64(0)))
+        .rename("p")
+        .join(
+            Plan::scan("build")
+                .select(col("k").lt(lit_i64(690)))
+                .rename("b"),
+            col("p.g").eq(col("b.g")),
+        );
+    let want = exec::stream(&plan, &cat)
+        .unwrap()
+        .collect_rows(None)
+        .unwrap();
+    // (budget, build spilled, (buffers, buffered_rows,
+    // peak_tracked_bytes, spill_events, spilled_bytes)).
+    let pinned = [
+        (
+            2048usize,
+            true,
+            (1usize, 690usize, 13_379usize, 35usize, 657_570usize),
+        ),
+        (1 << 20, false, (1, 690, 79_350, 0, 0)),
+    ];
+    for (budget, spilled, counts) in pinned {
+        let c = budgeted(&cat, budget, 1);
+        let streamed = exec::stream(&plan, &c).unwrap();
+        assert_eq!(streamed.collect_rows(None).unwrap(), want);
+        assert_eq!(streamed.spilled_build(), spilled, "budget {budget}");
+        let s = streamed.stats();
+        assert_eq!(
+            (
+                s.buffers,
+                s.buffered_rows,
+                s.peak_tracked_bytes,
+                s.spill_events,
+                s.spilled_bytes
+            ),
+            counts,
+            "budget {budget}: {s:?}"
+        );
+    }
+}
+
 /// The CI `mem-budget` matrix leg's anti-no-op guard. When
 /// `RELALG_MEM_BUDGET` is set (as that leg sets it), the engine default
 /// must reflect it and a workload modestly larger than the budget must

@@ -42,12 +42,11 @@ fn rel() -> Relation {
     .unwrap()
 }
 
-/// A serial catalog over [`rel`] under `mode`, with a `pool`-slot
+/// A catalog over [`rel`] under `mode`, with a `pool`-slot
 /// buffer pool. Disk catalogs are primed: the segment-file write (and,
 /// for a roomy pool, the fault-in) is paid outside the timed region.
 fn storage_catalog(mode: StorageMode, pool: usize) -> Catalog {
     let mut c = Catalog::new();
-    c.set_threads(1);
     c.set_storage(mode);
     c.set_segment_layout(SEG_ROWS, pool);
     c.insert("t", rel());

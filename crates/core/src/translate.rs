@@ -218,7 +218,7 @@ impl<'a> PreparedDb<'a> {
     /// server can encode the database once and hand every session its
     /// own cheap catalog copy — sessions share the base data and
     /// statistics but keep independent plan caches and execution knobs
-    /// (threads, memory budget, deadline). The caller is responsible
+    /// (memory budget, storage, deadline). The caller is responsible
     /// for `catalog` actually encoding `udb` (i.e. it descends from
     /// [`UDatabase::to_catalog`]).
     pub fn with_catalog(udb: &'a UDatabase, catalog: Catalog) -> Self {
@@ -240,22 +240,12 @@ impl<'a> PreparedDb<'a> {
         &self.catalog
     }
 
-    /// Cap the morsel-driven executor's parallel workers for queries run
-    /// through this `PreparedDb` (1 = serial; the default comes from
-    /// `RELALG_THREADS` / the machine's available parallelism). Cached
-    /// plans stay valid — the thread count is an execution knob, not a
-    /// plan property.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.catalog.set_threads(threads);
-    }
-
     /// Cap the bytes pipeline-breaker buffers may hold for queries run
     /// through this `PreparedDb` (`usize::MAX` or `0` = unbounded; the
     /// default comes from `RELALG_MEM_BUDGET`). Over-budget breakers
     /// spill to sorted runs in a scoped temp directory — answers are
     /// byte-identical to unbounded execution, and cached plans stay
-    /// valid: like the thread cap, the budget is an execution knob, not
-    /// a plan property.
+    /// valid: the budget is an execution knob, not a plan property.
     pub fn set_mem_budget(&mut self, bytes: usize) {
         self.catalog.set_mem_budget(bytes);
     }
@@ -279,7 +269,7 @@ impl<'a> PreparedDb<'a> {
 
     /// Set (or clear) the per-query deadline for queries run through
     /// this `PreparedDb`. An execution past the deadline stops at the
-    /// next batch/morsel boundary, releases every resource it holds,
+    /// next batch boundary, releases every resource it holds,
     /// and returns `urel_relalg::Error::Cancelled`. Like the other
     /// knobs this is an execution property, not a plan property —
     /// cached plans stay valid across deadline changes, which is what
@@ -389,7 +379,7 @@ impl<'a> PreparedDb<'a> {
 
     /// [`PreparedDb::possible`] plus the [`urel_relalg::ExecStats`] of
     /// the physical execution — the serving layer reports these per
-    /// request (batches, workers, spills, pool traffic, cancellation).
+    /// request (batches, spills, pool traffic, cancellation).
     pub fn possible_with_stats(&self, q: &UQuery) -> Result<(Relation, urel_relalg::ExecStats)> {
         let wrapped = match q {
             UQuery::Poss { .. } => q.clone(),

@@ -2,8 +2,8 @@
 //!
 //! A process serving many sessions over one engine needs a gate between
 //! "a request arrived" and "a query is executing": without one, every
-//! concurrent request fans out over the shared [`crate::TaskPool`] and
-//! the buffer pool at once, and a single heavy query queued behind
+//! concurrent request runs on its own thread against the shared buffer
+//! pool at once, and a single heavy query queued behind
 //! dozens of its clones starves the fleet. The [`AdmissionGate`] bounds
 //! how many queries *execute* concurrently and how many may *wait*;
 //! everything beyond those bounds is shed immediately with
@@ -11,8 +11,8 @@
 //!
 //! The gate sits strictly **before** execution resources: a request
 //! that is shed — queue full, or its deadline expired while it waited —
-//! has never touched a [`crate::TaskPool`] worker, never leased a
-//! buffer-pool slot, and never created a spill directory. That ordering
+//! has never started executing, never leased a buffer-pool slot, and
+//! never created a spill directory. That ordering
 //! is the contract the server's deadline semantics rely on (a queued
 //! request past its deadline must fail with `Error::Cancelled` and
 //! leak nothing), and `tests/server.rs` pins it with

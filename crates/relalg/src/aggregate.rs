@@ -75,8 +75,8 @@ impl State {
     }
 
     /// Merge another partial state for the same aggregate function into
-    /// this one (the parallel partial-aggregation merge: counts and sums
-    /// add, min/max fold — all order-independent).
+    /// this one — how spilled runs of one group combine: counts and sums
+    /// add, min/max fold, all order-independent.
     fn merge(&mut self, other: State) {
         match (self, other) {
             (State::Count(a), State::Count(b)) => *a += b,
@@ -169,27 +169,22 @@ impl State {
 /// held — input rows are consumed one at a time and dropped.
 ///
 /// Output groups appear in *first-occurrence order of the input*. Each
-/// group remembers the position key of its first row — `(morsel id,
-/// sequence within the morsel)` packed into a `u64` — so partial
-/// accumulators built by parallel workers merge into exactly the order
-/// a serial pass would produce: workers claim morsels in increasing id
-/// order, and the merge keeps each group's minimum position.
+/// group remembers the input position of its first row, which is how
+/// spilled runs restore that order after their merge by group key.
 struct Accumulator<'a> {
     group_by: &'a [(Expr, ColRef)],
     aggs: &'a [Aggregate],
     key_exprs: Vec<CompiledExpr>,
     agg_exprs: Vec<Option<CompiledExpr>>,
     groups: FxHashMap<Vec<Value>, (u64, Vec<State>)>,
-    /// Position base of the current morsel (`morsel id << 32`).
-    morsel_base: u64,
-    /// Rows folded within the current morsel.
+    /// Rows folded so far: the position of the next row.
     seq: u64,
     /// Memory-budget spill state (`None` = unbounded, the fast path).
     spill: Option<AggSpill>,
 }
 
 /// Spill state of one accumulator: when the group map crosses the
-/// budget's per-worker share it is flushed as a *key-sorted* run of
+/// budget's limit it is flushed as a *key-sorted* run of
 /// `(first-occurrence position, group key ++ encoded states)` records.
 /// [`Accumulator::finish`] merges all runs by group key — partial
 /// states of the same group combine order-independently, each group
@@ -198,7 +193,6 @@ struct Accumulator<'a> {
 /// in-memory fold.
 struct AggSpill {
     ctx: Arc<SpillCtx>,
-    share: usize,
     bytes: usize,
     runs: Vec<Run>,
 }
@@ -228,7 +222,6 @@ impl<'a> Accumulator<'a> {
             key_exprs,
             agg_exprs,
             groups: FxHashMap::default(),
-            morsel_base: 0,
             seq: 0,
             spill: None,
         })
@@ -240,7 +233,6 @@ impl<'a> Accumulator<'a> {
         if ctx.budget().enabled() {
             self.spill = Some(AggSpill {
                 ctx: Arc::clone(ctx),
-                share: ctx.budget().share(),
                 bytes: 0,
                 runs: Vec::new(),
             });
@@ -248,24 +240,12 @@ impl<'a> Accumulator<'a> {
         self
     }
 
-    /// Enter morsel `id`: subsequent rows take positions under its base.
-    /// Parallel workers call this per batch; the sequence only resets
-    /// when the morsel actually changes (a morsel spans many batches).
-    /// The serial path stays on morsel 0.
-    fn set_morsel(&mut self, id: usize) {
-        let base = (id as u64) << 32;
-        if base != self.morsel_base {
-            self.morsel_base = base;
-            self.seq = 0;
-        }
-    }
-
     /// Fold one input row into the group states; `eval` supplies the
     /// value of a compiled expression for that row, so the relation path
     /// and the batched path share one grouping implementation.
     fn fold(&mut self, eval: impl Fn(&CompiledExpr) -> Value) -> Result<()> {
         let key: Vec<Value> = self.key_exprs.iter().map(&eval).collect();
-        let pos = self.morsel_base + self.seq;
+        let pos = self.seq;
         self.seq += 1;
         if let Some(sp) = &mut self.spill {
             if !self.groups.contains_key(&key) {
@@ -286,7 +266,11 @@ impl<'a> Accumulator<'a> {
         for ((state, agg), compiled) in states.iter_mut().zip(self.aggs).zip(&self.agg_exprs) {
             state.update(&agg.func, compiled.as_ref().map(&eval))?;
         }
-        if self.spill.as_ref().is_some_and(|sp| sp.bytes > sp.share) {
+        if self
+            .spill
+            .as_ref()
+            .is_some_and(|sp| sp.bytes > sp.ctx.budget().limit())
+        {
             self.flush_groups()?;
         }
         Ok(())
@@ -324,40 +308,6 @@ impl<'a> Accumulator<'a> {
     fn update_batch(&mut self, batch: &crate::batch::ColumnBatch<'_>) -> Result<()> {
         for pos in 0..batch.len() {
             self.fold(|c| c.eval_at(batch, pos))?;
-        }
-        Ok(())
-    }
-
-    /// Merge another worker's partial states: group states combine
-    /// order-independently, each group keeps its earliest position.
-    /// Spill runs (and their byte accounting) transfer wholesale — the
-    /// final merge in [`Accumulator::finish`] reads every run anyway.
-    fn merge(&mut self, mut other: Accumulator<'a>) -> Result<()> {
-        if let Some(osp) = other.spill.as_mut() {
-            let sp = self
-                .spill
-                .as_mut()
-                .expect("budgeted accumulators merge together");
-            sp.runs.append(&mut osp.runs);
-            sp.bytes += osp.bytes;
-            osp.bytes = 0;
-        }
-        for (key, (pos, states)) in other.groups {
-            match self.groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((pos, states));
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (cur_pos, cur_states) = e.get_mut();
-                    *cur_pos = (*cur_pos).min(pos);
-                    for (a, b) in cur_states.iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-        if self.spill.as_ref().is_some_and(|sp| sp.bytes > sp.share) {
-            self.flush_groups()?;
         }
         Ok(())
     }
@@ -464,12 +414,6 @@ pub fn aggregate(
 /// column batch at a time: a batched σ/π/join-probe chain feeds GROUP BY
 /// without ever materializing its input rows — only the group states
 /// are buffered.
-///
-/// When the executor decides to run the input morsel-parallel, each
-/// worker folds its morsels into a *partial* accumulator and the partial
-/// states merge afterwards — counts and sums add, min/max fold, and
-/// group order is restored from first-occurrence positions, so the
-/// result is byte-identical to the serial fold.
 pub fn aggregate_plan(
     plan: &Plan,
     catalog: &Catalog,
@@ -489,27 +433,8 @@ pub fn aggregate_plan_with_stats(
     aggs: &[Aggregate],
 ) -> Result<(Relation, ExecStats)> {
     let streamed = exec::stream(plan, catalog)?;
-    let ctx = Arc::clone(streamed.spill_ctx());
-    // Validate compilation up front so the parallel path reports the
-    // same errors the serial one would, before any worker spawns.
-    let acc = Accumulator::new(streamed.schema(), group_by, aggs)?.with_spill(&ctx);
-    let schema = streamed.schema().clone();
-    if let Some(partials) = streamed.fold_batches_parallel(
-        || Accumulator::new(&schema, group_by, aggs).map(|a| a.with_spill(&ctx)),
-        |acc, morsel, batch| {
-            let acc = acc.as_mut().map_err(|e| e.clone())?;
-            acc.set_morsel(morsel);
-            acc.update_batch(batch)
-        },
-    ) {
-        let mut merged = acc;
-        for partial in partials? {
-            merged.merge(partial?)?;
-        }
-        let rel = merged.finish()?;
-        return Ok((rel, streamed.stats()));
-    }
-    let mut acc = acc;
+    let mut acc =
+        Accumulator::new(streamed.schema(), group_by, aggs)?.with_spill(streamed.spill_ctx());
     streamed.for_each_batch(|batch| acc.update_batch(batch))?;
     let rel = acc.finish()?;
     Ok((rel, streamed.stats()))
@@ -587,48 +512,6 @@ mod tests {
         let rel = Relation::from_rows(["a"], vec![vec![Value::Null]]).unwrap();
         let out = aggregate(&rel, &[], &[Aggregate::new(AggFunc::Min(col("a")), "lo")]).unwrap();
         assert_eq!(out.rows()[0][0], Value::Null);
-    }
-
-    #[test]
-    fn parallel_aggregation_merges_to_serial_result() {
-        use crate::batch::BATCH_SIZE;
-        use crate::expr::lit_str;
-        // Enough rows for several morsels, group keys that first appear
-        // in different morsels (i / 1000 is monotone), plus every
-        // aggregate kind so the merge covers all states.
-        let rows: Vec<Vec<Value>> = (0..(3 * BATCH_SIZE as i64 + 57))
-            .map(|i| {
-                vec![
-                    Value::Int(i / 1000),
-                    Value::Int(i % 97),
-                    Value::interned(if i % 2 == 0 { "e" } else { "o" }),
-                ]
-            })
-            .collect();
-        let rel = Relation::from_rows(["grp", "v", "tag"], rows).unwrap();
-        let mut serial = Catalog::new().with_config(crate::catalog::EngineConfig::serial());
-        serial.insert("t", rel.clone());
-        let mut par = Catalog::new().with_config(crate::catalog::EngineConfig::serial());
-        par.insert("t", rel);
-        par.set_threads(4);
-        par.set_parallel_granularity(BATCH_SIZE, 0);
-        let p = Plan::scan("t").select(col("tag").eq(lit_str("e")));
-        let group = [(col("grp"), ColRef::parse("grp"))];
-        let aggs = [
-            Aggregate::new(AggFunc::CountStar, "n"),
-            Aggregate::new(AggFunc::Count(col("v")), "nv"),
-            Aggregate::new(AggFunc::Sum(col("v")), "s"),
-            Aggregate::new(AggFunc::Min(col("v")), "lo"),
-            Aggregate::new(AggFunc::Max(col("v")), "hi"),
-        ];
-        let a = aggregate_plan(&p, &serial, &group, &aggs).unwrap();
-        let b = aggregate_plan(&p, &par, &group, &aggs).unwrap();
-        // Byte-identical: same groups, same aggregates, same first-
-        // occurrence order.
-        assert_eq!(a, b);
-        // Errors surface identically on the parallel path.
-        let bad = [Aggregate::new(AggFunc::Sum(col("tag")), "s")];
-        assert!(aggregate_plan(&p, &par, &group, &bad).is_err());
     }
 
     #[test]

@@ -311,6 +311,31 @@ impl ImageBuilder {
     }
 }
 
+/// The bytes an [`ImageBuilder`] stores for each row of `b`: one slot
+/// per column, sized by the column's kind — an `i64` for integers, an
+/// `Arc<str>` handle for strings (the interned payload belongs to the
+/// catalog, not the buffer), a whole [`Value`] otherwise. What a
+/// breaker charges the memory budget per buffered row.
+pub(crate) fn stored_row_bytes(b: &ColumnBatch<'_>) -> usize {
+    use std::mem::size_of;
+    let by_column = |col: &Column| match col {
+        Column::Int(_) | Column::IntN(..) => size_of::<i64>(),
+        Column::Str(_) | Column::StrN(..) => size_of::<Arc<str>>(),
+        Column::Mixed(_) => size_of::<Value>(),
+    };
+    b.cols
+        .iter()
+        .map(|c| match c {
+            BatchCol::Slice { col, .. } | BatchCol::View { col, .. } => by_column(col),
+            BatchCol::Shared { col, .. } | BatchCol::SharedView { col, .. } => by_column(col),
+            BatchCol::Owned(col) => by_column(col),
+            BatchCol::Const(Value::Int(_)) => size_of::<i64>(),
+            BatchCol::Const(Value::Str(_)) => size_of::<Arc<str>>(),
+            BatchCol::Const(_) => size_of::<Value>(),
+        })
+        .sum()
+}
+
 /// One column under construction, in the narrowest typing the values
 /// seen so far allow. Null positions are kept aside until
 /// [`ColumnBuilder::finish`] picks the dense or the nullable form.

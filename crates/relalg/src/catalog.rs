@@ -1,10 +1,9 @@
 //! The named-relation store with per-relation statistics and the
-//! engine's execution configuration: parallelism, memory budget,
-//! storage mode and segment geometry, the one buffer-pool capacity
+//! engine's execution configuration: memory budget, storage mode and
+//! segment geometry, the one buffer-pool capacity
 //! that bounds decoded segments under disk storage, fault injection
 //! and deadlines.
 
-use crate::batch::BATCH_SIZE;
 use crate::error::{Error, Result};
 use crate::fault::FaultConfig;
 use crate::relation::Relation;
@@ -14,29 +13,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Engine execution configuration, carried by the [`Catalog`] so every
-/// caller that can run a query can also tune how it runs.
-///
-/// The defaults come from the environment once per process:
-/// `RELALG_THREADS` caps the morsel-driven executor's worker count
-/// (unset → one worker per available core; `1` forces serial). Parallel
-/// and serial execution produce byte-identical results — the knobs only
-/// trade scheduling overhead against parallel speedup.
+/// caller that can run a query can also tune how it runs. The defaults
+/// come from the environment once per process. Every query executes on
+/// its calling thread; concurrency comes from running sessions side by
+/// side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Maximum parallel workers per pipeline (1 = serial).
-    pub threads: usize,
-    /// Rows per morsel — the unit of work a worker claims. A multiple of
-    /// [`BATCH_SIZE`] keeps worker-emitted batches full.
-    pub morsel_rows: usize,
-    /// Minimum *estimated* output rows before a pipeline goes parallel;
-    /// below it, scheduling overhead outweighs the win and the plan runs
-    /// serial (the threshold reuses the optimizer's `EstCache` estimate).
-    pub parallel_min_rows: usize,
     /// Memory budget in bytes for pipeline-breaker buffers
     /// (`usize::MAX` = unbounded, the default; `RELALG_MEM_BUDGET` sets
     /// it from the environment). Each breaker charges its buffered bytes
     /// against the budget and spills to sorted runs in a scoped temp
-    /// directory when its per-worker share is exceeded — with output
+    /// directory when the budget is exceeded — with output
     /// guaranteed byte-identical to the unbounded engine.
     pub mem_budget: usize,
     /// How base-table scans source their batches (`RELALG_STORAGE`):
@@ -60,7 +47,7 @@ pub struct EngineConfig {
     /// pair names a reproducible fault sequence.
     pub faults: Option<FaultConfig>,
     /// Per-query deadline (`RELALG_DEADLINE_MS`): executions past it
-    /// stop at the next batch/morsel boundary, release every resource
+    /// stop at the next batch boundary, release every resource
     /// they hold, and return [`Error::Cancelled`]. `None` = no limit.
     pub deadline: Option<Duration>,
 }
@@ -82,13 +69,6 @@ pub enum StorageMode {
     Disk,
 }
 
-/// Default morsel size: 8 batches per claim amortizes the atomic
-/// exchange without starving the work-stealing balance.
-pub const DEFAULT_MORSEL_ROWS: usize = 8 * BATCH_SIZE;
-
-/// Default estimated-row threshold below which plans stay serial.
-pub const DEFAULT_PARALLEL_MIN_ROWS: usize = 4 * BATCH_SIZE;
-
 /// Default rows per column segment (64Ki).
 pub const DEFAULT_SEGMENT_ROWS: usize = 64 * 1024;
 
@@ -98,9 +78,6 @@ pub const DEFAULT_BUFFER_POOL: usize = 64;
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            threads: default_threads(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            parallel_min_rows: DEFAULT_PARALLEL_MIN_ROWS,
             mem_budget: default_mem_budget(),
             storage: default_storage(),
             segment_rows: default_segment_rows(),
@@ -184,32 +161,6 @@ fn default_mem_budget() -> usize {
     })
 }
 
-/// `RELALG_THREADS`, else available parallelism, read once per process.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("RELALG_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-    })
-}
-
-impl EngineConfig {
-    /// Serial configuration (one worker), independent of the environment.
-    pub fn serial() -> Self {
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        }
-    }
-}
-
 /// A catalog maps relation names to materialized relations and caches
 /// per-column statistics used by the optimizer's cardinality estimates.
 /// It also carries the [`EngineConfig`] the executor reads at prepare
@@ -238,17 +189,11 @@ impl Catalog {
         self
     }
 
-    /// Set the parallel worker cap (1 = serial).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads.max(1);
-    }
-
-    /// Set the morsel size and parallel threshold (test / tuning hook;
-    /// small values let small inputs exercise the parallel engine).
-    pub fn set_parallel_granularity(&mut self, morsel_rows: usize, parallel_min_rows: usize) {
-        self.config.morsel_rows = morsel_rows.max(1);
-        self.config.parallel_min_rows = parallel_min_rows;
-    }
+    /// Does nothing: every query runs on its calling thread, whatever
+    /// `threads` is. Kept only because the repository benchmark
+    /// (`urbench`) still calls it; the next benchmark change deletes
+    /// that call and then this method.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Set the breaker memory budget in bytes (`usize::MAX` — or `0`,
     /// for symmetry with the `RELALG_MEM_BUDGET` convention — disables
@@ -290,7 +235,7 @@ impl Catalog {
     }
 
     /// Set (or clear) the per-query deadline. A query past its deadline
-    /// stops at the next batch/morsel boundary and returns
+    /// stops at the next batch boundary and returns
     /// [`Error::Cancelled`] with all its resources released.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
         self.config.deadline = deadline;
@@ -357,15 +302,10 @@ mod tests {
 
     #[test]
     fn engine_config_is_carried_and_tunable() {
-        let mut c = Catalog::new().with_config(EngineConfig::serial());
-        assert_eq!(c.config().threads, 1);
-        c.set_threads(4);
-        assert_eq!(c.config().threads, 4);
-        c.set_threads(0); // floored at 1
-        assert_eq!(c.config().threads, 1);
-        c.set_parallel_granularity(16, 0);
-        assert_eq!(c.config().morsel_rows, 16);
-        assert_eq!(c.config().parallel_min_rows, 0);
+        let mut c = Catalog::new();
+        let before = *c.config();
+        c.set_threads(4); // a no-op: queries run on their calling thread
+        assert_eq!(*c.config(), before);
         c.set_mem_budget(1 << 20);
         assert_eq!(c.config().mem_budget, 1 << 20);
         c.set_mem_budget(0); // 0 = unbounded, like the env convention

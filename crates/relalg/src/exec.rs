@@ -33,19 +33,9 @@
 //!    stops at batch granularity: after the batch that reaches the cap,
 //!    so upstream work overshoots by at most one batch.
 //!
-//!    *Morsel-driven parallel*: when the catalog's
-//!    [`EngineConfig`] allows more than one worker and the optimizer
-//!    estimates enough rows, a full pull fans the batched pipeline out:
-//!    the probe spine's columnar image splits into fixed-size morsels,
-//!    a [`TaskPool`] of scoped workers steals morsel ids off a shared
-//!    atomic exchange, and the gather re-assembles per-morsel outputs
-//!    in morsel order — replaying deferred distinct/difference seen-set
-//!    semantics — so parallel output is **byte-identical** to serial.
-//!    Hash-table builds stay serial (a column-at-a-time digest pass and
-//!    one tight insert loop), and
-//!    [`Streamed::fold_batches_parallel`] hands aggregation per-worker
-//!    partial states to merge. `EXPLAIN` tags parallel roots
-//!    `[parallel xN]`; [`ExecStats::workers`] reports the fan-out used.
+//!    Every pull runs on the calling thread. Concurrency comes from
+//!    running queries side by side (the server's sessions), not from
+//!    splitting one query across threads.
 //!
 //! Zero-copy guarantees carry over from the shared-relation engine:
 //! `Scan`/`Values` still hand back the catalog's own `Arc<Relation>`
@@ -58,13 +48,13 @@
 //! Under a **memory budget** ([`EngineConfig::mem_budget`] /
 //! `RELALG_MEM_BUDGET`), breaker buffers charge their bytes against a
 //! shared [`SpillCtx`] tracker and spill to sorted runs in a scoped
-//! temp directory when they cross the budget's per-worker share:
+//! temp directory when they cross the budget:
 //! hash-join builds become on-disk digest partitions probed by a
 //! recursive hybrid-hash protocol, and distinct/difference seen-sets
 //! flush with first-occurrence candidates resolved at end of input
 //! (sort and aggregation spill on their own consumers' side). Spilled
 //! execution is byte-identical to unbounded execution, limited pulls
-//! included. A plan whose join build spilled runs serial.
+//! included.
 //!
 //! [`ExecStats`] counts the intermediate buffers actually allocated plus
 //! the batches emitted (and their mean fill) and the spill counters
@@ -74,22 +64,21 @@
 //! as [`execute_reference`], the differential baseline the property
 //! suites compare against.
 
-use crate::batch::{BatchCol, ColumnBatch, ImageBuilder, BATCH_SIZE};
+use crate::batch::{stored_row_bytes, BatchCol, ColumnBatch, ImageBuilder, BATCH_SIZE};
 use crate::catalog::{Catalog, EngineConfig, StorageMode};
 use crate::error::{Error, Result};
 use crate::expr::{CmpOp, CompiledExpr, Expr};
 use crate::fault::{self, CancelToken, FaultInjector};
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use crate::optimizer::{est_rows, est_rows_cached, EstCache};
+use crate::optimizer::{est_rows_cached, EstCache};
 use crate::plan::Plan;
-use crate::pool::TaskPool;
 use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
 use crate::spill::{merge_runs, MergeRuns, Record, Run, SpillCtx};
 use crate::store::{DiskImageProvider, IoCounters};
 use crate::value::Value;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -129,10 +118,6 @@ pub struct ExecStats {
     pub batches: usize,
     /// Logical rows carried by those batches.
     pub batch_rows: usize,
-    /// Parallel workers the most recent pull ran on (1 = serial; N > 1
-    /// means the morsel-driven engine fanned the root pipeline out over
-    /// N threads — with output still byte-identical to serial).
-    pub workers: usize,
     /// High-water mark of breaker-buffer bytes tracked against the
     /// memory budget (0 when the engine runs unbounded — tracking is
     /// off the hot path entirely).
@@ -149,8 +134,7 @@ pub struct ExecStats {
     pub spilled_bytes: usize,
     /// Storage segments decoded and scanned by disk base-table
     /// cursors (0 under plain storage; cumulative over the prepared
-    /// execution's lifetime, counted per cursor visit — a segment read
-    /// by two morsels counts twice).
+    /// execution's lifetime, counted per cursor visit).
     pub segments_scanned: usize,
     /// Storage segments skipped outright because a zone map refuted a
     /// sargable scan predicate (cumulative, like `segments_scanned`).
@@ -201,27 +185,24 @@ struct Counters {
     pull_rows: Cell<usize>,
     prepare_batches: Cell<(usize, usize)>,
     pull_batches: Cell<(usize, usize)>,
-    /// Workers used by the current pull (0 before any pull → reported
-    /// as 1, the serial baseline).
-    workers: Cell<usize>,
-    /// Memory budget, spill directory, and spill counters — shared
-    /// across the worker-local counter sets of one execution.
+    /// Memory budget, spill directory, and spill counters — shared with
+    /// the consumers that buffer on the engine's behalf (sort,
+    /// aggregation).
     spill: Arc<SpillCtx>,
-    /// Disk-storage counters, likewise shared across worker-local
-    /// counter sets (scan cursors on any worker bump one tally).
-    seg: Arc<SegCounters>,
+    /// Disk-storage counters.
+    seg: SegCounters,
     /// Per-execution deterministic fault injector (`None` = fault layer
     /// disabled: every edge short-circuits on one `None` test).
     faults: Option<Arc<FaultInjector>>,
-    /// Cooperative cancellation token, checked at batch and morsel
-    /// boundaries by the pull drivers and parallel workers.
+    /// Cooperative cancellation token, checked at every batch boundary
+    /// by the pull driver.
     cancel: Arc<CancelToken>,
 }
 
 /// Segment traffic of one execution: scans, zone-map skips, and the
 /// provider-side I/O tallies (bytes decoded, pages read, buffer-pool
-/// hits/misses). Atomics because parallel workers' cursors share them;
-/// cumulative over the execution's lifetime (like spill counters).
+/// hits/misses), cumulative over the execution's lifetime (like spill
+/// counters).
 #[derive(Default)]
 struct SegCounters {
     scanned: AtomicUsize,
@@ -254,9 +235,8 @@ impl Counters {
             pull_rows: Cell::new(0),
             prepare_batches: Cell::new((0, 0)),
             pull_batches: Cell::new((0, 0)),
-            workers: Cell::new(0),
             spill,
-            seg: Arc::new(SegCounters::default()),
+            seg: SegCounters::default(),
             faults: None,
             cancel: Arc::new(CancelToken::unlimited()),
         }
@@ -272,25 +252,7 @@ impl Counters {
         cancel: Arc<CancelToken>,
     ) -> Counters {
         Counters {
-            seg: Arc::new(SegCounters::with_faults(faults.clone())),
-            faults,
-            cancel,
-            ..Counters::with_spill(spill)
-        }
-    }
-
-    /// A fresh worker-local counter set sharing the execution-wide
-    /// spill and segment tallies plus the fault injector and cancel
-    /// token (the `Cell` counters stay per-worker; the shared parts are
-    /// the atomics).
-    fn with_shared(
-        spill: Arc<SpillCtx>,
-        seg: Arc<SegCounters>,
-        faults: Option<Arc<FaultInjector>>,
-        cancel: Arc<CancelToken>,
-    ) -> Counters {
-        Counters {
-            seg,
+            seg: SegCounters::with_faults(faults.clone()),
             faults,
             cancel,
             ..Counters::with_spill(spill)
@@ -331,12 +293,10 @@ impl Counters {
     }
 
     /// Start a fresh top-level pull: discard the previous pull's
-    /// seen-set row and batch counts, and reset to serial until a
-    /// parallel driver says otherwise.
+    /// seen-set row and batch counts.
     fn reset_pull(&self) {
         self.pull_rows.set(0);
         self.pull_batches.set((0, 0));
-        self.workers.set(1);
     }
 
     fn snapshot(&self) -> ExecStats {
@@ -347,7 +307,6 @@ impl Counters {
             buffered_rows: self.prepare_rows.get() + self.pull_rows.get(),
             batches: pb + b,
             batch_rows: pr + r,
-            workers: self.workers.get().max(1),
             peak_tracked_bytes: self.spill.budget().peak(),
             spill_events: self.spill.events(),
             spilled_bytes: self.spill.spilled_bytes(),
@@ -364,15 +323,6 @@ impl Counters {
     }
 }
 
-/// How a prepared pipeline will run morsel-parallel.
-struct ParallelSpec {
-    /// Number of morsels the root pipeline's source spine splits into.
-    morsels: usize,
-    /// `true` when the gather must replay deferred distinct/difference
-    /// seen-set semantics on the morsel-ordered output.
-    dedup: bool,
-}
-
 /// A prepared, pullable execution: physical operators with all owned
 /// state (compiled expressions, materialized breaker inputs, hash
 /// tables). Every pull method re-streams from the top.
@@ -380,16 +330,6 @@ pub struct Streamed {
     root: Node,
     schema: Schema,
     counters: Counters,
-    /// Morsel-parallel execution plan (`None` → every pull is serial).
-    parallel: Option<ParallelSpec>,
-    pool: TaskPool,
-    morsel_rows: usize,
-    /// `true` when a hash-join build spilled at prepare time (which is
-    /// what forces serial pulls).
-    spilled_build: bool,
-    /// `(batches, batch rows)` per worker of the last parallel pull —
-    /// the per-worker counters `explain_executed` reports.
-    worker_batches: RefCell<Vec<(usize, usize)>>,
 }
 
 /// Prepare-time context: the catalog plus the buffer counters and the
@@ -411,7 +351,7 @@ pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
     // clock starts here, at prepare.
     let faults = cfg.faults.map(|fc| Arc::new(FaultInjector::new(fc)));
     let cancel = Arc::new(CancelToken::new(cfg.deadline));
-    let spill = Arc::new(SpillCtx::new(cfg.mem_budget, cfg.threads).with_faults(faults.clone()));
+    let spill = Arc::new(SpillCtx::new(cfg.mem_budget).with_faults(faults.clone()));
     let counters = Counters::for_exec(spill, faults, cancel);
     // One estimate cache per prepare: build-side choices re-estimate the
     // same subtrees, and the plan is borrowed for the whole prepare so
@@ -426,31 +366,10 @@ pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
     // infallible cursor interfaces as query pulls, so mid-pull I/O
     // errors unwind (`fault::rethrow`) and convert back to `Err` here.
     let (root, schema) = fault::catch_pull(|| prepare(plan, &ctx))??;
-    // The parallel decision: enough configured workers, more than one
-    // morsel to fan out, a gather-safe operator tree, and an optimizer
-    // estimate (reusing the prepare's EstCache) above the threshold —
-    // below it the exchange overhead outweighs the parallel win. A
-    // hash-join build that spilled at prepare time forces serial pulls:
-    // every morsel cursor would otherwise re-probe the on-disk build
-    // partitions, multiplying the spill I/O by the morsel count.
-    let spilled_build = root.any_spilled_build();
-    let parallel = (cfg.threads > 1 && !spilled_build)
-        .then(|| {
-            let morsels = root.morsel_count(cfg.morsel_rows);
-            let dedup = root.parallel_dedup(false)?;
-            (morsels > 1 && est_rows_cached(plan, catalog, &est) >= cfg.parallel_min_rows as f64)
-                .then_some(ParallelSpec { morsels, dedup })
-        })
-        .flatten();
     Ok(Streamed {
         root,
         schema,
         counters,
-        parallel,
-        pool: TaskPool::new(cfg.threads),
-        morsel_rows: cfg.morsel_rows,
-        spilled_build,
-        worker_batches: RefCell::new(Vec::new()),
     })
 }
 
@@ -481,56 +400,29 @@ impl Streamed {
         self.counters.spill.dir_path().map(Into::into)
     }
 
-    /// `true` when a hash-join build side spilled at prepare time —
-    /// the one spill kind that forces pulls serial (every other spill
-    /// composes with morsel parallelism). Lets tests and callers tell
-    /// a spill-forced serial plan from a genuinely serial one.
+    /// `true` when a hash-join build side spilled at prepare time to
+    /// on-disk partitions (which the pulls then probe with the
+    /// hybrid-hash protocol).
     pub fn spilled_build(&self) -> bool {
-        self.spilled_build
-    }
-
-    /// Workers a full (unlimited) pull will fan out over: `1` means the
-    /// plan runs serial (configured serial, too few estimated rows, a
-    /// single morsel, or a gather-unsafe operator tree). Matches
-    /// [`ExecStats::workers`] after such a pull and the static
-    /// [`predicted_workers`] mirror EXPLAIN prints.
-    pub fn planned_workers(&self) -> usize {
-        self.parallel
-            .as_ref()
-            .map(|p| self.pool.workers_for(p.morsels))
-            .unwrap_or(1)
-    }
-
-    /// `(batches, batch rows)` emitted by each worker of the last
-    /// parallel pull (empty after serial pulls) — the per-worker
-    /// counters behind `explain_executed`'s parallel report.
-    pub fn worker_batch_stats(&self) -> Vec<(usize, usize)> {
-        self.worker_batches.borrow().clone()
+        self.root.any_spilled_build()
     }
 
     /// Pull every column batch through `f` — zero-copy views of shared
     /// columns wherever the pipeline allows — without materializing the
     /// output rows.
     pub fn for_each_batch(&self, f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
-        self.pull_serial(usize::MAX, f)
+        self.pull(usize::MAX, f)
     }
 
     /// Pull up to `limit` rows (all when `None`) into an owned buffer.
     ///
-    /// Unlimited pulls run morsel-parallel when the prepare decided so,
-    /// with the gather keeping the output byte-identical to serial.
-    /// Limited pulls run serial and stop after the batch that reaches
-    /// the limit — upstream work overshoots by at most one batch — and
-    /// return exactly the first `limit` rows of the full pull.
+    /// Limited pulls stop after the batch that reaches the limit —
+    /// upstream work overshoots by at most one batch — and return
+    /// exactly the first `limit` rows of the full pull.
     pub fn collect_rows(&self, limit: Option<usize>) -> Result<Vec<Row>> {
-        if limit.is_none() {
-            if let Some(rows) = self.parallel_rows() {
-                return rows;
-            }
-        }
         let cap = limit.unwrap_or(usize::MAX);
         let mut rows = Vec::new();
-        self.pull_serial(cap, |b| {
+        self.pull(cap, |b| {
             rows.extend((0..b.len()).map(|pos| b.row(pos)));
             Ok(())
         })?;
@@ -538,15 +430,11 @@ impl Streamed {
         Ok(rows)
     }
 
-    /// The serial pull loop behind every serial consumer: runs the
-    /// batched cursor tree from the top, checks the cancel token at
-    /// every batch boundary, and hands batches to `f` until the stream
-    /// ends or at least `limit` rows have gone by.
-    fn pull_serial(
-        &self,
-        limit: usize,
-        mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>,
-    ) -> Result<()> {
+    /// The pull loop behind every consumer: runs the batched cursor
+    /// tree from the top, checks the cancel token at every batch
+    /// boundary, and hands batches to `f` until the stream ends or at
+    /// least `limit` rows have gone by.
+    fn pull(&self, limit: usize, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
         self.counters.reset_pull();
         fault::catch_pull(|| {
             let mut cur = self.root.batch_cursor(&self.counters);
@@ -564,142 +452,6 @@ impl Streamed {
         })?
     }
 
-    /// Morsel-parallel materialization of the root pipeline: each
-    /// worker keeps its morsels' rows apart (stateful operators keep
-    /// morsel-local partial seen-sets), and [`Streamed::gather`]
-    /// re-assembles them in morsel order. `None` when the prepare
-    /// decided to run serial.
-    fn parallel_rows(&self) -> Option<Result<Vec<Row>>> {
-        let spec = self.parallel.as_ref()?;
-        let per_worker = self.fan_out(
-            spec,
-            Vec::new,
-            |out: &mut Vec<(usize, Vec<Row>)>, idx, b| {
-                let rows = (0..b.len()).map(|pos| b.row(pos));
-                match out.last_mut() {
-                    Some((last, morsel)) if *last == idx => morsel.extend(rows),
-                    _ => out.push((idx, rows.collect())),
-                }
-                Ok(())
-            },
-        );
-        Some(per_worker.map(|per_worker| self.gather(spec, per_worker)))
-    }
-
-    /// The ordered gather: emit the per-morsel outputs in morsel order,
-    /// replaying deferred distinct/difference seen-set semantics on the
-    /// ordered stream when the spine holds one, so the result is
-    /// byte-identical to a serial pull.
-    fn gather(&self, spec: &ParallelSpec, per_worker: Vec<Vec<(usize, Vec<Row>)>>) -> Vec<Row> {
-        let mut slots: Vec<Vec<Row>> = vec![Vec::new(); spec.morsels];
-        for (idx, rows) in per_worker.into_iter().flatten() {
-            slots[idx] = rows;
-        }
-        if !spec.dedup {
-            return slots.into_iter().flatten().collect();
-        }
-        // Replay the deferred seen-set: first occurrence in morsel
-        // order wins, exactly as the serial seen-set would decide. The
-        // replay set holds (a copy of) the distinct output and has no
-        // spill path of its own — it is *charged* so
-        // `peak_tracked_bytes` reports it honestly (see ROADMAP:
-        // spilling the gather replay is an open follow-on).
-        let budget = self.counters.spill.budget();
-        let mut replay_bytes = 0usize;
-        let mut seen: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
-        let mut out = Vec::new();
-        for row in slots.into_iter().flatten() {
-            let bucket = seen.entry(row_hash(&row)).or_default();
-            if bucket.contains(&row) {
-                continue;
-            }
-            if budget.enabled() {
-                let fp = row_footprint(&row);
-                budget.charge(fp);
-                replay_bytes += fp;
-            }
-            bucket.push(row.clone());
-            self.counters.rows(1);
-            out.push(row);
-        }
-        budget.release(replay_bytes);
-        out
-    }
-
-    /// Morsel-parallel fold over the root pipeline's batches: each
-    /// worker folds the morsels it steals (ids strictly increasing per
-    /// worker) into its own partial state via `fold(state, morsel id,
-    /// batch)`, and the per-worker states come back for the caller to
-    /// merge (aggregation's partial-state merge rides on this). `None`
-    /// when the plan runs serial or the gather would have to replay
-    /// dedup semantics — batch consumers then use
-    /// [`Streamed::for_each_batch`].
-    pub fn fold_batches_parallel<T, I, F>(&self, init: I, fold: F) -> Option<Result<Vec<T>>>
-    where
-        T: Send,
-        I: Fn() -> T + Sync,
-        F: Fn(&mut T, usize, &ColumnBatch<'_>) -> Result<()> + Sync,
-    {
-        let spec = self.parallel.as_ref().filter(|spec| !spec.dedup)?;
-        Some(self.fan_out(spec, init, fold))
-    }
-
-    /// The morsel fan-out behind every parallel pull: pool workers steal
-    /// morsel ids off the shared exchange, run the batched cursor tree
-    /// over each morsel with worker-local counters (sharing the
-    /// execution's spill and segment tallies, fault injector and cancel
-    /// token), and fold its batches into per-worker state via
-    /// `fold(state, morsel id, batch)`. The first error — from `fold`,
-    /// the cancel token or an I/O edge — stops the sibling workers and
-    /// comes back as `Err`. Records the fan-out and the per-worker batch
-    /// counters; returns the states in worker order.
-    fn fan_out<T, I, F>(&self, spec: &ParallelSpec, init: I, fold: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        I: Fn() -> T + Sync,
-        F: Fn(&mut T, usize, &ColumnBatch<'_>) -> Result<()> + Sync,
-    {
-        self.counters.reset_pull();
-        let (root, morsel_rows) = (&self.root, self.morsel_rows);
-        let Counters {
-            spill,
-            seg,
-            faults,
-            cancel,
-            ..
-        } = &self.counters;
-        let per_worker = self.pool.fold_tasks(
-            spec.morsels,
-            || (init(), 0, 0),
-            |(state, batches, batch_rows), idx| {
-                // Morsel boundary: a tripped token cancels the claim and
-                // (via the pool's abort flag) the sibling workers.
-                fault::rethrow(cancel.check());
-                let local = Counters::with_shared(
-                    Arc::clone(spill),
-                    Arc::clone(seg),
-                    faults.clone(),
-                    Arc::clone(cancel),
-                );
-                let mut cur = root.morsel_cursor(idx, morsel_rows, &local);
-                while let Some(b) = cur.next_batch() {
-                    fault::rethrow(cancel.check());
-                    *batches += 1;
-                    *batch_rows += b.len();
-                    fault::rethrow(fold(state, idx, &b));
-                }
-            },
-        )?;
-        let counts: Vec<(usize, usize)> = per_worker.iter().map(|&(_, b, r)| (b, r)).collect();
-        let totals = counts
-            .iter()
-            .fold((0, 0), |(tb, tr), &(b, r)| (tb + b, tr + r));
-        self.counters.workers.set(counts.len());
-        self.counters.pull_batches.set(totals);
-        *self.worker_batches.borrow_mut() = counts;
-        Ok(per_worker.into_iter().map(|(state, _, _)| state).collect())
-    }
-
     /// Materialize the full result. When the plan bottoms out in an
     /// already-materialized source (scan / values / rename chains), the
     /// shared relation is returned as-is — pointer-equal for scans.
@@ -715,7 +467,7 @@ impl Streamed {
     /// This execution's cancellation token. `cancel()` it from any
     /// thread (or configure a deadline via
     /// [`crate::Catalog::set_deadline`] / `RELALG_DEADLINE_MS`) and
-    /// in-flight pulls stop at their next batch or morsel boundary with
+    /// in-flight pulls stop at their next batch boundary with
     /// [`Error::Cancelled`], unwinding through breakers so buffer-pool
     /// leases and spill files release on the way out.
     pub fn cancel_token(&self) -> Arc<CancelToken> {
@@ -776,21 +528,21 @@ impl SourceNode {
         SourceNode { rel, scan: None }
     }
 
-    /// The batched scan cursor over rows `[start, end)` — plain image
-    /// slices, or provider-served segments under disk storage.
-    fn batch_cursor<'a>(&'a self, start: usize, end: usize, counters: &'a Counters) -> BCursor<'a> {
+    /// The batched scan cursor over every row — plain image slices, or
+    /// provider-served segments under disk storage.
+    fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
         match &self.scan {
             Some(scan) => BCursor::SegSource {
                 scan,
-                pos: start,
-                end,
+                pos: 0,
+                end: self.rel.len(),
                 cur: None,
                 counters,
             },
             None => BCursor::Source {
                 image: self.rel.columns(),
-                pos: start,
-                end,
+                pos: 0,
+                end: self.rel.len(),
             },
         }
     }
@@ -927,7 +679,7 @@ struct HashJoinNode {
 
 /// The buffered side of a hash join: resident (the default) or spilled
 /// to digest-routed partitions when materializing it blew the memory
-/// budget's per-worker share.
+/// budget.
 enum JoinBuild {
     /// In-memory build: the buffered image plus its digest table.
     Mem {
@@ -1203,8 +955,9 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
 /// already-materialized source hands back its relation's cached image —
 /// no values are copied and no buffer is counted; anything else runs
 /// vectorized, each batch appended column by column. Under a memory
-/// budget the buffered rows are *charged* their [`row_footprint`] (so
-/// `ExecStats` tracks them and sibling breakers spill earlier), but
+/// budget the buffered rows are *charged* the bytes the image stores
+/// for them ([`stored_row_bytes`], so `ExecStats` tracks them and
+/// sibling breakers spill earlier), but
 /// non-join breaker inputs do not themselves spill — only hash-join
 /// builds, sort, aggregation and the dedup seen-sets have spill paths.
 fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<ColumnarImage>> {
@@ -1217,9 +970,7 @@ fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<C
     let mut cur = node.batch_cursor(counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
-        if budget.enabled() {
-            bytes += batch_footprints(&b).iter().sum::<usize>();
-        }
+        bytes += stored_row_bytes(&b) * b.len();
         buf.append(&b, 0..b.len());
     }
     budget.charge(bytes);
@@ -1231,18 +982,6 @@ fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<C
     Ok(Arc::new(image))
 }
 
-/// The [`row_footprint`] of every row of a batch, without building the
-/// rows.
-fn batch_footprints(b: &ColumnBatch<'_>) -> Vec<usize> {
-    let mut fps = vec![24 + 24 * b.cols.len(); b.len()];
-    for c in &b.cols {
-        for (pos, fp) in fps.iter_mut().enumerate() {
-            *fp += c.value(pos).size_bytes();
-        }
-    }
-    fps
-}
-
 /// Materialize a hash-join build side under the memory budget.
 ///
 /// An already-materialized source stays zero-copy (the hash table
@@ -1250,14 +989,14 @@ fn batch_footprints(b: &ColumnBatch<'_>) -> Vec<usize> {
 /// intermediate buffers, not the catalog's resident data), and with no
 /// budget configured this is exactly [`materialize`] + [`build_table`].
 /// Under a budget, a *computed* build side streams into the same
-/// column-major buffer, charging each row its [`row_footprint`]; the
-/// moment the buffer exceeds the per-worker share it is flushed into
-/// [`SPILL_JOIN_PARTS`] digest-routed partition run files and every
-/// remaining row streams straight to disk, so the resident footprint
-/// stays near the share. Rows are built only for those files, which
-/// hold `(build row index, key digest, row)` records in ascending index
-/// order — the order the hybrid-hash probe needs to reproduce in-memory
-/// output byte-for-byte.
+/// column-major buffer, charging each row the bytes the image stores
+/// for it ([`stored_row_bytes`]); the moment the buffer exceeds the
+/// budget it is flushed into [`SPILL_JOIN_PARTS`] digest-routed
+/// partition run files and every remaining row streams straight to
+/// disk, so the resident footprint stays near the budget. Rows are
+/// built only for those files, which hold `(build row index, key
+/// digest, row)` records in ascending index order — the order the
+/// hybrid-hash probe needs to reproduce in-memory output byte-for-byte.
 fn prepare_join_build(
     node: Node,
     schema: &Schema,
@@ -1271,7 +1010,7 @@ fn prepare_join_build(
         let table = build_table(&image, keys);
         return Ok(JoinBuild::Mem { image, table });
     }
-    let share = spill.budget().share();
+    let limit = spill.budget().limit();
     let mut buf = ImageBuilder::new(schema.arity());
     let mut resident_bytes = 0usize;
     let mut tail_bytes = 0usize;
@@ -1280,24 +1019,22 @@ fn prepare_join_build(
     let mut cur = node.batch_cursor(counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
-        let fps = batch_footprints(&b);
+        let row_bytes = stored_row_bytes(&b);
         // Rows stay resident up to and including the one whose charge
-        // crosses the share; the rest of the batch goes to disk.
+        // crosses the limit; the rest of the batch goes to disk.
         let mut resident_end = 0;
         if writers.is_none() {
-            let mut charged = 0;
-            for fp in &fps {
-                charged += fp;
-                resident_end += 1;
-                if resident_bytes + charged > share {
-                    break;
-                }
-            }
+            let room = limit - resident_bytes;
+            resident_end = match room.checked_div(row_bytes) {
+                Some(fit) => (fit + 1).min(b.len()),
+                None => b.len(),
+            };
+            let charged = resident_end * row_bytes;
             spill.budget().charge(charged);
             resident_bytes += charged;
             buf.append(&b, 0..resident_end);
-            if resident_bytes > share {
-                // Over the share: divert to disk. Buffered rows flush
+            if resident_bytes > limit {
+                // Over the limit: divert to disk. Buffered rows flush
                 // into digest partitions (their indices are their
                 // positions).
                 let mut ws: Vec<crate::spill::RunWriter> = (0..SPILL_JOIN_PARTS)
@@ -1316,12 +1053,11 @@ fn prepare_join_build(
         }
         if let Some(ws) = writers.as_mut() {
             let digests = batch_key_hashes(&b, keys);
-            for pos in resident_end..b.len() {
-                let digest = digests[pos];
+            for (pos, &digest) in digests.iter().enumerate().skip(resident_end) {
                 let idx = (total_rows + pos) as u64;
                 ws[spill_part(digest, 0)].push(&[idx, digest], &b.row(pos))?;
-                tail_bytes += fps[pos];
             }
+            tail_bytes += (b.len() - resident_end) * row_bytes;
         }
         total_rows += b.len();
     }
@@ -1412,119 +1148,6 @@ pub fn predicted_buffers(plan: &Plan, catalog: &Catalog) -> usize {
     }
 }
 
-/// The worker count the morsel-driven executor will fan `plan` out over
-/// (1 = serial) — the number EXPLAIN prints as `[parallel xN]` and
-/// [`ExecStats::workers`] reports after a full pull. Mirrors the
-/// prepare-time decision: the catalog's [`EngineConfig`] thread cap, the
-/// morsel count of the probe spine's source, the optimizer row estimate
-/// against the parallel threshold, and gather-safety of stateful
-/// operators.
-pub fn predicted_workers(plan: &Plan, catalog: &Catalog) -> usize {
-    let cfg = catalog.config();
-    if cfg.threads <= 1
-        || plan.schema(catalog).is_err()
-        || est_rows(plan, catalog) < cfg.parallel_min_rows as f64
-        || plan_parallel_dedup(plan, catalog, false).is_none()
-    {
-        return 1;
-    }
-    let morsels = plan_morsel_count(plan, catalog, cfg.morsel_rows);
-    if morsels > 1 {
-        cfg.threads.min(morsels)
-    } else {
-        1
-    }
-}
-
-/// Static mirror of [`Node::morsel_count`] on the logical plan: the
-/// morsel count of the source at the bottom of the probe spine.
-fn plan_morsel_count(plan: &Plan, catalog: &Catalog, morsel_rows: usize) -> usize {
-    match plan {
-        // Arithmetic on the row count (not via the columnar image) so
-        // counting morsels never forces the plain image of a disk-native
-        // relation; matches `ColumnarImage::morsel_count`.
-        Plan::Scan(name) => catalog
-            .get(name)
-            .map(|r| r.len().div_ceil(morsel_rows.max(1)))
-            .unwrap_or(0),
-        Plan::Values(rel) => rel.len().div_ceil(morsel_rows.max(1)),
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Rename { input, .. }
-        | Plan::Distinct(input) => plan_morsel_count(input, catalog, morsel_rows),
-        Plan::Union { left, right } => {
-            plan_morsel_count(left, catalog, morsel_rows)
-                + plan_morsel_count(right, catalog, morsel_rows)
-        }
-        Plan::Difference { left, .. }
-        | Plan::SemiJoin { left, .. }
-        | Plan::AntiJoin { left, .. } => plan_morsel_count(left, catalog, morsel_rows),
-        Plan::Join { left, right, pred } => {
-            let (Ok(ls), Ok(rs)) = (left.schema(catalog), right.schema(catalog)) else {
-                return 0;
-            };
-            let cond = JoinCondition::analyze(pred, &ls, &rs);
-            // Theta joins stream the left as the outer; hash joins stream
-            // whichever side `join_build_left` does not buffer.
-            let probe = if cond.equi.is_empty() {
-                left
-            } else if join_build_left(left, right, catalog) {
-                right
-            } else {
-                left
-            };
-            plan_morsel_count(probe, catalog, morsel_rows)
-        }
-    }
-}
-
-/// Static mirror of [`Node::parallel_dedup`] on the logical plan.
-fn plan_parallel_dedup(plan: &Plan, catalog: &Catalog, transformed: bool) -> Option<bool> {
-    match plan {
-        Plan::Scan(_) | Plan::Values(_) => Some(false),
-        // σ and ρ neither transform nor duplicate row values; semijoins
-        // only drop left rows. All pass the flag through unchanged.
-        Plan::Select { input, .. } | Plan::Rename { input, .. } => {
-            plan_parallel_dedup(input, catalog, transformed)
-        }
-        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => {
-            plan_parallel_dedup(left, catalog, transformed)
-        }
-        Plan::Project { input, .. } => plan_parallel_dedup(input, catalog, true),
-        Plan::Join { left, right, pred } => {
-            let (Ok(ls), Ok(rs)) = (left.schema(catalog), right.schema(catalog)) else {
-                return None;
-            };
-            let cond = JoinCondition::analyze(pred, &ls, &rs);
-            let probe = if cond.equi.is_empty() || !join_build_left(left, right, catalog) {
-                left
-            } else {
-                right
-            };
-            plan_parallel_dedup(probe, catalog, true)
-        }
-        Plan::Union { left, right } => {
-            plan_parallel_dedup(left, catalog, true)?;
-            plan_parallel_dedup(right, catalog, true)?;
-            Some(false)
-        }
-        Plan::Distinct(input) => {
-            if transformed {
-                return None;
-            }
-            plan_parallel_dedup(input, catalog, false)?;
-            Some(true)
-        }
-        Plan::Difference { left, .. } => {
-            if transformed {
-                return None;
-            }
-            plan_parallel_dedup(left, catalog, false)?;
-            Some(true)
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Batched cursors: the vectorized pipeline
 // ---------------------------------------------------------------------------
@@ -1534,8 +1157,7 @@ fn plan_parallel_dedup(plan: &Plan, catalog: &Catalog, transformed: bool) -> Opt
 /// this one implementation.
 enum BCursor<'a> {
     /// Chunked scan over `[pos, end)` of a relation's cached columnar
-    /// image — the whole image for serial pulls, one morsel for a
-    /// parallel worker.
+    /// image.
     Source {
         image: &'a ColumnarImage,
         pos: usize,
@@ -1659,7 +1281,6 @@ fn cmp_seq_idx(a: &Record, b: &Record) -> Ordering {
 /// point (everything before it was already emitted online, and the
 /// whole online prefix precedes every candidate in the input).
 struct DedupSpill {
-    share: usize,
     bytes: usize,
     seq: u64,
     /// `true` once the first flush ended online emission.
@@ -1679,7 +1300,6 @@ impl DedupSpill {
     fn maybe(counters: &Counters) -> Option<Box<DedupSpill>> {
         counters.spill.budget().enabled().then(|| {
             Box::new(DedupSpill {
-                share: counters.spill.budget().share(),
                 bytes: 0,
                 seq: 0,
                 spilling: false,
@@ -1693,12 +1313,12 @@ impl DedupSpill {
     }
 
     /// Charge one retained row; `true` when the buffer just crossed the
-    /// share and the caller must flush.
+    /// limit and the caller must flush.
     fn charge(&mut self, ctx: &SpillCtx, row: &Row) -> bool {
         let bytes = row_footprint(row);
         ctx.budget().charge(bytes);
         self.bytes += bytes;
-        self.bytes > self.share
+        self.bytes > ctx.budget().limit()
     }
 
     /// Flush the online seen-set (already-emitted rows) as a
@@ -1721,7 +1341,7 @@ impl DedupSpill {
     }
 
     /// Record a locally-new candidate row; flushes the candidate map
-    /// when it crosses the share.
+    /// when it crosses the limit.
     fn push_candidate(&mut self, ctx: &SpillCtx, digest: u64, row: Row) {
         if self
             .cand
@@ -1811,9 +1431,7 @@ impl DedupSpill {
 }
 
 impl Node {
-    /// Does any hash join in this tree hold a spilled build side? Such
-    /// trees run serial: every morsel cursor would re-drain and
-    /// re-probe the on-disk partitions (see `stream`).
+    /// Does any hash join in this tree hold a spilled build side?
     fn any_spilled_build(&self) -> bool {
         match self {
             Node::Source(_) => false,
@@ -1833,7 +1451,7 @@ impl Node {
     /// Build the batched cursor tree over the whole input.
     fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
         match self {
-            Node::Source(src) => src.batch_cursor(0, src.rel.len(), counters),
+            Node::Source(src) => src.batch_cursor(counters),
             Node::Filter { input, preds } => BCursor::Filter {
                 input: Box::new(input.batch_cursor(counters)),
                 preds,
@@ -1884,157 +1502,6 @@ impl Node {
                 counters,
                 spill: DedupSpill::maybe(counters),
             },
-        }
-    }
-
-    /// How many morsels the source at the bottom of this pipeline's
-    /// probe spine splits into (a union pipeline owns the morsels of
-    /// both children, left first).
-    fn morsel_count(&self, morsel_rows: usize) -> usize {
-        match self {
-            // Arithmetic (not via the columnar image) so disk execution
-            // never forces a disk-native relation's plain image;
-            // the formula matches `ColumnarImage::morsel_count`.
-            Node::Source(src) => src.rel.len().div_ceil(morsel_rows.max(1)),
-            Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
-                input.morsel_count(morsel_rows)
-            }
-            Node::HashJoin(n) => n.probe.morsel_count(morsel_rows),
-            Node::Semi(n) => n.probe.morsel_count(morsel_rows),
-            Node::NestedLoop(n) => n.outer.morsel_count(morsel_rows),
-            Node::Concat { left, right } => {
-                left.morsel_count(morsel_rows) + right.morsel_count(morsel_rows)
-            }
-            Node::Difference(n) => n.input.morsel_count(morsel_rows),
-        }
-    }
-
-    /// Build the batched cursor tree restricted to morsel `idx`: the
-    /// spine's source scans only that morsel's row range, and stateful
-    /// operators (distinct / difference seen-sets) keep *morsel-local*
-    /// partial seen-sets — the gather replays their global semantics on
-    /// the morsel-ordered output (see [`Streamed::gather`]).
-    fn morsel_cursor<'a>(
-        &'a self,
-        idx: usize,
-        morsel_rows: usize,
-        counters: &'a Counters,
-    ) -> BCursor<'a> {
-        match self {
-            Node::Source(src) => {
-                // Same bounds arithmetic as `ColumnarImage::morsel_bounds`.
-                let morsel_rows = morsel_rows.max(1);
-                let start = (idx * morsel_rows).min(src.rel.len());
-                let end = (start + morsel_rows).min(src.rel.len());
-                src.batch_cursor(start, end, counters)
-            }
-            Node::Filter { input, preds } => BCursor::Filter {
-                input: Box::new(input.morsel_cursor(idx, morsel_rows, counters)),
-                preds,
-            },
-            Node::Project { input, exprs } => BCursor::Project {
-                input: Box::new(input.morsel_cursor(idx, morsel_rows, counters)),
-                exprs,
-            },
-            Node::HashJoin(node) => match &node.build {
-                JoinBuild::Mem { image, table } => BCursor::HashJoin {
-                    node,
-                    image,
-                    table,
-                    probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
-                },
-                // Reachable only defensively: a spilled build forces
-                // serial pulls at prepare time (see `stream`). Each
-                // morsel would drain and probe its own partitions —
-                // correct, but the build-partition I/O multiplies by
-                // the morsel count.
-                JoinBuild::Spilled(spilled) => BCursor::HashJoinSpilled {
-                    node,
-                    spilled,
-                    probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
-                    state: SpillJoinState::Drain,
-                    counters,
-                },
-            },
-            Node::Semi(node) => BCursor::Semi {
-                node,
-                probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
-            },
-            Node::NestedLoop(node) => BCursor::NestedLoop {
-                node,
-                outer: Box::new(node.outer.morsel_cursor(idx, morsel_rows, counters)),
-                pending: None,
-            },
-            // A morsel lies entirely within one union child: the Concat
-            // node disappears and the morsel id routes (left ids first —
-            // gather order equals serial left-then-right order).
-            Node::Concat { left, right } => {
-                let ln = left.morsel_count(morsel_rows);
-                if idx < ln {
-                    left.morsel_cursor(idx, morsel_rows, counters)
-                } else {
-                    right.morsel_cursor(idx - ln, morsel_rows, counters)
-                }
-            }
-            Node::Distinct { input } => BCursor::Distinct {
-                input: Box::new(input.morsel_cursor(idx, morsel_rows, counters)),
-                seen: FxHashMap::default(),
-                counters,
-                spill: DedupSpill::maybe(counters),
-            },
-            Node::Difference(node) => BCursor::Difference {
-                node,
-                input: Box::new(node.input.morsel_cursor(idx, morsel_rows, counters)),
-                seen: FxHashMap::default(),
-                counters,
-                spill: DedupSpill::maybe(counters),
-            },
-        }
-    }
-
-    /// Can this pipeline run morsel-parallel with a deterministic
-    /// gather? Returns the gather's dedup requirement — `true` when
-    /// distinct/difference seen-set semantics must be replayed on the
-    /// gathered output — or `None` when a stateful operator sits below a
-    /// transforming one (its deferred dedup would see rewritten or
-    /// legitimately duplicated rows) and the pipeline must stay serial.
-    ///
-    /// `transformed` tracks whether an operator *above* the current node
-    /// rewrites or duplicates row values: projections and both join
-    /// kinds do; filters and semijoins only drop rows, which commutes
-    /// with value-based dedup.
-    fn parallel_dedup(&self, transformed: bool) -> Option<bool> {
-        match self {
-            Node::Source(_) => Some(false),
-            Node::Filter { input, .. } => input.parallel_dedup(transformed),
-            Node::Semi(n) => n.probe.parallel_dedup(transformed),
-            Node::Project { input, .. } => input.parallel_dedup(true),
-            Node::HashJoin(n) => n.probe.parallel_dedup(true),
-            Node::NestedLoop(n) => n.outer.parallel_dedup(true),
-            // Children own disjoint morsel ranges; a deferred dedup
-            // would leak across them, so children must be dedup-free
-            // (the `true` flag already rejects nested stateful nodes).
-            Node::Concat { left, right } => {
-                left.parallel_dedup(true)?;
-                right.parallel_dedup(true)?;
-                Some(false)
-            }
-            Node::Distinct { input } => {
-                if transformed {
-                    return None;
-                }
-                input.parallel_dedup(false)?;
-                Some(true)
-            }
-            Node::Difference(n) => {
-                // The right-membership test is a stateless per-row
-                // filter; only the left-side seen-set defers.
-                if transformed {
-                    return None;
-                }
-                n.input.parallel_dedup(false)?;
-                Some(true)
-            }
         }
     }
 }
@@ -2367,7 +1834,7 @@ impl<'a> BCursor<'a> {
                     *k = true;
                     any = true;
                     if over {
-                        // The seen-set crossed its share: flush it (its
+                        // The seen-set crossed the budget: flush it (its
                         // rows are already emitted) and stop emitting
                         // online from the next row on.
                         spill
@@ -2473,7 +1940,7 @@ fn dedup_emit_winners<'a>(
 /// index.
 ///
 /// A build partition whose resident footprint still exceeds the budget
-/// share is *recursively* re-partitioned (both sides, with the
+/// is *recursively* re-partitioned (both sides, with the
 /// next-depth digest mix) up to [`MAX_SPILL_DEPTH`]; past that it is
 /// built in memory regardless — a partition that refuses to split is
 /// dominated by duplicates of one key, which re-hashing cannot spread.
@@ -2489,10 +1956,10 @@ fn join_spilled_partition(
         return Ok(());
     }
     // The run's own metadata decides *before* anything loads: an
-    // over-share partition streams record-by-record into sub-partition
-    // files, so no more than one share's worth of build rows is ever
+    // over-budget partition streams record-by-record into sub-partition
+    // files, so no more than one budget's worth of build rows is ever
     // resident on this path.
-    if build_run.bytes() > ctx.budget().share()
+    if build_run.bytes() > ctx.budget().limit()
         && depth < MAX_SPILL_DEPTH
         && build_run.records() > 1
     {
@@ -2855,16 +2322,6 @@ fn key_hash(row: &Row, keys: &[usize]) -> u64 {
     let mut h = FxHasher::default();
     for &k in keys {
         row[k].hash(&mut h);
-    }
-    h.finish()
-}
-
-/// FxHash digest of a whole row (set-membership tables).
-#[inline]
-fn row_hash(row: &Row) -> u64 {
-    let mut h = FxHasher::default();
-    for v in row.iter() {
-        v.hash(&mut h);
     }
     h.finish()
 }
@@ -3629,15 +3086,15 @@ mod tests {
     fn limited_pulls_are_prefixes_of_the_full_pull() {
         let scan = Plan::scan("fact").select(col("k").ge(lit_i64(0)));
         let distinct = Plan::scan("fact").project_names(["k", "tag"]).distinct();
-        for threads in [1, 4] {
-            let mut c = parallel_catalog(threads);
-            c.set_mem_budget(0);
-            assert_limited_pulls_are_prefixes(&scan, &c);
-            assert_limited_pulls_are_prefixes(&distinct, &c);
-            // Under a 256-byte budget the seen-set spills — limited
-            // pulls included — and the spill directory goes with the
-            // execution.
-            c.set_mem_budget(256);
+        let mut c = big_catalog();
+        c.set_mem_budget(0);
+        assert_limited_pulls_are_prefixes(&scan, &c);
+        assert_limited_pulls_are_prefixes(&distinct, &c);
+        // Under a 256-byte budget (and a quarter of it) the seen-set
+        // spills — limited pulls included — and the spill directory
+        // goes with the execution.
+        for budget in [256, 64] {
+            c.set_mem_budget(budget);
             assert_limited_pulls_are_prefixes(&distinct, &c);
             let s = stream(&distinct, &c).unwrap();
             assert_eq!(s.collect_rows(Some(1)).unwrap().len(), 1);
@@ -3647,140 +3104,6 @@ mod tests {
             drop(s);
             assert!(!dir.exists(), "spill dir must be removed on drop: {dir:?}");
         }
-    }
-
-    /// The big catalog reconfigured for parallel execution: N workers,
-    /// one-batch morsels, no row threshold.
-    fn parallel_catalog(threads: usize) -> Catalog {
-        let mut c = big_catalog();
-        c.set_threads(threads);
-        c.set_parallel_granularity(BATCH_SIZE, 0);
-        c
-    }
-
-    /// Plans covering every morsel-parallelizable shape: scan, σ/π
-    /// chains, hash-join probes with residuals, semi/antijoins (keyed,
-    /// residual, and theta), nested loops, unions, distinct and
-    /// difference at the root.
-    fn parallel_plans() -> Vec<Plan> {
-        vec![
-            Plan::scan("fact"),
-            Plan::scan("fact")
-                .select(col("tag").eq(lit_str("even")))
-                .project_names(["k", "g"]),
-            Plan::scan("fact")
-                .select(col("tag").eq(lit_str("even")))
-                .join(Plan::scan("dim"), col("g").eq(col("d")))
-                .select(col("k").lt(lit_i64(1500)))
-                .project_names(["k", "name"]),
-            Plan::scan("fact").join(
-                Plan::scan("dim"),
-                Expr::and([col("g").eq(col("d")), col("k").gt(col("d"))]),
-            ),
-            Plan::scan("fact")
-                .select(col("k").lt(lit_i64(40)))
-                .join(Plan::scan("dim"), col("g").lt(col("d"))),
-            Plan::scan("fact").semijoin(
-                Plan::scan("dim").select(col("d").lt(lit_i64(3))),
-                col("g").eq(col("d")),
-            ),
-            Plan::scan("fact").antijoin(
-                Plan::scan("dim"),
-                Expr::and([col("g").eq(col("d")), col("k").gt(col("d"))]),
-            ),
-            Plan::scan("fact").union(Plan::scan("fact").select(col("g").eq(lit_i64(1)))),
-            Plan::scan("fact").project_names(["g", "tag"]).distinct(),
-            Plan::scan("fact")
-                .project_names(["g"])
-                .difference(
-                    Plan::scan("dim")
-                        .project_names(["d"])
-                        .select(col("d").gt(lit_i64(4))),
-                )
-                .select(col("g").ge(lit_i64(0))),
-        ]
-    }
-
-    #[test]
-    fn parallel_pull_is_byte_identical_to_serial() {
-        let serial = big_catalog(); // env default on test boxes may be 1 anyway
-        for threads in [2, 4] {
-            let par = parallel_catalog(threads);
-            for p in parallel_plans() {
-                let s_serial = stream(&p, &serial).unwrap();
-                let s_par = stream(&p, &par).unwrap();
-                let prepare_batches = s_par.stats().batches;
-                let a = s_serial.collect_rows(None).unwrap();
-                let b = s_par.collect_rows(None).unwrap();
-                assert_eq!(a, b, "parallel output differs for {p:?}");
-                // The parallel run reports its worker fan-out, matching
-                // both the prepared plan and the static mirror.
-                let workers = s_par.planned_workers();
-                assert_eq!(s_par.stats().workers, workers, "{p:?}");
-                assert_eq!(predicted_workers(&p, &par), workers, "{p:?}");
-                assert!(workers > 1, "plan unexpectedly serial: {p:?}");
-                assert!(workers <= threads);
-                // Per-worker batch counters sum to the pull's totals
-                // (prepare-time breaker materializations aside).
-                let per_worker = s_par.worker_batch_stats();
-                assert_eq!(per_worker.len(), workers);
-                let stats = s_par.stats();
-                assert_eq!(
-                    per_worker.iter().map(|w| w.0).sum::<usize>(),
-                    stats.batches - prepare_batches
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_decision_respects_threshold_and_morsels() {
-        // Below the row threshold: serial despite threads.
-        let mut c = big_catalog();
-        c.set_threads(4);
-        c.set_parallel_granularity(BATCH_SIZE, 1_000_000);
-        let s = stream(&Plan::scan("fact"), &c).unwrap();
-        assert_eq!(s.planned_workers(), 1);
-        assert_eq!(predicted_workers(&Plan::scan("fact"), &c), 1);
-        // A single morsel: serial.
-        let mut c = big_catalog();
-        c.set_threads(4);
-        c.set_parallel_granularity(1 << 20, 0);
-        assert_eq!(
-            stream(&Plan::scan("fact"), &c).unwrap().planned_workers(),
-            1
-        );
-        // Distinct below a projection defers no dedup — stays serial.
-        let mut c = big_catalog();
-        c.set_threads(4);
-        c.set_parallel_granularity(BATCH_SIZE, 0);
-        let p = Plan::scan("fact").distinct().project_names(["k"]);
-        let s = stream(&p, &c).unwrap();
-        assert_eq!(s.planned_workers(), 1);
-        assert_eq!(predicted_workers(&p, &c), 1);
-        // ...but executes correctly all the same.
-        assert_eq!(s.collect_rows(None).unwrap().len(), 2 * BATCH_SIZE + 100);
-    }
-
-    #[test]
-    fn parallel_gather_replays_seen_set_counters() {
-        // Distinct at the root of a parallel pipeline: the gather's
-        // replayed seen-set reports the same buffered-row count as the
-        // serial seen-set would.
-        let p = Plan::scan("fact").project_names(["g"]).distinct();
-        let serial = big_catalog();
-        let s = stream(&p, &serial).unwrap();
-        s.collect_rows(None).unwrap();
-        let serial_stats = s.stats();
-        let par = parallel_catalog(4);
-        let s = stream(&p, &par).unwrap();
-        s.collect_rows(None).unwrap();
-        let par_stats = s.stats();
-        assert_eq!(par_stats.buffers, serial_stats.buffers);
-        assert_eq!(par_stats.buffered_rows, serial_stats.buffered_rows);
-        // fact splits into 3 one-batch morsels: 3 of the 4 configured
-        // workers get one each.
-        assert_eq!(par_stats.workers, 3);
     }
 
     #[test]

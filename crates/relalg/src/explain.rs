@@ -16,57 +16,32 @@
 use crate::batch::BATCH_SIZE;
 use crate::catalog::{Catalog, StorageMode};
 use crate::error::Result;
-use crate::exec::{join_build_left, predicted_buffers, predicted_workers, JoinCondition};
+use crate::exec::{join_build_left, predicted_buffers, JoinCondition};
 use crate::expr::Expr;
 use crate::optimizer::est_rows;
 use crate::plan::Plan;
-use crate::pool::TaskPool;
 use std::fmt::Write as _;
 
 /// Render a plan as an indented EXPLAIN tree with pipeline annotations
-/// and the predicted intermediate-buffer count. When the morsel-driven
-/// engine will fan the root pipeline out, its line is tagged
-/// `[parallel xN]` and a footer repeats the worker count (parallel
-/// execution is byte-identical to serial — the tag is purely about
-/// scheduling).
+/// and the predicted intermediate-buffer count.
 pub fn explain(plan: &Plan, catalog: &Catalog) -> String {
     let mut out = String::new();
     render(plan, catalog, 0, &mut out);
-    let workers = predicted_workers(plan, catalog);
-    if workers > 1 {
-        // Tag the root pipeline's line (the whole probe spine runs on
-        // the workers; breaker builds are separate prepare pipelines).
-        if let Some(eol) = out.find('\n') {
-            out.insert_str(eol, &format!(" [parallel x{workers}]"));
-        }
-    }
     let buffers = predicted_buffers(plan, catalog);
     let _ = writeln!(out, "-- {buffers} intermediate row buffer(s)");
-    if workers > 1 {
-        let _ = writeln!(out, "-- parallel: {workers} worker(s)");
-    }
     let budget = catalog.config().mem_budget;
     if budget != usize::MAX {
-        let share = worker_share(catalog);
         let _ = writeln!(
             out,
-            "-- memory budget: {budget} byte(s) ({share} per worker share)"
+            "-- memory budget: {budget} byte(s) ({budget} per worker share)"
         );
     }
     out
 }
 
-/// The engine's actual per-worker budget share for this catalog's
-/// configuration (delegates to [`TaskPool::share_of`], the single home
-/// of that policy — including the one-byte floor for tiny budgets).
-fn worker_share(catalog: &Catalog) -> usize {
-    TaskPool::new(catalog.config().threads).share_of(catalog.config().mem_budget)
-}
-
 /// `EXPLAIN ANALYZE`-style: render the plan, execute it, and append the
 /// observed batch count and mean batch fill (rows per batch; the target
-/// is [`BATCH_SIZE`]) — plus, for parallel runs, the worker count and
-/// per-worker batch counters the gather collected.
+/// is [`BATCH_SIZE`]).
 pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
     let mut out = explain(plan, catalog);
     let streamed = crate::exec::stream(plan, catalog)?;
@@ -83,19 +58,6 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
         None => {
             let _ = writeln!(out, "-- no batches emitted (empty result)");
         }
-    }
-    if stats.workers > 1 {
-        let per: Vec<String> = streamed
-            .worker_batch_stats()
-            .iter()
-            .map(|(b, r)| format!("{b} batch(es)/{r} row(s)"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "-- executed on {} worker(s): {}",
-            stats.workers,
-            per.join(", ")
-        );
     }
     if stats.spill_events > 0 {
         let _ = writeln!(
@@ -172,24 +134,29 @@ fn est_row_bytes(plan: &Plan, catalog: &Catalog) -> f64 {
     }
 }
 
-/// `" [spill]"` when, under the configured memory budget, the breaker
-/// buffer holding `side`'s rows is predicted to exceed its per-worker
-/// share (48 bytes/row of buffer overhead assumed, mirroring the
-/// runtime's footprint estimate). Purely advisory: the runtime decides
+/// `" [spill]"` when, under the configured memory budget, a breaker
+/// buffer holding `side`'s estimated rows at `row_bytes` apiece is
+/// predicted to exceed the budget. Purely advisory: the runtime decides
 /// from actual sizes, and spilling never changes results.
-fn spill_tag(side: &Plan, catalog: &Catalog) -> &'static str {
+fn spill_tag(side: &Plan, catalog: &Catalog, row_bytes: f64) -> &'static str {
     if catalog.config().mem_budget == usize::MAX || side.materialized_source() {
         // Unbounded — or a zero-copy source build side, which indexes
         // the catalog's storage and never buffers, so it cannot spill.
         return "";
     }
-    let share = worker_share(catalog) as f64;
-    let bytes = est_rows(side, catalog) * (est_row_bytes(side, catalog) + 48.0);
-    if bytes > share {
+    let budget = catalog.config().mem_budget as f64;
+    if est_rows(side, catalog) * row_bytes > budget {
         " [spill]"
     } else {
         ""
     }
+}
+
+/// Estimated bytes a dedup seen-set charges per row: the row payload
+/// plus 48 bytes of row-form overhead, mirroring
+/// [`crate::relation::row_footprint`].
+fn seen_set_row_bytes(plan: &Plan, catalog: &Catalog) -> f64 {
+    est_row_bytes(plan, catalog) + 48.0
 }
 
 fn indent(depth: usize, out: &mut String) {
@@ -312,12 +279,18 @@ fn render_zone(
                 } else {
                     ("right", "left")
                 };
-                let build_side = if build == "left" { left } else { right };
+                let (build_side, build_arity) = if build == "left" {
+                    (left, ls.arity())
+                } else {
+                    (right, rs.arity())
+                };
+                // The build buffers a column image: at most an
+                // `Arc<str>` handle (16 B) per cell.
                 let _ = writeln!(
                     out,
                     "Hash Join  (rows≈{rows:.0}) [streams {probe} probe, build {build} {}] {tag}{}",
                     side_label(build_side),
-                    spill_tag(build_side, catalog)
+                    spill_tag(build_side, catalog, 16.0 * build_arity as f64)
                 );
                 indent(depth + 1, out);
                 let _ = writeln!(out, "Hash Cond: ({})", keys.join(") AND ("));
@@ -357,7 +330,7 @@ fn render_zone(
                 out,
                 "Except  (rows≈{rows:.0}) [buffers seen-set, right {}] {tag}{}",
                 side_label(right),
-                spill_tag(plan, catalog)
+                spill_tag(plan, catalog, seen_set_row_bytes(plan, catalog))
             );
             render(left, catalog, depth + 1, out);
             render(right, catalog, depth + 1, out);
@@ -366,7 +339,7 @@ fn render_zone(
             let _ = writeln!(
                 out,
                 "HashAggregate (distinct)  (rows≈{rows:.0}) [buffers seen-set] {tag}{}",
-                spill_tag(plan, catalog)
+                spill_tag(plan, catalog, seen_set_row_bytes(plan, catalog))
             );
             render(input, catalog, depth + 1, out);
         }
@@ -468,41 +441,45 @@ mod tests {
     }
 
     #[test]
-    fn explain_tags_parallel_pipelines() {
-        use crate::batch::BATCH_SIZE;
-        // A big enough relation with a parallel engine configuration:
-        // the root line gets the [parallel xN] tag, the footer names the
-        // workers, and explain_executed reports per-worker counters.
+    fn explain_predicts_build_spills_from_the_image_charge() {
+        // A computed two-integer build side of 1000 rows: its column
+        // image charges 16 B a row (16,000 B), where a row-form buffer
+        // would charge 88 B a row.
         let mut c = Catalog::new();
-        c.insert(
-            "big",
+        c.set_mem_budget(0);
+        let ints = |n: i64| {
             Relation::from_rows(
-                ["a"],
-                (0..(4 * BATCH_SIZE as i64))
-                    .map(|i| vec![Value::Int(i)])
+                ["k", "m"],
+                (0..n)
+                    .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
                     .collect::<Vec<_>>(),
             )
-            .unwrap(),
-        );
-        c.set_threads(2);
-        c.set_parallel_granularity(BATCH_SIZE, 0);
-        let p = Plan::scan("big").select(col("a").ge(lit_i64(0)));
+            .unwrap()
+        };
+        c.insert("l", ints(4096));
+        c.insert("r", ints(1000));
+        let p = Plan::scan("l")
+            .select(col("k").ge(lit_i64(0)))
+            .rename("l")
+            .join(
+                Plan::scan("r").select(col("k").ge(lit_i64(0))).rename("r"),
+                col("l.k").eq(col("r.k")),
+            );
+        // Room for the image: neither EXPLAIN nor the runtime spills.
+        c.set_mem_budget(40_000);
         let text = explain(&p, &c);
-        assert!(text.contains("[parallel x2]"), "{text}");
-        assert!(text.contains("-- parallel: 2 worker(s)"), "{text}");
-        let text = explain_executed(&p, &c).unwrap();
-        assert!(text.contains("executed on 2 worker(s)"), "{text}");
-        // Serial configurations stay untagged.
-        let mut serial = c.clone();
-        serial.set_threads(1);
-        let text = explain(&p, &serial);
-        assert!(!text.contains("parallel"), "{text}");
+        assert!(text.contains("build right"), "{text}");
+        assert!(!text.contains("[spill]"), "{text}");
+        assert!(!crate::exec::stream(&p, &c).unwrap().spilled_build());
+        // No room: both spill.
+        c.set_mem_budget(4_000);
+        assert!(explain(&p, &c).contains("[spill]"));
+        assert!(crate::exec::stream(&p, &c).unwrap().spilled_build());
     }
 
     #[test]
     fn explain_tags_spilling_breakers_under_a_budget() {
-        use crate::catalog::EngineConfig;
-        let mut c = Catalog::new().with_config(EngineConfig::serial());
+        let mut c = Catalog::new();
         // Start explicitly unbounded even when the test process runs
         // under RELALG_MEM_BUDGET (as the CI mem-budget leg does).
         c.set_mem_budget(0);
@@ -521,7 +498,7 @@ mod tests {
         let text = explain(&p, &c);
         assert!(!text.contains("[spill]"), "{text}");
         assert!(!text.contains("memory budget"), "{text}");
-        // A tiny budget predicts the seen-set over its share.
+        // A tiny budget predicts the seen-set over it.
         c.set_mem_budget(512);
         let text = explain(&p, &c);
         assert!(text.contains("[spill]"), "{text}");
@@ -537,7 +514,7 @@ mod tests {
 
     #[test]
     fn explain_tags_segmented_scans_with_zone_pruning() {
-        let mut c = Catalog::new().with_config(crate::catalog::EngineConfig::serial());
+        let mut c = Catalog::new();
         c.set_storage(StorageMode::Disk);
         c.set_segment_layout(4, 2);
         c.insert(

@@ -21,8 +21,8 @@
 //!   `RELALG_FAULTS=<seed>:<rate>[:<kinds>]` or
 //!   [`crate::Catalog::set_faults`]; when disabled (the default) every
 //!   edge short-circuits on a `None` check — no ticks, no hashing.
-//! * [`CancelToken`] — cooperative cancellation checked at batch and
-//!   morsel boundaries. A token trips either explicitly
+//! * [`CancelToken`] — cooperative cancellation checked at every batch
+//!   boundary. A token trips either explicitly
 //!   ([`CancelToken::cancel`]) or by deadline
 //!   (`RELALG_DEADLINE_MS` / [`crate::Catalog::set_deadline`]); the
 //!   executing query unwinds through its breakers, releasing buffer
@@ -32,11 +32,11 @@
 //!   policy. Pull-time cursors are infallible by signature, so
 //!   mid-pull I/O errors unwind carrying an [`Error`] payload
 //!   ([`rethrow`]) and are converted back to `Err` at the pull drivers
-//!   and pool workers ([`catch_pull`]). Engine critical sections keep
-//!   shared state valid at every panic point, so a poisoned lock's
-//!   data is safe to reuse: [`lock_recover`] recovers the guard
-//!   instead of propagating the poison, which would otherwise wedge
-//!   every later query once a worker panic is converted to an error.
+//!   ([`catch_pull`]). Engine critical sections keep shared state
+//!   valid at every panic point, so a poisoned lock's data is safe to
+//!   reuse: [`lock_recover`] recovers the guard instead of propagating
+//!   the poison, which would otherwise wedge every later query — on
+//!   every session — once a panic is converted to an error.
 
 use crate::error::{Error, Result};
 use std::io;
@@ -305,7 +305,7 @@ pub fn io_error(what: &str, e: &io::Error) -> Error {
 // ---------------------------------------------------------------------------
 
 /// Cooperative cancellation handle: trips explicitly or by deadline.
-/// Checked at batch/morsel boundaries, so a cancelled query stops
+/// Checked at every batch boundary, so a cancelled query stops
 /// within one batch of work and unwinds through its breakers (spill
 /// dirs and pool leases release on the way out).
 #[derive(Debug)]
@@ -368,7 +368,7 @@ impl CancelToken {
 
 /// Resume an error as an unwind through infallible cursor interfaces.
 /// The payload is the [`Error`] itself; [`catch_pull`] (at the pull
-/// drivers and pool workers) converts it back to `Err`. Breaker state
+/// drivers) converts it back to `Err`. Breaker state
 /// on the unwind path cleans up via `Drop` (spill dirs, pool-lease
 /// guards), so rethrowing never leaks.
 pub fn rethrow<T>(r: Result<T>) -> T {
@@ -390,12 +390,12 @@ pub fn unwind_to_error(payload: Box<dyn std::any::Any + Send>) -> Error {
                 .map(|s| (*s).to_string())
                 .or_else(|| p.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic payload".into());
-            Error::Invalid(format!("worker panicked: {msg}"))
+            Error::Invalid(format!("query panicked: {msg}"))
         }
     }
 }
 
-/// Run a pull (or worker body) catching unwinds and mapping them back
+/// Run a pull catching unwinds and mapping them back
 /// to engine errors. The closure is `AssertUnwindSafe`: everything it
 /// touches either cleans up on `Drop` or is re-validated by
 /// [`lock_recover`] on next acquisition.
@@ -406,9 +406,9 @@ pub fn catch_pull<T>(f: impl FnOnce() -> T) -> Result<T> {
 /// The engine's single lock-poison policy: recover the guard. Engine
 /// critical sections leave shared state valid at every panic point
 /// (caches hold immutable `Arc`s; counters are monotone), so a poisoned
-/// mutex's data is safe to reuse — and with worker panics converted to
-/// errors at the pool boundary, propagating poison would wedge every
-/// subsequent query for no protection in return.
+/// mutex's data is safe to reuse — and with panics converted to errors
+/// at the pull drivers, propagating poison would wedge every subsequent
+/// query, on every session, for no protection in return.
 pub fn lock_recover<T>(lock: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     lock.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

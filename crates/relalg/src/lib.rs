@@ -14,20 +14,17 @@
 //! * [`Plan`] — logical plans: scan, select, project (generalized), inner
 //!   theta-join, semi/anti-join, union, difference, distinct, rename;
 //! * [`exec::execute`] — pull-based streaming execution, vectorized and
-//!   morsel-driven parallel: pipelines process column-major
+//!   on the calling thread: pipelines process column-major
 //!   [`batch::ColumnBatch`]es (typed columns off each relation's cached
 //!   [`relation::ColumnarImage`], selection vectors, column-at-a-time
 //!   predicates, batch-hashed join probes, pair-batch evaluation of
-//!   cross-side residuals), and large pulls fan out over a scoped
-//!   [`pool::TaskPool`] of workers claiming image morsels, with an
-//!   ordered gather keeping parallel output byte-identical to serial
-//!   (`RELALG_THREADS` / [`catalog::EngineConfig`] control the
-//!   fan-out). Only pipeline breakers (hash-join build sides,
-//!   distinct/difference seen-sets, sort, aggregation) buffer — as
-//!   parallel partial states when fanned out — and [`exec::ExecStats`]
-//!   counts exactly how much, plus the batches emitted and the workers
-//!   used. Under a memory budget (`RELALG_MEM_BUDGET` /
-//!   [`Catalog::set_mem_budget`]) over-share breakers **spill to
+//!   cross-side residuals). Concurrency comes from running queries side
+//!   by side (the server's sessions), not from splitting one. Only
+//!   pipeline breakers (hash-join build sides, distinct/difference
+//!   seen-sets, sort, aggregation) buffer, and [`exec::ExecStats`]
+//!   counts exactly how much, plus the batches emitted. Under a memory
+//!   budget (`RELALG_MEM_BUDGET` / [`Catalog::set_mem_budget`])
+//!   over-budget breakers **spill to
 //!   sorted runs** ([`spill`]) — hybrid-hash join partitions, dedup
 //!   candidate runs, external sort/aggregation merges — with output
 //!   byte-identical to unbounded execution and run files in a scoped
@@ -66,7 +63,6 @@ pub mod fxhash;
 pub mod io;
 pub mod optimizer;
 pub mod plan;
-pub mod pool;
 pub mod relation;
 pub mod schema;
 pub mod segment;
@@ -85,7 +81,6 @@ pub use exec::ExecStats;
 pub use expr::{col, lit, lit_bool, lit_i64, lit_str, ArithOp, CmpOp, Expr};
 pub use fault::{CancelToken, FaultConfig, FaultInjector, FaultKind, FaultKinds};
 pub use plan::Plan;
-pub use pool::TaskPool;
 pub use relation::{Column, ColumnarImage, NullMask, Relation, Row};
 pub use schema::{ColRef, Schema};
 pub use segment::ZoneMap;

@@ -350,21 +350,6 @@ impl ColumnarImage {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Number of morsels — fixed-size runs of rows, the unit of work the
-    /// parallel executor's workers claim — this image splits into at
-    /// `morsel_rows` rows apiece (the last one may be short).
-    pub fn morsel_count(&self, morsel_rows: usize) -> usize {
-        self.len.div_ceil(morsel_rows.max(1))
-    }
-
-    /// The row range `[start, end)` of morsel `idx` (see
-    /// [`ColumnarImage::morsel_count`]).
-    pub fn morsel_bounds(&self, idx: usize, morsel_rows: usize) -> std::ops::Range<usize> {
-        let morsel_rows = morsel_rows.max(1);
-        let start = (idx * morsel_rows).min(self.len);
-        start..(start + morsel_rows).min(self.len)
-    }
 }
 
 /// Where a relation's tuples live: in memory (the default), or in an
@@ -1068,25 +1053,6 @@ mod tests {
         let mixed = Column::from_values(vec![Value::Bool(true), Value::Null]);
         assert!(mixed.cross_eq(1, &s, 1));
         assert!(!mixed.cross_eq(0, &s, 1));
-    }
-
-    #[test]
-    fn morsel_partitioning_covers_the_image() {
-        let rel = Relation::from_rows(
-            ["a"],
-            (0..10).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let img = rel.columns();
-        assert_eq!(img.morsel_count(4), 3);
-        assert_eq!(img.morsel_bounds(0, 4), 0..4);
-        assert_eq!(img.morsel_bounds(2, 4), 8..10);
-        assert_eq!(img.morsel_count(100), 1);
-        assert_eq!(img.morsel_bounds(0, 100), 0..10);
-        // Degenerate sizes are floored, empty images have no morsels.
-        assert_eq!(img.morsel_count(0), 10);
-        let empty = Relation::empty(Schema::named(["a"]));
-        assert_eq!(empty.columns().morsel_count(4), 0);
     }
 
     #[test]

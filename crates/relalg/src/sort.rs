@@ -19,7 +19,6 @@ use crate::error::Result;
 use crate::exec::{self, ExecStats};
 use crate::expr::{CompiledExpr, Expr};
 use crate::plan::Plan;
-use crate::pool::TaskPool;
 use crate::relation::{row_footprint, Relation, Row};
 use crate::spill::{merge_runs, Run, SpillCtx};
 use std::cmp::Ordering;
@@ -51,79 +50,6 @@ fn sort_rows(rows: &mut [Row], compiled: &[(CompiledExpr, Order)]) {
     rows.sort_by(|a, b| key_cmp(a, b, compiled));
 }
 
-/// Minimum input size before sorting fans out (below it, thread setup
-/// costs more than the sort).
-const MIN_PARALLEL_SORT: usize = 4096;
-
-/// Stable parallel sort: split the input into contiguous runs, stable-
-/// sort each run on its own scoped worker (the partial states), then
-/// merge the sorted runs with ties resolved toward the earlier run — a
-/// stable sort is a unique permutation, so the result is byte-identical
-/// to [`sort_rows`]. Inputs too small for the pool sort serially.
-fn parallel_sort_rows(
-    rows: Vec<Row>,
-    compiled: &[(CompiledExpr, Order)],
-    pool: &TaskPool,
-) -> Vec<Row> {
-    if pool.threads() <= 1 || rows.len() < MIN_PARALLEL_SORT {
-        let mut rows = rows;
-        sort_rows(&mut rows, compiled);
-        return rows;
-    }
-    // Contiguous runs in input order (stability needs the split to
-    // preserve original positions run-major).
-    let chunk = rows.len().div_ceil(pool.threads());
-    let mut runs: Vec<Vec<Row>> = Vec::with_capacity(pool.threads());
-    let mut rest = rows;
-    while rest.len() > chunk {
-        let tail = rest.split_off(chunk);
-        runs.push(rest);
-        rest = tail;
-    }
-    runs.push(rest);
-    std::thread::scope(|s| {
-        for run in runs.iter_mut() {
-            s.spawn(move || sort_rows(run, compiled));
-        }
-    });
-    merge_sorted_runs(runs, compiled)
-}
-
-/// Stable k-way merge of sorted runs: the smallest head wins, ties go to
-/// the earliest run (which held the earlier original positions).
-fn merge_sorted_runs(mut runs: Vec<Vec<Row>>, compiled: &[(CompiledExpr, Order)]) -> Vec<Row> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heads: Vec<usize> = vec![0; runs.len()];
-    let mut out = Vec::with_capacity(total);
-    // k is the worker count (small): a linear scan per pop beats heap
-    // bookkeeping and keeps tie-breaking trivially stable.
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if heads[r] >= run.len() {
-                continue;
-            }
-            best = match best {
-                None => Some(r),
-                Some(b) => {
-                    if key_cmp(&run[heads[r]], &runs[b][heads[b]], compiled) == Ordering::Less {
-                        Some(r)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let b = best.expect("total counts remaining rows");
-        // Taking (not cloning) the merged row leaves an empty boxed
-        // slice behind; the head index never revisits it.
-        let head = heads[b];
-        out.push(std::mem::take(&mut runs[b][head]));
-        heads[b] += 1;
-    }
-    out
-}
-
 /// Sort a relation by the given key expressions. Stable, so equal keys
 /// preserve input order.
 pub fn sort_by(input: &Relation, keys: &[(Expr, Order)]) -> Result<Relation> {
@@ -137,14 +63,11 @@ pub fn sort_by(input: &Relation, keys: &[(Expr, Order)]) -> Result<Relation> {
 }
 
 /// ORDER BY over a streamed plan: rows are pulled directly into the
-/// sort buffer, so the plan output is materialized exactly once — and,
-/// with a parallel engine configuration, both the pull (morsel-driven)
-/// and the sort itself (per-worker sorted runs + stable merge) fan out,
-/// with output identical to the serial path.
+/// sort buffer, so the plan output is materialized exactly once.
 ///
 /// Under a memory budget the sort goes *external*: input chunks are
 /// stable-sorted and flushed as sorted runs whenever the buffer crosses
-/// the budget's per-worker share, and the runs are merged back with
+/// the budget's limit, and the runs are merged back with
 /// ties resolved toward the earlier run — runs hold contiguous input
 /// chunks in input order, so the merge reproduces the in-memory stable
 /// sort byte-for-byte.
@@ -164,19 +87,19 @@ pub fn sort_plan_with_stats(
         .iter()
         .map(|(e, o)| Ok((e.compile(streamed.schema())?, *o)))
         .collect::<Result<_>>()?;
-    let pool = TaskPool::new(catalog.config().threads);
     let rows = if streamed.spill_ctx().budget().enabled() {
-        external_sort_rows(&streamed, &compiled, &pool)?
+        external_sort_rows(&streamed, &compiled)?
     } else {
-        let rows = streamed.collect_rows(None)?;
-        parallel_sort_rows(rows, &compiled, &pool)
+        let mut rows = streamed.collect_rows(None)?;
+        sort_rows(&mut rows, &compiled);
+        rows
     };
     let rel = Relation::new(streamed.schema().clone(), rows)?;
     let stats = streamed.stats();
     Ok((rel, stats))
 }
 
-/// Budgeted sort: buffer input rows up to the budget share, flushing
+/// Budgeted sort: buffer input rows up to the budget limit, flushing
 /// stable-sorted chunks as runs; merge the runs (plus the in-memory
 /// tail) stably at the end. Equivalent to the in-memory stable sort —
 /// the unique stable permutation — and never holds more than one
@@ -185,10 +108,9 @@ pub fn sort_plan_with_stats(
 fn external_sort_rows(
     streamed: &exec::Streamed,
     compiled: &[(CompiledExpr, Order)],
-    pool: &TaskPool,
 ) -> Result<Vec<Row>> {
     let ctx = streamed.spill_ctx();
-    let share = ctx.budget().share();
+    let limit = ctx.budget().limit();
     let mut chunk: Vec<Row> = Vec::new();
     let mut bytes = 0usize;
     let mut runs: Vec<Run> = Vec::new();
@@ -199,17 +121,18 @@ fn external_sort_rows(
             ctx.budget().charge(fp);
             bytes += fp;
             chunk.push(row);
-            if bytes > share {
+            if bytes > limit {
                 flush_sort_run(&mut chunk, &mut bytes, compiled, ctx, &mut runs)?;
             }
         }
         Ok(())
     })?;
     if runs.is_empty() {
-        // Everything fit the share: release the charge and sort in
-        // memory — on the parallel path, exactly like unbounded runs.
+        // Everything fit the budget: release the charge and sort in
+        // memory, exactly like unbounded runs.
         ctx.budget().release(bytes);
-        return Ok(parallel_sort_rows(chunk, compiled, pool));
+        sort_rows(&mut chunk, compiled);
+        return Ok(chunk);
     }
     if !chunk.is_empty() {
         flush_sort_run(&mut chunk, &mut bytes, compiled, ctx, &mut runs)?;
@@ -306,31 +229,6 @@ mod tests {
     #[test]
     fn sort_rejects_unknown_columns() {
         assert!(sort_by(&rel(), &[(col("zzz"), Order::Asc)]).is_err());
-    }
-
-    #[test]
-    fn parallel_sort_matches_serial_stable_sort() {
-        // Many duplicate keys across run boundaries: stability (original
-        // order within equal keys) must survive the run merge.
-        let rows: Vec<Row> = (0..(2 * MIN_PARALLEL_SORT as i64))
-            .map(|i| vec![Value::Int(i % 13), Value::Int(i)].into_boxed_slice())
-            .collect();
-        let schema = crate::schema::Schema::named(["k", "seq"]);
-        let compiled = vec![(col("k").compile(&schema).unwrap(), Order::Asc)];
-        let mut serial = rows.clone();
-        sort_rows(&mut serial, &compiled);
-        for threads in [2, 4] {
-            let parallel = parallel_sort_rows(rows.clone(), &compiled, &TaskPool::new(threads));
-            assert_eq!(parallel, serial, "{threads} threads");
-        }
-        // Small inputs take the serial path inside parallel_sort_rows.
-        let small: Vec<Row> = rows.iter().take(10).cloned().collect();
-        let mut want = small.clone();
-        sort_rows(&mut want, &compiled);
-        assert_eq!(
-            parallel_sort_rows(small, &compiled, &TaskPool::new(4)),
-            want
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! memory budget ([`crate::catalog::EngineConfig::mem_budget`], set via
 //! `RELALG_MEM_BUDGET` or [`crate::Catalog::set_mem_budget`]), every
 //! breaker charges its buffer bytes against a shared [`MemBudget`]
-//! tracker and — when its own buffer exceeds the per-worker *share* of
-//! the budget — spills to disk:
+//! tracker and — when its own buffer exceeds the budget's limit —
+//! spills to disk:
 //!
 //! * a spilling operator writes **runs**: flat files of records, each a
 //!   few `u64` sort keys plus one [`Row`] in the
@@ -23,8 +23,7 @@
 //!
 //! The [`SpillCtx`] bundles the budget, the directory, and the spill
 //! counters ([`crate::exec::ExecStats`] reports them); one `SpillCtx`
-//! is shared by every operator of one prepared execution, across
-//! worker threads.
+//! is shared by every operator of one prepared execution.
 //!
 //! Spill I/O is fallible and fault-injectable ([`crate::fault`]):
 //! every edge — directory creation, run-file open, record write/read,
@@ -36,7 +35,6 @@
 
 use crate::error::Result;
 use crate::fault::{self, FaultInjector, FaultKind};
-use crate::pool::TaskPool;
 use crate::relation::{decode_row, encode_row, row_footprint, Row};
 use std::cmp::Ordering;
 use std::fs::File;
@@ -50,26 +48,20 @@ use std::sync::{Arc, OnceLock};
 /// `usize::MAX` means unbounded — every charge is accepted, nothing is
 /// tracked (the disabled tracker adds no work to the hot path beyond
 /// one branch). A bounded tracker keeps a running `used` total and its
-/// high-water mark; operators compare their *own* buffer against
-/// [`MemBudget::share`] (the budget divided over the configured
-/// workers) to decide when to spill, so concurrent workers degrade
-/// independently instead of racing on the global counter.
+/// high-water mark; each operator compares its *own* buffer against
+/// [`MemBudget::limit`] to decide when to spill.
 #[derive(Debug)]
 pub struct MemBudget {
     limit: usize,
-    share: usize,
     used: AtomicUsize,
     peak: AtomicUsize,
 }
 
 impl MemBudget {
-    /// A tracker enforcing `limit` bytes across `workers` workers
-    /// (`usize::MAX` = unbounded). The per-worker share comes from
-    /// [`TaskPool::share_of`], the single home of that policy.
-    pub fn new(limit: usize, workers: usize) -> MemBudget {
+    /// A tracker enforcing `limit` bytes (`usize::MAX` = unbounded).
+    pub fn new(limit: usize) -> MemBudget {
         MemBudget {
             limit,
-            share: TaskPool::new(workers).share_of(limit),
             used: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
         }
@@ -80,10 +72,9 @@ impl MemBudget {
         self.limit != usize::MAX
     }
 
-    /// The per-worker share a single breaker buffer may hold before it
-    /// spills (see [`TaskPool::share_of`]).
-    pub fn share(&self) -> usize {
-        self.share
+    /// The bytes a single breaker buffer may hold before it spills.
+    pub fn limit(&self) -> usize {
+        self.limit
     }
 
     /// Record `bytes` newly held by a breaker buffer.
@@ -128,8 +119,7 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// The directory is created lazily — a budgeted execution that never
 /// spills touches no filesystem — and removed recursively on `Drop`,
 /// which also covers the panic path (unwinding drops the owning
-/// [`SpillCtx`]). File names are sequenced so concurrent workers never
-/// collide.
+/// [`SpillCtx`]). File names are sequenced so runs never collide.
 #[derive(Debug, Default)]
 pub struct SpillDir {
     path: OnceLock<PathBuf>,
@@ -177,7 +167,7 @@ impl Drop for SpillDir {
 
 /// The per-execution spill context: budget tracker, scoped directory,
 /// and the spill counters [`crate::exec::ExecStats`] reports. Shared
-/// (`Arc`) by every operator and worker of one prepared execution.
+/// (`Arc`) by every operator of one prepared execution.
 #[derive(Debug)]
 pub struct SpillCtx {
     budget: MemBudget,
@@ -189,10 +179,10 @@ pub struct SpillCtx {
 }
 
 impl SpillCtx {
-    /// Context for a `limit`-byte budget over `workers` workers.
-    pub fn new(limit: usize, workers: usize) -> SpillCtx {
+    /// Context for a `limit`-byte budget.
+    pub fn new(limit: usize) -> SpillCtx {
         SpillCtx {
-            budget: MemBudget::new(limit, workers),
+            budget: MemBudget::new(limit),
             dir: SpillDir::default(),
             events: AtomicUsize::new(0),
             spilled_bytes: AtomicUsize::new(0),
@@ -214,7 +204,7 @@ impl SpillCtx {
 
     /// An unbounded context (the default when no budget is configured).
     pub fn unbounded() -> SpillCtx {
-        SpillCtx::new(usize::MAX, 1)
+        SpillCtx::new(usize::MAX)
     }
 
     /// The budget tracker.
@@ -298,7 +288,7 @@ impl RunWriter {
         encode_row(&mut self.w, row).map_err(|e| fail(&e))?;
         self.records += 1;
         // Resident footprint the run's rows *will* have when loaded
-        // back — what re-partitioning decisions compare to the share.
+        // back — what re-partitioning decisions compare to the limit.
         self.bytes += row_footprint(row) + 16 * keys.len();
         Ok(())
     }
@@ -339,7 +329,7 @@ impl Run {
     }
 
     /// Estimated resident footprint of the run's records once loaded
-    /// (the metadata a reader checks against the budget share *before*
+    /// (the metadata a reader checks against the budget limit *before*
     /// loading anything).
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -411,7 +401,7 @@ pub struct MergeRuns<F> {
 
 /// Maximum runs one streaming merge pass holds open. A workload that
 /// flushed more runs than this (a multi-GiB input under a MiB-scale
-/// share) is compacted in runs-of-runs passes first, so the merge
+/// budget) is compacted in runs-of-runs passes first, so the merge
 /// neither exhausts file descriptors nor scans thousands of heads per
 /// pop.
 pub const MERGE_FAN_IN: usize = 64;
@@ -521,9 +511,9 @@ mod tests {
 
     #[test]
     fn budget_tracks_usage_share_and_peak() {
-        let b = MemBudget::new(1000, 4);
+        let b = MemBudget::new(1000);
         assert!(b.enabled());
-        assert_eq!(b.share(), 250);
+        assert_eq!(b.limit(), 1000);
         b.charge(600);
         b.charge(300);
         assert_eq!(b.used(), 900);
@@ -534,18 +524,15 @@ mod tests {
         b.release(10_000);
         assert_eq!(b.used(), 0);
         // Unbounded budgets track nothing.
-        let u = MemBudget::new(usize::MAX, 4);
+        let u = MemBudget::new(usize::MAX);
         assert!(!u.enabled());
-        assert_eq!(u.share(), usize::MAX);
         u.charge(1 << 40);
         assert_eq!(u.used(), 0);
-        // Tiny budgets floor the share at one byte.
-        assert_eq!(MemBudget::new(2, 8).share(), 1);
     }
 
     #[test]
     fn run_roundtrip_preserves_keys_and_rows() {
-        let ctx = SpillCtx::new(0, 1);
+        let ctx = SpillCtx::new(0);
         let rows = [
             row(vec![Value::Int(-7), Value::str("héllo"), Value::Null]),
             row(vec![Value::Int(42), Value::str(""), Value::Bool(true)]),
@@ -574,7 +561,7 @@ mod tests {
 
     #[test]
     fn merge_is_ordered_and_stable_toward_earlier_runs() {
-        let ctx = SpillCtx::new(0, 1);
+        let ctx = SpillCtx::new(0);
         // Two sorted runs with overlapping and *equal* keys: the merge
         // must interleave by key and give equal keys to the earlier run
         // first (the payload marks run provenance).
@@ -617,7 +604,7 @@ mod tests {
 
     #[test]
     fn merge_compacts_past_the_fan_in_cap() {
-        let ctx = SpillCtx::new(0, 1);
+        let ctx = SpillCtx::new(0);
         // Far more runs than one pass may hold open: single-record runs
         // keyed so the global order interleaves across all of them, and
         // every key duplicated in a later run (payload = run index) so
@@ -655,7 +642,7 @@ mod tests {
 
     #[test]
     fn spill_dir_is_lazy_and_cleaned_on_drop() {
-        let ctx = SpillCtx::new(0, 1);
+        let ctx = SpillCtx::new(0);
         assert!(ctx.dir_path().is_none(), "no dir before the first spill");
         let mut w = ctx.writer("probe").unwrap();
         w.push(&[0], &row(vec![Value::Int(1)])).unwrap();
@@ -674,7 +661,7 @@ mod tests {
         let dir = std::sync::Arc::new(std::sync::Mutex::new(None::<PathBuf>));
         let dir2 = std::sync::Arc::clone(&dir);
         let res = std::panic::catch_unwind(move || {
-            let ctx = SpillCtx::new(0, 1);
+            let ctx = SpillCtx::new(0);
             let mut w = ctx.writer("doomed").unwrap();
             w.push(&[0], &row(vec![Value::Int(1)])).unwrap();
             let _run = w.finish().unwrap();

@@ -65,8 +65,7 @@ const VERSION: u32 = 1;
 
 /// Storage-side counters shared by every cursor of one execution:
 /// bytes materialized by fresh decodes, pages read from segment files,
-/// and buffer-pool hit/miss tallies. Atomics because parallel morsel
-/// workers bump them concurrently. Also carries the execution's fault
+/// and buffer-pool hit/miss tallies. Also carries the execution's fault
 /// injector (if any) down to the storage edges — read and lease faults
 /// draw their ticks through here.
 #[derive(Debug, Default)]
@@ -1143,7 +1142,7 @@ struct PoolSlot {
 struct PoolState {
     slots: Vec<PoolSlot>,
     hand: usize,
-    /// Keys some worker is loading right now (pool lock released).
+    /// Keys some scan is loading right now (pool lock released).
     in_flight: Vec<(u64, usize)>,
 }
 
@@ -1157,7 +1156,7 @@ struct PoolState {
 /// per-key in-flight latch (exactly one loader per segment; peers wait
 /// on the condvar; unrelated fetches proceed concurrently) — a
 /// blocking `read_at` or a segment decode under a global mutex would
-/// serialize every morsel worker on cold segments.
+/// serialize every concurrent session on cold segments.
 pub struct BufferPool {
     cap: usize,
     state: Mutex<PoolState>,
@@ -1312,7 +1311,7 @@ pub fn pool_for(cap: usize) -> Arc<BufferPool> {
 /// from the manifest — so a cursor walks segment boundaries and
 /// consults zone maps without decoding — and segment fetches lease
 /// slots from the shared [`BufferPool`]. Created per scan node at
-/// prepare time and shared by all workers of that scan.
+/// prepare time.
 pub struct DiskImageProvider {
     image: Arc<DiskImage>,
     pool: Arc<BufferPool>,

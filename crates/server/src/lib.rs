@@ -10,8 +10,8 @@
 //! sessions: at most `max_concurrent` statements execute at once, at
 //! most `max_queue` wait, and everything else — including requests
 //! whose deadline expires while queued — is shed with a `"shed"`
-//! response *before* touching any execution resource (task-pool
-//! workers, buffer-pool leases, spill directories).
+//! response *before* touching any execution resource (buffer-pool
+//! leases, spill directories).
 //!
 //! Configuration comes from `RELALG_SERVER_*` (and the engine's
 //! `RELALG_*`) environment knobs; see [`ServerConfig::from_env`].

@@ -9,7 +9,7 @@
 //!   `<x>`, default 0.1).
 //! - `RELALG_SERVER_ADDR`, `RELALG_SERVER_MAX_CONCURRENT`,
 //!   `RELALG_SERVER_QUEUE` — see [`urel_server::ServerConfig`].
-//! - Engine knobs (`RELALG_THREADS`, `RELALG_MEM_BUDGET`,
+//! - Engine knobs (`RELALG_MEM_BUDGET`,
 //!   `RELALG_STORAGE`, `RELALG_DEADLINE_MS`, …) apply to every
 //!   session.
 //!

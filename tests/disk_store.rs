@@ -192,7 +192,6 @@ fn cold_start_answers_q1_byte_identically_to_memory() {
     // In-memory baseline: same deterministic generator, plain storage.
     let gen = generate_certain(COLD_SCALE, COLD_SEED);
     let mut plain = Catalog::new();
-    plain.set_threads(1);
     for name in COLD_TABLES {
         let spec = &gen.tables[name];
         let cols: Vec<String> = spec.columns.iter().map(|(n, _)| n.clone()).collect();
@@ -210,7 +209,6 @@ fn cold_start_answers_q1_byte_identically_to_memory() {
     let mut disk = Catalog::new();
     disk.set_storage(u_relations::relalg::StorageMode::Disk);
     disk.set_buffer_pool(4);
-    disk.set_threads(1);
     for name in COLD_TABLES {
         let image = DiskImage::open(&dir, name).unwrap();
         disk.insert(name, Relation::from_disk_image(image));

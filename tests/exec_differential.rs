@@ -27,20 +27,16 @@
 //!    with an `ExecStats` assertion that batched σ/π/probe pipelines
 //!    allocated zero per-row intermediate buffers.
 //!
-//! 4. **Parallel vs serial** — the morsel-driven parallel engine (PR 4)
-//!    must be *byte-identical* to serial execution: for random reduced
-//!    or-set databases with translated+optimized queries, and for random
-//!    plain relational plans, running with `RELALG_THREADS ∈ {2, 4}`
-//!    (tiny morsels so small inputs still fan out) must produce exactly
-//!    the serial row vector — same rows, same order — while `ExecStats`
-//!    reports the planned worker count.
+//! 4. **Memory budgets** — under budgets tiny enough that every
+//!    breaker spills, random translated and plain plans must emit
+//!    exactly the unbounded row vector — same rows, same order.
 //!
 //! 5. **Storage modes** — compressed on-disk column segments with
 //!    zone-map skipping must be invisible to query output: the same plan
-//!    under disk storage with {a 2-slot buffer pool that evicts, a
-//!    64-slot one that keeps every decoded segment resident} × {1, 4}
-//!    workers, with 3-row segments so even tiny databases cross segment
-//!    boundaries, must emit exactly the plain-image serial row vector.
+//!    under disk storage with a 2-slot buffer pool that evicts and a
+//!    64-slot one that keeps every decoded segment resident, with 3-row
+//!    segments so even tiny databases cross segment boundaries, must
+//!    emit exactly the plain-image row vector.
 //!
 //! 6. **Typed breaker buffers** — hash-join build sides and
 //!    set-difference right sides buffer a column-major image appended
@@ -486,95 +482,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
-
-    /// The parallel-vs-serial oracle on *translated* plans: random
-    /// reduced or-set databases, random logical queries, optimized
-    /// plans — the morsel-driven engine at 2 and 4 workers must emit
-    /// exactly the serial row vector (order included), and `ExecStats`
-    /// must report the worker fan-out the prepare planned (which the
-    /// static `predicted_workers` mirror agrees with).
-    #[test]
-    fn parallel_translated_plans_match_serial_byte_for_byte(
-        db in arb_udb(),
-        q in arb_query(),
-    ) {
-        let prepared = db.prepare();
-        let t = translate(&db, &q).unwrap();
-        let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
-        let serial_rows = {
-            let mut cat = prepared.catalog().clone();
-            cat.set_threads(1);
-            exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
-        };
-        for threads in [2usize, 4] {
-            let mut cat = prepared.catalog().clone();
-            cat.set_threads(threads);
-            // Tiny morsels + zero threshold: even 3-tuple databases
-            // genuinely exercise the exchange and the ordered gather.
-            cat.set_parallel_granularity(4, 0);
-            let streamed = exec::stream(&plan, &cat).unwrap();
-            let rows = streamed.collect_rows(None).unwrap();
-            prop_assert!(
-                rows == serial_rows,
-                "parallel x{threads} differs from serial for {q:?}\nplan: {plan:?}"
-            );
-            let workers = streamed.planned_workers();
-            prop_assert!(
-                streamed.stats().workers == workers,
-                "ExecStats workers {} != planned {workers}",
-                streamed.stats().workers
-            );
-            // The static mirror cannot model runtime spill decisions: a
-            // hash-join build that spills under a memory budget forces
-            // the pull serial. Other spill kinds (dedup, sort,
-            // aggregation) must NOT change the worker count, so the
-            // assertion stays live for them.
-            if !streamed.spilled_build() {
-                prop_assert!(
-                    exec::predicted_workers(&plan, &cat) == workers,
-                    "static mirror disagrees with prepare for {plan:?}"
-                );
-            }
-            prop_assert!(workers <= threads);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
-
-    /// The parallel-vs-serial oracle on random *plain* relational plans
-    /// (hash joins, nested loops, semi/antijoins, set operations):
-    /// byte-identical output at 2 and 4 workers.
-    #[test]
-    fn parallel_plain_plans_match_serial_byte_for_byte(
-        catalog in arb_catalog(),
-        plan in arb_plan(),
-    ) {
-        if plan.schema(&catalog).is_ok() {
-            let serial_rows = {
-                let mut cat = catalog.clone();
-                cat.set_threads(1);
-                exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
-            };
-            for threads in [2usize, 4] {
-                let mut cat = catalog.clone();
-                cat.set_threads(threads);
-                cat.set_parallel_granularity(3, 0);
-                let streamed = exec::stream(&plan, &cat).unwrap();
-                let rows = streamed.collect_rows(None).unwrap();
-                prop_assert!(
-                    rows == serial_rows,
-                    "parallel x{threads} differs from serial for {plan:?}"
-                );
-                prop_assert!(streamed.stats().workers == streamed.planned_workers());
-            }
-        }
-    }
-}
-
 /// Deterministic pin of the batched zero-materialization guarantee: a
 /// translated σ/π pipeline over the Figure 1 database runs vectorized,
 /// emits batches, and allocates no per-row intermediate buffers.
@@ -607,10 +514,9 @@ proptest! {
 
     /// The spill-vs-in-memory oracle on *translated* plans: random
     /// reduced or-set databases and random logical queries run
-    /// unbounded and under a memory budget tiny enough that every
-    /// breaker buffer spills, at 1 and 4 workers — the budgeted output
-    /// must be **byte-identical** (rows and order) to the unbounded
-    /// serial pull.
+    /// unbounded and under memory budgets tiny enough that every
+    /// breaker buffer spills — the budgeted output must be
+    /// **byte-identical** (rows and order) to the unbounded pull.
     #[test]
     fn spilled_translated_plans_match_unbounded_byte_for_byte(
         db in arb_udb(),
@@ -619,23 +525,21 @@ proptest! {
         let prepared = db.prepare();
         let t = translate(&db, &q).unwrap();
         let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
-        let unbounded_rows = {
+        let unbounded_rows = exec::stream(&plan, prepared.catalog())
+            .unwrap()
+            .collect_rows(None)
+            .unwrap();
+        // A few hundred bytes, and a quarter of that: every breaker
+        // that buffers at all crosses the budget and takes the spill
+        // path.
+        for budget in [256usize, 64] {
             let mut cat = prepared.catalog().clone();
-            cat.set_threads(1);
-            exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
-        };
-        for threads in [1usize, 4] {
-            let mut cat = prepared.catalog().clone();
-            cat.set_threads(threads);
-            cat.set_parallel_granularity(4, 0);
-            // A few hundred bytes: every breaker that buffers at all
-            // crosses its share and takes the spill path.
-            cat.set_mem_budget(256);
+            cat.set_mem_budget(budget);
             let streamed = exec::stream(&plan, &cat).unwrap();
             let rows = streamed.collect_rows(None).unwrap();
             prop_assert!(
                 rows == unbounded_rows,
-                "budgeted x{threads} differs from unbounded for {q:?}\nplan: {plan:?}"
+                "budget {budget} differs from unbounded for {q:?}\nplan: {plan:?}"
             );
         }
     }
@@ -646,30 +550,27 @@ proptest! {
 
     /// The spill-vs-in-memory oracle on random *plain* relational plans
     /// (hash joins, nested loops, semi/antijoins, set operations,
-    /// distinct): byte-identical output under a tiny budget at 1 and 4
-    /// workers, and limited pulls (serial, spilling like full ones)
-    /// agree with prefixes of the full pull.
+    /// distinct): byte-identical output under tiny budgets, and limited
+    /// pulls (spilling like full ones) agree with prefixes of the full
+    /// pull.
     #[test]
     fn spilled_plain_plans_match_in_memory_byte_for_byte(
         catalog in arb_catalog(),
         plan in arb_plan(),
     ) {
         if plan.schema(&catalog).is_ok() {
-            let unbounded_rows = {
+            let unbounded_rows = exec::stream(&plan, &catalog)
+                .unwrap()
+                .collect_rows(None)
+                .unwrap();
+            for budget in [256usize, 64] {
                 let mut cat = catalog.clone();
-                cat.set_threads(1);
-                exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
-            };
-            for threads in [1usize, 4] {
-                let mut cat = catalog.clone();
-                cat.set_threads(threads);
-                cat.set_parallel_granularity(3, 0);
-                cat.set_mem_budget(256);
+                cat.set_mem_budget(budget);
                 let streamed = exec::stream(&plan, &cat).unwrap();
                 let rows = streamed.collect_rows(None).unwrap();
                 prop_assert!(
                     rows == unbounded_rows,
-                    "budgeted x{threads} differs from unbounded for {plan:?}"
+                    "budget {budget} differs from unbounded for {plan:?}"
                 );
                 // Limited pulls run the same batched cursors over the
                 // same prepared tree, stopping at batch granularity.
@@ -692,10 +593,10 @@ proptest! {
     /// databases and random logical queries run against the plain
     /// columnar image and against on-disk segment files through a 2-slot
     /// buffer pool (which evicts) and a 64-slot one (which keeps every
-    /// decoded segment resident), at 1 and 4 workers. Segments are 3
-    /// rows so tiny databases still span several; output must be
-    /// **byte-identical** (rows and order) to the plain serial pull,
-    /// and each pool's first, cold pull must actually miss it.
+    /// decoded segment resident). Segments are 3 rows so tiny databases
+    /// still span several; output must be **byte-identical** (rows and
+    /// order) to the plain pull, and each pool's first, cold pull must
+    /// actually miss it.
     #[test]
     fn segmented_translated_plans_match_plain_byte_for_byte(
         db in arb_udb(),
@@ -704,33 +605,28 @@ proptest! {
         let prepared = db.prepare();
         let t = translate(&db, &q).unwrap();
         let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
-        let plain_rows = {
-            let mut cat = prepared.catalog().clone();
-            cat.set_threads(1);
-            exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
-        };
+        let plain_rows = exec::stream(&plan, prepared.catalog())
+            .unwrap()
+            .collect_rows(None)
+            .unwrap();
         for pool in [2usize, 64] {
-            for threads in [1usize, 4] {
-                let mut cat = prepared.catalog().clone();
-                cat.set_storage(StorageMode::Disk);
-                cat.set_segment_layout(3, pool);
-                cat.set_threads(threads);
-                cat.set_parallel_granularity(4, 0);
-                let streamed = exec::stream(&plan, &cat).unwrap();
-                let rows = streamed.collect_rows(None).unwrap();
+            let mut cat = prepared.catalog().clone();
+            cat.set_storage(StorageMode::Disk);
+            cat.set_segment_layout(3, pool);
+            let streamed = exec::stream(&plan, &cat).unwrap();
+            let rows = streamed.collect_rows(None).unwrap();
+            prop_assert!(
+                rows == plain_rows,
+                "disk pool {pool} differs from plain for {q:?}\nplan: {plan:?}"
+            );
+            // Each pool's first pull is cold: every produced row came
+            // through a segment fetch, so the pool must miss.
+            if !plain_rows.is_empty() {
+                let stats = streamed.stats();
                 prop_assert!(
-                    rows == plain_rows,
-                    "disk pool {pool} x{threads} differs from plain for {q:?}\nplan: {plan:?}"
+                    stats.pool_misses > 0,
+                    "cold disk run never missed the {pool}-slot buffer pool for {q:?}"
                 );
-                // Each pool's first pull is cold: every produced row came
-                // through a segment fetch, so the pool must miss.
-                if threads == 1 && !plain_rows.is_empty() {
-                    let stats = streamed.stats();
-                    prop_assert!(
-                        stats.pool_misses > 0,
-                        "cold disk run never missed the {pool}-slot buffer pool for {q:?}"
-                    );
-                }
             }
         }
     }
@@ -741,45 +637,40 @@ proptest! {
 
     /// The storage oracle on random *plain* relational plans (hash
     /// joins, nested loops, semi/antijoins, set operations, distinct):
-    /// byte-identical output across storage modes at 1 and 4 workers,
-    /// and limited pulls agree with prefixes of the full pull.
+    /// byte-identical output across storage modes, and limited pulls
+    /// agree with prefixes of the full pull.
     #[test]
     fn segmented_plain_plans_match_plain_image_byte_for_byte(
         catalog in arb_catalog(),
         plan in arb_plan(),
     ) {
         if plan.schema(&catalog).is_ok() {
-            let plain_rows = {
-                let mut cat = catalog.clone();
-                cat.set_threads(1);
-                exec::stream(&plan, &cat).unwrap().collect_rows(None).unwrap()
-            };
+            let plain_rows = exec::stream(&plan, &catalog)
+                .unwrap()
+                .collect_rows(None)
+                .unwrap();
             for pool in [2usize, 64] {
-                for threads in [1usize, 4] {
-                    let mut cat = catalog.clone();
-                    cat.set_storage(StorageMode::Disk);
-                    cat.set_segment_layout(3, pool);
-                    cat.set_threads(threads);
-                    cat.set_parallel_granularity(3, 0);
-                    let streamed = exec::stream(&plan, &cat).unwrap();
-                    let rows = streamed.collect_rows(None).unwrap();
+                let mut cat = catalog.clone();
+                cat.set_storage(StorageMode::Disk);
+                cat.set_segment_layout(3, pool);
+                let streamed = exec::stream(&plan, &cat).unwrap();
+                let rows = streamed.collect_rows(None).unwrap();
+                prop_assert!(
+                    rows == plain_rows,
+                    "disk pool {pool} differs from plain for {plan:?}"
+                );
+                if !plain_rows.is_empty() {
                     prop_assert!(
-                        rows == plain_rows,
-                        "disk pool {pool} x{threads} differs from plain for {plan:?}"
+                        streamed.stats().pool_misses > 0,
+                        "cold disk run never missed the {pool}-slot pool for {plan:?}"
                     );
-                    if threads == 1 && !plain_rows.is_empty() {
-                        prop_assert!(
-                            streamed.stats().pool_misses > 0,
-                            "cold disk run never missed the {pool}-slot pool for {plan:?}"
-                        );
-                    }
-                    for k in [0, 1, 3, plain_rows.len()] {
-                        let prefix = streamed.collect_rows(Some(k)).unwrap();
-                        prop_assert!(
-                            prefix[..] == plain_rows[..k.min(plain_rows.len())],
-                            "limited disk pool {pool} pull (limit {k}) diverges for {plan:?}"
-                        );
-                    }
+                }
+                for k in [0, 1, 3, plain_rows.len()] {
+                    let prefix = streamed.collect_rows(Some(k)).unwrap();
+                    prop_assert!(
+                        prefix[..] == plain_rows[..k.min(plain_rows.len())],
+                        "limited disk pool {pool} pull (limit {k}) diverges for {plan:?}"
+                    );
                 }
             }
         }
@@ -859,8 +750,8 @@ fn padded_union() -> Plan {
 }
 
 /// A hash join whose build side and a difference whose right side are
-/// [`padded_union`] give the reference engine's rows in its order —
-/// serial and at four workers — with each column kind as the join key:
+/// [`padded_union`] give the reference engine's rows in its order,
+/// with each column kind as the join key:
 /// digests hashed off the buffered image must hit the probe's digests
 /// for every kind.
 #[test]
@@ -914,18 +805,13 @@ fn padded_union_breaker_sides_match_reference_in_order() {
             .project_names(["pk", "ps", "pz", "pw"])
             .difference(padded_union()),
     );
-    for threads in [1, 4] {
-        let mut c = cat.clone();
-        c.set_threads(threads);
-        c.set_parallel_granularity(256, 0);
-        for plan in &plans {
-            if let Plan::Join { left, right, .. } = plan {
-                assert!(exec::join_build_left(left, right, &c), "{plan:?}");
-            }
-            let want = exec::execute_reference(plan, &c).unwrap();
-            let got = exec::execute(plan, &c).unwrap();
-            assert!(!want.is_empty(), "{plan:?}");
-            assert_eq!(got.rows(), want.rows(), "{threads} workers: {plan:?}");
+    for plan in &plans {
+        if let Plan::Join { left, right, .. } = plan {
+            assert!(exec::join_build_left(left, right, &cat), "{plan:?}");
         }
+        let want = exec::execute_reference(plan, &cat).unwrap();
+        let got = exec::execute(plan, &cat).unwrap();
+        assert!(!want.is_empty(), "{plan:?}");
+        assert_eq!(got.rows(), want.rows(), "{plan:?}");
     }
 }

@@ -6,8 +6,8 @@
 //! never a wrong answer — and afterwards no spill files, buffer-pool
 //! leases or poisoned locks remain. These tests drive that contract:
 //!
-//! * 256 seeded schedules (128 seeds × {1, 4} workers, on disk storage
-//!   through four distinct pool capacities) over a spilling join +
+//! * 256 seeded schedules (seeds 0..256, on disk storage through four
+//!   distinct pool capacities) over a spilling join +
 //!   distinct plan, with a per-schedule result/error check and a
 //!   per-schedule leak check;
 //! * an anti-no-op guard: across the whole sweep the injector must have
@@ -30,7 +30,7 @@ use u_relations::relalg::{
 };
 
 /// `t(k, g, v)`: enough rows for several segments per storage mode and
-/// for the distinct seen-set to cross a few-KiB budget share.
+/// for the distinct seen-set to cross a few-KiB budget.
 fn t_rel(n: i64) -> Relation {
     Relation::from_rows(
         ["k", "g", "v"],
@@ -64,13 +64,11 @@ fn plan() -> Plan {
 /// every knob the CI matrix can set (`RELALG_FAULTS`,
 /// `RELALG_DEADLINE_MS`, `RELALG_STORAGE`, `RELALG_MEM_BUDGET`) is
 /// overridden explicitly so each test controls its own schedule.
-fn catalog(threads: usize, pool_cap: usize) -> Catalog {
-    let mut c = Catalog::new().with_config(EngineConfig::serial());
+fn catalog(pool_cap: usize) -> Catalog {
+    let mut c = Catalog::new();
     c.set_storage(StorageMode::Disk);
     c.set_segment_layout(16, 2);
     c.set_buffer_pool(pool_cap);
-    c.set_threads(threads);
-    c.set_parallel_granularity(64, 0);
     c.set_mem_budget(4 << 10);
     c.set_faults(None);
     c.set_deadline(None);
@@ -83,11 +81,10 @@ fn catalog(threads: usize, pool_cap: usize) -> Catalog {
 /// retried)` and leak-check the execution's spill directory and buffer
 /// pool on the way out.
 fn run_schedule(
-    threads: usize,
     pool_cap: usize,
     faults: Option<FaultConfig>,
 ) -> (Result<Vec<u_relations::relalg::Row>, Error>, usize, usize) {
-    let mut cat = catalog(threads, pool_cap);
+    let mut cat = catalog(pool_cap);
     cat.set_faults(faults);
     let (res, injected, retries, spill_dir) = match exec::stream(&plan(), &cat) {
         Ok(streamed) => {
@@ -108,31 +105,31 @@ fn run_schedule(
 
 #[test]
 fn fault_schedules_are_byte_identical_or_clean_errors() {
-    // 128 seeds × {1, 4} workers = 256 schedules on disk storage; each
-    // seed half runs through its own pool capacity.
+    // 256 schedules on disk storage; each quarter of the seeds runs
+    // through its own pool capacity.
     let mut injected_total = 0usize;
     let mut retried_total = 0usize;
     let mut failed = 0usize;
     let mut ran = 0usize;
-    for (threads, pool_cap, seeds) in [
-        (1, 17, 0..64u64),
-        (4, 19, 0..64),
-        (1, 21, 64..128),
-        (4, 23, 64..128),
+    for (pool_cap, seeds) in [
+        (17, 0..64u64),
+        (19, 64..128),
+        (21, 128..192),
+        (23, 192..256),
     ] {
-        let (baseline, _, _) = run_schedule(threads, pool_cap, None);
-        let baseline = baseline.unwrap_or_else(|e| panic!("x{threads} baseline: {e}"));
+        let (baseline, _, _) = run_schedule(pool_cap, None);
+        let baseline = baseline.unwrap_or_else(|e| panic!("pool {pool_cap} baseline: {e}"));
         assert!(!baseline.is_empty());
         for seed in seeds {
             let (res, injected, retries) =
-                run_schedule(threads, pool_cap, Some(FaultConfig::new(seed, 0.001)));
+                run_schedule(pool_cap, Some(FaultConfig::new(seed, 0.001)));
             injected_total += injected;
             retried_total += retries;
             ran += 1;
             match res {
                 Ok(rows) => assert_eq!(
                     rows, baseline,
-                    "x{threads} seed {seed}: survived faults but diverged"
+                    "pool {pool_cap} seed {seed}: survived faults but diverged"
                 ),
                 Err(e) => {
                     // A clean, displayable error — any variant; the
@@ -161,7 +158,7 @@ fn fault_schedules_are_byte_identical_or_clean_errors() {
 
 #[test]
 fn expired_deadline_cancels_cleanly_and_releases_resources() {
-    let mut cat = catalog(1, 25);
+    let mut cat = catalog(25);
     cat.set_deadline(Some(Duration::from_millis(0)));
     match exec::stream(&plan(), &cat) {
         Ok(streamed) => {
@@ -189,19 +186,17 @@ fn expired_deadline_cancels_cleanly_and_releases_resources() {
 
 #[test]
 fn cancel_token_stops_a_query_from_another_thread() {
-    for threads in [1, 4] {
-        let cat = catalog(threads, 27);
-        let streamed = exec::stream(&plan(), &cat).unwrap();
-        let token = streamed.cancel_token();
-        std::thread::spawn(move || token.cancel()).join().unwrap();
-        let err = streamed.collect_rows(None).unwrap_err();
-        assert!(matches!(err, Error::Cancelled(_)), "x{threads}: {err}");
-        let stats = streamed.stats();
-        assert!(stats.cancelled, "x{threads}: {stats:?}");
-        let dir = streamed.spill_dir();
-        drop(streamed);
-        fault::assert_no_leaks(dir.as_deref(), pool_for(27).in_flight_len());
-    }
+    let cat = catalog(27);
+    let streamed = exec::stream(&plan(), &cat).unwrap();
+    let token = streamed.cancel_token();
+    std::thread::spawn(move || token.cancel()).join().unwrap();
+    let err = streamed.collect_rows(None).unwrap_err();
+    assert!(matches!(err, Error::Cancelled(_)), "{err}");
+    let stats = streamed.stats();
+    assert!(stats.cancelled, "{stats:?}");
+    let dir = streamed.spill_dir();
+    drop(streamed);
+    fault::assert_no_leaks(dir.as_deref(), pool_for(27).in_flight_len());
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //!   become a plain re-run of the suite.
 //! - The deadline regression: a request whose deadline expires while
 //!   queued for admission sheds with `Error::Cancelled` *without* ever
-//!   acquiring task-pool workers or buffer-pool leases
+//!   acquiring buffer-pool leases
 //!   (`fault::assert_no_leaks`).
 
 use std::sync::Arc;
@@ -226,7 +226,7 @@ fn ci_server_leg_actually_sheds() {
 
 /// Regression (issue satellite): a request whose deadline expires while
 /// it waits for admission must shed with `Error::Cancelled` WITHOUT
-/// having acquired task-pool workers or buffer-pool leases. The gate
+/// having acquired buffer-pool leases. The gate
 /// sits strictly before execution resources; `assert_no_leaks` checks
 /// the shared buffer pool holds no in-flight leases the moment the
 /// shed response arrives (the execution slot is still occupied by the

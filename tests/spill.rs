@@ -9,8 +9,7 @@
 //! * hybrid-hash join build spill, including the recursive
 //!   re-partitioning path (skewed keys that refuse to split) and the
 //!   split path (diverse keys);
-//! * external-merge sort and aggregation partial-state spill, serial
-//!   and at 4 workers;
+//! * external-merge sort and aggregation partial-state spill;
 //! * scoped spill-directory cleanup after completed *and* aborted
 //!   (panicking) executions;
 //! * the CI `mem-budget` leg's no-op guard: when `RELALG_MEM_BUDGET` is
@@ -35,19 +34,17 @@ fn big_rel(n: i64, m: i64) -> Relation {
     .unwrap()
 }
 
-/// A serial catalog with the budget explicitly *disabled*, so baseline
+/// A catalog with the budget explicitly *disabled*, so baseline
 /// ("unbounded") runs stay unbounded even when the test process itself
 /// runs under `RELALG_MEM_BUDGET` (as the CI mem-budget leg does).
 fn unbounded_catalog() -> Catalog {
-    let mut c = Catalog::new().with_config(EngineConfig::serial());
+    let mut c = Catalog::new();
     c.set_mem_budget(0);
     c
 }
 
-fn budgeted(catalog: &Catalog, bytes: usize, threads: usize) -> Catalog {
+fn budgeted(catalog: &Catalog, bytes: usize) -> Catalog {
     let mut c = catalog.clone();
-    c.set_threads(threads);
-    c.set_parallel_granularity(64, 0);
     c.set_mem_budget(bytes);
     c
 }
@@ -62,11 +59,11 @@ fn distinct_seen_set_spill_is_byte_identical() {
     let unbounded = exec::stream(&plan, &cat).unwrap();
     let want = unbounded.collect_rows(None).unwrap();
     assert_eq!(unbounded.stats().spill_events, 0);
-    for threads in [1usize, 4] {
-        let c = budgeted(&cat, 2048, threads);
+    for budget in [2048, 512] {
+        let c = budgeted(&cat, budget);
         let streamed = exec::stream(&plan, &c).unwrap();
         let rows = streamed.collect_rows(None).unwrap();
-        assert_eq!(rows, want, "distinct spill diverges at {threads} threads");
+        assert_eq!(rows, want, "distinct spill diverges at budget {budget}");
         let stats = streamed.stats();
         assert!(stats.spill_events > 0, "expected spills: {stats:?}");
         assert!(stats.spilled_bytes > 0, "{stats:?}");
@@ -88,14 +85,14 @@ fn difference_seen_set_spill_is_byte_identical() {
         .unwrap()
         .collect_rows(None)
         .unwrap();
-    let c = budgeted(&cat, 1024, 1);
+    let c = budgeted(&cat, 1024);
     let streamed = exec::stream(&plan, &c).unwrap();
     assert_eq!(streamed.collect_rows(None).unwrap(), want);
     assert!(streamed.stats().spill_events > 0, "{:?}", streamed.stats());
 }
 
 /// Hybrid-hash spill where the build side's keys are *diverse*: the
-/// first-level partitions are each over the share and recursion splits
+/// first-level partitions are each over the budget and recursion splits
 /// them further, yet output order must survive the partition shuffle.
 #[test]
 fn join_build_spill_with_recursion_is_byte_identical() {
@@ -106,7 +103,7 @@ fn join_build_spill_with_recursion_is_byte_identical() {
     // source-build bias cannot pick a zero-copy side; the smaller right
     // side buffers, and only buffered builds spill. Joining g = g'
     // with ~97 key values leaves every digest partition far over a
-    // 1 KiB share, forcing recursive re-partitioning.
+    // 1 KiB budget, forcing recursive re-partitioning.
     let plan = Plan::scan("probe")
         .select(col("k").ge(lit_i64(0)))
         .rename("p")
@@ -121,7 +118,7 @@ fn join_build_spill_with_recursion_is_byte_identical() {
         .collect_rows(None)
         .unwrap();
     assert!(!want.is_empty());
-    let c = budgeted(&cat, 1024, 1);
+    let c = budgeted(&cat, 1024);
     let streamed = exec::stream(&plan, &c).unwrap();
     assert_eq!(streamed.collect_rows(None).unwrap(), want);
     let stats = streamed.stats();
@@ -133,7 +130,7 @@ fn join_build_spill_with_recursion_is_byte_identical() {
 }
 
 /// Hybrid-hash spill under *key skew*: one key dominates, so its
-/// partition can never shrink below the share — recursion must stop at
+/// partition can never shrink below the budget — recursion must stop at
 /// the depth cap and build the partition in memory regardless.
 #[test]
 fn join_build_spill_with_skewed_keys_hits_depth_cap_and_stays_correct() {
@@ -161,7 +158,7 @@ fn join_build_spill_with_skewed_keys_hits_depth_cap_and_stays_correct() {
         .collect_rows(None)
         .unwrap();
     assert!(!want.is_empty());
-    let c = budgeted(&cat, 512, 1);
+    let c = budgeted(&cat, 512);
     let streamed = exec::stream(&plan, &c).unwrap();
     assert_eq!(streamed.collect_rows(None).unwrap(), want);
     assert!(streamed.stats().spill_events > 0, "{:?}", streamed.stats());
@@ -176,14 +173,14 @@ fn external_sort_matches_in_memory_stable_sort() {
     // load-bearing (equal keys must keep input order).
     let keys = [(col("g"), sort::Order::Asc)];
     let want = sort::sort_plan(&plan, &cat, &keys).unwrap();
-    let c = budgeted(&cat, 4096, 1);
+    let c = budgeted(&cat, 4096);
     let (got, stats) = sort::sort_plan_with_stats(&plan, &c, &keys).unwrap();
     assert_eq!(got, want, "external sort diverges from in-memory sort");
     assert!(stats.spill_events > 1, "expected several runs: {stats:?}");
 }
 
 #[test]
-fn aggregation_spill_matches_unbounded_at_one_and_four_workers() {
+fn aggregation_spill_matches_unbounded() {
     let mut cat = unbounded_catalog();
     cat.insert("t", big_rel(6000, 500));
     let plan = Plan::scan("t");
@@ -196,10 +193,10 @@ fn aggregation_spill_matches_unbounded_at_one_and_four_workers() {
     ];
     let (want, base) = aggregate_plan_with_stats(&plan, &cat, &group, &aggs).unwrap();
     assert_eq!(base.spill_events, 0);
-    for threads in [1usize, 4] {
-        let c = budgeted(&cat, 2048, threads);
+    for budget in [2048, 512] {
+        let c = budgeted(&cat, budget);
         let (got, stats) = aggregate_plan_with_stats(&plan, &c, &group, &aggs).unwrap();
-        assert_eq!(got, want, "aggregation spill diverges at {threads} threads");
+        assert_eq!(got, want, "aggregation spill diverges at budget {budget}");
         assert!(stats.spill_events > 0, "{stats:?}");
     }
 }
@@ -209,7 +206,7 @@ fn spill_directory_is_removed_after_a_completed_run() {
     let mut cat = unbounded_catalog();
     cat.insert("t", big_rel(4000, 300));
     let plan = Plan::scan("t").project_names(["g", "v"]).distinct();
-    let c = budgeted(&cat, 1024, 1);
+    let c = budgeted(&cat, 1024);
     let streamed = exec::stream(&plan, &c).unwrap();
     let rows = streamed.collect_rows(None).unwrap();
     assert!(!rows.is_empty());
@@ -299,10 +296,11 @@ fn tagged_rel(n: i64, m: i64) -> Relation {
     .unwrap()
 }
 
-/// A computed hash-join build side charges the memory budget exactly
-/// `row_footprint` bytes per buffered row, whether it stays resident or
-/// spills: the pinned counters were recorded from the row-buffering
-/// build and must not move when the buffer's form changes.
+/// A computed hash-join build side charges the memory budget the bytes
+/// its column image stores per buffered row — here 32 B (two `Int`
+/// slots and one interned-string handle) — whether it stays resident or
+/// spills. A 32 KiB budget holds all 690 build rows (22,080 B), so the
+/// build stays in memory there.
 #[test]
 fn join_build_budget_charges_are_pinned() {
     let mut cat = unbounded_catalog();
@@ -327,12 +325,13 @@ fn join_build_budget_charges_are_pinned() {
         (
             2048usize,
             true,
-            (1usize, 690usize, 13_379usize, 35usize, 657_570usize),
+            (1usize, 690usize, 13_379usize, 35usize, 600_300usize),
         ),
-        (1 << 20, false, (1, 690, 79_350, 0, 0)),
+        (32 << 10, false, (1, 690, 22_080, 0, 0)),
+        (1 << 20, false, (1, 690, 22_080, 0, 0)),
     ];
     for (budget, spilled, counts) in pinned {
-        let c = budgeted(&cat, budget, 1);
+        let c = budgeted(&cat, budget);
         let streamed = exec::stream(&plan, &c).unwrap();
         assert_eq!(streamed.collect_rows(None).unwrap(), want);
         assert_eq!(streamed.spilled_build(), spilled, "budget {budget}");
@@ -378,7 +377,6 @@ fn ci_budget_leg_actually_spills() {
         cat.set_mem_budget(64 * 1024);
         cat.insert("t", big_rel(8000, 4000));
     }
-    cat.set_threads(1);
     let plan = Plan::scan("t").project_names(["k", "g"]).distinct();
     let streamed = exec::stream(&plan, &cat).unwrap();
     let n = streamed.collect_rows(None).unwrap().len();

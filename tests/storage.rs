@@ -8,8 +8,9 @@
 //!   columns, visible through `ExecStats::segments_skipped` (the
 //!   anti-no-op guard: a full scan must skip nothing);
 //! * byte-identical output against plain storage across {disk with a
-//!   2-slot pool, disk with a 64-slot pool} × {1, 4} workers on a
-//!   multi-operator plan over null-bearing data;
+//!   2-slot pool, disk with a 64-slot pool} × {the configured memory
+//!   budget, a quarter of it} on a multi-operator plan over
+//!   null-bearing data;
 //! * disk scans faulting through an undersized shared buffer pool
 //!   (eviction churn) and hitting a warm one;
 //! * the storage legs' no-op guard: when `RELALG_STORAGE` is set, the
@@ -45,20 +46,18 @@ fn seg_rel(n: i64) -> Relation {
     .unwrap()
 }
 
-/// A catalog configured *before* inserts (storage, segment geometry,
-/// pool capacity, workers, and morsels small enough to go parallel).
-fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize, threads: usize) -> Catalog {
+/// A catalog configured *before* inserts (storage, segment geometry
+/// and pool capacity).
+fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize) -> Catalog {
     let mut c = Catalog::new();
     c.set_storage(mode);
     c.set_segment_layout(seg_rows, pool);
-    c.set_threads(threads);
-    c.set_parallel_granularity(64, 0);
     c
 }
 
 #[test]
 fn selective_scan_skips_segments_and_full_scan_skips_none() {
-    let mut cat = storage_catalog(StorageMode::Disk, 16, 8, 1);
+    let mut cat = storage_catalog(StorageMode::Disk, 16, 8);
     cat.insert("t", seg_rel(256)); // 16 segments of 16 rows
     let selective = Plan::scan("t").select(col("k").lt(lit_i64(16)));
     let (out, stats) = exec::execute_with_stats(&selective, &cat).unwrap();
@@ -78,7 +77,7 @@ fn selective_scan_skips_segments_and_full_scan_skips_none() {
 fn string_zone_maps_prune_dictionary_segments() {
     // Each 64-row word run spans four 16-row segments, so an equality
     // on one word keeps 1/4 of the segments (min == max == word there).
-    let mut cat = storage_catalog(StorageMode::Disk, 16, 8, 1);
+    let mut cat = storage_catalog(StorageMode::Disk, 16, 8);
     cat.insert("t", seg_rel(256));
     let p = Plan::scan("t").select(col("w").eq(lit_str("ASIA")));
     let (out, stats) = exec::execute_with_stats(&p, &cat).unwrap();
@@ -92,11 +91,11 @@ fn null_bearing_segments_survive_range_predicates() {
     // `v < 10` must not prune segments whose zone min is Null — nulls
     // make min() = Null < Int, keeping the segment alive; the row-level
     // filter then drops the nulls (three-valued comparison is false).
-    let mut cat = storage_catalog(StorageMode::Disk, 16, 8, 1);
+    let mut cat = storage_catalog(StorageMode::Disk, 16, 8);
     cat.insert("t", seg_rel(256));
     let p = Plan::scan("t").select(col("v").lt(lit_i64(10)));
     let plain = {
-        let mut c = storage_catalog(StorageMode::Plain, 16, 8, 1);
+        let mut c = storage_catalog(StorageMode::Plain, 16, 8);
         c.insert("t", seg_rel(256));
         exec::stream(&p, &c).unwrap().collect_rows(None).unwrap()
     };
@@ -117,8 +116,8 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         )
         .project_names(["k", "region", "v"])
         .distinct();
-    let build = |mode, pool, threads| {
-        let mut c = storage_catalog(mode, 16, pool, threads);
+    let build = |mode, pool| {
+        let mut c = storage_catalog(mode, 16, pool);
         c.insert("t", seg_rel(300));
         c.insert(
             "u",
@@ -133,21 +132,25 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         );
         c
     };
-    let baseline = exec::stream(&plan, &build(StorageMode::Plain, 8, 1))
+    let plain = build(StorageMode::Plain, 8);
+    let baseline = exec::stream(&plan, &plain)
         .unwrap()
         .collect_rows(None)
         .unwrap();
     assert!(!baseline.is_empty());
     // A 2-slot pool evicts while scanning; a 64-slot one keeps every
-    // decoded segment resident.
+    // decoded segment resident. Each runs under the configured memory
+    // budget (the CI mem-budget leg sets one) and under a quarter of it.
+    let budget = plain.config().mem_budget;
     for pool in [2, 64] {
-        for threads in [1, 4] {
-            let cat = build(StorageMode::Disk, pool, threads);
+        for limit in [budget, budget / 4] {
+            let mut cat = build(StorageMode::Disk, pool);
+            cat.set_mem_budget(limit);
             let rows = exec::stream(&plan, &cat)
                 .unwrap()
                 .collect_rows(None)
                 .unwrap();
-            assert_eq!(rows, baseline, "disk pool {pool} x{threads} diverged");
+            assert_eq!(rows, baseline, "disk pool {pool} budget {limit} diverged");
         }
     }
 }
@@ -161,11 +164,11 @@ fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
     // re-scan.
     let p = Plan::scan("t").select(col("v").ge(lit_i64(0)));
     let baseline = {
-        let mut c = storage_catalog(StorageMode::Plain, 16, 2, 1);
+        let mut c = storage_catalog(StorageMode::Plain, 16, 2);
         c.insert("t", seg_rel(320));
         exec::stream(&p, &c).unwrap().collect_rows(None).unwrap()
     };
-    let mut small = storage_catalog(StorageMode::Disk, 16, 2, 1);
+    let mut small = storage_catalog(StorageMode::Disk, 16, 2);
     small.insert("t", seg_rel(320));
     let streamed = exec::stream(&p, &small).unwrap();
     assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
@@ -176,7 +179,7 @@ fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
         "20 cold segments through 2 slots must all miss: {stats:?}"
     );
     // A pool bigger than the working set: scan twice, second pass hits.
-    let mut large = storage_catalog(StorageMode::Disk, 16, 64, 1);
+    let mut large = storage_catalog(StorageMode::Disk, 16, 64);
     large.insert("t", seg_rel(320));
     let warm = exec::stream(&p, &large).unwrap();
     assert_eq!(warm.collect_rows(None).unwrap(), baseline);
@@ -193,9 +196,9 @@ fn disk_provider_evicts_under_a_tiny_cache_and_stays_correct() {
     // 20 segments stream through a 2-slot buffer pool: every decode
     // past the second evicts a resident segment, and batches handed
     // downstream keep their `Arc`ed columns alive past the eviction.
-    let mut disk = storage_catalog(StorageMode::Disk, 16, 2, 1);
+    let mut disk = storage_catalog(StorageMode::Disk, 16, 2);
     disk.insert("t", seg_rel(320));
-    let mut plain = storage_catalog(StorageMode::Plain, 16, 2, 1);
+    let mut plain = storage_catalog(StorageMode::Plain, 16, 2);
     plain.insert("t", seg_rel(320));
     // Self-join forces two full scans of the same provider.
     let p = Plan::scan("t")
@@ -242,7 +245,7 @@ fn ci_storage_leg_actually_moves_segments() {
         );
         cat = Catalog::new();
     } else {
-        cat = storage_catalog(StorageMode::Disk, 256, 2, 1);
+        cat = storage_catalog(StorageMode::Disk, 256, 2);
     }
     cat.insert("t", seg_rel(2048));
     let p = Plan::scan("t").select(col("v").ge(lit_i64(0)));

@@ -67,12 +67,12 @@
 use crate::batch::{stored_row_bytes, BatchCol, ColumnBatch, ImageBuilder, BATCH_SIZE};
 use crate::catalog::{Catalog, EngineConfig, StorageMode};
 use crate::error::{Error, Result};
-use crate::expr::{CmpOp, CompiledExpr, Expr};
+use crate::expr::{int_access, CmpOp, CompiledExpr, Expr, IntOperand};
 use crate::fault::{self, CancelToken, FaultInjector};
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use crate::optimizer::{est_rows_cached, EstCache};
+use crate::optimizer::{est_rows_cached, shape_cached, EstCache};
 use crate::plan::Plan;
-use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
+use crate::relation::{row_footprint, Column, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
 use crate::spill::{merge_runs, MergeRuns, Record, Run, SpillCtx};
@@ -164,6 +164,10 @@ pub struct ExecStats {
     /// cancellation or deadline) — the pull that observed it returned
     /// [`Error::Cancelled`].
     pub cancelled: bool,
+    /// In-memory join tables (hash-join builds and keyed semi/antijoin
+    /// right sides) that took the direct-addressed layout: one dense
+    /// `Int` key column, probed by slot instead of by digest.
+    pub dense_builds: usize,
 }
 
 impl ExecStats {
@@ -181,6 +185,8 @@ impl ExecStats {
 /// not double-count its `Distinct`/`Difference` buffers.
 struct Counters {
     buffers: Cell<usize>,
+    /// Direct-addressed join tables built at prepare time.
+    dense_builds: Cell<usize>,
     prepare_rows: Cell<usize>,
     pull_rows: Cell<usize>,
     prepare_batches: Cell<(usize, usize)>,
@@ -231,6 +237,7 @@ impl Counters {
     fn with_spill(spill: Arc<SpillCtx>) -> Counters {
         Counters {
             buffers: Cell::new(0),
+            dense_builds: Cell::new(0),
             prepare_rows: Cell::new(0),
             pull_rows: Cell::new(0),
             prepare_batches: Cell::new((0, 0)),
@@ -319,6 +326,7 @@ impl Counters {
             retries: self.faults.as_ref().map_or(0, |f| f.retries()),
             faults_injected: self.faults.as_ref().map_or(0, |f| f.injected()),
             cancelled: self.cancel.tripped(),
+            dense_builds: self.dense_builds.get(),
         }
     }
 }
@@ -602,18 +610,39 @@ enum Node {
     Difference(DifferenceNode),
 }
 
-/// A hash table from key digest to the rows of a buffered image: a flat
-/// chained table, `heads` mapping each digest to its lowest row index and
-/// `next` linking every row to the next higher one with the same digest.
+/// A hash table from join key to the rows of a buffered image: a flat
+/// chained table, `heads` mapping each key to its lowest row index and
+/// `next` linking every row to the next higher one with the same key.
 /// Filled in reverse row order, so every chain ascends and probe results
 /// come out in build-row order.
+///
+/// The heads take one of two layouts ([`Heads`]). A build keyed by one
+/// `Int` column (no nulls) whose values span at most
+/// [`DENSE_SPAN_FACTOR`] slots per row — the tuple ids every U-relation
+/// `merge` joins on — is *direct-addressed*: the head of key `k` sits
+/// at `k - min`, so probes neither hash nor re-check key equality. Any
+/// other build maps key digests.
 struct RowTable {
-    heads: FxHashMap<u64, u32>,
+    heads: Heads,
     next: Vec<u32>,
+}
+
+/// The head layout of a [`RowTable`].
+enum Heads {
+    /// Key digest → lowest row index. Keys whose digests collide share a
+    /// chain, so probes re-check exact key equality.
+    Digest(FxHashMap<u64, u32>),
+    /// `slots[k - min]` → lowest row index whose key is exactly `k`.
+    Dense { min: i64, slots: Vec<u32> },
 }
 
 /// End of a [`RowTable`] chain.
 const CHAIN_END: u32 = u32::MAX;
+
+/// Most head slots a direct-addressed [`RowTable`] spends per build row.
+/// At 4 B a slot the heads never outgrow the 16 B (plus control bytes)
+/// per row of the digest map they replace.
+const DENSE_SPAN_FACTOR: usize = 4;
 
 impl RowTable {
     /// Index rows by their digests (`digests[i]` is row `i`'s).
@@ -625,16 +654,72 @@ impl RowTable {
                 next[i] = older;
             }
         }
-        RowTable { heads, next }
+        RowTable {
+            heads: Heads::Digest(heads),
+            next,
+        }
+    }
+
+    /// Direct-address rows by their integer keys (`keys[i]` is row
+    /// `i`'s), or `None` when there are no rows or the keys span more
+    /// than [`DENSE_SPAN_FACTOR`] slots per row.
+    fn dense(keys: &[i64]) -> Option<RowTable> {
+        let (&first, rest) = keys.split_first()?;
+        let (min, max) = rest
+            .iter()
+            .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let span = i128::from(max) - i128::from(min) + 1;
+        if span > (DENSE_SPAN_FACTOR * keys.len()) as i128 {
+            return None;
+        }
+        let mut slots = vec![CHAIN_END; span as usize];
+        let mut next = vec![CHAIN_END; keys.len()];
+        for (i, &k) in keys.iter().enumerate().rev() {
+            // `0 <= k - min < span`, taken in `i128` like the span.
+            let slot = &mut slots[(i128::from(k) - i128::from(min)) as usize];
+            next[i] = *slot;
+            *slot = i as u32;
+        }
+        Some(RowTable {
+            heads: Heads::Dense { min, slots },
+            next,
+        })
+    }
+
+    /// `true` for the direct-addressed layout.
+    fn is_dense(&self) -> bool {
+        matches!(self.heads, Heads::Dense { .. })
     }
 
     /// Row indices whose key hashed to `h`, ascending (hash collisions
-    /// included — callers re-check exact equality).
+    /// included — callers re-check exact equality). Digest layout only.
     #[inline]
     fn get(&self, h: u64) -> Chain<'_> {
+        let Heads::Digest(heads) = &self.heads else {
+            unreachable!("digest lookup in a direct-addressed table")
+        };
+        self.chain(heads.get(&h).copied())
+    }
+
+    /// Row indices whose key is exactly `k`, ascending. Direct-addressed
+    /// layout only; keys outside `[min, max]` find nothing.
+    #[inline]
+    fn get_int(&self, k: i64) -> Chain<'_> {
+        let Heads::Dense { min, slots } = &self.heads else {
+            unreachable!("integer lookup in a digest table")
+        };
+        let head = k
+            .checked_sub(*min)
+            .and_then(|off| usize::try_from(off).ok())
+            .and_then(|off| slots.get(off).copied());
+        self.chain(head)
+    }
+
+    #[inline]
+    fn chain(&self, head: Option<u32>) -> Chain<'_> {
         Chain {
             next: &self.next,
-            cur: self.heads.get(&h).copied().unwrap_or(CHAIN_END),
+            cur: head.unwrap_or(CHAIN_END),
         }
     }
 }
@@ -655,6 +740,116 @@ impl Iterator for Chain<'_> {
             self.cur = self.next[row];
             row
         })
+    }
+}
+
+/// One probe batch's key columns, resolved against a [`RowTable`] once
+/// per batch: [`KeyProbe::matches`] then yields, per probe position, the
+/// build rows whose key equals that position's.
+struct KeyProbe<'p> {
+    table: &'p RowTable,
+    keys: ProbeKeys<'p>,
+}
+
+enum ProbeKeys<'p> {
+    /// Direct-addressed table, `Int` probe column: the key is the slot
+    /// address.
+    Ints(IntOperand<'p>),
+    /// Direct-addressed table, any other probe column: each position's
+    /// value is read, and only an `Int` can match (`Null`, `Str` and
+    /// `Bool` equal no `Int` key).
+    Values(&'p BatchCol<'p>),
+    /// Digest table: per-position digests, and what the exact-key
+    /// re-check of each chain row needs.
+    Digests {
+        hashes: Vec<u64>,
+        batch: &'p ColumnBatch<'p>,
+        keys: &'p [usize],
+        image: &'p ColumnarImage,
+        image_keys: &'p [usize],
+    },
+}
+
+impl<'p> KeyProbe<'p> {
+    /// Probe `table` (indexing `image` on `image_keys`) with the `keys`
+    /// columns of `batch`.
+    fn new(
+        table: &'p RowTable,
+        batch: &'p ColumnBatch<'p>,
+        keys: &'p [usize],
+        image: &'p ColumnarImage,
+        image_keys: &'p [usize],
+    ) -> KeyProbe<'p> {
+        let keys = if table.is_dense() {
+            debug_assert_eq!(keys.len(), 1, "direct addressing takes one key");
+            let col = &batch.cols[keys[0]];
+            match int_access(col, batch.len()) {
+                Some(ints) => ProbeKeys::Ints(ints),
+                None => ProbeKeys::Values(col),
+            }
+        } else {
+            ProbeKeys::Digests {
+                hashes: batch_key_hashes(batch, keys),
+                batch,
+                keys,
+                image,
+                image_keys,
+            }
+        };
+        KeyProbe { table, keys }
+    }
+
+    /// Build rows whose key equals probe position `pos`'s, ascending.
+    #[inline]
+    fn matches(&self, pos: usize) -> Matches<'_> {
+        let chain = match &self.keys {
+            ProbeKeys::Ints(ints) => self.table.get_int(ints.get(pos)),
+            ProbeKeys::Values(col) => match col.value(pos) {
+                Value::Int(k) => self.table.get_int(k),
+                _ => self.table.chain(None),
+            },
+            ProbeKeys::Digests { hashes, .. } => self.table.get(hashes[pos]),
+        };
+        Matches {
+            chain,
+            probe: self,
+            pos,
+        }
+    }
+
+    /// Does build row `row`'s key equal probe position `pos`'s, given
+    /// that `row` is on `pos`'s chain? Always, for a direct-addressed
+    /// chain; digest chains check.
+    #[inline]
+    fn exact(&self, pos: usize, row: usize) -> bool {
+        match &self.keys {
+            ProbeKeys::Digests {
+                batch,
+                keys,
+                image,
+                image_keys,
+                ..
+            } => batch_keys_eq(batch, keys, pos, image, image_keys, row),
+            ProbeKeys::Ints(_) | ProbeKeys::Values(_) => true,
+        }
+    }
+}
+
+/// Iterator over the build rows matching one probe position (see
+/// [`KeyProbe::matches`]).
+struct Matches<'p> {
+    chain: Chain<'p>,
+    probe: &'p KeyProbe<'p>,
+    pos: usize,
+}
+
+impl Iterator for Matches<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let (probe, pos) = (self.probe, self.pos);
+        self.chain.find(|&row| probe.exact(pos, row))
     }
 }
 
@@ -739,10 +934,25 @@ struct SemiNode {
     keep_matched: bool,
 }
 
-/// Build the digest-keyed row table of a buffered image: the digests
-/// of the `keys` columns, hashed column at a time exactly as probe
-/// batches hash theirs.
-fn build_table(image: &ColumnarImage, keys: &[usize]) -> RowTable {
+/// Index a buffered image on its `keys` columns: direct-addressed when
+/// the key is one dense `Int` column (counted in
+/// [`ExecStats::dense_builds`]), else by digest ([`digest_table`]).
+fn build_table(image: &ColumnarImage, keys: &[usize], counters: &Counters) -> RowTable {
+    if let [k] = keys {
+        if let Column::Int(ints) = &image.cols()[*k] {
+            if let Some(table) = RowTable::dense(ints) {
+                counters.dense_builds.set(counters.dense_builds.get() + 1);
+                return table;
+            }
+        }
+    }
+    digest_table(image, keys)
+}
+
+/// The digest-keyed row table of a buffered image: the digests of the
+/// `keys` columns, hashed column at a time exactly as probe batches hash
+/// theirs.
+fn digest_table(image: &ColumnarImage, keys: &[usize]) -> RowTable {
     RowTable::build(&batch_key_hashes(
         &ColumnBatch::slice_of(image, 0, image.len()),
         keys,
@@ -884,7 +1094,7 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                 None
             } else {
                 let (lk, rk): (Vec<usize>, Vec<usize>) = cond.equi.iter().cloned().unzip();
-                Some((build_table(&right, &rk), lk, rk))
+                Some((build_table(&right, &rk, counters), lk, rk))
             };
             Ok((
                 Node::Semi(SemiNode {
@@ -925,8 +1135,9 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                 });
             }
             let right = materialize(rnode, &rs, counters)?;
+            // Probed with full-row digests, so never direct-addressed.
             let cols: Vec<usize> = (0..rs.arity()).collect();
-            let table = build_table(&right, &cols);
+            let table = digest_table(&right, &cols);
             counters.breaker(); // the seen-set filled at pull time
             Ok((
                 Node::Difference(DifferenceNode {
@@ -1007,7 +1218,7 @@ fn prepare_join_build(
     let spill = &counters.spill;
     if !spill.budget().enabled() || matches!(node, Node::Source(_)) {
         let image = materialize(node, schema, counters)?;
-        let table = build_table(&image, keys);
+        let table = build_table(&image, keys, counters);
         return Ok(JoinBuild::Mem { image, table });
     }
     let limit = spill.budget().limit();
@@ -1066,7 +1277,7 @@ fn prepare_join_build(
     match writers {
         None => {
             let image = Arc::new(buf.finish());
-            let table = build_table(&image, keys);
+            let table = build_table(&image, keys, counters);
             Ok(JoinBuild::Mem { image, table })
         }
         Some(ws) => {
@@ -1110,39 +1321,81 @@ fn join_build_left_with(left: &Plan, right: &Plan, catalog: &Catalog, est: &EstC
     }
 }
 
+/// Memoized static facts about one borrowed plan, for the passes that
+/// predict its execution (`EXPLAIN` and [`predicted_buffers`]): row
+/// estimates and schemas are derived once per node, however many
+/// ancestors ask. Like [`EstCache`], valid only for subtrees of the plan
+/// it was made for, while that plan stays borrowed.
+pub(crate) struct PlanFacts<'a> {
+    pub(crate) catalog: &'a Catalog,
+    est: EstCache,
+    /// The whole plan validated, so every subtree's schema is its
+    /// memoized shape. Otherwise schemas are derived per ask, since
+    /// some subtrees fail.
+    valid: bool,
+}
+
+impl<'a> PlanFacts<'a> {
+    pub(crate) fn new(plan: &Plan, catalog: &'a Catalog) -> PlanFacts<'a> {
+        PlanFacts {
+            catalog,
+            est: EstCache::default(),
+            valid: plan.schema(catalog).is_ok(),
+        }
+    }
+
+    /// [`crate::optimizer::est_rows`] of a subtree.
+    pub(crate) fn rows(&self, plan: &Plan) -> f64 {
+        est_rows_cached(plan, self.catalog, &self.est)
+    }
+
+    /// `plan.schema(catalog).ok()` of a subtree.
+    pub(crate) fn schema(&self, plan: &Plan) -> Option<Schema> {
+        if self.valid {
+            Some(shape_cached(plan, self.catalog, &self.est))
+        } else {
+            plan.schema(self.catalog).ok()
+        }
+    }
+
+    /// [`join_build_left`] of a join's inputs.
+    pub(crate) fn build_left(&self, left: &Plan, right: &Plan) -> bool {
+        join_build_left_with(left, right, self.catalog, &self.est)
+    }
+}
+
 /// Statically predicted [`ExecStats::buffers`] for a streamed execution
 /// of `plan` — the counter `EXPLAIN` prints. Matches the runtime count:
 /// breaker inputs that are already-materialized sources cost nothing.
 pub fn predicted_buffers(plan: &Plan, catalog: &Catalog) -> usize {
-    let breaker_input = |side: &Plan| -> usize {
-        predicted_buffers(side, catalog) + usize::from(!side.materialized_source())
-    };
+    predicted_buffers_with(plan, &PlanFacts::new(plan, catalog))
+}
+
+pub(crate) fn predicted_buffers_with(plan: &Plan, facts: &PlanFacts<'_>) -> usize {
+    let recurse = |side: &Plan| predicted_buffers_with(side, facts);
+    let breaker_input = |side: &Plan| recurse(side) + usize::from(!side.materialized_source());
     match plan {
         Plan::Scan(_) | Plan::Values(_) => 0,
         Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Rename { input, .. } => {
-            predicted_buffers(input, catalog)
+            recurse(input)
         }
-        Plan::Union { left, right } => {
-            predicted_buffers(left, catalog) + predicted_buffers(right, catalog)
-        }
-        Plan::Distinct(input) => 1 + predicted_buffers(input, catalog),
-        Plan::Difference { left, right } => {
-            1 + predicted_buffers(left, catalog) + breaker_input(right)
-        }
+        Plan::Union { left, right } => recurse(left) + recurse(right),
+        Plan::Distinct(input) => 1 + recurse(input),
+        Plan::Difference { left, right } => 1 + recurse(left) + breaker_input(right),
         Plan::SemiJoin { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
-            predicted_buffers(left, catalog) + breaker_input(right)
+            recurse(left) + breaker_input(right)
         }
         Plan::Join { left, right, pred } => {
             // Non-equi joins always buffer the right (inner) side; hash
             // joins buffer whichever side `join_build_left` picks.
-            let equi = match (left.schema(catalog), right.schema(catalog)) {
-                (Ok(ls), Ok(rs)) => !JoinCondition::analyze(pred, &ls, &rs).equi.is_empty(),
+            let equi = match (facts.schema(left), facts.schema(right)) {
+                (Some(ls), Some(rs)) => !JoinCondition::analyze(pred, &ls, &rs).equi.is_empty(),
                 _ => false,
             };
-            if equi && join_build_left(left, right, catalog) {
-                breaker_input(left) + predicted_buffers(right, catalog)
+            if equi && facts.build_left(left, right) {
+                breaker_input(left) + recurse(right)
             } else {
-                predicted_buffers(left, catalog) + breaker_input(right)
+                recurse(left) + breaker_input(right)
             }
         }
     }
@@ -1634,19 +1887,13 @@ impl<'a> BCursor<'a> {
             } => loop {
                 let b = probe.next_batch()?;
                 let build_image: &'a ColumnarImage = image;
-                let hashes = batch_key_hashes(&b, &node.probe_keys);
                 let mut probe_pos: Vec<u32> = Vec::new();
                 let mut build_idx: Vec<u32> = Vec::new();
-                for (pos, h) in hashes.iter().enumerate() {
-                    for bi in table.get(*h) {
-                        if batch_keys_eq(
-                            &b,
-                            &node.probe_keys,
-                            pos,
-                            build_image,
-                            &node.build_keys,
-                            bi,
-                        ) {
+                {
+                    let keys =
+                        KeyProbe::new(table, &b, &node.probe_keys, build_image, &node.build_keys);
+                    for pos in 0..b.len() {
+                        for bi in keys.matches(pos) {
                             probe_pos.push(pos as u32);
                             build_idx.push(bi as u32);
                         }
@@ -2095,13 +2342,11 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
     let mut matched = vec![false; b.len()];
     match &node.table {
         Some((table, lk, rk)) => {
-            let hashes = batch_key_hashes(b, lk);
+            let keys = KeyProbe::new(table, b, lk, right_image, rk);
             match &node.residual {
                 None => {
-                    for (pos, h) in hashes.iter().enumerate() {
-                        matched[pos] = table
-                            .get(*h)
-                            .any(|ri| batch_keys_eq(b, lk, pos, right_image, rk, ri));
+                    for (pos, m) in matched.iter_mut().enumerate() {
+                        *m = keys.matches(pos).next().is_some();
                     }
                 }
                 Some(res) => {
@@ -2111,11 +2356,9 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
                     // chunks — a per-row early exit at chunk
                     // granularity (matters under key skew).
                     let mut cands: Vec<(u32, u32)> = Vec::new();
-                    for (pos, h) in hashes.iter().enumerate() {
-                        for ri in table.get(*h) {
-                            if batch_keys_eq(b, lk, pos, right_image, rk, ri) {
-                                cands.push((pos as u32, ri as u32));
-                            }
+                    for pos in 0..b.len() {
+                        for ri in keys.matches(pos) {
+                            cands.push((pos as u32, ri as u32));
                         }
                     }
                     let mut idx = 0;
@@ -3153,6 +3396,14 @@ mod tests {
     fn empty_build_sides_index_and_join_nothing() {
         let table = RowTable::build(&[]);
         assert_eq!(table.get(0).count(), 0);
+        // No rows, no key range: an empty `Int` key column keeps the
+        // digest layout.
+        assert!(RowTable::dense(&[]).is_none());
+        let counters = Counters::default();
+        let table = build_table(int_keys(&[]).columns(), &[0], &counters);
+        assert!(!table.is_dense());
+        assert_eq!(table.get(0).count(), 0);
+        assert_eq!(counters.dense_builds.get(), 0);
         // A computed build side that filters every row away.
         let c = catalog();
         let p = Plan::scan("emp").select(col("eid").gt(lit_i64(0))).join(
@@ -3168,6 +3419,106 @@ mod tests {
                 .project_names(["eid"]),
         );
         assert_eq!(execute(&minus, &c).unwrap().len(), 3);
+    }
+
+    /// A one-column `Int` relation holding `keys` in order.
+    fn int_keys(keys: &[i64]) -> Relation {
+        Relation::from_rows(
+            ["k"],
+            keys.iter()
+                .map(|&k| vec![Value::Int(k)])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn dense_row_table_chains_ascend_through_duplicate_keys() {
+        let table = RowTable::dense(&[5, 3, 5, 5, 3, 6]).unwrap();
+        assert!(table.is_dense());
+        assert_eq!(table.get_int(5).collect::<Vec<_>>(), [0, 2, 3]);
+        assert_eq!(table.get_int(3).collect::<Vec<_>>(), [1, 4]);
+        assert_eq!(table.get_int(6).collect::<Vec<_>>(), [5]);
+        assert_eq!(table.get_int(4).count(), 0);
+    }
+
+    #[test]
+    fn dense_probes_outside_the_key_range_find_nothing() {
+        // Key ranges at zero and at both ends of `i64`: every probe
+        // outside `[min, max]` (including ones whose offset from `min`
+        // overflows `i64`) misses, and every key inside finds its row.
+        for keys in [
+            vec![-3, -1, 0, 2],
+            vec![i64::MAX - 2, i64::MAX],
+            vec![i64::MIN, i64::MIN + 1],
+        ] {
+            let table = RowTable::dense(&keys).unwrap();
+            let (min, max) = (keys[0], *keys.last().unwrap());
+            for k in [
+                i64::MIN,
+                i64::MAX,
+                min.saturating_sub(1),
+                max.saturating_add(1),
+                min.wrapping_sub(1),
+                max.wrapping_add(1),
+            ] {
+                if !keys.contains(&k) {
+                    assert_eq!(table.get_int(k).count(), 0, "probe {k} over {keys:?}");
+                }
+            }
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(table.get_int(k).collect::<Vec<_>>(), [i], "{keys:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_or_sparse_builds_fall_back_to_digests() {
+        let dense = |keys: &[i64]| -> bool {
+            let counters = Counters::default();
+            let table = build_table(int_keys(keys).columns(), &[0], &counters);
+            assert_eq!(counters.dense_builds.get(), usize::from(table.is_dense()));
+            table.is_dense()
+        };
+        // A span of 2^64 slots: the range is taken in i128 and refused.
+        assert!(!dense(&[i64::MIN, i64::MAX]));
+        // Two rows buy 2 * DENSE_SPAN_FACTOR = 8 slots, not 9.
+        assert!(dense(&[0, 7]));
+        assert!(!dense(&[0, 8]));
+        assert!(!dense(&(0..100).map(|i| i * 10).collect::<Vec<_>>()));
+        assert!(dense(&(0..100).map(|i| 400 - i * 4).collect::<Vec<_>>()));
+        // Only a lone `Int` key column is direct-addressed.
+        let counters = Counters::default();
+        let two =
+            Relation::from_rows(["a", "b"], vec![vec![Value::Int(1), Value::Int(2)]; 3]).unwrap();
+        assert!(!build_table(two.columns(), &[0, 1], &counters).is_dense());
+        let nulls =
+            Relation::from_rows(["k"], vec![vec![Value::Int(1)], vec![Value::Null]]).unwrap();
+        assert!(!build_table(nulls.columns(), &[0], &counters).is_dense());
+        assert_eq!(counters.dense_builds.get(), 0);
+    }
+
+    #[test]
+    fn dense_joins_are_counted_and_match_the_reference() {
+        // `dim.d` is 0..7: a dense build for the hash join and for the
+        // keyed semijoin's right side alike.
+        let c = big_catalog();
+        let join = Plan::scan("fact").join(Plan::scan("dim"), col("g").eq(col("d")));
+        let semi = Plan::scan("fact").semijoin(
+            Plan::scan("dim").select(col("d").lt(lit_i64(3))),
+            col("g").eq(col("d")),
+        );
+        for p in [&join, &semi] {
+            let (out, stats) = execute_with_stats(p, &c).unwrap();
+            assert_eq!(stats.dense_builds, 1, "{stats:?}");
+            assert!(!out.is_empty());
+            assert_eq!(out.rows(), execute_reference(p, &c).unwrap().rows());
+        }
+        // Difference probes full-row digests and never builds dense.
+        let minus = Plan::scan("dim")
+            .project_names(["d"])
+            .difference(Plan::scan("fact").project_names(["g"]));
+        assert_eq!(execute_with_stats(&minus, &c).unwrap().1.dense_builds, 0);
     }
 
     #[test]

@@ -16,25 +16,24 @@
 use crate::batch::BATCH_SIZE;
 use crate::catalog::{Catalog, StorageMode};
 use crate::error::Result;
-use crate::exec::{join_build_left, predicted_buffers, JoinCondition};
+use crate::exec::{predicted_buffers_with, JoinCondition, PlanFacts};
 use crate::expr::Expr;
-use crate::optimizer::est_rows;
 use crate::plan::Plan;
 use std::fmt::Write as _;
 
 /// Render a plan as an indented EXPLAIN tree with pipeline annotations
 /// and the predicted intermediate-buffer count.
 pub fn explain(plan: &Plan, catalog: &Catalog) -> String {
+    // One memo for the whole rendering: every node's estimate, join
+    // sides and build choice are derived once, not once per ancestor.
+    let facts = PlanFacts::new(plan, catalog);
     let mut out = String::new();
-    render(plan, catalog, 0, &mut out);
-    let buffers = predicted_buffers(plan, catalog);
+    render(plan, &facts, 0, &mut out);
+    let buffers = predicted_buffers_with(plan, &facts);
     let _ = writeln!(out, "-- {buffers} intermediate row buffer(s)");
     let budget = catalog.config().mem_budget;
     if budget != usize::MAX {
-        let _ = writeln!(
-            out,
-            "-- memory budget: {budget} byte(s) ({budget} per worker share)"
-        );
+        let _ = writeln!(out, "-- memory budget: {budget} byte(s)");
     }
     out
 }
@@ -98,9 +97,10 @@ const ENGINE_TAG: &str = "[batched]";
 /// table statistics ([`crate::stats::TableStats::avg_row_bytes`]);
 /// operators transform them structurally (joins concatenate, projections
 /// scale by arity).
-fn est_row_bytes(plan: &Plan, catalog: &Catalog) -> f64 {
+fn est_row_bytes(plan: &Plan, facts: &PlanFacts<'_>) -> f64 {
     match plan {
-        Plan::Scan(name) => catalog
+        Plan::Scan(name) => facts
+            .catalog
             .stats(name)
             .map(|s| s.avg_row_bytes())
             .unwrap_or(16.0),
@@ -112,25 +112,21 @@ fn est_row_bytes(plan: &Plan, catalog: &Catalog) -> f64 {
             }
         }
         Plan::Select { input, .. } | Plan::Rename { input, .. } | Plan::Distinct(input) => {
-            est_row_bytes(input, catalog)
+            est_row_bytes(input, facts)
         }
         Plan::Project { input, cols } => {
-            let in_arity = input
-                .schema(catalog)
+            let in_arity = facts
+                .schema(input)
                 .map(|s| s.arity())
                 .unwrap_or(cols.len())
                 .max(1);
-            est_row_bytes(input, catalog) * cols.len() as f64 / in_arity as f64
+            est_row_bytes(input, facts) * cols.len() as f64 / in_arity as f64
         }
-        Plan::Join { left, right, .. } => {
-            est_row_bytes(left, catalog) + est_row_bytes(right, catalog)
-        }
+        Plan::Join { left, right, .. } => est_row_bytes(left, facts) + est_row_bytes(right, facts),
         Plan::SemiJoin { left, .. }
         | Plan::AntiJoin { left, .. }
-        | Plan::Difference { left, .. } => est_row_bytes(left, catalog),
-        Plan::Union { left, right } => {
-            est_row_bytes(left, catalog).max(est_row_bytes(right, catalog))
-        }
+        | Plan::Difference { left, .. } => est_row_bytes(left, facts),
+        Plan::Union { left, right } => est_row_bytes(left, facts).max(est_row_bytes(right, facts)),
     }
 }
 
@@ -138,14 +134,15 @@ fn est_row_bytes(plan: &Plan, catalog: &Catalog) -> f64 {
 /// buffer holding `side`'s estimated rows at `row_bytes` apiece is
 /// predicted to exceed the budget. Purely advisory: the runtime decides
 /// from actual sizes, and spilling never changes results.
-fn spill_tag(side: &Plan, catalog: &Catalog, row_bytes: f64) -> &'static str {
+fn spill_tag(side: &Plan, facts: &PlanFacts<'_>, row_bytes: f64) -> &'static str {
+    let catalog = facts.catalog;
     if catalog.config().mem_budget == usize::MAX || side.materialized_source() {
         // Unbounded — or a zero-copy source build side, which indexes
         // the catalog's storage and never buffers, so it cannot spill.
         return "";
     }
     let budget = catalog.config().mem_budget as f64;
-    if est_rows(side, catalog) * row_bytes > budget {
+    if facts.rows(side) * row_bytes > budget {
         " [spill]"
     } else {
         ""
@@ -155,8 +152,8 @@ fn spill_tag(side: &Plan, catalog: &Catalog, row_bytes: f64) -> &'static str {
 /// Estimated bytes a dedup seen-set charges per row: the row payload
 /// plus 48 bytes of row-form overhead, mirroring
 /// [`crate::relation::row_footprint`].
-fn seen_set_row_bytes(plan: &Plan, catalog: &Catalog) -> f64 {
-    est_row_bytes(plan, catalog) + 48.0
+fn seen_set_row_bytes(plan: &Plan, facts: &PlanFacts<'_>) -> f64 {
+    est_row_bytes(plan, facts) + 48.0
 }
 
 fn indent(depth: usize, out: &mut String) {
@@ -215,21 +212,22 @@ fn seg_tag(name: &str, catalog: &Catalog, zone_pred: Option<&Expr>) -> String {
     format!(" [seg {kept}/{total}]")
 }
 
-fn render(plan: &Plan, catalog: &Catalog, depth: usize, out: &mut String) {
-    render_zone(plan, catalog, depth, out, None);
+fn render(plan: &Plan, facts: &PlanFacts<'_>, depth: usize, out: &mut String) {
+    render_zone(plan, facts, depth, out, None);
 }
 
 /// [`render`] with the filter predicate directly above the node, so a
 /// scan can report its zone-map pruning prospects.
 fn render_zone(
     plan: &Plan,
-    catalog: &Catalog,
+    facts: &PlanFacts<'_>,
     depth: usize,
     out: &mut String,
     zone_pred: Option<&Expr>,
 ) {
     indent(depth, out);
-    let rows = est_rows(plan, catalog);
+    let catalog = facts.catalog;
+    let rows = facts.rows(plan);
     let tag = ENGINE_TAG;
     match plan {
         Plan::Scan(name) => {
@@ -241,7 +239,7 @@ fn render_zone(
         }
         Plan::Select { input, pred } => {
             let _ = writeln!(out, "Filter: {pred}  (rows≈{rows:.0}) [pipelined] {tag}");
-            render_zone(input, catalog, depth + 1, out, Some(pred));
+            render_zone(input, facts, depth + 1, out, Some(pred));
         }
         Plan::Project { input, cols } => {
             let names: Vec<String> = cols.iter().map(|(_, n)| n.to_string()).collect();
@@ -250,12 +248,12 @@ fn render_zone(
                 "Project [{}]  (rows≈{rows:.0}) [pipelined] {tag}",
                 names.join(", ")
             );
-            render(input, catalog, depth + 1, out);
+            render(input, facts, depth + 1, out);
         }
         Plan::Join { left, right, pred } => {
             let (ls, rs) = (
-                left.schema(catalog).unwrap_or_default(),
-                right.schema(catalog).unwrap_or_default(),
+                facts.schema(left).unwrap_or_default(),
+                facts.schema(right).unwrap_or_default(),
             );
             let cond = JoinCondition::analyze(pred, &ls, &rs);
             if cond.equi.is_empty() {
@@ -274,7 +272,7 @@ fn render_zone(
                     .iter()
                     .map(|(l, r)| format!("{} = {}", ls.columns()[*l], rs.columns()[*r]))
                     .collect();
-                let (build, probe) = if join_build_left(left, right, catalog) {
+                let (build, probe) = if facts.build_left(left, right) {
                     ("left", "right")
                 } else {
                     ("right", "left")
@@ -290,7 +288,7 @@ fn render_zone(
                     out,
                     "Hash Join  (rows≈{rows:.0}) [streams {probe} probe, build {build} {}] {tag}{}",
                     side_label(build_side),
-                    spill_tag(build_side, catalog, 16.0 * build_arity as f64)
+                    spill_tag(build_side, facts, 16.0 * build_arity as f64)
                 );
                 indent(depth + 1, out);
                 let _ = writeln!(out, "Hash Cond: ({})", keys.join(") AND ("));
@@ -299,8 +297,8 @@ fn render_zone(
                     let _ = writeln!(out, "Join Filter: {}", Expr::and(cond.residual.clone()));
                 }
             }
-            render(left, catalog, depth + 1, out);
-            render(right, catalog, depth + 1, out);
+            render(left, facts, depth + 1, out);
+            render(right, facts, depth + 1, out);
         }
         Plan::SemiJoin { left, right, pred } => {
             let _ = writeln!(
@@ -308,8 +306,8 @@ fn render_zone(
                 "Hash Semi Join on {pred}  (rows≈{rows:.0}) [streams left, right {}] {tag}",
                 side_label(right)
             );
-            render(left, catalog, depth + 1, out);
-            render(right, catalog, depth + 1, out);
+            render(left, facts, depth + 1, out);
+            render(right, facts, depth + 1, out);
         }
         Plan::AntiJoin { left, right, pred } => {
             let _ = writeln!(
@@ -317,38 +315,38 @@ fn render_zone(
                 "Hash Anti Join on {pred}  (rows≈{rows:.0}) [streams left, right {}] {tag}",
                 side_label(right)
             );
-            render(left, catalog, depth + 1, out);
-            render(right, catalog, depth + 1, out);
+            render(left, facts, depth + 1, out);
+            render(right, facts, depth + 1, out);
         }
         Plan::Union { left, right } => {
             let _ = writeln!(out, "Append  (rows≈{rows:.0}) [pipelined] {tag}");
-            render(left, catalog, depth + 1, out);
-            render(right, catalog, depth + 1, out);
+            render(left, facts, depth + 1, out);
+            render(right, facts, depth + 1, out);
         }
         Plan::Difference { left, right } => {
             let _ = writeln!(
                 out,
                 "Except  (rows≈{rows:.0}) [buffers seen-set, right {}] {tag}{}",
                 side_label(right),
-                spill_tag(plan, catalog, seen_set_row_bytes(plan, catalog))
+                spill_tag(plan, facts, seen_set_row_bytes(plan, facts))
             );
-            render(left, catalog, depth + 1, out);
-            render(right, catalog, depth + 1, out);
+            render(left, facts, depth + 1, out);
+            render(right, facts, depth + 1, out);
         }
         Plan::Distinct(input) => {
             let _ = writeln!(
                 out,
                 "HashAggregate (distinct)  (rows≈{rows:.0}) [buffers seen-set] {tag}{}",
-                spill_tag(plan, catalog, seen_set_row_bytes(plan, catalog))
+                spill_tag(plan, facts, seen_set_row_bytes(plan, facts))
             );
-            render(input, catalog, depth + 1, out);
+            render(input, facts, depth + 1, out);
         }
         Plan::Rename { input, alias } => {
             let _ = writeln!(
                 out,
                 "Subquery Alias {alias}  (rows≈{rows:.0}) [pipelined] {tag}"
             );
-            render(input, catalog, depth + 1, out);
+            render(input, facts, depth + 1, out);
         }
     }
 }
@@ -502,7 +500,10 @@ mod tests {
         c.set_mem_budget(512);
         let text = explain(&p, &c);
         assert!(text.contains("[spill]"), "{text}");
-        assert!(text.contains("memory budget: 512 byte(s)"), "{text}");
+        assert!(
+            text.lines().any(|l| l == "-- memory budget: 512 byte(s)"),
+            "{text}"
+        );
         // The executed report shows what actually spilled.
         let text = explain_executed(&p, &c).unwrap();
         assert!(text.contains("-- spilled:"), "{text}");

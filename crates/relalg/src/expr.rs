@@ -618,7 +618,7 @@ impl CompiledExpr {
 }
 
 /// Integer access to a batch column, resolved once per kernel call.
-enum IntOperand<'b> {
+pub(crate) enum IntOperand<'b> {
     Slice(&'b [i64]),
     Sel(&'b [i64], &'b [u32]),
     Dense(&'b [i64]),
@@ -627,7 +627,7 @@ enum IntOperand<'b> {
 
 impl IntOperand<'_> {
     #[inline]
-    fn get(&self, pos: usize) -> i64 {
+    pub(crate) fn get(&self, pos: usize) -> i64 {
         match self {
             IntOperand::Slice(v) => v[pos],
             IntOperand::Sel(v, sel) => v[sel[pos] as usize],
@@ -644,7 +644,9 @@ fn int_col(col: &Column) -> Option<&[i64]> {
     }
 }
 
-fn int_access<'b>(c: &'b BatchCol<'_>, len: usize) -> Option<IntOperand<'b>> {
+/// Integer access to the first `len` positions of a batch column;
+/// `None` unless the column is `Int`-typed (or an `Int` constant).
+pub(crate) fn int_access<'b>(c: &'b BatchCol<'_>, len: usize) -> Option<IntOperand<'b>> {
     match c {
         BatchCol::Slice { col, start } => {
             Some(IntOperand::Slice(&int_col(col)?[*start..*start + len]))

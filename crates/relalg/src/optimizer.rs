@@ -747,7 +747,7 @@ pub(crate) fn est_rows_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) 
 /// Memoized schema shape: estimation consults the schema of every
 /// σ/join node, and deriving it fresh each time is quadratic in plan
 /// size. Errors collapse to the empty schema (estimates stay defined).
-fn shape_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> Schema {
+pub(crate) fn shape_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> Schema {
     let key = plan as *const Plan as usize;
     if let Some(s) = cache.shapes.borrow().get(&key) {
         return s.clone();

@@ -43,6 +43,12 @@
 //!    batch by batch; a null-padded, type-mixing union there must give
 //!    the reference engine's rows in the reference engine's order.
 //!
+//! 7. **Direct-addressed join tables** — joins and semi/antijoins whose
+//!    build key is a dense `Int` column probe a slot array instead of
+//!    digests; probed with every column kind, unbounded and with the
+//!    build spilled, they must give the reference engine's rows in its
+//!    order.
+//!
 //! Case counts scale with `PROPTEST_CASES` (the CI differential job
 //! raises it well above the local default); generation is deterministic
 //! per test name, so failures reproduce exactly.
@@ -56,8 +62,8 @@ use u_relations::core::{
     UQuery, URelation, Var, WorldTable, WsDescriptor,
 };
 use u_relations::relalg::{
-    col, exec, lit, lit_i64, lit_str, optimizer, Catalog, ColRef, Expr, Plan, Relation, Row,
-    StorageMode, Value,
+    col, exec, lit, lit_i64, lit_str, optimizer, Catalog, ColRef, Column, Expr, Plan, Relation,
+    Row, StorageMode, Value,
 };
 
 fn cases(default: u32) -> u32 {
@@ -814,4 +820,113 @@ fn padded_union_breaker_sides_match_reference_in_order() {
         assert!(!want.is_empty(), "{plan:?}");
         assert_eq!(got.rows(), want.rows(), "{plan:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Direct-addressed join tables
+// ---------------------------------------------------------------------------
+
+/// Hash joins and keyed semi/antijoins whose build key is a dense `Int`
+/// column (direct-addressed tables) give the reference engine's rows in
+/// its order, for every kind of probe key column — `Int` with keys
+/// below, inside and above the build's range, `IntN` with nulls,
+/// `Mixed` `Int`/`Str`, and `Int` and `Str` constants — unbounded and
+/// under a budget that spills the join build.
+#[test]
+fn dense_key_joins_match_reference_in_order() {
+    let mut cat = Catalog::new();
+    cat.set_mem_budget(0);
+    // `bk` is dense over 0..150, each key twice and out of order, so
+    // chains hold two rows.
+    cat.insert(
+        "b",
+        Relation::from_rows(
+            ["bk", "bv"],
+            (0..300i64)
+                .map(|i| vec![Value::Int(i * 7 % 150), Value::Int(i)])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap(),
+    );
+    cat.insert(
+        "p",
+        Relation::from_rows(
+            ["pi", "pn", "pm"],
+            (0..1500i64)
+                .map(|i| {
+                    vec![
+                        Value::Int(i * 13 % 400 - 100),
+                        if i % 5 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(i * 11 % 200 - 20)
+                        },
+                        if i % 2 == 0 {
+                            Value::Int(i * 3 % 170)
+                        } else {
+                            Value::interned(format!("m{}", i % 7))
+                        },
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        )
+        .unwrap(),
+    );
+    assert!(matches!(
+        cat.get("p").unwrap().columns().cols(),
+        [Column::Int(_), Column::IntN(..), Column::Mixed(_)]
+    ));
+    // A computed build side (so a budget can spill it) and a computed
+    // probe side carrying the two constant key columns.
+    let build = Plan::scan("b").select(col("bv").ge(lit_i64(0)));
+    let probe = Plan::scan("p").project(
+        [
+            (col("pi"), "pi"),
+            (col("pn"), "pn"),
+            (col("pm"), "pm"),
+            (lit_i64(42), "pc"),
+            (lit_str("x"), "ps"),
+        ]
+        .into_iter()
+        .map(|(e, n)| (e, ColRef::new(n)))
+        .collect(),
+    );
+    let mut joins = Vec::new();
+    let mut semis = Vec::new();
+    for key in ["pi", "pn", "pm", "pc", "ps"] {
+        let eq = col("bk").eq(col(key));
+        for pred in [eq.clone(), Expr::and([eq, col("bv").gt(lit_i64(100))])] {
+            joins.push(build.clone().join(probe.clone(), pred.clone()));
+            semis.push(probe.clone().semijoin(build.clone(), pred.clone()));
+            semis.push(probe.clone().antijoin(build.clone(), pred));
+        }
+    }
+    for plan in &joins {
+        if let Plan::Join { left, right, .. } = plan {
+            assert!(exec::join_build_left(left, right, &cat), "{plan:?}");
+        }
+    }
+    for plan in joins.iter().chain(&semis) {
+        let want = exec::execute_reference(plan, &cat).unwrap();
+        let (got, stats) = exec::execute_with_stats(plan, &cat).unwrap();
+        assert_eq!(stats.dense_builds, 1, "{plan:?}");
+        assert_eq!(got.rows(), want.rows(), "{plan:?}");
+        // Spilled builds keep digests; semi/antijoin right sides stay
+        // resident and direct-addressed.
+        let mut budgeted = cat.clone();
+        budgeted.set_mem_budget(256);
+        let streamed = exec::stream(plan, &budgeted).unwrap();
+        let rows = streamed.collect_rows(None).unwrap();
+        let is_join = matches!(plan, Plan::Join { .. });
+        assert_eq!(streamed.spilled_build(), is_join, "{plan:?}");
+        assert_eq!(streamed.stats().dense_builds, usize::from(!is_join));
+        assert_eq!(rows, want.rows(), "budget 256: {plan:?}");
+    }
+    // The probe kinds all found matches somewhere (the string constant
+    // alone matches nothing).
+    let nonempty = joins
+        .iter()
+        .filter(|p| !exec::execute(p, &cat).unwrap().is_empty())
+        .count();
+    assert_eq!(nonempty, 8);
 }

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use u_relations::core::figure1_database;
-use u_relations::relalg::{col, exec, explain, lit_i64, lit_str, Expr, Plan};
+use u_relations::relalg::{col, exec, explain, lit_i64, lit_str, Catalog, Expr, Plan, Value};
 
 #[test]
 fn scan_returns_the_catalog_arc_pointer_equal() {
@@ -183,4 +183,133 @@ fn full_figure1_query_agrees_through_both_engines() {
         .project(["id"]);
     let answers = possible(&db, &q).unwrap();
     assert_eq!(answers.len(), 3);
+}
+
+/// Is `name` a tuple-id column of the translation (`ti<N>_<relation>`)?
+fn is_tid(name: &str) -> bool {
+    name.strip_prefix("ti")
+        .and_then(|rest| rest.split_once('_'))
+        .is_some_and(|(n, _)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// `dense_builds` of executing `plan` alone.
+fn dense_builds(plan: &Plan, cat: &Catalog) -> usize {
+    let streamed = exec::stream(plan, cat).unwrap();
+    assert!(!streamed.spilled_build(), "a build spilled: {plan:?}");
+    streamed.stats().dense_builds
+}
+
+/// Does a build side holding these key values take the direct-addressed
+/// layout? All `Int`, at least one, spanning at most 4 slots a row.
+fn dense_keys(keys: &[Value]) -> bool {
+    let ints: Vec<i128> = keys
+        .iter()
+        .filter_map(|v| v.as_int())
+        .map(i128::from)
+        .collect();
+    match (ints.iter().min(), ints.iter().max()) {
+        (Some(lo), Some(hi)) if ints.len() == keys.len() => hi - lo < 4 * ints.len() as i128,
+        _ => false,
+    }
+}
+
+/// Counts the tuple-id `merge`s of `plan` — joins whose one equi key
+/// pairs two tuple-id columns — as `(merges, dense merges)`, checking
+/// each: executing the join alone takes one more dense build than
+/// executing its two inputs alone exactly when its build side's keys
+/// are dense.
+fn tid_merges(plan: &Plan, cat: &Catalog) -> (usize, usize) {
+    let inputs: Vec<&Plan> = match plan {
+        Plan::Scan(_) | Plan::Values(_) => vec![],
+        Plan::Select { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Distinct(input)
+        | Plan::Rename { input, .. } => vec![input],
+        Plan::Join { left, right, .. }
+        | Plan::SemiJoin { left, right, .. }
+        | Plan::AntiJoin { left, right, .. }
+        | Plan::Union { left, right }
+        | Plan::Difference { left, right } => vec![left, right],
+    };
+    let (mut merges, mut dense) = inputs.iter().fold((0, 0), |(m, d), p| {
+        let (pm, pd) = tid_merges(p, cat);
+        (m + pm, d + pd)
+    });
+    if let Plan::Join { left, right, pred } = plan {
+        let (ls, rs) = (left.schema(cat).unwrap(), right.schema(cat).unwrap());
+        if let [(l, r)] = exec::JoinCondition::analyze(pred, &ls, &rs).equi[..] {
+            if is_tid(&ls.columns()[l].name) && is_tid(&rs.columns()[r].name) {
+                let (build, key) = if exec::join_build_left(left, right, cat) {
+                    (left, l)
+                } else {
+                    (right, r)
+                };
+                let rel = exec::execute(build, cat).unwrap();
+                let keys: Vec<Value> = rel.rows().iter().map(|row| row[key].clone()).collect();
+                let built = usize::from(dense_keys(&keys));
+                let below = dense_builds(left, cat) + dense_builds(right, cat);
+                assert_eq!(dense_builds(plan, cat), below + built, "merge {pred}");
+                merges += 1;
+                dense += built;
+            }
+        }
+    }
+    (merges, dense)
+}
+
+/// Anti-no-op guard for direct-addressed join tables, run as a named
+/// step in the CI `test`, `disk` and `mem-budget` legs: every tuple-id
+/// `merge` of the translated Figure 12 queries at s = 0.01 builds
+/// dense — under disk storage and under the 4 MiB budget too, which
+/// keeps every build at this scale resident — and a join on sparse keys
+/// builds none. Should the dense layout stop being chosen, the
+/// executor still answers correctly and only this test notices.
+#[test]
+fn ci_dense_builds_taken() {
+    use u_relations::relalg::{optimizer, Relation};
+    use u_relations::tpch::{generate, q1, q2, q3, GenParams};
+    let out = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let prepared = out.db.prepare();
+    let cat = prepared.catalog();
+    // (tuple-id merges, dense ones, all dense builds). Every merge over
+    // a whole partition is dense; Q3's `n2` merge builds on the two
+    // nation rows named IRAQ, whose tuple ids 12 and 21 span more than
+    // 4 slots a row. Q1's key joins (orderkey, custkey) are dense too.
+    let pins = [
+        ("q1", q1(), (5, 5), 7),
+        ("q2", q2(), (3, 3), 3),
+        ("q3", q3(), (6, 5), 6),
+    ];
+    for (name, q, merges, dense) in pins {
+        let t = u_relations::core::translate(&out.db, &q).unwrap();
+        let plan = optimizer::optimize(&t.plan, cat).unwrap();
+        assert_eq!(
+            (tid_merges(&plan, cat), dense_builds(&plan, cat)),
+            (merges, dense),
+            "{name}"
+        );
+    }
+    // Keys 1000 apart span 1000 slots a row: digests, never dense.
+    let mut sparse = Catalog::new();
+    let keys = |n: i64, step: i64| {
+        Relation::from_rows(
+            ["k"],
+            (0..n)
+                .map(|i| vec![Value::Int(i * step)])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap()
+    };
+    sparse.insert("s", keys(100, 1000));
+    sparse.insert("p", keys(5000, 20));
+    let join = Plan::scan("p")
+        .rename("p")
+        .join(Plan::scan("s").rename("s"), col("p.k").eq(col("s.k")));
+    let semi = Plan::scan("p")
+        .rename("p")
+        .semijoin(Plan::scan("s").rename("s"), col("p.k").eq(col("s.k")));
+    for plan in [join, semi] {
+        assert_eq!(exec::execute(&plan, &sparse).unwrap().len(), 100);
+        assert_eq!(dense_builds(&plan, &sparse), 0, "{plan:?}");
+    }
 }

@@ -5,7 +5,8 @@
 //! * Figure 13 — the physical `EXPLAIN` of the rewriting of Q2, as our
 //!   engine's optimizer produces it (the paper shows PostgreSQL's plan:
 //!   joins keyed on tuple ids with the ψ-conditions as join filters —
-//!   look for `(dvN <> dvM) OR (drN = drM)` below).
+//!   look for `ψ(dN, dM)` below: one conjunct per pair of packed
+//!   descriptor-entry columns, `dN = dM ∨ var(dN) ≠ var(dM)`).
 
 use urel_bench::HarnessConfig;
 use urel_relalg::{explain, optimizer};

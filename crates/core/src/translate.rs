@@ -8,7 +8,9 @@
 //!
 //! * `α` — equality of shared tuple-id columns (merge only), and
 //! * `ψ` — descriptor consistency:
-//!   `⋀_{D'∈U1.D, D''∈U2.D} (D'.Var ≠ D''.Var ∨ D'.Rng = D''.Rng)`,
+//!   `⋀_{D'∈U1.D, D''∈U2.D} (D'.Var ≠ D''.Var ∨ D'.Rng = D''.Rng)`. Each
+//!   descriptor entry is one packed `Int` column ([`urel_relalg::expr::pack`]),
+//!   so each conjunct is one [`Expr::Psi`]: `D' = D'' ∨ var(D') ≠ var(D'')`,
 //!
 //! and `poss` becomes a (duplicate-eliminating) projection onto the value
 //! columns. The translation of a `Table` leaf merges exactly the vertical
@@ -29,8 +31,8 @@ use urel_relalg::{exec, optimizer, Catalog, ColRef, Expr, Plan, Relation};
 pub struct TPlan {
     /// Relational algebra plan over the encoded partitions and `W`.
     pub plan: Plan,
-    /// Descriptor column pairs `(Var column, Rng column)`.
-    pub desc_cols: Vec<(ColRef, ColRef)>,
+    /// Descriptor columns, one packed `(Var, Rng)` entry each.
+    pub desc_cols: Vec<ColRef>,
     /// Tuple-id columns with their logical source key (relation or alias);
     /// merge joins on matching keys (the `α` condition).
     pub tid_cols: Vec<(String, ColRef)>,
@@ -756,12 +758,9 @@ impl<'a> Translator<'a> {
         let mut cols: Vec<(Expr, ColRef)> = Vec::new();
         let mut desc_cols = Vec::new();
         for i in 0..p.desc_arity() {
-            let n = self.fresh();
-            let dv = ColRef::new(format!("dv{n}"));
-            let dr = ColRef::new(format!("dr{n}"));
-            cols.push((Expr::Col(ColRef::new(format!("d{i}_var"))), dv.clone()));
-            cols.push((Expr::Col(ColRef::new(format!("d{i}_rng"))), dr.clone()));
-            desc_cols.push((dv, dr));
+            let d = ColRef::new(format!("d{}", self.fresh()));
+            cols.push((Expr::Col(ColRef::new(format!("d{i}"))), d.clone()));
+            desc_cols.push(d);
         }
         let tid = ColRef::new(format!("ti{}_{key}", self.fresh()));
         cols.push((Expr::Col(ColRef::new("tid")), tid.clone()));
@@ -780,17 +779,11 @@ impl<'a> Translator<'a> {
     }
 
     /// The ψ condition between two descriptor column sets.
-    fn psi(l: &[(ColRef, ColRef)], r: &[(ColRef, ColRef)]) -> Expr {
-        let mut parts = Vec::with_capacity(l.len() * r.len());
-        for (lv, lr) in l {
-            for (rv, rr) in r {
-                parts.push(Expr::or([
-                    Expr::Col(lv.clone()).ne(Expr::Col(rv.clone())),
-                    Expr::Col(lr.clone()).eq(Expr::Col(rr.clone())),
-                ]));
-            }
-        }
-        Expr::and(parts)
+    fn psi(l: &[ColRef], r: &[ColRef]) -> Expr {
+        Expr::and(l.iter().flat_map(|a| {
+            r.iter()
+                .map(|b| Expr::Col(a.clone()).psi(Expr::Col(b.clone())))
+        }))
     }
 
     /// `merge` (Figure 4): join on shared tuple-id keys (α) and descriptor
@@ -835,9 +828,8 @@ impl<'a> Translator<'a> {
         }
         // Project away dropped columns to keep every schema name unique.
         let mut cols: Vec<(Expr, ColRef)> = Vec::new();
-        for (dv, dr) in &desc_cols {
-            cols.push((Expr::Col(dv.clone()), dv.clone()));
-            cols.push((Expr::Col(dr.clone()), dr.clone()));
+        for d in &desc_cols {
+            cols.push((Expr::Col(d.clone()), d.clone()));
         }
         for (_, tc) in &tid_cols {
             cols.push((Expr::Col(tc.clone()), tc.clone()));
@@ -893,9 +885,8 @@ impl<'a> Translator<'a> {
     /// `[[πX(Q)]] := π_{D,T,X}(U)`.
     fn project(&mut self, t: TPlan, out_attrs: &[ColRef]) -> Result<TPlan> {
         let mut cols: Vec<(Expr, ColRef)> = Vec::new();
-        for (dv, dr) in &t.desc_cols {
-            cols.push((Expr::Col(dv.clone()), dv.clone()));
-            cols.push((Expr::Col(dr.clone()), dr.clone()));
+        for d in &t.desc_cols {
+            cols.push((Expr::Col(d.clone()), d.clone()));
         }
         for (_, tc) in &t.tid_cols {
             cols.push((Expr::Col(tc.clone()), tc.clone()));
@@ -940,11 +931,9 @@ impl<'a> Translator<'a> {
             .collect::<Result<_>>()?;
 
         let arity = l.desc_cols.len().max(r.desc_cols.len());
-        let mut out_desc = Vec::new();
-        for _ in 0..arity {
-            let n = self.fresh();
-            out_desc.push((ColRef::new(format!("dv{n}")), ColRef::new(format!("dr{n}"))));
-        }
+        let out_desc: Vec<ColRef> = (0..arity)
+            .map(|_| ColRef::new(format!("d{}", self.fresh())))
+            .collect();
         // Output tuple-id keys: l's, then r-only keys.
         let mut out_keys: Vec<String> = l.tid_cols.iter().map(|(k, _)| k.clone()).collect();
         for (rk, _) in &r.tid_cols {
@@ -959,18 +948,14 @@ impl<'a> Translator<'a> {
 
         let side = |t: &TPlan, vals: &[ColRef]| -> Vec<(Expr, ColRef)> {
             let mut cols = Vec::new();
-            for (i, (odv, odr)) in out_desc.iter().enumerate() {
-                let (ev, er) = match t.desc_cols.get(i) {
-                    Some((dv, dr)) => (Expr::Col(dv.clone()), Expr::Col(dr.clone())),
-                    None => match t.desc_cols.first() {
-                        // Pad by repeating the first pair (the paper's rule)…
-                        Some((dv, dr)) => (Expr::Col(dv.clone()), Expr::Col(dr.clone())),
-                        // …or ⊤ ↦ 0 when the side has no descriptors.
-                        None => (urel_relalg::lit_i64(0), urel_relalg::lit_i64(0)),
-                    },
+            for (i, od) in out_desc.iter().enumerate() {
+                // Pad by repeating the first entry (the paper's rule), or
+                // with ⊤ ↦ 0, which packs to 0, when the side has none.
+                let e = match t.desc_cols.get(i).or(t.desc_cols.first()) {
+                    Some(d) => Expr::Col(d.clone()),
+                    None => urel_relalg::lit_i64(0),
                 };
-                cols.push((ev, odv.clone()));
-                cols.push((er, odr.clone()));
+                cols.push((e, od.clone()));
             }
             for ((k, otc), _) in out_tids.iter().zip(std::iter::repeat(())) {
                 let e = match t.tid_cols.iter().find(|(tk, _)| tk == k) {
@@ -1001,17 +986,15 @@ impl<'a> Translator<'a> {
 }
 
 /// Final projection renaming columns into the canonical layout
-/// `d0_var, d0_rng, …, t0, t1, …, <attr display names>` so that
+/// `d0, d1, …, t0, t1, …, <attr display names>` so that
 /// [`URelation::decode`] can read the executed result positionally.
 fn canonicalize(t: TPlan) -> TPlan {
     let mut cols: Vec<(Expr, ColRef)> = Vec::new();
     let mut desc_cols = Vec::new();
-    for (i, (dv, dr)) in t.desc_cols.iter().enumerate() {
-        let ov = ColRef::new(format!("d{i}_var"));
-        let or = ColRef::new(format!("d{i}_rng"));
-        cols.push((Expr::Col(dv.clone()), ov.clone()));
-        cols.push((Expr::Col(dr.clone()), or.clone()));
-        desc_cols.push((ov, or));
+    for (i, d) in t.desc_cols.iter().enumerate() {
+        let od = ColRef::new(format!("d{i}"));
+        cols.push((Expr::Col(d.clone()), od.clone()));
+        desc_cols.push(od);
     }
     let mut tid_cols = Vec::new();
     for (i, (k, tc)) in t.tid_cols.iter().enumerate() {

@@ -56,7 +56,10 @@ impl UDatabase {
 
     /// Attach a vertical partition to a declared relation. The partition
     /// must have the single `tid` tuple-id column and value columns drawn
-    /// from the relation's attributes.
+    /// from the relation's attributes, and every descriptor entry must fit
+    /// the encoding's packed code ([`urel_relalg::expr::pack`]: a range
+    /// below 2³¹ whose bit length, plus the variable's, is at most 58, so
+    /// every range below 2²⁶ fits).
     pub fn add_partition(&mut self, rel: &str, partition: URelation) -> Result<()> {
         let attrs = self
             .schema
@@ -74,6 +77,18 @@ impl UDatabase {
                     "partition `{}` column `{c}` is not an attribute of `{rel}`",
                     partition.name
                 )));
+            }
+        }
+        for row in partition.rows() {
+            for &(v, val) in row.desc.iter() {
+                if urel_relalg::expr::pack(v.0, val).is_none() {
+                    return Err(Error::InvalidDatabase(format!(
+                        "partition `{}`: descriptor entry {v} ↦ {val} is too wide to encode \
+                         (the range must be below 2^31, and its bit length plus the \
+                         variable's at most 58)",
+                        partition.name
+                    )));
+                }
             }
         }
         self.partitions.get_mut(rel).unwrap().push(partition);
@@ -531,6 +546,35 @@ mod tests {
             .unwrap();
         db2.add_partition("r", u).unwrap();
         assert!(db2.validate().is_err(), "undeclared variable");
+    }
+
+    #[test]
+    fn unencodable_descriptor_entries_are_refused_on_entry() {
+        let add = |var: u32, rng: u64| {
+            let mut db = UDatabase::new(WorldTable::new());
+            db.add_relation("r", ["a"]).unwrap();
+            let mut u = URelation::partition("u", ["a"]);
+            u.push_simple(
+                WsDescriptor::singleton(Var(var), rng),
+                1,
+                vec![Value::Int(1)],
+            )
+            .unwrap();
+            db.add_partition("r", u).map(|()| db)
+        };
+        // The widest variable with every range below 2²⁶ fits, and so
+        // does a 31-bit range on a 27-bit variable: 58 bits of entry.
+        for (var, rng) in [(u32::MAX, (1 << 26) - 1), ((1 << 27) - 1, (1 << 31) - 1)] {
+            let db = add(var, rng).unwrap();
+            assert_eq!(db.to_catalog().get("u").unwrap().len(), 1);
+        }
+        // One bit more, in either part, or a range of 2³¹ or more, is
+        // refused by name.
+        for (var, rng) in [(u32::MAX, 1 << 26), (1 << 27, (1 << 31) - 1), (1, 1 << 31)] {
+            let err = add(var, rng).expect_err("refused");
+            assert!(matches!(err, Error::InvalidDatabase(_)), "{err}");
+            assert!(err.to_string().contains("too wide to encode"), "{err}");
+        }
     }
 
     #[test]

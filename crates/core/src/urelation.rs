@@ -4,13 +4,17 @@
 //! columns `T` and value columns `B`. This module keeps a *typed* view
 //! ([`URelation`] / [`URow`]) for algorithms (reduction, normalization,
 //! certain answers) and converts losslessly to the *purely relational*
-//! encoding — plain `(Var, Rng)` column pairs — that the translated
-//! queries run on ([`URelation::encode`] / [`URelation::decode`]).
+//! encoding that the translated queries run on ([`URelation::encode`] /
+//! [`URelation::decode`]). Each descriptor entry `(Var, Rng)` is one
+//! `Int` column in the code of [`urel_relalg::expr::pack`]: a column per
+//! entry instead of the paper's column pair, with the same information
+//! and the same fixed arity.
 
 use crate::descriptor::WsDescriptor;
 use crate::error::{Error, Result};
 use crate::world::{Valuation, Var, WorldTable};
 use std::fmt;
+use urel_relalg::expr::{pack, unpack};
 use urel_relalg::{Relation, Value};
 
 /// Sentinel for an absent tuple id: the union translation pads the other
@@ -127,7 +131,8 @@ impl URelation {
         self.rows.is_empty()
     }
 
-    /// Descriptor columns in the relational encoding.
+    /// Descriptor entries (= descriptor columns) in the relational
+    /// encoding.
     pub fn desc_arity(&self) -> usize {
         self.desc_arity
     }
@@ -188,14 +193,16 @@ impl URelation {
         rel
     }
 
-    /// Encode into the purely relational layout:
-    /// `d0_var, d0_rng, …, d{k-1}_var, d{k-1}_rng, <tid cols>, <value cols>`.
+    /// Encode into the purely relational layout
+    /// `d0, …, d{k-1}, <tid cols>, <value cols>`, one packed descriptor
+    /// entry per `d{i}` column.
+    ///
+    /// # Panics
+    ///
+    /// On an entry the code cannot hold; [`crate::UDatabase::add_partition`]
+    /// refuses such rows with an error.
     pub fn encode(&self) -> Relation {
-        let mut names: Vec<String> = Vec::new();
-        for i in 0..self.desc_arity {
-            names.push(format!("d{i}_var"));
-            names.push(format!("d{i}_rng"));
-        }
+        let mut names: Vec<String> = (0..self.desc_arity).map(|i| format!("d{i}")).collect();
         names.extend(self.tid_cols.iter().cloned());
         names.extend(self.value_cols.iter().cloned());
         let arity = names.len();
@@ -205,8 +212,8 @@ impl URelation {
             .map(|r| {
                 let mut row: Vec<Value> = Vec::with_capacity(arity);
                 for (v, val) in r.desc.encode_padded(self.desc_arity) {
-                    row.push(Value::Int(v.0 as i64));
-                    row.push(Value::Int(val as i64));
+                    let code = pack(v.0, val).expect("descriptor entries are checked on entry");
+                    row.push(Value::Int(code));
                 }
                 row.extend(r.tids.iter().map(|&t| Value::Int(t)));
                 row.extend(r.vals.iter().cloned());
@@ -226,34 +233,31 @@ impl URelation {
         n_tids: usize,
     ) -> Result<URelation> {
         let arity = rel.schema().arity();
-        if arity < 2 * desc_arity + n_tids {
+        if arity < desc_arity + n_tids {
             return Err(Error::InvalidDatabase(format!(
-                "relation arity {arity} too small for {desc_arity} descriptor pairs + {n_tids} tids"
+                "relation arity {arity} too small for {desc_arity} descriptor entries + {n_tids} tids"
             )));
         }
         let cols = rel.schema().columns();
-        let tid_cols: Vec<String> = cols[2 * desc_arity..2 * desc_arity + n_tids]
+        let tid_cols: Vec<String> = cols[desc_arity..desc_arity + n_tids]
             .iter()
             .map(|c| c.to_string())
             .collect();
-        let value_cols: Vec<String> = cols[2 * desc_arity + n_tids..]
+        let value_cols: Vec<String> = cols[desc_arity + n_tids..]
             .iter()
             .map(|c| c.to_string())
             .collect();
         let mut out = URelation::new(name, tid_cols, value_cols);
         for row in rel.rows() {
             let mut pairs = Vec::with_capacity(desc_arity);
-            for i in 0..desc_arity {
-                let v = row[2 * i].as_int().ok_or_else(|| {
-                    Error::InvalidDatabase("descriptor var is not an integer".into())
+            for d in &row[..desc_arity] {
+                let (v, val) = d.as_int().and_then(unpack).ok_or_else(|| {
+                    Error::InvalidDatabase(format!("`{d}` is not a descriptor entry code"))
                 })?;
-                let val = row[2 * i + 1].as_int().ok_or_else(|| {
-                    Error::InvalidDatabase("descriptor rng is not an integer".into())
-                })?;
-                pairs.push((Var(v as u32), val as u64));
+                pairs.push((Var(v), val));
             }
             let desc = WsDescriptor::decode(pairs)?;
-            let tids: Vec<i64> = row[2 * desc_arity..2 * desc_arity + n_tids]
+            let tids: Vec<i64> = row[desc_arity..desc_arity + n_tids]
                 .iter()
                 .map(|v| {
                     if v.is_null() {
@@ -264,7 +268,7 @@ impl URelation {
                         .ok_or_else(|| Error::InvalidDatabase("tuple id is not an integer".into()))
                 })
                 .collect::<Result<_>>()?;
-            let vals: Vec<Value> = row[2 * desc_arity + n_tids..].to_vec();
+            let vals: Vec<Value> = row[desc_arity + n_tids..].to_vec();
             out.push(URow::new(desc, tids, vals))?;
         }
         Ok(out)
@@ -343,27 +347,33 @@ mod tests {
     fn encode_decode_roundtrip() {
         let u = sample();
         let rel = u.encode();
-        assert_eq!(
-            rel.schema().to_string(),
-            "d0_var, d0_rng, d1_var, d1_rng, tid, a"
-        );
+        assert_eq!(rel.schema().to_string(), "d0, d1, tid, a");
         let back = URelation::decode("u_r_a", &rel, 2, 1).unwrap();
         assert_eq!(back.rows(), u.rows());
         assert_eq!(back.value_cols(), u.value_cols());
+        // An integer no entry packs to is refused by name.
+        let mut bad: Vec<Vec<Value>> = rel.rows().iter().map(|r| r.to_vec()).collect();
+        bad[0][0] = Value::Int(-1);
+        let bad = Relation::from_rows(["d0", "d1", "tid", "a"], bad).unwrap();
+        let err = URelation::decode("u", &bad, 2, 1).unwrap_err();
+        assert!(
+            err.to_string().contains("not a descriptor entry code"),
+            "{err}"
+        );
     }
 
     #[test]
     fn encode_pads_with_top_and_repeats() {
         let u = sample();
         let rel = u.encode();
-        // Row 0 had an empty descriptor: both pairs are ⊤ ↦ 0.
+        // Row 0 had an empty descriptor: both entries are ⊤ ↦ 0, code 0.
         let r0 = &rel.rows()[0];
-        assert_eq!(r0[0], Value::Int(TOP.0 as i64));
-        assert_eq!(r0[2], Value::Int(TOP.0 as i64));
-        // Row 1 had size 1: second pair repeats the first.
+        assert_eq!(r0[0], Value::Int(pack(TOP.0, 0).unwrap()));
+        assert_eq!(r0[..2], [Value::Int(0), Value::Int(0)]);
+        // Row 1 had size 1: the second entry repeats the first.
         let r1 = &rel.rows()[1];
-        assert_eq!(r1[0], r1[2]);
-        assert_eq!(r1[1], r1[3]);
+        let code = Value::Int(pack(1, 1).unwrap());
+        assert_eq!(r1[..2], [code.clone(), code]);
     }
 
     #[test]

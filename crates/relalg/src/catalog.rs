@@ -367,7 +367,6 @@ mod tests {
             let d = disk.stats(name).unwrap();
             assert_eq!(d.rows, p.rows, "{name}");
             assert_eq!(d.ndv, p.ndv, "{name}");
-            assert_eq!(d.pair_ndv, p.pair_ndv, "{name}");
             assert_eq!(d.bytes, p.bytes, "{name}");
             assert_eq!(d.minmax, p.minmax, "{name}");
         }

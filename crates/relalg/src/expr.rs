@@ -107,6 +107,10 @@ pub enum Expr {
     Or(Vec<Expr>),
     /// Negation.
     Not(Box<Expr>),
+    /// ψ between two descriptor entries in the [`pack`] code:
+    /// `a = b ∨ var(a) ≠ var(b)` (the Figure 4 consistency check for one
+    /// entry pair).
+    Psi(Box<Expr>, Box<Expr>),
 }
 
 /// Column reference expression; accepts `"name"` or `"alias.name"`.
@@ -189,6 +193,11 @@ impl Expr {
         Expr::Arith(ArithOp::Div, Box::new(self), Box::new(other))
     }
 
+    /// `ψ(self, other)` over two packed descriptor entries ([`psi`]).
+    pub fn psi(self, other: Expr) -> Expr {
+        Expr::Psi(Box::new(self), Box::new(other))
+    }
+
     /// Conjunction, flattening nested `And`s and dropping `true`.
     pub fn and(parts: impl IntoIterator<Item = Expr>) -> Expr {
         let mut out = Vec::new();
@@ -246,7 +255,7 @@ impl Expr {
                 out.insert(c.clone());
             }
             Expr::Lit(_) => {}
-            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
+            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::Psi(a, b) => {
                 a.collect_columns(out);
                 b.collect_columns(out);
             }
@@ -302,6 +311,7 @@ impl Expr {
             Expr::And(parts) => Expr::And(parts.iter().map(|p| p.map_columns(f)).collect()),
             Expr::Or(parts) => Expr::Or(parts.iter().map(|p| p.map_columns(f)).collect()),
             Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f))),
+            Expr::Psi(a, b) => a.map_columns(f).psi(b.map_columns(f)),
         }
     }
 
@@ -333,6 +343,9 @@ impl Expr {
                     .collect::<Result<_>>()?,
             ),
             Expr::Not(e) => CompiledExpr::Not(Box::new(e.compile(schema)?)),
+            Expr::Psi(a, b) => {
+                CompiledExpr::Psi(Box::new(a.compile(schema)?), Box::new(b.compile(schema)?))
+            }
         })
     }
 }
@@ -368,6 +381,7 @@ impl fmt::Display for Expr {
                 write!(f, ")")
             }
             Expr::Not(e) => write!(f, "NOT {e}"),
+            Expr::Psi(a, b) => write!(f, "ψ({a}, {b})"),
         }
     }
 }
@@ -382,6 +396,7 @@ pub enum CompiledExpr {
     And(Vec<CompiledExpr>),
     Or(Vec<CompiledExpr>),
     Not(Box<CompiledExpr>),
+    Psi(Box<CompiledExpr>, Box<CompiledExpr>),
 }
 
 fn eval_arith(op: ArithOp, a: Value, b: Value) -> Value {
@@ -413,6 +428,7 @@ impl CompiledExpr {
             CompiledExpr::And(parts) => Value::Bool(parts.iter().all(|p| p.eval_bool(row))),
             CompiledExpr::Or(parts) => Value::Bool(parts.iter().any(|p| p.eval_bool(row))),
             CompiledExpr::Not(e) => Value::Bool(!e.eval_bool(row)),
+            CompiledExpr::Psi(a, b) => Value::Bool(psi_values(&a.eval(row), &b.eval(row))),
         }
     }
 
@@ -457,6 +473,10 @@ impl CompiledExpr {
             CompiledExpr::Not(e) => {
                 Value::Bool(!matches!(e.eval_pair(left, right), Value::Bool(true)))
             }
+            CompiledExpr::Psi(a, b) => Value::Bool(psi_values(
+                &a.eval_pair(left, right),
+                &b.eval_pair(left, right),
+            )),
         }
     }
 
@@ -486,6 +506,9 @@ impl CompiledExpr {
             ),
             CompiledExpr::Not(e) => {
                 Value::Bool(!matches!(e.eval_at(batch, pos), Value::Bool(true)))
+            }
+            CompiledExpr::Psi(a, b) => {
+                Value::Bool(psi_values(&a.eval_at(batch, pos), &b.eval_at(batch, pos)))
             }
         }
     }
@@ -537,6 +560,14 @@ impl CompiledExpr {
                 }
                 (CompiledExpr::Col(i), CompiledExpr::Col(j)) => {
                     cmp_col_col_mask(*op, &batch.cols[*i], &batch.cols[*j], mask);
+                }
+                _ => self.and_mask_fallback(batch, mask),
+            },
+            CompiledExpr::Psi(a, b) => match (int_operand(a, batch), int_operand(b, batch)) {
+                (Some(av), Some(bv)) => {
+                    for (pos, m) in mask.iter_mut().enumerate() {
+                        *m = *m && psi(av.get(pos), bv.get(pos));
+                    }
                 }
                 _ => self.and_mask_fallback(batch, mask),
             },
@@ -786,9 +817,8 @@ fn cmp_col_col_mask(op: CmpOp, a: &BatchCol<'_>, b: &BatchCol<'_>, mask: &mut [b
     let len = mask.len();
     if let (Some(av), Some(bv)) = (int_access(a, len), int_access(b, len)) {
         let f = int_cmp_fn(op);
-        // The hot ψ-descriptor case is Slice/View vs Slice/View over two
-        // integer columns; one generic indexed loop covers all shapes
-        // without any Value construction.
+        // One generic indexed loop covers every Slice/View shape of two
+        // integer columns without any Value construction.
         for (pos, m) in mask.iter_mut().enumerate() {
             *m = *m && f(av.get(pos), bv.get(pos));
         }
@@ -818,6 +848,60 @@ fn cmp_col_col_mask(op: CmpOp, a: &BatchCol<'_>, b: &BatchCol<'_>, mask: &mut [b
         if *m {
             *m = op.eval(a.value(pos).cmp(&b.value(pos)));
         }
+    }
+}
+
+// -- the descriptor-entry code ----------------------------------------------
+
+/// Low bits of a descriptor-entry code that hold its range's bit length.
+const WIDTH_BITS: u32 = 5;
+
+/// Pack one ws-descriptor entry `(var, rng)` into one non-negative `Int`
+/// with a self-delimiting code: `var << (5 + w) | rng << 5 | w`, where `w`
+/// is the bit length of `rng` (0 for `rng = 0`). ⊤ ↦ 0 packs to 0. Small
+/// variables and ranges give small codes, which frame-of-reference
+/// segments store narrowly. `None` when the entry needs more than 63 bits
+/// (`w > 31` or `bitlen(var) + w > 58`); every range below 2²⁶ fits.
+pub fn pack(var: u32, rng: u64) -> Option<i64> {
+    let w = u64::BITS - rng.leading_zeros();
+    let var_bits = u32::BITS - var.leading_zeros();
+    if w > 31 || var_bits + w > 58 {
+        return None;
+    }
+    Some((i64::from(var) << (WIDTH_BITS + w)) | ((rng as i64) << WIDTH_BITS) | i64::from(w))
+}
+
+/// The entry a code packs, or `None` for an `Int` that [`pack`] never
+/// produces.
+pub fn unpack(d: i64) -> Option<(u32, u64)> {
+    if d < 0 {
+        return None;
+    }
+    let w = (d & 31) as u32;
+    let rng = ((d >> WIDTH_BITS) as u64) & ((1u64 << w) - 1);
+    let var = u32::try_from(d >> (WIDTH_BITS + w)).ok()?;
+    (u64::BITS - rng.leading_zeros() == w).then_some((var, rng))
+}
+
+/// The variable of a code, as an `Int`: `d >> (5 + (d & 31))`.
+#[inline]
+pub fn var_of(d: i64) -> i64 {
+    d >> (WIDTH_BITS + (d & 31) as u32)
+}
+
+/// ψ for one pair of codes: the entries agree (`a = b`) or constrain
+/// different variables. Plain integer arithmetic, so SQL can state it as
+/// `a = b OR (a >> (5 + (a & 31))) <> (b >> (5 + (b & 31)))`.
+#[inline]
+pub fn psi(a: i64, b: i64) -> bool {
+    a == b || var_of(a) != var_of(b)
+}
+
+/// ψ over values: integer codes as [`psi`], anything else by equality.
+fn psi_values(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => psi(*x, *y),
+        _ => a == b,
     }
 }
 
@@ -885,7 +969,9 @@ mod tests {
     #[test]
     fn pair_eval_matches_concat() {
         let s = Schema::named(["a", "b", "c"]);
-        let e = Expr::and([col("a").eq(col("c")), col("b").ne(lit_i64(0))])
+        let psi = col("b").psi(col("c"));
+        assert_eq!(psi.to_string(), "ψ(b, c)");
+        let e = Expr::and([col("a").eq(col("c")), col("b").ne(lit_i64(0)), psi])
             .compile(&s)
             .unwrap();
         let l = row(vec![Value::Int(7), Value::Int(1)]);
@@ -959,6 +1045,9 @@ mod tests {
             col("a").add(lit_i64(1)).gt(lit_i64(10)), // arith: fallback path
             col("m").eq(lit(Value::Null)),
             lit_bool(false),
+            col("a").psi(col("a")),
+            col("m").psi(col("a")), // nulls: fallback path
+            col("a").psi(lit_i64(0)),
         ];
         for p in preds {
             let compiled = p.compile(&schema).unwrap();

@@ -10,7 +10,7 @@
 //!    rebuilt greedily, smallest estimated intermediate first, using
 //!    `|L⋈R| ≈ |L|·|R| / max(ndv)` with NDV traced to base-table stats.
 //!    The translation's ψ descriptor-consistency conjuncts
-//!    (`Var ≠ Var' ∨ Rng = Rng'`) get their own NDV-driven estimate
+//!    ([`Expr::Psi`]) get their own NDV-driven estimate
 //!    instead of a flat guess — descriptor columns are low-selectivity,
 //!    and treating them as ordinary predicates made ψ-joins look far
 //!    smaller than they are. Pair scoring is pure arithmetic over
@@ -412,12 +412,9 @@ struct BoundConjunct {
 enum ConjunctKind {
     /// `col = col` across two leaves: `(leaf_a, col_a, leaf_b, col_b)`.
     Equi(usize, usize, usize, usize),
-    /// The translation's ψ descriptor-consistency shape
-    /// `Var ≠ Var' ∨ Rng = Rng'`, with both column pairs cross-leaf.
-    Psi {
-        var: (usize, usize, usize, usize),
-        rng: (usize, usize, usize, usize),
-    },
+    /// The translation's ψ descriptor-consistency conjunct across two
+    /// leaves: `(leaf_a, col_a, leaf_b, col_b)`.
+    Psi(usize, usize, usize, usize),
     /// Anything else: flat 0.5 selectivity.
     Other,
 }
@@ -429,27 +426,21 @@ fn classify_conjunct(b: &BoundConjunct) -> ConjunctKind {
             .find(|(r, _, _)| r == c)
             .map(|(_, leaf, local)| (*leaf, *local))
     };
-    let cross_pair = |x: &Expr, y: &Expr| -> Option<(usize, usize, usize, usize)> {
-        let (Expr::Col(cx), Expr::Col(cy)) = (x, y) else {
-            return None;
-        };
+    let cross_pair = |cx: &ColRef, cy: &ColRef| -> Option<(usize, usize, usize, usize)> {
         let (lx, ix) = bind(cx)?;
         let (ly, iy) = bind(cy)?;
         (lx != ly).then_some((lx, ix, ly, iy))
     };
-    match &b.expr {
-        Expr::Cmp(CmpOp::Eq, a, bb) => cross_pair(a, bb)
-            .map(|(la, ca, lb, cb)| ConjunctKind::Equi(la, ca, lb, cb))
-            .unwrap_or(ConjunctKind::Other),
-        Expr::Or(parts) => {
-            if let [Expr::Cmp(CmpOp::Ne, na, nb), Expr::Cmp(CmpOp::Eq, ea, eb)] = parts.as_slice() {
-                if let (Some(var), Some(rng)) = (cross_pair(na, nb), cross_pair(ea, eb)) {
-                    return ConjunctKind::Psi { var, rng };
-                }
-            }
-            ConjunctKind::Other
-        }
-        _ => ConjunctKind::Other,
+    let (Expr::Cmp(CmpOp::Eq, x, y) | Expr::Psi(x, y)) = &b.expr else {
+        return ConjunctKind::Other;
+    };
+    let (Expr::Col(cx), Expr::Col(cy)) = (x.as_ref(), y.as_ref()) else {
+        return ConjunctKind::Other;
+    };
+    match (cross_pair(cx, cy), &b.expr) {
+        (Some((la, ca, lb, cb)), Expr::Psi(..)) => ConjunctKind::Psi(la, ca, lb, cb),
+        (Some((la, ca, lb, cb)), _) => ConjunctKind::Equi(la, ca, lb, cb),
+        (None, _) => ConjunctKind::Other,
     }
 }
 
@@ -549,18 +540,6 @@ fn rebuild_join_tree(
                 .collect()
         })
         .collect();
-    // Adjacent-pair joint NDVs per leaf, for correlation-aware ψ
-    // scoring (descriptor Var/Rng columns are adjacent by construction).
-    let leaf_pair_ndv: Vec<Vec<Option<f64>>> = leaves
-        .iter()
-        .map(|(p, s)| {
-            let cache = EstCache::default();
-            (0..s.arity().saturating_sub(1))
-                .map(|c| column_pair_ndv(p, c, c + 1, catalog, &cache))
-                .collect()
-        })
-        .collect();
-
     // Rewrite conjuncts to `__jK.name` form and classify them for the
     // arithmetic scorer.
     let rewritten: Vec<(Expr, BTreeSet<usize>, ConjunctKind)> = conjuncts
@@ -622,45 +601,13 @@ fn rebuild_join_tree(
                         // its leaf actually landed on.
                         let rows_of =
                             |leaf: &usize| if parts[i].1.contains(leaf) { ei } else { ej };
+                        let ndv = |la: &usize, ca: &usize, lb: &usize, cb: &usize| {
+                            ndv_at(*la, *ca, rows_of(la)).max(ndv_at(*lb, *cb, rows_of(lb)))
+                        };
                         match kind {
-                            ConjunctKind::Equi(la, ca, lb, cb) => {
-                                est /= ndv_at(*la, *ca, rows_of(la)).max(ndv_at(
-                                    *lb,
-                                    *cb,
-                                    rows_of(lb),
-                                ));
-                            }
-                            ConjunctKind::Psi { var, rng } => {
-                                let nv = ndv_at(var.0, var.1, rows_of(&var.0)).max(ndv_at(
-                                    var.2,
-                                    var.3,
-                                    rows_of(&var.2),
-                                ));
-                                let nr = ndv_at(rng.0, rng.1, rows_of(&rng.0)).max(ndv_at(
-                                    rng.2,
-                                    rng.3,
-                                    rows_of(&rng.2),
-                                ));
-                                // Joint (Var, Rng) NDV of one physical
-                                // side, when its two columns sit on the
-                                // same leaf adjacently.
-                                let joint_of = |vleaf: usize, vcol: usize| -> Option<f64> {
-                                    let (rl, rc) = if rng.0 == vleaf {
-                                        (rng.0, rng.1)
-                                    } else if rng.2 == vleaf {
-                                        (rng.2, rng.3)
-                                    } else {
-                                        return None;
-                                    };
-                                    (rc == vcol + 1)
-                                        .then(|| leaf_pair_ndv[rl].get(vcol).copied().flatten())
-                                        .flatten()
-                                };
-                                let joint = match (joint_of(var.0, var.1), joint_of(var.2, var.3)) {
-                                    (Some(a), Some(b)) => Some(a.max(b)),
-                                    _ => None,
-                                };
-                                est *= psi_survival(nv, nr, joint);
+                            ConjunctKind::Equi(la, ca, lb, cb) => est /= ndv(la, ca, lb, cb),
+                            ConjunctKind::Psi(la, ca, lb, cb) => {
+                                est *= psi_survival(ndv(la, ca, lb, cb));
                             }
                             ConjunctKind::Other => est *= 0.5,
                         }
@@ -816,12 +763,9 @@ fn est_rows_uncached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> f64 {
     }
 }
 
-/// Resolve a column-column comparison's operands to (left index, right
-/// index) across two schemas, in either written order.
-fn cross_cols(a: &Expr, b: &Expr, ls: &Schema, rs: &Schema) -> Option<(usize, usize)> {
-    let (Expr::Col(ca), Expr::Col(cb)) = (a, b) else {
-        return None;
-    };
+/// Resolve a column pair to (left index, right index) across two
+/// schemas, in either written order.
+fn cross_cols(ca: &ColRef, cb: &ColRef, ls: &Schema, rs: &Schema) -> Option<(usize, usize)> {
     match (
         ls.resolve(ca).ok(),
         rs.resolve(ca).ok(),
@@ -857,128 +801,35 @@ fn join_estimate(
     };
     let mut est = l_rows * r_rows;
     for &c in conjuncts {
-        if let Expr::Cmp(CmpOp::Eq, a, b) = c {
-            if let Some((li, ri)) = cross_cols(a.as_ref(), b.as_ref(), ls, rs) {
-                est /= ndv_pair(li, ri);
-                continue;
-            }
+        let cross = match c {
+            Expr::Cmp(CmpOp::Eq, a, b) | Expr::Psi(a, b) => match (a.as_ref(), b.as_ref()) {
+                (Expr::Col(ca), Expr::Col(cb)) => cross_cols(ca, cb, ls, rs),
+                _ => None,
+            },
+            _ => None,
+        };
+        match (c, cross) {
+            (Expr::Psi(..), Some((li, ri))) => est *= psi_survival(ndv_pair(li, ri)),
+            (_, Some((li, ri))) => est /= ndv_pair(li, ri),
+            (_, None) => est *= 0.5,
         }
-        // The translation's ψ descriptor-consistency conjunct,
-        // `D.Var ≠ D'.Var ∨ D.Rng = D'.Rng`, is nearly non-selective
-        // when many variables exist: only the 1/ndv(Var) fraction of
-        // pairs on the same variable is filtered by range equality.
-        // Estimating it from the descriptor columns' distinct counts
-        // (instead of the old flat 0.5 per conjunct) keeps ψ-joins from
-        // looking artificially small, which previously skewed both the
-        // greedy reorder and the executor's build-side choice.
-        if let Expr::Or(parts) = c {
-            if let [Expr::Cmp(CmpOp::Ne, na, nb), Expr::Cmp(CmpOp::Eq, ea, eb)] = parts.as_slice() {
-                if let (Some((vl, vr)), Some((rl, rr))) = (
-                    cross_cols(na.as_ref(), nb.as_ref(), ls, rs),
-                    cross_cols(ea.as_ref(), eb.as_ref(), ls, rs),
-                ) {
-                    // Joint (Var, Rng) distinct counts, when both sides
-                    // track the pair (descriptor columns are adjacent by
-                    // construction), scored via the larger side.
-                    let joint = match (
-                        column_pair_ndv(left, vl, rl, catalog, cache),
-                        column_pair_ndv(right, vr, rr, catalog, cache),
-                    ) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        _ => None,
-                    };
-                    est *= psi_survival(ndv_pair(vl, vr), ndv_pair(rl, rr), joint);
-                    continue;
-                }
-            }
-        }
-        est *= 0.5;
     }
     est.max(1.0)
 }
 
-/// Survival fraction of the ψ descriptor-consistency conjunct
-/// `Var ≠ Var' ∨ Rng = Rng'`:
-/// `1 − P(var eq) + P(var eq ∧ rng eq)`.
+/// Survival fraction of a ψ conjunct between two descriptor-entry columns
+/// whose larger side has `ndv` distinct codes: `1 − (n − 1)/n²`.
 ///
-/// Var and Rng are *strongly correlated* — a range index is only
-/// meaningful within its variable — so `P(both eq)` is estimated
-/// jointly rather than as a product of independent selectivities:
-///
-/// * with joint statistics (the adjacent-pair distinct counts the
-///   catalog tracks), the min-NDV combination `1 / joint_ndv` scores
-///   the pair directly;
-/// * without them, exponential backoff (`s_min · √s_max`) replaces full
-///   independence (`s_min · s_max`) — the standard correlation hedge,
-///   sitting between independence and perfect correlation.
-pub(crate) fn psi_survival(ndv_var: f64, ndv_rng: f64, joint_ndv: Option<f64>) -> f64 {
-    let p_var = 1.0 / ndv_var.max(1.0);
-    let s_rng = 1.0 / ndv_rng.max(1.0);
-    let p_both = match joint_ndv {
-        // Joint NDV is at least the variable NDV (pairs refine firsts).
-        Some(j) => 1.0 / j.max(ndv_var).max(1.0),
-        None => {
-            let (lo, hi) = if p_var <= s_rng {
-                (p_var, s_rng)
-            } else {
-                (s_rng, p_var)
-            };
-            lo * hi.sqrt()
-        }
-    };
-    (1.0 - p_var + p_both.min(p_var)).clamp(0.0, 1.0)
-}
-
-/// Joint NDV of an output column pair, traced to base-table adjacent-
-/// pair statistics where possible (`None` when the pair cannot be traced
-/// to a tracked adjacent pair — callers fall back to exponential
-/// backoff).
-fn column_pair_ndv(
-    plan: &Plan,
-    a: usize,
-    b: usize,
-    catalog: &Catalog,
-    cache: &EstCache,
-) -> Option<f64> {
-    match plan {
-        Plan::Scan(name) => catalog
-            .stats(name)?
-            .pair_ndv_adjacent(a, b)
-            .map(|n| n as f64),
-        Plan::Values(rel) => crate::stats::TableStats::compute(rel)
-            .pair_ndv_adjacent(a, b)
-            .map(|n| n as f64),
-        Plan::Select { input, .. } | Plan::Distinct(input) | Plan::Rename { input, .. } => {
-            column_pair_ndv(input, a, b, catalog, cache)
-        }
-        Plan::Project { input, cols } => {
-            let (Some((Expr::Col(ca), _)), Some((Expr::Col(cb), _))) = (cols.get(a), cols.get(b))
-            else {
-                return None;
-            };
-            let shape = shape_cached(input, catalog, cache);
-            let (ia, ib) = (shape.resolve(ca).ok()?, shape.resolve(cb).ok()?);
-            column_pair_ndv(input, ia, ib, catalog, cache)
-        }
-        Plan::Join { left, right, .. } => {
-            let la = shape_cached(left, catalog, cache).arity();
-            if a < la && b < la {
-                column_pair_ndv(left, a, b, catalog, cache)
-            } else if a >= la && b >= la {
-                column_pair_ndv(right, a - la, b - la, catalog, cache)
-            } else {
-                None
-            }
-        }
-        Plan::SemiJoin { left, .. }
-        | Plan::AntiJoin { left, .. }
-        | Plan::Difference { left, .. } => column_pair_ndv(left, a, b, catalog, cache),
-        Plan::Union { left, right } => {
-            let l = column_pair_ndv(left, a, b, catalog, cache)?;
-            let r = column_pair_ndv(right, a, b, catalog, cache)?;
-            Some(l + r)
-        }
-    }
+/// ψ drops only pairs on the same variable with different ranges. One
+/// column's distinct count bounds both how many variables and how many
+/// ranges the codes hold, so taking each as `n`, independently, gives
+/// `P(same var) · P(different rng) = (1/n)(1 − 1/n)`. A ⊤-only column
+/// (`n = 1`) is non-selective, and ψ nears a tautology as `n` grows —
+/// treating it as an ordinary predicate made ψ-joins look far smaller
+/// than they are, which skewed the join order and build sides.
+pub(crate) fn psi_survival(ndv: f64) -> f64 {
+    let n = ndv.max(1.0);
+    1.0 - (n - 1.0) / (n * n)
 }
 
 fn selectivity(
@@ -997,7 +848,7 @@ fn selectivity(
                 col_lit_selectivity(op.flipped(), c, v, input, schema, catalog, cache)
             }
             // Column-column comparisons estimate from the larger side's
-            // distinct count (descriptor Var/Rng columns hit this).
+            // distinct count.
             (Expr::Col(ca), Expr::Col(cb)) => {
                 let ndv = match (schema.resolve(ca), schema.resolve(cb)) {
                     (Ok(ia), Ok(ib)) => column_ndv(input, ia, catalog, cache)
@@ -1026,6 +877,16 @@ fn selectivity(
             .sum::<f64>()
             .min(1.0),
         Expr::Not(e) => 1.0 - selectivity(e, input, schema, catalog, cache),
+        Expr::Psi(a, b) => match (a.as_ref(), b.as_ref()) {
+            (Expr::Col(ca), Expr::Col(cb)) => match (schema.resolve(ca), schema.resolve(cb)) {
+                (Ok(ia), Ok(ib)) => psi_survival(
+                    column_ndv(input, ia, catalog, cache)
+                        .max(column_ndv(input, ib, catalog, cache)),
+                ),
+                _ => 0.5,
+            },
+            _ => 0.5,
+        },
         Expr::Lit(crate::value::Value::Bool(true)) => 1.0,
         Expr::Lit(crate::value::Value::Bool(false)) => 0.0,
         _ => 0.5,
@@ -1332,7 +1193,7 @@ fn prune_side(side: Plan, catalog: &Catalog, used: &BTreeSet<ColRef>, all_needed
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use crate::expr::{col, lit_i64, lit_str};
+    use crate::expr::{col, lit_bool, lit_i64, lit_str};
     use crate::relation::Relation;
     use crate::value::Value;
 
@@ -1429,27 +1290,35 @@ mod tests {
         assert!(max_join_input_arity(&opt, &c) <= 2, "{opt:?}");
     }
 
-    #[test]
-    fn psi_descriptor_conjuncts_estimate_from_ndv() {
-        // Two descriptor-bearing partitions: 10 distinct variables, a
-        // handful of ranges. The ψ conjunct (Var≠Var' ∨ Rng=Rng') keeps
-        // almost every pair — only same-variable pairs with differing
-        // ranges drop — so its estimate must sit near the cross product,
-        // not at the old flat 0.5 per conjunct.
+    /// Two descriptor-bearing partitions `u1[d1, a]` and `u2[d2, b]` of
+    /// 100 rows each, entry `i` packing `entry(i)`.
+    fn descriptor_catalog(entry: impl Fn(i64) -> (u32, u64)) -> Catalog {
         let mut c = Catalog::new();
-        for name in ["u1", "u2"] {
+        for (name, cols) in [("u1", ["d1", "a"]), ("u2", ["d2", "b"])] {
             let rows: Vec<Vec<Value>> = (0..100)
-                .map(|i| vec![Value::Int(i % 10), Value::Int(i % 3), Value::Int(i)])
+                .map(|i| {
+                    let (var, rng) = entry(i);
+                    let code = crate::expr::pack(var, rng).unwrap();
+                    vec![Value::Int(code), Value::Int(i)]
+                })
                 .collect();
-            let cols = if name == "u1" {
-                ["v1", "r1", "a"]
-            } else {
-                ["v2", "r2", "b"]
-            };
             c.insert(name, Relation::from_rows(cols, rows).unwrap());
         }
-        let psi = Expr::or([col("v1").ne(col("v2")), col("r1").eq(col("r2"))]);
-        let p = Plan::scan("u1").join(Plan::scan("u2"), psi);
+        c
+    }
+
+    fn psi_d1_d2() -> Expr {
+        col("d1").psi(col("d2"))
+    }
+
+    #[test]
+    fn psi_descriptor_conjuncts_estimate_from_ndv() {
+        // 10 distinct variables, 3 ranges each. ψ keeps almost every
+        // pair — only same-variable pairs with differing ranges drop —
+        // so its estimate must sit near the cross product, not at the
+        // flat 0.5 of an unrecognized conjunct.
+        let c = descriptor_catalog(|i| (1 + (i % 10) as u32, (i % 3) as u64));
+        let p = Plan::scan("u1").join(Plan::scan("u2"), psi_d1_d2());
         let est = est_rows(&p, &c);
         let cross = 100.0 * 100.0;
         // True survivor fraction is 1 - (1/10)·(1 - 1/3) ≈ 0.93.
@@ -1457,12 +1326,16 @@ mod tests {
             est > 0.8 * cross,
             "ψ estimate should be nearly non-selective, got {est} of {cross}"
         );
-        // A genuine equi conjunct still divides by NDV.
-        let equi = Plan::scan("u1").join(Plan::scan("u2"), col("v1").eq(col("v2")));
+        // A ⊤-only column is not selective at all.
+        let top = descriptor_catalog(|_| (0, 0));
+        let p = Plan::scan("u1").join(Plan::scan("u2"), psi_d1_d2());
+        assert_eq!(est_rows(&p, &top), cross);
+        // A genuine equi conjunct on the same columns divides by NDV.
+        let equi = Plan::scan("u1").join(Plan::scan("u2"), col("d1").eq(col("d2")));
         assert!(est_rows(&equi, &c) <= cross / 9.0);
         // Column-column σ selectivity is NDV-driven too.
-        let ne = Plan::scan("u1").select(col("v1").ne(col("r1")));
-        let eq = Plan::scan("u1").select(col("v1").eq(col("r1")));
+        let ne = Plan::scan("u1").select(col("d1").ne(col("a")));
+        let eq = Plan::scan("u1").select(col("d1").eq(col("a")));
         assert!(est_rows(&ne, &c) > est_rows(&eq, &c));
     }
 
@@ -1495,49 +1368,29 @@ mod tests {
 
     #[test]
     fn psi_correlated_pairs_score_jointly() {
-        // The survival formula at its anchor points: perfect correlation
-        // (joint NDV = var NDV) makes the ψ conjunct a tautology on
-        // same-variable pairs; full independence (joint = product)
-        // reproduces the old estimate; backoff sits strictly between.
-        let perfect = psi_survival(10.0, 10.0, Some(10.0));
-        assert!((perfect - 1.0).abs() < 1e-12, "{perfect}");
-        let independent = psi_survival(10.0, 10.0, Some(100.0));
-        assert!((independent - 0.91).abs() < 1e-12, "{independent}");
-        let backoff = psi_survival(10.0, 10.0, None);
-        assert!(
-            independent < backoff && backoff < perfect,
-            "backoff {backoff} must sit between {independent} and {perfect}"
-        );
+        // The survival formula at its anchor points: a single code is a
+        // tautology, and ψ nears one as the codes spread out.
+        assert_eq!(psi_survival(1.0), 1.0);
+        assert!((psi_survival(10.0) - 0.91).abs() < 1e-12);
+        assert!(psi_survival(10.0) < psi_survival(30.0));
+        assert!(psi_survival(30.0) < 1.0);
 
-        // End to end: Rng a function of Var (the correlated-descriptor
-        // shape) ⇒ the ψ-join estimate reaches the cross product, which
-        // the independence-based estimate structurally cannot.
-        let mut c = Catalog::new();
-        for name in ["u1", "u2"] {
-            let rows: Vec<Vec<Value>> = (0..100)
-                .map(|i| vec![Value::Int(i % 10), Value::Int((i % 10) * 7), Value::Int(i)])
-                .collect();
-            let cols = if name == "u1" {
-                ["v1", "r1", "a"]
-            } else {
-                ["v2", "r2", "b"]
-            };
-            c.insert(name, Relation::from_rows(cols, rows).unwrap());
-        }
-        let psi = Expr::or([col("v1").ne(col("v2")), col("r1").eq(col("r2"))]);
-        let p = Plan::scan("u1").join(Plan::scan("u2"), psi);
-        let est = est_rows(&p, &c);
+        // One packed column is the joint (Var, Rng) distinct count: with
+        // Rng a function of Var there are as many codes as variables, with
+        // independent ranges as many as their product.
         let cross = 100.0 * 100.0;
-        assert!(
-            est > 0.999 * cross,
-            "fully correlated ψ is a tautology; estimate {est} of {cross}"
-        );
-        // A genuinely independent pair still discounts: same tables but
-        // comparing the non-adjacent (v, payload) columns gives no joint
-        // stats, so backoff applies and the estimate drops below cross.
-        let loose = Expr::or([col("v1").ne(col("v2")), col("a").eq(col("b"))]);
-        let p = Plan::scan("u1").join(Plan::scan("u2"), loose);
-        assert!(est_rows(&p, &c) < 0.999 * cross);
+        let join = Plan::scan("u1").join(Plan::scan("u2"), psi_d1_d2());
+        let correlated = descriptor_catalog(|i| (1 + (i % 10) as u32, (i % 10) as u64 * 7));
+        let est = est_rows(&join, &correlated);
+        assert!((est - psi_survival(10.0) * cross).abs() < 1e-6, "{est}");
+        let independent = descriptor_catalog(|i| (1 + (i % 10) as u32, (i % 3) as u64));
+        let est = est_rows(&join, &independent);
+        assert!((est - psi_survival(30.0) * cross).abs() < 1e-6, "{est}");
+        // A ψ conjunct left in a selection above the join scores alike.
+        let above = Plan::scan("u1")
+            .join(Plan::scan("u2"), lit_bool(true))
+            .select(psi_d1_d2());
+        assert!((est_rows(&above, &independent) - est).abs() < 1e-6);
     }
 
     #[test]

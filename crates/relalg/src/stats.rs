@@ -1,34 +1,23 @@
 //! Per-relation statistics for cardinality estimation.
 
-use crate::fxhash::{FxHashSet, FxHasher};
+use crate::fxhash::FxHashSet;
 use crate::relation::{Column, Relation};
 use crate::value::Value;
-use std::hash::Hasher;
 
-/// Row count plus per-column number-of-distinct-values (NDV) and
-/// adjacent-pair joint NDV.
+/// Row count plus per-column number-of-distinct-values (NDV).
 ///
 /// NDV drives the textbook equi-join estimate
 /// `|L ⋈ R| ≈ |L|·|R| / max(ndv_L(k), ndv_R(k))` used by the greedy join
 /// reorderer, mirroring what PostgreSQL's planner did for the paper's
-/// translated queries. The joint counts exist for *correlated column
-/// pairs*: the translation's descriptor encoding stores each world-set
-/// descriptor as an adjacent `(Var, Rng)` pair, and a range value is
-/// only meaningful within its variable — treating the two as
-/// independent underestimates ψ-join survivors. Only adjacent pairs are
-/// tracked: that covers every descriptor pair by construction
-/// (`d0_var, d0_rng, d1_var, d1_rng, …`) at O(arity) extra sets.
+/// translated queries. A descriptor entry is one column in the
+/// [`crate::expr::pack`] code, so its column's NDV is the joint
+/// `(Var, Rng)` distinct count that ψ estimates read.
 #[derive(Debug, Clone)]
 pub struct TableStats {
     /// Number of rows.
     pub rows: usize,
     /// Distinct value count per column (same order as the schema).
     pub ndv: Vec<usize>,
-    /// Joint distinct count of each adjacent column pair:
-    /// `pair_ndv[i]` = NDV of `(col i, col i + 1)` (length `arity - 1`).
-    /// Counted over per-row pair digests — a 64-bit approximation, ample
-    /// for estimation.
-    pub pair_ndv: Vec<usize>,
     /// Total payload bytes of the relation (the Figure 9 accounting).
     /// With `rows`, this gives the average row width the memory-budget
     /// planner uses to predict which breakers will spill.
@@ -95,23 +84,9 @@ impl TableStats {
                 })
             })
             .collect();
-        let pair_ndv: Vec<usize> = cols
-            .windows(2)
-            .map(|w| {
-                let mut set: FxHashSet<u64> = FxHashSet::default();
-                for row in 0..rel.len() {
-                    let mut h = FxHasher::default();
-                    w[0].hash_value_into(row, &mut h);
-                    w[1].hash_value_into(row, &mut h);
-                    set.insert(h.finish());
-                }
-                set.len().max(1)
-            })
-            .collect();
         TableStats {
             rows: rel.len(),
             ndv,
-            pair_ndv,
             bytes: rel.size_bytes(),
             minmax,
         }
@@ -137,14 +112,6 @@ impl TableStats {
     pub fn ndv_or_default(&self, col: usize) -> usize {
         self.ndv.get(col).copied().unwrap_or(1).max(1)
     }
-
-    /// Joint NDV of the adjacent pair `(a, a + 1)`; `None` for
-    /// non-adjacent or out-of-range pairs.
-    pub fn pair_ndv_adjacent(&self, a: usize, b: usize) -> Option<usize> {
-        (b == a + 1)
-            .then(|| self.pair_ndv.get(a).copied())?
-            .map(|n| n.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -166,29 +133,6 @@ mod tests {
         let st = TableStats::compute(&rel);
         assert_eq!(st.rows, 3);
         assert_eq!(st.ndv, vec![2, 2]);
-    }
-
-    #[test]
-    fn pair_ndv_tracks_correlation() {
-        // b is a function of a: joint NDV equals ndv(a), far below the
-        // independence product ndv(a)·ndv(b)… while (b, c) really is
-        // a cross product.
-        let rows: Vec<Vec<Value>> = (0..60)
-            .map(|i| {
-                vec![
-                    Value::Int(i % 6),
-                    Value::Int((i % 6) * 10),
-                    Value::Int(i % 5),
-                ]
-            })
-            .collect();
-        let rel = Relation::from_rows(["a", "b", "c"], rows).unwrap();
-        let st = TableStats::compute(&rel);
-        assert_eq!(st.ndv, vec![6, 6, 5]);
-        assert_eq!(st.pair_ndv_adjacent(0, 1), Some(6)); // fully correlated
-        assert_eq!(st.pair_ndv_adjacent(1, 2), Some(30)); // independent
-        assert_eq!(st.pair_ndv_adjacent(0, 2), None); // non-adjacent
-        assert_eq!(st.pair_ndv_adjacent(2, 3), None); // out of range
     }
 
     #[test]

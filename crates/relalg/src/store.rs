@@ -46,7 +46,6 @@ use crate::stats::TableStats;
 use crate::value::{intern, Value};
 use std::fmt::Debug;
 use std::fs::{self, File};
-use std::hash::{Hash, Hasher};
 use std::io::{self, Write as _};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -57,11 +56,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// [`IoCounters::pages_read`] counts in these units.
 pub const PAGE: usize = 4096;
 
-/// Manifest magic ("U-relation segments, format 1").
+/// Manifest magic ("U-relation segments"); [`VERSION`] follows it.
 const MAGIC: &[u8; 8] = b"URELSEG1";
 
-/// Manifest format version.
-const VERSION: u32 = 1;
+/// Manifest format version (2: the statistics carry no joint
+/// adjacent-pair distinct counts).
+const VERSION: u32 = 2;
 
 /// Storage-side counters shared by every cursor of one execution:
 /// bytes materialized by fresh decodes, pages read from segment files,
@@ -474,10 +474,6 @@ fn encode_stats(e: &mut Enc, st: &TableStats) {
     for &n in &st.ndv {
         e.u64(n as u64);
     }
-    e.u32(st.pair_ndv.len() as u32);
-    for &n in &st.pair_ndv {
-        e.u64(n as u64);
-    }
     e.u32(st.minmax.len() as u32);
     for mm in &st.minmax {
         match mm {
@@ -498,10 +494,6 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<TableStats> {
     let ndv = (0..n)
         .map(|_| Ok(d.u64()? as usize))
         .collect::<Result<_>>()?;
-    let n = d.len(8)?;
-    let pair_ndv = (0..n)
-        .map(|_| Ok(d.u64()? as usize))
-        .collect::<Result<_>>()?;
     let n = d.len(1)?;
     let minmax = (0..n)
         .map(|_| {
@@ -515,7 +507,6 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<TableStats> {
     Ok(TableStats {
         rows,
         ndv,
-        pair_ndv,
         bytes,
         minmax,
     })
@@ -940,7 +931,6 @@ pub struct DiskTableWriter {
     blocks: Vec<Vec<(BlockRef, ZoneMap)>>,
     bytes: usize,
     col_digests: Vec<crate::fxhash::FxHashSet<u64>>,
-    pair_digests: Vec<crate::fxhash::FxHashSet<u64>>,
 }
 
 impl DiskTableWriter {
@@ -992,7 +982,6 @@ impl DiskTableWriter {
             blocks: vec![Vec::new(); arity],
             bytes: 0,
             col_digests: vec![crate::fxhash::FxHashSet::default(); arity],
-            pair_digests: vec![crate::fxhash::FxHashSet::default(); arity.saturating_sub(1)],
         })
     }
 
@@ -1015,12 +1004,6 @@ impl DiskTableWriter {
             self.bytes += v.size_bytes();
             self.col_digests[c].insert(value_digest(v));
             self.cur[c].push(v.clone());
-        }
-        for c in 0..row.len().saturating_sub(1) {
-            let mut h = crate::fxhash::FxHasher::default();
-            row[c].hash(&mut h);
-            row[c + 1].hash(&mut h);
-            self.pair_digests[c].insert(h.finish());
         }
         self.in_cur += 1;
         self.len += 1;
@@ -1080,7 +1063,6 @@ impl DiskTableWriter {
         let stats = TableStats {
             rows: self.len,
             ndv: self.col_digests.iter().map(|s| s.len().max(1)).collect(),
-            pair_ndv: self.pair_digests.iter().map(|s| s.len().max(1)).collect(),
             bytes: self.bytes,
             minmax: minmax.collect(),
         };
@@ -1460,7 +1442,6 @@ mod tests {
         let mem = TableStats::compute(&r);
         assert_eq!(img.stats().rows, mem.rows);
         assert_eq!(img.stats().ndv, mem.ndv);
-        assert_eq!(img.stats().pair_ndv, mem.pair_ndv);
         assert_eq!(img.stats().bytes, mem.bytes);
         assert_eq!(img.stats().minmax, mem.minmax);
         // Arity is enforced per row.
@@ -1750,6 +1731,29 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn older_manifest_versions_are_refused_by_name() {
+        let dir = tempdir();
+        let mut w = DiskTableWriter::create(&dir, "t", vec!["a".into()], 4).unwrap();
+        w.push(&[Value::Int(1)]).unwrap();
+        drop(w.finish().unwrap());
+        // Rewrite the version field as 1 and re-seal the checksum, so
+        // only the version is wrong.
+        let mpath = manifest_path(&dir, "t");
+        let mut bytes = fs::read(&mpath).unwrap();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&mpath, &bytes).unwrap();
+        let err = DiskImage::open(&dir, "t").unwrap_err().to_string();
+        assert!(
+            err.contains("unsupported format version 1 (this build reads 2)"),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     fn tempdir() -> PathBuf {

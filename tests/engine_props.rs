@@ -155,3 +155,74 @@ proptest! {
         prop_assert!(union.set_eq(&all));
     }
 }
+
+/// The bit length of `x` (0 for 0).
+fn bitlen(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// A random `x` of exactly `bits` bits.
+fn with_bitlen(bits: u32, noise: u64) -> u64 {
+    match bits {
+        0 => 0,
+        b => (1 << (b - 1)) | (noise & ((1 << (b - 1)) - 1)),
+    }
+}
+
+/// Encodable descriptor entries, spread over every variable and range
+/// width: the bit lengths of variable and range sum to at most 58.
+fn arb_entry() -> impl Strategy<Value = (u32, u64)> {
+    (0u32..=32, 0u32..=31, any::<u64>(), any::<u64>()).prop_map(|(vb, w, vn, rn)| {
+        let w = w.min(58 - vb);
+        (with_bitlen(vb, vn) as u32, with_bitlen(w, rn))
+    })
+}
+
+#[test]
+fn descriptor_codes_at_their_edges() {
+    use u_relations::relalg::expr::{pack, unpack};
+    assert_eq!(pack(0, 0), Some(0), "⊤ ↦ 0 packs to 0");
+    for (var, rng) in [
+        (u32::MAX, (1 << 26) - 1),
+        ((1 << 27) - 1, (1 << 31) - 1),
+        (1, 1 << 30),
+        (u32::MAX, 0),
+    ] {
+        assert_eq!(unpack(pack(var, rng).unwrap()), Some((var, rng)));
+    }
+    for (var, rng) in [(u32::MAX, 1 << 26), (1, 1 << 31), (0, u64::MAX)] {
+        assert_eq!(pack(var, rng), None, "({var}, {rng})");
+    }
+    assert_eq!(unpack(-1), None);
+    // Width field 3 with a range of bit length 1 is no code.
+    assert_eq!(unpack((1 << 5) | 3), None);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn descriptor_codes_roundtrip(entry in arb_entry()) {
+        use u_relations::relalg::expr::{pack, unpack, var_of};
+        let (var, rng) = entry;
+        prop_assert!(bitlen(u64::from(var)) + bitlen(rng) <= 58);
+        let code = pack(var, rng).expect("encodable");
+        prop_assert!(code >= 0);
+        prop_assert_eq!(unpack(code), Some((var, rng)));
+        prop_assert_eq!(var_of(code), i64::from(var));
+    }
+
+    #[test]
+    fn psi_on_codes_is_psi_on_entries(a in arb_entry(), b in arb_entry(), mode in 0u8..3) {
+        use u_relations::relalg::expr::{pack, psi};
+        // Collide the variables (mode 1) or whole entries (mode 2) often,
+        // since random entries rarely share a variable.
+        let b = match mode {
+            0 => b,
+            1 => (a.0, b.1 & ((1 << (58 - bitlen(u64::from(a.0))).min(31)) - 1)),
+            _ => a,
+        };
+        let (pa, pb) = (pack(a.0, a.1).unwrap(), pack(b.0, b.1).unwrap());
+        prop_assert_eq!(psi(pa, pb), a.0 != b.0 || a.1 == b.1);
+    }
+}

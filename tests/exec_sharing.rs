@@ -313,3 +313,74 @@ fn ci_dense_builds_taken() {
         assert_eq!(dense_builds(&plan, &sparse), 0, "{plan:?}");
     }
 }
+
+/// Anti-no-op guard for the packed descriptor encoding, run as a named
+/// step in the CI `test`, `disk` and `mem-budget` legs: every encoded
+/// partition of the s = 0.01 catalog carries one column per descriptor
+/// entry (not a `(var, rng)` pair) and decodes back to itself, and every
+/// conjunct of optimized Q1 that reads descriptor columns is one
+/// `Expr::Psi`, not the paper's `(v ≠ v') ∨ (r = r')` disjunction.
+#[test]
+fn ci_descriptors_are_packed() {
+    use u_relations::core::{translate, URelation};
+    use u_relations::relalg::optimizer;
+    use u_relations::tpch::{generate, q1, GenParams};
+    let out = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let prepared = out.db.prepare();
+    let cat = prepared.catalog();
+    let mut entries = 0;
+    for rel in out.db.relations() {
+        for p in out.db.partitions_of(rel).unwrap() {
+            let enc = cat.get(&p.name).unwrap();
+            let others = p.tid_cols().len() + p.value_cols().len();
+            assert_eq!(enc.schema().arity(), p.desc_arity() + others, "{}", p.name);
+            let back = URelation::decode(&p.name, enc, p.desc_arity(), 1).unwrap();
+            assert_eq!(back.rows(), p.rows(), "{}", p.name);
+            entries += p.desc_arity();
+        }
+    }
+    assert!(entries > 0, "the catalog has no uncertain partitions");
+
+    fn conjuncts(p: &Plan, out: &mut Vec<Expr>) {
+        match p {
+            Plan::Scan(_) | Plan::Values(_) => {}
+            Plan::Select { input, pred } => {
+                out.extend(pred.clone().conjuncts());
+                conjuncts(input, out);
+            }
+            Plan::Project { input, .. } | Plan::Distinct(input) | Plan::Rename { input, .. } => {
+                conjuncts(input, out)
+            }
+            Plan::Join { left, right, pred }
+            | Plan::SemiJoin { left, right, pred }
+            | Plan::AntiJoin { left, right, pred } => {
+                out.extend(pred.clone().conjuncts());
+                conjuncts(left, out);
+                conjuncts(right, out);
+            }
+            Plan::Union { left, right } | Plan::Difference { left, right } => {
+                conjuncts(left, out);
+                conjuncts(right, out);
+            }
+        }
+    }
+    let is_desc = |name: &str| {
+        name.strip_prefix('d')
+            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+    };
+    let t = translate(&out.db, &q1()).unwrap();
+    let mut all = Vec::new();
+    conjuncts(&optimizer::optimize(&t.plan, cat).unwrap(), &mut all);
+    let desc: Vec<&Expr> = all
+        .iter()
+        .filter(|c| c.columns().iter().any(|r| is_desc(&r.name)))
+        .collect();
+    assert!(!desc.is_empty(), "optimized Q1 checks no descriptors");
+    for c in &desc {
+        assert!(matches!(c, Expr::Psi(..)), "ψ conjunct not packed: {c}");
+    }
+    println!(
+        "{entries} descriptor columns, {} ψ conjuncts in Q1",
+        desc.len()
+    );
+}

@@ -76,7 +76,7 @@ fn q3_self_join_on_nation_is_well_formed() {
 
 #[test]
 fn q3_plan_shape_survives_correlation_aware_estimates() {
-    // The correlation-aware ψ estimates (joint Var/Rng pair NDV, PR 4)
+    // The ψ estimates (each descriptor entry's packed column NDV)
     // must leave the optimized Q3 plan shape unchanged or better:
     // every ψ-merge join stays a hash join (no nested-loop demotions),
     // optimization still reduces the rows flowing through the executor,
@@ -191,4 +191,59 @@ fn generation_scales_preserve_query_answerability() {
             possible(&out.db, &q).unwrap();
         }
     }
+}
+
+/// The join tree of an optimized plan: base partitions at the leaves, and
+/// at each join the side the executor builds its hash table on (`⋈→`
+/// builds right, `←⋈` builds left; `×` is a nested loop, which
+/// buffers its right side).
+fn join_shape(p: &u_relations::relalg::Plan, c: &u_relations::relalg::Catalog) -> String {
+    use u_relations::relalg::Plan;
+    match p {
+        Plan::Scan(name) => name.clone(),
+        Plan::Values(_) => "values".into(),
+        Plan::Select { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Distinct(input)
+        | Plan::Rename { input, .. } => join_shape(input, c),
+        Plan::Join { left, right, pred } => {
+            let (ls, rs) = (left.schema(c).unwrap(), right.schema(c).unwrap());
+            let op = if exec::JoinCondition::analyze(pred, &ls, &rs).equi.is_empty() {
+                "×"
+            } else if exec::join_build_left(left, right, c) {
+                "←⋈"
+            } else {
+                "⋈→"
+            };
+            format!("({} {op} {})", join_shape(left, c), join_shape(right, c))
+        }
+        Plan::SemiJoin { left, right, .. }
+        | Plan::AntiJoin { left, right, .. }
+        | Plan::Union { left, right }
+        | Plan::Difference { left, right } => {
+            format!("({} · {})", join_shape(left, c), join_shape(right, c))
+        }
+    }
+}
+
+#[test]
+fn fig12_join_orders_and_build_sides_are_pinned() {
+    // The plan-stability golden for Q1-Q3 at s = 0.05: the greedy
+    // reorderer and the executor's build-side choice both read the ψ
+    // estimates, so a change to those estimates shows here first.
+    let out = generate(&GenParams::paper(0.05, 0.1, 0.5)).unwrap();
+    let cat = out.db.to_catalog();
+    let got: Vec<String> = [q1(), q2(), q3()]
+        .iter()
+        .map(|q| {
+            let t = translate(&out.db, q).unwrap();
+            join_shape(&optimizer::optimize(&t.plan, &cat).unwrap(), &cat)
+        })
+        .collect();
+    let want = [
+        "((u_lineitem_l_shipdate ←⋈ u_lineitem_l_orderkey) ⋈→ ((u_customer_c_mktsegment ←⋈ u_customer_c_custkey) ←⋈ (((u_orders_o_shippriority ⋈→ u_orders_o_orderdate) ←⋈ u_orders_o_custkey) ⋈→ u_orders_o_orderkey)))",
+        "(((u_lineitem_l_shipdate ←⋈ u_lineitem_l_discount) ←⋈ u_lineitem_l_extendedprice) ⋈→ u_lineitem_l_quantity)",
+        "((u_lineitem_l_suppkey ←⋈ u_lineitem_l_orderkey) ⋈→ ((u_orders_o_custkey ⋈→ u_orders_o_orderkey) ⋈→ ((u_customer_c_nationkey ⋈→ u_customer_c_custkey) ⋈→ ((u_supplier_s_nationkey ⋈→ u_supplier_s_suppkey) ⋈→ ((u_nation_n_name ←⋈ u_nation_n_nationkey) × (u_nation_n_name ←⋈ u_nation_n_nationkey))))))",
+    ];
+    assert_eq!(got, want);
 }

@@ -23,7 +23,7 @@ use crate::error::{Error, Result};
 use crate::udb::UDatabase;
 use crate::urelation::URelation;
 use std::collections::BTreeSet;
-use urel_relalg::{exec, optimizer, Catalog, ColRef, Expr, Plan, Relation};
+use urel_relalg::{exec, optimizer, Catalog, ColRef, Expr, Plan, Relation, Schema};
 
 /// A translated query: a relational plan plus the bookkeeping that says
 /// which output columns encode descriptors, tuple ids and values.
@@ -149,16 +149,16 @@ pub fn certain_with_confidence(
 /// The catalog stores `Arc<Relation>`s and scans alias them, so repeated
 /// queries through a `PreparedDb` share one copy of the base data — the
 /// per-query cost is translation, optimization, and the result rows, not
-/// the database. Registration also computes statistics over each
-/// relation's columnar image, which builds and caches that image: the
-/// engine's vectorized batch pipelines scan encoded partitions
-/// column-major from the first query on, paying row-to-column conversion
-/// once per `PreparedDb`, not once per query. A *plan cache* completes
-/// the prepared-statement picture: each distinct (query, options) pair
-/// is translated and optimized once, and re-running it executes the
-/// cached physical plan directly — on the Figure 12 workload that halves
-/// steady-state query latency, since translation + optimization cost as
-/// much as execution at these scales. The cache is sound because the
+/// the database. Encoded partitions are born as column images
+/// ([`URelation::encode`]), which registration's statistics and the
+/// engine's vectorized batch pipelines read directly: no row copy of
+/// the base data is built unless an operator asks for one. A *plan
+/// cache* completes the prepared-statement picture: each distinct
+/// (query, options) pair is translated and optimized once, and
+/// re-running it executes the cached physical plan directly — on the
+/// Figure 12 workload that halves steady-state query latency, since
+/// translation + optimization cost as much as execution at these
+/// scales. The cache is sound because the
 /// database is immutably borrowed for the `PreparedDb`'s lifetime. The
 /// same borrow lets the set of relations with partial fields
 /// ([`UDatabase::partial_relations`]) be computed once, on the first
@@ -389,8 +389,15 @@ impl<'a> PreparedDb<'a> {
         };
         let entry = self.plan_for(&wrapped, TranslateOptions::default(), true, ALL_PRUNED)?;
         let (rel, stats) = exec::execute_with_stats(&entry.plan, &self.catalog)?;
-        let u = URelation::decode("result", &rel, entry.desc_arity, entry.tid_count)?;
-        Ok((u.possible_tuples(), stats))
+        // A `poss` plan carries values only, so the result already is
+        // the answer: sort and dedup it in place under the value-column
+        // schema `URelation::possible_tuples` would give it, with no
+        // `URow`s.
+        debug_assert_eq!((entry.desc_arity, entry.tid_count), (0, 0));
+        let schema = Schema::named(rel.schema().columns().iter().map(|c| c.to_string()));
+        let mut out = std::sync::Arc::unwrap_or_clone(rel).with_schema(schema)?;
+        out.dedup_in_place();
+        Ok((out, stats))
     }
 
     /// Render the optimized physical plan for `poss(Q)` (wrapping `Q`

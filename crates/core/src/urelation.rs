@@ -15,7 +15,7 @@ use crate::error::{Error, Result};
 use crate::world::{Valuation, Var, WorldTable};
 use std::fmt;
 use urel_relalg::expr::{pack, unpack};
-use urel_relalg::{Relation, Value};
+use urel_relalg::{Column, Relation, Value};
 
 /// Sentinel for an absent tuple id: the union translation pads the other
 /// side's tuple-id columns with `Null`, which decodes to this value
@@ -195,7 +195,9 @@ impl URelation {
 
     /// Encode into the purely relational layout
     /// `d0, …, d{k-1}, <tid cols>, <value cols>`, one packed descriptor
-    /// entry per `d{i}` column.
+    /// entry per `d{i}` column. The relation is born columnar: codes and
+    /// tuple ids become `Int` columns, value columns are typed by
+    /// [`Column::from_refs`], and no row is built.
     ///
     /// # Panics
     ///
@@ -205,22 +207,28 @@ impl URelation {
         let mut names: Vec<String> = (0..self.desc_arity).map(|i| format!("d{i}")).collect();
         names.extend(self.tid_cols.iter().cloned());
         names.extend(self.value_cols.iter().cloned());
-        let arity = names.len();
-        let rows: Vec<Vec<Value>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row: Vec<Value> = Vec::with_capacity(arity);
-                for (v, val) in r.desc.encode_padded(self.desc_arity) {
-                    let code = pack(v.0, val).expect("descriptor entries are checked on entry");
-                    row.push(Value::Int(code));
-                }
-                row.extend(r.tids.iter().map(|&t| Value::Int(t)));
-                row.extend(r.vals.iter().cloned());
-                row
-            })
+        let n = self.rows.len();
+        let mut ints: Vec<Vec<i64>> = (0..self.desc_arity + self.tid_cols.len())
+            .map(|_| Vec::with_capacity(n))
             .collect();
-        Relation::from_rows(names, rows).expect("consistent encode")
+        for r in &self.rows {
+            let codes = r
+                .desc
+                .encode_padded(self.desc_arity)
+                .into_iter()
+                .map(|(v, val)| pack(v.0, val).expect("descriptor entries are checked on entry"));
+            for (col, x) in ints.iter_mut().zip(codes.chain(r.tids.iter().copied())) {
+                col.push(x);
+            }
+        }
+        let vals = (0..self.value_cols.len())
+            .map(|c| Column::from_refs(self.rows.iter().map(|r| &r.vals[c])));
+        let cols = ints
+            .into_iter()
+            .map(Column::from_ints)
+            .chain(vals)
+            .collect();
+        Relation::from_columns(names, cols, n).expect("consistent encode")
     }
 
     /// Decode a relational encoding produced by [`URelation::encode`] or

@@ -9,7 +9,7 @@
 use crate::descriptor::WsDescriptor;
 use crate::error::{Error, Result};
 use std::collections::BTreeMap;
-use urel_relalg::{Relation, Value};
+use urel_relalg::{Column, Relation};
 
 /// A variable identifier. `Var(0)` is the reserved ⊤ variable with the
 /// singleton domain `{0}`: the paper's "new variable with a singleton
@@ -251,7 +251,8 @@ impl WorldTable {
     }
 
     /// Encode as the relational `W(Var, Rng)` table (plus `P` when
-    /// probabilistic), exactly as stored in an RDBMS.
+    /// probabilistic), exactly as stored in an RDBMS — born columnar,
+    /// like [`crate::URelation::encode`].
     pub fn encode(&self) -> Relation {
         let probabilistic = self.is_probabilistic();
         let names: Vec<&str> = if probabilistic {
@@ -259,20 +260,22 @@ impl WorldTable {
         } else {
             vec!["var", "rng"]
         };
-        let mut rows = Vec::new();
+        let mut cols: Vec<Vec<i64>> = vec![Vec::new(); names.len()];
         for v in self.vars() {
             for &val in &self.domains[&v] {
-                let mut row = vec![Value::Int(v.0 as i64), Value::Int(val as i64)];
+                cols[0].push(v.0 as i64);
+                cols[1].push(val as i64);
                 if probabilistic {
                     // Probabilities ride along as micro-units to stay in
                     // the integer value model.
                     let p = self.prob(v, val).unwrap_or(0.0);
-                    row.push(Value::Int((p * 1_000_000.0).round() as i64));
+                    cols[2].push((p * 1_000_000.0).round() as i64);
                 }
-                rows.push(row);
             }
         }
-        Relation::from_rows(names, rows).expect("well-formed W encoding")
+        let len = cols[0].len();
+        let cols = cols.into_iter().map(Column::from_ints).collect();
+        Relation::from_columns(names, cols, len).expect("well-formed W encoding")
     }
 
     /// Total size in bytes of the `W` relation (Figure 9 accounting).

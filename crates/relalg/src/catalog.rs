@@ -243,17 +243,20 @@ impl Catalog {
 
     /// Register (or replace) a relation. Statistics are computed eagerly —
     /// the workloads in this repo scan every registered relation at least
-    /// once, so the one-time pass pays for itself. Computing them runs
-    /// over the columnar image, which builds and caches it: batched scans
-    /// of catalog relations never pay row-to-column conversion.
+    /// once, so the one-time pass pays for itself. Computing them reads
+    /// the columnar image and never the rows: a relation born columnar
+    /// ([`Relation::from_columns`]) keeps its image as its one resident
+    /// copy, and one built from rows gets its image built and cached
+    /// here, so batched scans of catalog relations never pay
+    /// row-to-column conversion.
     pub fn insert(&mut self, name: impl Into<String>, rel: Relation) {
         self.insert_shared(name, Arc::new(rel));
     }
 
     /// Register (or replace) a relation that is already shared — e.g. a
     /// query result or another catalog's entry. The storage is aliased,
-    /// not copied; only statistics (and the relation's cached columnar
-    /// image, as a side effect) are (re)computed.
+    /// not copied; only statistics (and, for a relation built from rows,
+    /// its cached columnar image, as a side effect) are (re)computed.
     pub fn insert_shared(&mut self, name: impl Into<String>, rel: Arc<Relation>) {
         let name = name.into();
         // Disk-native relations carry the statistics their writer

@@ -1,5 +1,7 @@
-//! Materialized relations with shared row storage and a cached
-//! column-major image for the batched executor.
+//! Materialized relations: a schema over tuples held as in-memory
+//! rows, as a column-major image, or as an on-disk segment store. The
+//! batched executor reads the column image; the row form of an image-
+//! backed relation is a view, materialized only on demand.
 
 use crate::error::{Error, Result};
 use crate::fxhash::FxHasher;
@@ -86,7 +88,9 @@ pub(crate) fn null_str_slot() -> Arc<str> {
 /// Typed columns are what make batched predicate evaluation fast: a
 /// comparison over an [`Column::Int`] column is a tight loop over a
 /// contiguous `&[i64]`, with no per-row enum dispatch or `Value` clone.
-#[derive(Clone, Debug)]
+///
+/// Equality is structural: same variant, same null mask, same payload.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Column {
     /// All-integer column.
     Int(Vec<i64>),
@@ -282,37 +286,74 @@ impl Column {
         Column::Mixed(vals)
     }
 
-    fn from_rows(rows: &[Row], col: usize) -> Column {
-        if !rows.is_empty() && rows.iter().all(|r| matches!(r[col], Value::Int(_))) {
+    /// An all-integer column, typed exactly as [`Column::from_values`]
+    /// types the same integers (an empty vector is an empty
+    /// [`Column::Mixed`]) — what encoders emit for packed descriptor
+    /// codes and tuple ids.
+    pub fn from_ints(ints: Vec<i64>) -> Column {
+        if ints.is_empty() {
+            Column::Mixed(Vec::new())
+        } else {
+            Column::Int(ints)
+        }
+    }
+
+    /// Payload bytes: [`Value::size_bytes`] summed over the column's
+    /// values, read off the typed storage (the Figure 9 accounting).
+    pub fn size_bytes(&self) -> usize {
+        let null = Value::Null.size_bytes();
+        match self {
+            Column::Int(v) => 8 * v.len(),
+            Column::Str(v) => v.iter().map(|s| s.len()).sum(),
+            Column::IntN(v, m) => 8 * (v.len() - m.null_count()) + null * m.null_count(),
+            Column::StrN(v, m) => (0..v.len())
+                .map(|i| if m.is_null(i) { null } else { v[i].len() })
+                .sum(),
+            Column::Mixed(v) => v.iter().map(Value::size_bytes).sum(),
+        }
+    }
+
+    /// Build a column from borrowed values, typed exactly as
+    /// [`Column::from_values`] types them. Homogeneous columns are
+    /// collected straight into their typed vectors, with no `Value`
+    /// vector in between — how row-built images and encoders type a
+    /// column.
+    pub fn from_refs<'a, I>(vals: I) -> Column
+    where
+        I: Iterator<Item = &'a Value> + Clone,
+    {
+        let mut probe = vals.clone().peekable();
+        if probe.peek().is_some() && probe.all(|v| matches!(v, Value::Int(_))) {
             return Column::Int(
-                rows.iter()
-                    .map(|r| match &r[col] {
-                        Value::Int(i) => *i,
-                        _ => unreachable!("checked all-int"),
-                    })
-                    .collect(),
+                vals.map(|v| match v {
+                    Value::Int(i) => *i,
+                    _ => unreachable!("checked all-int"),
+                })
+                .collect(),
             );
         }
-        if !rows.is_empty() && rows.iter().all(|r| matches!(r[col], Value::Str(_))) {
+        let mut probe = vals.clone().peekable();
+        if probe.peek().is_some() && probe.all(|v| matches!(v, Value::Str(_))) {
             return Column::Str(
-                rows.iter()
-                    .map(|r| match &r[col] {
-                        Value::Str(s) => Arc::clone(s),
-                        _ => unreachable!("checked all-str"),
-                    })
-                    .collect(),
+                vals.map(|v| match v {
+                    Value::Str(s) => Arc::clone(s),
+                    _ => unreachable!("checked all-str"),
+                })
+                .collect(),
             );
         }
         // Heterogeneous (or null-padded): clone through the value path,
         // which compacts nullable-typed columns too.
-        Column::from_values(rows.iter().map(|r| r[col].clone()).collect())
+        Column::from_values(vals.cloned().collect())
     }
 }
 
 /// The column-major image of a relation: one [`Column`] per schema
-/// column, all of equal length. Built lazily by [`Relation::columns`]
-/// and cached, so repeated queries over a shared catalog pay the
-/// row-to-column conversion once per relation, not once per scan.
+/// column, all of equal length. A relation built by
+/// [`Relation::from_columns`] is born with it; one built from rows gets
+/// it on first use of [`Relation::columns`], cached, so repeated
+/// queries over a shared catalog pay the row-to-column conversion once
+/// per relation, not once per scan.
 #[derive(Debug)]
 pub struct ColumnarImage {
     cols: Vec<Column>,
@@ -330,7 +371,7 @@ impl ColumnarImage {
     fn build(schema: &Schema, rows: &[Row]) -> ColumnarImage {
         ColumnarImage {
             cols: (0..schema.arity())
-                .map(|c| Column::from_rows(rows, c))
+                .map(|c| Column::from_refs(rows.iter().map(|r| &r[c])))
                 .collect(),
             len: rows.len(),
         }
@@ -339,6 +380,14 @@ impl ColumnarImage {
     /// The columns.
     pub fn cols(&self) -> &[Column] {
         &self.cols
+    }
+
+    /// The row form (one allocation per row): what a column-backed
+    /// relation's lazy row view materializes.
+    fn to_rows(&self) -> Vec<Row> {
+        (0..self.len)
+            .map(|i| self.cols.iter().map(|c| c.get(i)).collect())
+            .collect()
     }
 
     /// Row count.
@@ -352,30 +401,78 @@ impl ColumnarImage {
     }
 }
 
-/// Where a relation's tuples live: in memory (the default), or in an
-/// opened on-disk segment store with the row form decoded lazily on
-/// first demand — disk-resident base tables never pay for a row store
-/// the batched segment scan does not need.
+/// Where a relation's tuples live: owned rows in memory, or an image
+/// whose row form is a *view*, materialized once on first demand. Base
+/// relations are views — of their column image when built by
+/// [`Relation::from_columns`], of an opened segment store when loaded
+/// from disk — so a relation the batched executor only scans never pays
+/// for a row store.
 #[derive(Clone, Debug)]
 enum RowStore {
     /// Plain in-memory rows, shared across clones and renames.
     Mem(Arc<Vec<Row>>),
-    /// An opened on-disk segment image; `rows` materializes (once) only
-    /// when an operator genuinely needs the row form.
-    Disk {
-        image: Arc<DiskImage>,
+    /// The tuples live in `source`; `rows` materializes (once) only when
+    /// an operator genuinely needs the row form.
+    View {
+        source: Source,
         rows: OnceLock<Arc<Vec<Row>>>,
     },
 }
 
-/// A materialized relation: a schema plus rows, bag semantics.
+/// The image a [`RowStore::View`] holds its tuples in.
+#[derive(Clone, Debug)]
+enum Source {
+    /// A column image (the same `Arc` the relation's columnar cache
+    /// holds, so the relation keeps one resident copy).
+    Columns(Arc<ColumnarImage>),
+    /// An opened on-disk segment store.
+    Disk(Arc<DiskImage>),
+}
+
+impl Source {
+    fn view(self) -> RowStore {
+        RowStore::View {
+            source: self,
+            rows: OnceLock::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Source::Columns(img) => img.len(),
+            Source::Disk(img) => img.len(),
+        }
+    }
+
+    /// Materialize the row form. Infallible interface: a disk decode
+    /// failure unwinds with the Error payload and is converted back to
+    /// `Err` at the pull driver (see `fault::catch_pull`).
+    fn rows(&self) -> Vec<Row> {
+        match self {
+            Source::Columns(img) => img.to_rows(),
+            Source::Disk(img) => crate::fault::rethrow(img.decode_rows()),
+        }
+    }
+
+    fn ptr_eq(&self, other: &Source) -> bool {
+        match (self, other) {
+            (Source::Columns(a), Source::Columns(b)) => Arc::ptr_eq(a, b),
+            (Source::Disk(a), Source::Disk(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+/// A materialized relation: a schema over a bag of tuples, stored as
+/// rows, as a column image or as on-disk segments (see `RowStore`).
 ///
-/// Rows live behind an `Arc`, so cloning a relation — and in particular
-/// re-qualifying its schema for a rename — shares storage instead of
-/// deep-copying tuples. Mutators ([`Relation::push`],
+/// Storage lives behind an `Arc`, so cloning a relation — and in
+/// particular re-qualifying its schema for a rename — shares it instead
+/// of deep-copying tuples. Mutators ([`Relation::push`],
 /// [`Relation::dedup_in_place`]) are copy-on-write: they are free while
-/// the storage is unshared (the builder phase) and fork the rows only if
-/// someone else still holds them.
+/// in-memory rows are unshared (the builder phase), fork the rows if
+/// someone else still holds them, and turn an image-backed relation
+/// into in-memory rows first.
 ///
 /// The engine is operator-at-a-time: every operator consumes and produces
 /// relations, with [`crate::exec::execute`] handing out `Arc<Relation>`
@@ -386,9 +483,10 @@ enum RowStore {
 pub struct Relation {
     schema: Schema,
     rows: RowStore,
-    /// Lazily built column-major image (see [`Relation::columns`]).
-    /// Shared across clones and zero-copy renames; reset by the
-    /// copy-on-write mutators. Not part of relation equality.
+    /// Column-major image (see [`Relation::columns`]): set at birth for
+    /// [`Relation::from_columns`], built lazily otherwise. Shared across
+    /// clones and zero-copy renames; reset by the copy-on-write
+    /// mutators. Not part of relation equality.
     columnar: OnceLock<Arc<ColumnarImage>>,
     /// Scratch spill cache for in-memory relations scanned under
     /// [`crate::catalog::StorageMode::Disk`] (see
@@ -427,25 +525,20 @@ impl Relation {
         }
     }
 
-    /// The in-memory row storage, decoding a disk-backed relation's
-    /// segments on first demand (cached for the relation's lifetime).
+    /// The in-memory row storage, materializing a view's rows on first
+    /// demand (cached for the relation's lifetime).
     fn rows_arc(&self) -> &Arc<Vec<Row>> {
         match &self.rows {
             RowStore::Mem(rows) => rows,
-            RowStore::Disk { image, rows } => {
-                // Infallible interface: a decode failure unwinds with the
-                // Error payload and is converted back to `Err` at the pull
-                // driver (see `fault::catch_pull`).
-                rows.get_or_init(|| Arc::new(crate::fault::rethrow(image.decode_rows())))
-            }
+            RowStore::View { source, rows } => rows.get_or_init(|| Arc::new(source.rows())),
         }
     }
 
-    /// Fork disk-backed storage into plain memory rows ahead of a
+    /// Turn image-backed storage into plain memory rows ahead of a
     /// mutation, and drop any scratch spill image (it describes the
     /// pre-mutation rows).
     fn make_mem(&mut self) {
-        if let RowStore::Disk { .. } = self.rows {
+        if let RowStore::View { .. } = self.rows {
             let rows = Arc::clone(self.rows_arc());
             self.rows = RowStore::Mem(rows);
         }
@@ -470,6 +563,44 @@ impl Relation {
         })
     }
 
+    /// Relation over already-built columns of `len` rows each, under
+    /// unqualified (or dotted) column names — how encoded base relations
+    /// are born. The column image is the relation's one resident copy;
+    /// its row form is a view, materialized only if something asks for
+    /// [`Relation::rows`]. Errors name a column count that differs from
+    /// the names, or a column whose length is not `len`.
+    pub fn from_columns<S: AsRef<str>>(
+        names: impl IntoIterator<Item = S>,
+        cols: Vec<Column>,
+        len: usize,
+    ) -> Result<Self> {
+        let schema = Schema::named(names);
+        if cols.len() != schema.arity() {
+            return Err(Error::ArityMismatch {
+                expected: schema.arity(),
+                got: cols.len(),
+            });
+        }
+        if let Some((name, c)) = schema
+            .columns()
+            .iter()
+            .zip(&cols)
+            .find(|(_, c)| c.len() != len)
+        {
+            return Err(Error::Invalid(format!(
+                "column `{name}` has {} rows, expected {len}",
+                c.len()
+            )));
+        }
+        let image = Arc::new(ColumnarImage::from_columns(cols, len));
+        Ok(Relation {
+            schema,
+            rows: Source::Columns(Arc::clone(&image)).view(),
+            columnar: OnceLock::from(image),
+            disk: Mutex::new(None),
+        })
+    }
+
     /// Relation over an opened on-disk segment store: the schema comes
     /// from the manifest's column names, and rows stay on disk until an
     /// operator genuinely demands the row form.
@@ -477,10 +608,7 @@ impl Relation {
         let schema = Schema::new(image.names().iter().map(|n| ColRef::parse(n)).collect());
         Relation {
             schema,
-            rows: RowStore::Disk {
-                image,
-                rows: OnceLock::new(),
-            },
+            rows: Source::Disk(image).view(),
             columnar: OnceLock::new(),
             disk: Mutex::new(None),
         }
@@ -490,17 +618,22 @@ impl Relation {
     /// (built by [`Relation::from_disk_image`]), if any.
     pub fn native_disk_image(&self) -> Option<Arc<DiskImage>> {
         match &self.rows {
-            RowStore::Disk { image, .. } => Some(Arc::clone(image)),
-            RowStore::Mem(_) => None,
+            RowStore::View {
+                source: Source::Disk(image),
+                ..
+            } => Some(Arc::clone(image)),
+            _ => None,
         }
     }
 
     /// An on-disk segment image for this relation under disk storage:
     /// the native image when the relation was loaded from disk,
-    /// otherwise a scratch spill streamed from the row store through a
-    /// [`DiskTableWriter`] — written once into a temp directory that is
-    /// deleted when the last reference drops, cached across scans (for
-    /// one segment size at a time), reset by mutators.
+    /// otherwise a scratch spill streamed from the column image through
+    /// a [`DiskTableWriter`], one reused row buffer at a time (so a
+    /// base relation's rows are never materialized) — written once into
+    /// a temp directory that is deleted when the last reference drops,
+    /// cached across scans (for one segment size at a time), reset by
+    /// mutators.
     pub fn disk_image(&self, seg_rows: usize) -> Result<Arc<DiskImage>> {
         if let Some(img) = self.native_disk_image() {
             return Ok(img);
@@ -520,8 +653,12 @@ impl Relation {
         // No fault injector: the scratch write is not an I/O edge of
         // any execution, so it draws no ticks from a fault schedule.
         let mut writer = DiskTableWriter::create_scratch("rel", names, seg_rows)?;
-        for row in self.rows_arc().iter() {
-            writer.push(row)?;
+        let image = self.columns();
+        let mut row = Vec::with_capacity(image.cols().len());
+        for i in 0..image.len() {
+            row.clear();
+            row.extend(image.cols().iter().map(|c| c.get(i)));
+            writer.push(&row)?;
         }
         let img = writer.finish()?;
         *cache = Some(Arc::clone(&img));
@@ -565,12 +702,12 @@ impl Relation {
         &self.schema
     }
 
-    /// Row count (served from the manifest for disk-backed relations —
+    /// Row count (served from the image for image-backed relations —
     /// no row materialization).
     pub fn len(&self) -> usize {
         match &self.rows {
             RowStore::Mem(rows) => rows.len(),
-            RowStore::Disk { image, .. } => image.len(),
+            RowStore::View { source, .. } => source.len(),
         }
     }
 
@@ -579,10 +716,22 @@ impl Relation {
         self.len() == 0
     }
 
-    /// Iterate rows (decodes a disk-backed relation's segments on first
-    /// call; the batched executor reads segments directly instead).
+    /// The rows. An image-backed relation materializes its row view on
+    /// the first call and keeps it; the batched executor reads the
+    /// column image or the segments instead.
     pub fn rows(&self) -> &[Row] {
         self.rows_arc()
+    }
+
+    /// `true` iff the row form is resident: always for in-memory rows,
+    /// and for an image-backed relation once something has materialized
+    /// its row view (test hook for the lazy-view guarantee; the twin of
+    /// [`Relation::columns_cached`]).
+    pub fn rows_cached(&self) -> bool {
+        match &self.rows {
+            RowStore::Mem(_) => true,
+            RowStore::View { rows, .. } => rows.get().is_some(),
+        }
     }
 
     /// The column-major image, built on first use and cached. Batched
@@ -614,7 +763,7 @@ impl Relation {
     pub fn shares_rows_with(&self, other: &Relation) -> bool {
         match (&self.rows, &other.rows) {
             (RowStore::Mem(a), RowStore::Mem(b)) => Arc::ptr_eq(a, b),
-            (RowStore::Disk { image: a, .. }, RowStore::Disk { image: b, .. }) => Arc::ptr_eq(a, b),
+            (RowStore::View { source: a, .. }, RowStore::View { source: b, .. }) => a.ptr_eq(b),
             _ => false,
         }
     }
@@ -625,9 +774,9 @@ impl Relation {
     pub fn owns_rows(&self) -> bool {
         match &self.rows {
             RowStore::Mem(rows) => Arc::strong_count(rows) == 1,
-            // Disk-backed rows are a decoded view of the image; consuming
-            // them never hands back the storage for free.
-            RowStore::Disk { .. } => false,
+            // A view's rows are built from its image; consuming them
+            // never hands back the storage for free.
+            RowStore::View { .. } => false,
         }
     }
 
@@ -664,9 +813,9 @@ impl Relation {
     fn store_into_rows(store: RowStore) -> Vec<Row> {
         let rows = match store {
             RowStore::Mem(rows) => rows,
-            RowStore::Disk { image, rows } => match rows.into_inner() {
+            RowStore::View { source, rows } => match rows.into_inner() {
                 Some(rows) => rows,
-                None => return crate::fault::rethrow(image.decode_rows()),
+                None => return source.rows(),
             },
         };
         Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
@@ -715,8 +864,9 @@ impl Relation {
         self.columnar = OnceLock::new(); // rows changed: images are stale
     }
 
-    /// Total payload size in bytes (Figure 9 accounting). Disk-backed
-    /// relations answer from the manifest's statistics — the writer
+    /// Total payload size in bytes (Figure 9 accounting). Image-backed
+    /// relations answer without materializing rows: from the column
+    /// image, or from a disk manifest's statistics — the writer
     /// accumulated exactly this sum while streaming.
     pub fn size_bytes(&self) -> usize {
         match &self.rows {
@@ -724,7 +874,14 @@ impl Relation {
                 .iter()
                 .map(|r| r.iter().map(Value::size_bytes).sum::<usize>())
                 .sum(),
-            RowStore::Disk { image, .. } => image.stats().bytes,
+            RowStore::View {
+                source: Source::Columns(image),
+                ..
+            } => image.cols().iter().map(Column::size_bytes).sum(),
+            RowStore::View {
+                source: Source::Disk(image),
+                ..
+            } => image.stats().bytes,
         }
     }
 
@@ -1053,6 +1210,127 @@ mod tests {
         let mixed = Column::from_values(vec![Value::Bool(true), Value::Null]);
         assert!(mixed.cross_eq(1, &s, 1));
         assert!(!mixed.cross_eq(0, &s, 1));
+    }
+
+    /// One column of each typed variant, and the same table as rows.
+    fn typed_table() -> (Vec<&'static str>, Vec<Vec<Value>>, Vec<Column>) {
+        let names = vec!["i", "s", "in", "sn", "m"];
+        let rows = vec![
+            vec![
+                Value::Int(1),
+                Value::str("ab"),
+                Value::Int(3),
+                Value::str("xyz"),
+                Value::Bool(true),
+            ],
+            vec![
+                Value::Int(-2),
+                Value::str(""),
+                Value::Null,
+                Value::Null,
+                Value::Int(7),
+            ],
+            vec![
+                Value::Int(5),
+                Value::str("c"),
+                Value::Int(0),
+                Value::str("q"),
+                Value::str("mixed"),
+            ],
+        ];
+        let cols = (0..names.len())
+            .map(|c| Column::from_values(rows.iter().map(|r| r[c].clone()).collect()))
+            .collect();
+        (names, rows, cols)
+    }
+
+    #[test]
+    fn size_bytes_agrees_between_rows_and_columns() {
+        let (names, rows, cols) = typed_table();
+        assert!(matches!(
+            &cols[..],
+            [
+                Column::Int(_),
+                Column::Str(_),
+                Column::IntN(..),
+                Column::StrN(..),
+                Column::Mixed(_)
+            ]
+        ));
+        let by_rows = Relation::from_rows(&names, rows.clone()).unwrap();
+        for (c, col) in cols.iter().enumerate() {
+            let one = Relation::from_rows([names[c]], rows.iter().map(|r| vec![r[c].clone()]));
+            let one_cols = Relation::from_columns([names[c]], vec![col.clone()], rows.len());
+            assert_eq!(
+                one.unwrap().size_bytes(),
+                one_cols.unwrap().size_bytes(),
+                "{}",
+                names[c]
+            );
+        }
+        let by_cols = Relation::from_columns(&names, cols, rows.len()).unwrap();
+        assert_eq!(by_rows.size_bytes(), by_cols.size_bytes());
+        assert!(!by_cols.rows_cached(), "size_bytes materialized rows");
+    }
+
+    #[test]
+    fn from_columns_is_a_lazy_row_view() {
+        let (names, rows, cols) = typed_table();
+        let rel = Relation::from_columns(&names, cols.clone(), rows.len()).unwrap();
+        assert!(rel.columns_cached() && !rel.rows_cached());
+        assert_eq!(rel.len(), 3);
+        assert_eq!(rel.columns().cols(), &cols[..]);
+        // Scratch disk images stream from the columns, not the rows.
+        let img = rel.disk_image(2).unwrap();
+        assert!(!rel.rows_cached());
+        assert_eq!(img.stats().bytes, rel.size_bytes());
+        // Clones and renames share the image, not a row copy.
+        let renamed = rel.shared_with_schema(rel.schema().qualify("t")).unwrap();
+        assert!(renamed.shares_rows_with(&rel));
+        // The row view materializes once, on demand, equal to the rows.
+        let by_rows = Relation::from_rows(&names, rows.clone()).unwrap();
+        assert_eq!(rel, by_rows);
+        assert!(rel.rows_cached() && !renamed.rows_cached());
+        assert_eq!(img.decode_rows().unwrap(), rel.rows());
+        // Copy-on-write mutators fork into memory rows.
+        let mut grown = renamed.clone();
+        grown.push(rows[0].clone()).unwrap();
+        assert!(grown.rows_cached() && !grown.shares_rows_with(&renamed));
+        assert_eq!((grown.len(), renamed.len()), (4, 3));
+        let mut set = renamed.clone();
+        set.dedup_in_place();
+        assert_eq!(set.rows(), by_rows.sorted_set().rows());
+        assert!(!renamed.rows_cached());
+        assert_eq!(renamed.into_rows(), by_rows.into_rows());
+    }
+
+    #[test]
+    fn from_columns_checks_count_and_lengths() {
+        let err = Relation::from_columns(["a", "b"], vec![Column::from_ints(vec![1])], 1);
+        assert_eq!(
+            err.unwrap_err(),
+            Error::ArityMismatch {
+                expected: 2,
+                got: 1
+            }
+        );
+        let err = Relation::from_columns(
+            ["a", "b"],
+            vec![Column::from_ints(vec![1, 2]), Column::from_ints(vec![3])],
+            2,
+        );
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "invalid operation: column `b` has 1 rows, expected 2"
+        );
+        // Zero arity: rows without columns.
+        let unit = Relation::from_columns(Vec::<&str>::new(), Vec::new(), 2).unwrap();
+        assert_eq!(unit.rows(), &[Row::default(), Row::default()][..]);
+        // Empty integer columns type as `from_values` types them.
+        assert_eq!(
+            Column::from_ints(Vec::new()),
+            Column::from_values(Vec::new())
+        );
     }
 
     #[test]

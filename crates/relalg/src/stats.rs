@@ -12,7 +12,7 @@ use crate::value::Value;
 /// translated queries. A descriptor entry is one column in the
 /// [`crate::expr::pack`] code, so its column's NDV is the joint
 /// `(Var, Rng)` distinct count that ψ estimates read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Number of rows.
     pub rows: usize,
@@ -34,8 +34,10 @@ impl TableStats {
     /// (in-memory relations are small enough that sampling is not worth
     /// its complexity here). Typed columns count distincts without any
     /// `Value` hashing, and — since the catalog computes statistics
-    /// eagerly at registration — this also builds and caches the image,
-    /// so the first batched scan pays no conversion.
+    /// eagerly at registration — this also builds and caches the image
+    /// of a relation built from rows, so the first batched scan pays no
+    /// conversion. Neither the image nor [`Relation::size_bytes`]
+    /// materializes a column-born relation's rows.
     pub fn compute(rel: &Relation) -> TableStats {
         let cols = rel.columns().cols();
         let ndv: Vec<usize> = cols

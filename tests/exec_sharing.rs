@@ -8,7 +8,9 @@
 //!   Figure 1 database;
 //! * σ/π/ρ/join-probe chains allocate **no** intermediate `Vec<Row>`:
 //!   the `ExecStats` buffer counter stays at zero and the same counter
-//!   is exposed in `EXPLAIN` output (PR 2's streaming refactor).
+//!   is exposed in `EXPLAIN` output;
+//! * encoded base relations are born columnar, with the image the old
+//!   row-built encoding had, and serving never materializes their rows.
 
 use std::sync::Arc;
 use u_relations::core::figure1_database;
@@ -383,4 +385,156 @@ fn ci_descriptors_are_packed() {
         "{entries} descriptor columns, {} ψ conjuncts in Q1",
         desc.len()
     );
+}
+
+/// CI smoke for the one-resident-copy guarantee: encoded base relations
+/// are born columnar, and their row form is a view nothing on the
+/// serving path materializes. Runs the Figure 12 queries on plain and
+/// disk storage and the `certain` / confidence statement shapes, then
+/// checks that no catalog relation holds rows. A scan, build, statistics
+/// pass or scratch disk image that read `rows()` fails it.
+#[test]
+fn ci_base_rows_never_materialized() {
+    use u_relations::core::PreparedDb;
+    use u_relations::relalg::StorageMode;
+    use u_relations::tpch::{generate, q1, q2, q3, GenParams};
+    let out = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let texts = [
+        "from nation | select n_name | certain",
+        "from customer | select c_mktsegment | certain",
+        "from orders | select o_shippriority | certain",
+        "from lineitem | where l_quantity < 10 | select l_discount | certain",
+        "from customer | where c_acctbal > 9000 | select c_name | possible confidence 0.05",
+        "from orders | where o_orderdate > 2400 | select o_custkey | certain confidence 0.05",
+        "from customer | where c_acctbal > 9000 | join nation on c_nationkey = n_nationkey \
+         | select n_name | possible confidence 0.02",
+        "from orders | where o_shippriority = 1 | select o_orderdate | possible confidence 0.1",
+    ];
+    let mut answers = Vec::new();
+    for storage in [StorageMode::Plain, StorageMode::Disk] {
+        let mut cat = out.db.to_catalog();
+        cat.set_storage(storage);
+        cat.set_segment_layout(256, 2);
+        let prepared = PreparedDb::with_catalog(&out.db, cat);
+        let mut segments = 0;
+        let rows: Vec<usize> = [q1(), q2(), q3()]
+            .iter()
+            .map(|q| {
+                let (rel, stats) = prepared.possible_with_stats(q).unwrap();
+                segments += stats.segments_scanned;
+                rel.len()
+            })
+            .collect();
+        assert_eq!(segments > 0, storage == StorageMode::Disk, "{storage:?}");
+        answers.push(rows);
+        if storage == StorageMode::Plain {
+            for text in texts {
+                let lowered = u_relations::ql::compile(text).unwrap();
+                u_relations::ql::execute(&prepared, &lowered).unwrap();
+            }
+        }
+        let mut checked = 0;
+        for (name, rel) in prepared.catalog().iter() {
+            assert!(rel.columns_cached(), "{name}: not born columnar");
+            assert!(
+                !rel.rows_cached(),
+                "{name}: base rows materialized under {storage:?}"
+            );
+            checked += 1;
+        }
+        println!("{storage:?}: {checked} base relations, no rows resident");
+    }
+    assert_eq!(answers[0], answers[1], "plain and disk answers differ");
+    assert!(answers[0][0] > 0, "Q1 answered nothing");
+}
+
+/// The row layout `URelation::encode` once built, row by row: packed
+/// descriptor codes, tuple ids, values.
+fn encode_rows(p: &u_relations::core::URelation) -> Vec<Vec<Value>> {
+    use u_relations::relalg::expr::pack;
+    p.rows()
+        .iter()
+        .map(|r| {
+            let mut row: Vec<Value> = r
+                .desc
+                .encode_padded(p.desc_arity())
+                .into_iter()
+                .map(|(v, val)| Value::Int(pack(v.0, val).unwrap()))
+                .collect();
+            row.extend(r.tids.iter().map(|&t| Value::Int(t)));
+            row.extend(r.vals.iter().cloned());
+            row
+        })
+        .collect()
+}
+
+/// The images `encode` builds column by column equal the images built
+/// from the same rows: same variant, null mask and values per column,
+/// and the same statistics — so plans and estimates cannot move.
+#[test]
+fn encoded_images_match_row_built_images() {
+    use u_relations::core::UDatabase;
+    use u_relations::relalg::{stats::TableStats, Relation};
+    use u_relations::tpch::{generate, GenParams};
+    fn check(name: &str, enc: &Relation, rows: Vec<Vec<Value>>) {
+        let names: Vec<String> = enc
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        let by_rows = Relation::from_rows(&names, rows).unwrap();
+        assert_eq!(enc.len(), by_rows.len(), "{name}");
+        assert_eq!(enc.columns().len(), by_rows.columns().len(), "{name}");
+        for (c, (a, b)) in enc
+            .columns()
+            .cols()
+            .iter()
+            .zip(by_rows.columns().cols())
+            .enumerate()
+        {
+            assert_eq!(a, b, "{name}: column {}", names[c]);
+        }
+        assert_eq!(
+            TableStats::compute(enc),
+            TableStats::compute(&by_rows),
+            "{name}"
+        );
+        assert!(!enc.rows_cached(), "{name}: the check materialized rows");
+    }
+    fn check_db(db: &UDatabase) -> usize {
+        let mut checked = 0;
+        for rel in db.relations() {
+            for p in db.partitions_of(rel).unwrap() {
+                check(&p.name, &p.encode(), encode_rows(p));
+                checked += 1;
+            }
+        }
+        let w = &db.world;
+        let wrows = w
+            .vars()
+            .flat_map(|v| {
+                w.domain(v).unwrap().iter().map(move |&val| {
+                    let mut row = vec![Value::Int(v.0 as i64), Value::Int(val as i64)];
+                    if w.is_probabilistic() {
+                        let p = w.prob(v, val).unwrap_or(0.0);
+                        row.push(Value::Int((p * 1_000_000.0).round() as i64));
+                    }
+                    row
+                })
+            })
+            .collect();
+        check("w", &w.encode(), wrows);
+        checked + 1
+    }
+    let tpch = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let n = check_db(&tpch.db);
+    assert!(n > 30, "only {n} relations checked");
+    check_db(&figure1_database());
+    // An empty partition keeps `from_rows`'s typing of empty columns.
+    let mut empty = figure1_database();
+    for p in empty.partitions_of_mut("r").unwrap() {
+        p.rows_mut().clear();
+    }
+    check_db(&empty);
 }

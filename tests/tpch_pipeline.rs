@@ -247,3 +247,51 @@ fn fig12_join_orders_and_build_sides_are_pinned() {
     ];
     assert_eq!(got, want);
 }
+
+/// `possible` sorts and dedups a value-only result in place instead of
+/// decoding it into `URow`s first; the answer — schema, rows and the
+/// rendered text — equals the decode path's on Q1–Q3 and on Figure 1.
+#[test]
+fn possible_answers_equal_the_decode_path() {
+    use u_relations::core::{figure1_database, UDatabase, UQuery, URelation};
+    use u_relations::relalg::{lit_i64, Expr};
+    fn check(db: &UDatabase, q: &UQuery) -> usize {
+        let prepared = db.prepare();
+        let t = translate(db, q).unwrap();
+        assert_eq!((t.desc_arity(), t.tid_cols.len()), (0, 0), "{q:?}");
+        let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
+        let rel = exec::execute(&plan, prepared.catalog()).unwrap();
+        let decoded = URelation::decode("result", &rel, 0, 0)
+            .unwrap()
+            .possible_tuples();
+        let fast = prepared.possible(q).unwrap();
+        assert_eq!(fast, decoded, "{q:?}");
+        assert_eq!(fast.to_string(), decoded.to_string(), "{q:?}");
+        fast.len()
+    }
+    let out = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let tpch: Vec<usize> = [q1(), q2(), q3()]
+        .iter()
+        .map(|q| check(&out.db, q))
+        .collect();
+    assert!(tpch[0] > 0 && tpch[1] > 0, "{tpch:?}");
+    let fig1 = figure1_database();
+    let tanks = table("r")
+        .select(Expr::and([
+            col("type").eq(lit_str("Tank")),
+            col("faction").eq(lit_str("Enemy")),
+        ]))
+        .project(["id"]);
+    let pairs = table_as("r", "a")
+        .join(table_as("r", "b"), col("a.id").lt(col("b.id")))
+        .select(col("a.faction").eq(col("b.faction")))
+        .project(["a.id", "b.id", "a.faction"]);
+    let ids = table("r")
+        .select(col("id").gt(lit_i64(1)))
+        .project(["type"]);
+    let fig: Vec<usize> = [tanks, pairs, ids]
+        .into_iter()
+        .map(|q| check(&fig1, &q.poss()))
+        .collect();
+    assert!(fig.iter().all(|&n| n > 0), "{fig:?}");
+}

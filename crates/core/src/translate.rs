@@ -47,7 +47,7 @@ impl TPlan {
     }
 }
 
-/// Knobs for the translation, used by the plan-ablation experiments.
+/// Knobs for the translation, used by Figure 3's plan comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TranslateOptions {
     /// Merge only the partitions needed by the query context (late
@@ -102,7 +102,7 @@ pub fn evaluate(udb: &UDatabase, q: &UQuery) -> Result<URelation> {
 }
 
 /// Evaluation with explicit translation options and an optimizer toggle
-/// (for the plan-ablation benchmarks).
+/// (for tests that compare plan variants; see [`PreparedDb::evaluate_with`]).
 pub fn evaluate_with(
     udb: &UDatabase,
     q: &UQuery,
@@ -293,9 +293,9 @@ impl<'a> PreparedDb<'a> {
     }
 
     /// Evaluation with explicit translation options and an optimizer
-    /// toggle (for the plan-ablation benchmarks). Plans come from the
-    /// prepared-statement cache when the same (query, options) pair ran
-    /// before.
+    /// toggle (Figure 3's P1–P3 in `fig03_plans`, and tests). Plans come
+    /// from the prepared-statement cache when the same (query, options)
+    /// pair ran before.
     pub fn evaluate_with(
         &self,
         q: &UQuery,

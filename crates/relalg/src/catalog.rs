@@ -183,12 +183,6 @@ impl Catalog {
         &self.config
     }
 
-    /// Replace the execution configuration (builder style).
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Does nothing: every query runs on its calling thread, whatever
     /// `threads` is. Kept only because the repository benchmark
     /// (`urbench`) still calls it; the next benchmark change deletes

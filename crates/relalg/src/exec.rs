@@ -6,15 +6,15 @@
 //!    tree of physical operators. All name resolution, predicate
 //!    compilation and schema checks happen here, so pulling rows later is
 //!    infallible. Pipeline *breakers* do their buffering work now: a hash
-//!    join buffers its build side, semi/antijoins, set-difference and
-//!    nested loops their right side — each as a column-major
+//!    join buffers its build side, set-difference and nested loops
+//!    their right side — each as a column-major
 //!    [`ColumnarImage`] appended batch by batch, column by column (no
 //!    row round trip), or, when that side is an already-materialized
 //!    scan, the scan's own cached image — and index it with a flat
 //!    chained digest table.
 //! 2. **Pull** ([`Streamed`]): the prepared tree executes on one engine,
-//!    the batched cursors, and every pull — full, limited, or batch-wise
-//!    — runs on it.
+//!    the batched cursors, and every pull — row-wise or batch-wise — runs
+//!    on it.
 //!
 //!    Execution is **vectorized**: scans read [`BATCH_SIZE`]-row
 //!    [`ColumnBatch`]es off each relation's cached column-major image
@@ -24,14 +24,10 @@
 //!    vectors, projections shuffle column pointers, and hash-join probes
 //!    hash the key columns of a whole batch before emitting matches as
 //!    zero-copy views of both the probe batch and the build image.
-//!    Breakers (build sides, distinct/difference seen-sets, sort,
-//!    aggregation) consume and emit batches too. Cross-side predicates —
-//!    nested-loop theta joins, residual and non-equi semijoins — run the
-//!    *pair-batch evaluator*: candidate (probe, buffered-side) pairs are
-//!    assembled as zero-copy batches and masked by the same vectorized
-//!    kernels. A limited pull ([`Streamed::collect_rows`] with a cap)
-//!    stops at batch granularity: after the batch that reaches the cap,
-//!    so upstream work overshoots by at most one batch.
+//!    Breakers (build sides, distinct/difference seen-sets) consume and
+//!    emit batches too. Nested-loop theta joins run the *pair-batch
+//!    evaluator*: candidate (outer, inner) pairs are assembled as
+//!    zero-copy batches and masked by the same vectorized kernels.
 //!
 //!    Every pull runs on the calling thread. Concurrency comes from
 //!    running queries side by side (the server's sessions), not from
@@ -41,9 +37,8 @@
 //! `Scan`/`Values` still hand back the catalog's own `Arc<Relation>`
 //! pointer-equal, and `Rename` re-qualifies the schema while aliasing the
 //! input's row storage (and its cached columnar image). Only the final
-//! consumer materializes — and consumers that do not need a full result
-//! ([`crate::sort::limit_plan`], aggregation) stop pulling once they
-//! have what they want.
+//! consumer materializes; a consumer that does not need the full result
+//! stops a [`Streamed::for_each_batch`] pull by returning an error.
 //!
 //! Under a **memory budget** ([`EngineConfig::mem_budget`] /
 //! `RELALG_MEM_BUDGET`), breaker buffers charge their bytes against a
@@ -51,10 +46,8 @@
 //! temp directory when they cross the budget:
 //! hash-join builds become on-disk digest partitions probed by a
 //! recursive hybrid-hash protocol, and distinct/difference seen-sets
-//! flush with first-occurrence candidates resolved at end of input
-//! (sort and aggregation spill on their own consumers' side). Spilled
-//! execution is byte-identical to unbounded execution, limited pulls
-//! included.
+//! flush with first-occurrence candidates resolved at end of input.
+//! Spilled execution is byte-identical to unbounded execution.
 //!
 //! [`ExecStats`] counts the intermediate buffers actually allocated plus
 //! the batches emitted (and their mean fill) and the spill counters
@@ -103,8 +96,8 @@ pub fn execute_with_stats(plan: &Plan, catalog: &Catalog) -> Result<(Arc<Relatio
 ///
 /// `buffers` counts the pipeline-breaker buffers that held intermediate
 /// rows: materialized hash-join build sides, nested-loop inner sides,
-/// semi/antijoin right sides (when not already-materialized sources),
-/// and the seen-sets of `Distinct`/`Difference`. The final output
+/// difference right sides (when not already-materialized sources), and
+/// the seen-sets of `Distinct`/`Difference`. The final output
 /// materialization is *not* counted — it belongs to the consumer.
 /// `buffered_rows` is the number of rows copied into those buffers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -164,9 +157,8 @@ pub struct ExecStats {
     /// cancellation or deadline) — the pull that observed it returned
     /// [`Error::Cancelled`].
     pub cancelled: bool,
-    /// In-memory join tables (hash-join builds and keyed semi/antijoin
-    /// right sides) that took the direct-addressed layout: one dense
-    /// `Int` key column, probed by slot instead of by digest.
+    /// In-memory hash-join builds that took the direct-addressed layout:
+    /// one dense `Int` key column, probed by slot instead of by digest.
     pub dense_builds: usize,
 }
 
@@ -191,9 +183,7 @@ struct Counters {
     pull_rows: Cell<usize>,
     prepare_batches: Cell<(usize, usize)>,
     pull_batches: Cell<(usize, usize)>,
-    /// Memory budget, spill directory, and spill counters — shared with
-    /// the consumers that buffer on the engine's behalf (sort,
-    /// aggregation).
+    /// Memory budget, spill directory, and spill counters.
     spill: Arc<SpillCtx>,
     /// Disk-storage counters.
     seg: SegCounters,
@@ -393,13 +383,6 @@ impl Streamed {
         self.counters.snapshot()
     }
 
-    /// This execution's spill context (budget tracker + scoped spill
-    /// directory), for consumers that buffer on the engine's behalf
-    /// (sort, aggregation).
-    pub(crate) fn spill_ctx(&self) -> &Arc<SpillCtx> {
-        &self.counters.spill
-    }
-
     /// Path of the scoped spill directory, if this execution has
     /// spilled (`None` otherwise). The directory — and every run file
     /// in it — is removed when the `Streamed` is dropped, including on
@@ -418,46 +401,32 @@ impl Streamed {
     /// Pull every column batch through `f` — zero-copy views of shared
     /// columns wherever the pipeline allows — without materializing the
     /// output rows.
-    pub fn for_each_batch(&self, f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
-        self.pull(usize::MAX, f)
-    }
-
-    /// Pull up to `limit` rows (all when `None`) into an owned buffer.
     ///
-    /// Limited pulls stop after the batch that reaches the limit —
-    /// upstream work overshoots by at most one batch — and return
-    /// exactly the first `limit` rows of the full pull.
-    pub fn collect_rows(&self, limit: Option<usize>) -> Result<Vec<Row>> {
-        let cap = limit.unwrap_or(usize::MAX);
-        let mut rows = Vec::new();
-        self.pull(cap, |b| {
-            rows.extend((0..b.len()).map(|pos| b.row(pos)));
-            Ok(())
-        })?;
-        rows.truncate(cap);
-        Ok(rows)
-    }
-
-    /// The pull loop behind every consumer: runs the batched cursor
-    /// tree from the top, checks the cancel token at every batch
-    /// boundary, and hands batches to `f` until the stream ends or at
-    /// least `limit` rows have gone by.
-    fn pull(&self, limit: usize, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
+    /// This is the pull loop behind every consumer: it runs the batched
+    /// cursor tree from the top, checks the cancel token at every batch
+    /// boundary, and stops at the end of the stream or at the first
+    /// error `f` returns.
+    pub fn for_each_batch(&self, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
         self.counters.reset_pull();
         fault::catch_pull(|| {
             let mut cur = self.root.batch_cursor(&self.counters);
-            let mut pulled = 0;
-            while pulled < limit {
-                let Some(b) = cur.next_batch() else {
-                    break;
-                };
+            while let Some(b) = cur.next_batch() {
                 self.counters.cancel.check()?;
                 self.counters.batch(b.len());
-                pulled += b.len();
                 f(&b)?;
             }
             Ok(())
         })?
+    }
+
+    /// Pull every row into an owned buffer.
+    pub fn collect_rows(&self) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.for_each_batch(|b| {
+            rows.extend((0..b.len()).map(|pos| b.row(pos)));
+            Ok(())
+        })?;
+        Ok(rows)
     }
 
     /// Materialize the full result. When the plan bottoms out in an
@@ -467,7 +436,7 @@ impl Streamed {
         if let Node::Source(src) = &self.root {
             return Ok((Arc::clone(&src.rel), self.counters.snapshot()));
         }
-        let rows = self.collect_rows(None)?;
+        let rows = self.collect_rows()?;
         let rel = Relation::new(self.schema, rows)?;
         Ok((Arc::new(rel), self.counters.snapshot()))
     }
@@ -598,8 +567,6 @@ enum Node {
     HashJoin(HashJoinNode),
     /// Theta join without equi keys: streams the left, buffers the right.
     NestedLoop(NestedLoopNode),
-    /// Semi/antijoin: streams the left, buffers the right.
-    Semi(SemiNode),
     /// Bag union: streams left then right (no buffering).
     Concat { left: Box<Node>, right: Box<Node> },
     /// Duplicate elimination: streams first occurrences, buffers a
@@ -920,20 +887,6 @@ struct NestedLoopNode {
     pred: Option<CompiledExpr>,
 }
 
-/// Hash table over right-side rows with the equi-key column indices:
-/// `(digest → row indices, left keys, right keys)`.
-type KeyedTable = (RowTable, Vec<usize>, Vec<usize>);
-
-struct SemiNode {
-    probe: Box<Node>,
-    right: Arc<ColumnarImage>,
-    /// `None` falls back to scanning the buffered right side per probe
-    /// row (non-equi predicates).
-    table: Option<KeyedTable>,
-    residual: Option<CompiledExpr>,
-    keep_matched: bool,
-}
-
 /// Index a buffered image on its `keys` columns: direct-addressed when
 /// the key is one dense `Int` column (counted in
 /// [`ExecStats::dense_builds`]), else by digest ([`digest_table`]).
@@ -1076,37 +1029,6 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                 out,
             ))
         }
-        Plan::SemiJoin { left, right, pred } | Plan::AntiJoin { left, right, pred } => {
-            let keep_matched = matches!(plan, Plan::SemiJoin { .. });
-            let (lnode, ls) = prepare(left, ctx)?;
-            let (rnode, rs) = prepare(right, ctx)?;
-            let joint = ls.concat(&rs);
-            pred.compile(&joint)?;
-            let cond = JoinCondition::analyze(pred, &ls, &rs);
-            let residual = Expr::and(cond.residual.clone());
-            let residual = if residual.is_true() {
-                None
-            } else {
-                Some(residual.compile(&joint)?)
-            };
-            let right = materialize(rnode, &rs, counters)?;
-            let table = if cond.equi.is_empty() {
-                None
-            } else {
-                let (lk, rk): (Vec<usize>, Vec<usize>) = cond.equi.iter().cloned().unzip();
-                Some((build_table(&right, &rk, counters), lk, rk))
-            };
-            Ok((
-                Node::Semi(SemiNode {
-                    probe: Box::new(lnode),
-                    right,
-                    table,
-                    residual,
-                    keep_matched,
-                }),
-                ls,
-            ))
-        }
         Plan::Union { left, right } => {
             let (lnode, ls) = prepare(left, ctx)?;
             let (rnode, rs) = prepare(right, ctx)?;
@@ -1170,7 +1092,7 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
 /// for them ([`stored_row_bytes`], so `ExecStats` tracks them and
 /// sibling breakers spill earlier), but
 /// non-join breaker inputs do not themselves spill — only hash-join
-/// builds, sort, aggregation and the dedup seen-sets have spill paths.
+/// builds and the dedup seen-sets have spill paths.
 fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<ColumnarImage>> {
     if let Node::Source(src) = node {
         return Ok(src.rel.columns_arc());
@@ -1382,9 +1304,6 @@ pub(crate) fn predicted_buffers_with(plan: &Plan, facts: &PlanFacts<'_>) -> usiz
         Plan::Union { left, right } => recurse(left) + recurse(right),
         Plan::Distinct(input) => 1 + recurse(input),
         Plan::Difference { left, right } => 1 + recurse(left) + breaker_input(right),
-        Plan::SemiJoin { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
-            recurse(left) + breaker_input(right)
-        }
         Plan::Join { left, right, pred } => {
             // Non-equi joins always buffer the right (inner) side; hash
             // joins buffer whichever side `join_build_left` picks.
@@ -1470,11 +1389,6 @@ enum BCursor<'a> {
         probe: Box<BCursor<'a>>,
         state: SpillJoinState,
         counters: &'a Counters,
-    },
-    /// Keyed semi/antijoin: membership-filters each probe batch.
-    Semi {
-        node: &'a SemiNode,
-        probe: Box<BCursor<'a>>,
     },
     /// Bag union: left batches then right batches.
     Concat {
@@ -1694,7 +1608,6 @@ impl Node {
             Node::HashJoin(n) => {
                 matches!(n.build, JoinBuild::Spilled(_)) || n.probe.any_spilled_build()
             }
-            Node::Semi(n) => n.probe.any_spilled_build(),
             Node::NestedLoop(n) => n.outer.any_spilled_build(),
             Node::Concat { left, right } => left.any_spilled_build() || right.any_spilled_build(),
             Node::Difference(n) => n.input.any_spilled_build(),
@@ -1727,10 +1640,6 @@ impl Node {
                     state: SpillJoinState::Drain,
                     counters,
                 },
-            },
-            Node::Semi(node) => BCursor::Semi {
-                node,
-                probe: Box::new(node.probe.batch_cursor(counters)),
             },
             Node::NestedLoop(node) => BCursor::NestedLoop {
                 node,
@@ -2010,22 +1919,6 @@ impl<'a> BCursor<'a> {
                     }
                 }
             },
-            BCursor::Semi { node, probe } => loop {
-                let mut b = probe.next_batch()?;
-                let matched = semi_matched_mask(node, &b);
-                let mut keep = vec![false; b.len()];
-                let mut any = false;
-                for (pos, k) in keep.iter_mut().enumerate() {
-                    if matched[pos] == node.keep_matched {
-                        *k = true;
-                        any = true;
-                    }
-                }
-                if any {
-                    b.compact(&keep);
-                    return Some(b);
-                }
-            },
             BCursor::Concat {
                 left,
                 right,
@@ -2290,7 +2183,7 @@ fn join_spilled_partition(
 /// (left, right) candidate pair, in plan column order. This is the
 /// pair-batch evaluator's input: cross-side residual predicates then run
 /// the ordinary vectorized mask kernels over it, which is how
-/// nested-loop theta joins and residual semijoins run batched.
+/// nested-loop theta joins run batched.
 fn pair_batch<'a>(
     left: &ColumnBatch<'a>,
     lpos: &[u32],
@@ -2308,118 +2201,6 @@ fn pair_batch<'a>(
             sel: Arc::clone(&rsel),
         }));
     out
-}
-
-/// Evaluate a cross-side residual over candidate `(probe position,
-/// right row)` pairs in [`BATCH_SIZE`] pair-batch chunks, marking probe
-/// positions with at least one satisfying pair in `matched`.
-fn mark_residual_matches(
-    res: &CompiledExpr,
-    b: &ColumnBatch<'_>,
-    lpos: &[u32],
-    rsel: &[u32],
-    image: &ColumnarImage,
-    matched: &mut [bool],
-) {
-    for (lchunk, rchunk) in lpos.chunks(BATCH_SIZE).zip(rsel.chunks(BATCH_SIZE)) {
-        let out = pair_batch(b, lchunk, image, rchunk.into());
-        let mut mask = vec![true; out.len()];
-        res.and_mask(&out, &mut mask);
-        for (i, &m) in mask.iter().enumerate() {
-            if m {
-                matched[lchunk[i] as usize] = true;
-            }
-        }
-    }
-}
-
-/// Which probe positions of `b` have a matching right-side row? Covers
-/// all three physical semijoin shapes: keyed (digest probe), keyed with
-/// a residual (digest probe + pair-batch evaluation of the residual),
-/// and non-equi (pair-batch evaluation over all candidate pairs).
-fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
-    let right_image: &ColumnarImage = &node.right;
-    let mut matched = vec![false; b.len()];
-    match &node.table {
-        Some((table, lk, rk)) => {
-            let keys = KeyProbe::new(table, b, lk, right_image, rk);
-            match &node.residual {
-                None => {
-                    for (pos, m) in matched.iter_mut().enumerate() {
-                        *m = keys.matches(pos).next().is_some();
-                    }
-                }
-                Some(res) => {
-                    // Key-qualified candidate pairs, residual-checked by
-                    // the pair-batch evaluator. Pairs whose probe
-                    // position already matched are skipped between
-                    // chunks — a per-row early exit at chunk
-                    // granularity (matters under key skew).
-                    let mut cands: Vec<(u32, u32)> = Vec::new();
-                    for pos in 0..b.len() {
-                        for ri in keys.matches(pos) {
-                            cands.push((pos as u32, ri as u32));
-                        }
-                    }
-                    let mut idx = 0;
-                    let mut lpos: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-                    let mut rsel: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-                    while idx < cands.len() {
-                        lpos.clear();
-                        rsel.clear();
-                        while lpos.len() < BATCH_SIZE && idx < cands.len() {
-                            let (p, r) = cands[idx];
-                            idx += 1;
-                            if matched[p as usize] {
-                                continue;
-                            }
-                            lpos.push(p);
-                            rsel.push(r);
-                        }
-                        if !lpos.is_empty() {
-                            mark_residual_matches(res, b, &lpos, &rsel, right_image, &mut matched);
-                        }
-                    }
-                }
-            }
-        }
-        None if right_image.is_empty() => {}
-        None => match &node.residual {
-            None => matched.fill(true), // cross semijoin, right non-empty
-            Some(res) => {
-                // All (probe, right) pairs are candidates; chunks are
-                // re-enumerated between evaluations so positions already
-                // matched skip their remaining pairs (a per-row early
-                // exit, batched).
-                let (mut pos, mut ri) = (0usize, 0usize);
-                let mut lpos: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-                let mut rsel: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-                while pos < b.len() {
-                    lpos.clear();
-                    rsel.clear();
-                    while lpos.len() < BATCH_SIZE && pos < b.len() {
-                        if matched[pos] {
-                            pos += 1;
-                            ri = 0;
-                            continue;
-                        }
-                        lpos.push(pos as u32);
-                        rsel.push(ri as u32);
-                        ri += 1;
-                        if ri == right_image.len() {
-                            ri = 0;
-                            pos += 1;
-                        }
-                    }
-                    if lpos.is_empty() {
-                        break;
-                    }
-                    mark_residual_matches(res, b, &lpos, &rsel, right_image, &mut matched);
-                }
-            }
-        },
-    }
-    matched
 }
 
 /// Per-row FxHash digests of the key columns of a batch, column-at-a-time
@@ -2634,16 +2415,6 @@ fn ref_exec(plan: &Plan, catalog: &Catalog) -> Result<Relation> {
             let r = ref_exec(right, catalog)?;
             ref_join(&l, &r, pred)
         }
-        Plan::SemiJoin { left, right, pred } => {
-            let l = ref_exec(left, catalog)?;
-            let r = ref_exec(right, catalog)?;
-            ref_semi_anti(&l, &r, pred, true)
-        }
-        Plan::AntiJoin { left, right, pred } => {
-            let l = ref_exec(left, catalog)?;
-            let r = ref_exec(right, catalog)?;
-            ref_semi_anti(&l, &r, pred, false)
-        }
         Plan::Union { left, right } => {
             let l = ref_exec(left, catalog)?;
             let r = ref_exec(right, catalog)?;
@@ -2752,50 +2523,6 @@ fn ref_join(l: &Relation, r: &Relation, pred: &Expr) -> Result<Relation> {
         }
     }
     Relation::new(out_schema, rows)
-}
-
-fn ref_semi_anti(l: &Relation, r: &Relation, pred: &Expr, keep_matched: bool) -> Result<Relation> {
-    let joint = l.schema().concat(r.schema());
-    pred.compile(&joint)?; // reject ambiguity like Plan::schema does
-    let cond = JoinCondition::analyze(pred, l.schema(), r.schema());
-    let residual = Expr::and(cond.residual.clone());
-    let compiled = if residual.is_true() {
-        None
-    } else {
-        Some(residual.compile(&joint)?)
-    };
-
-    let mut rows = Vec::new();
-    if cond.equi.is_empty() {
-        for lr in l.rows() {
-            let matched = r
-                .rows()
-                .iter()
-                .any(|rr| compiled.as_ref().is_none_or(|c| c.eval_bool_pair(lr, rr)));
-            if matched == keep_matched {
-                rows.push(lr.clone());
-            }
-        }
-    } else {
-        let (lk, rk): (Vec<usize>, Vec<usize>) = cond.equi.iter().cloned().unzip();
-        let mut table: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        for (i, row) in r.rows().iter().enumerate() {
-            table.entry(key_hash(row, &rk)).or_default().push(i);
-        }
-        for lr in l.rows() {
-            let matched = table.get(&key_hash(lr, &lk)).is_some_and(|matches| {
-                matches.iter().any(|&ri| {
-                    let rrow = &r.rows()[ri];
-                    keys_eq(lr, &lk, rrow, &rk)
-                        && compiled.as_ref().is_none_or(|c| c.eval_bool_pair(lr, rrow))
-                })
-            });
-            if matched == keep_matched {
-                rows.push(lr.clone());
-            }
-        }
-    }
-    Relation::new(l.schema().clone(), rows)
 }
 
 #[cfg(test)]
@@ -2960,19 +2687,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_antijoin() {
-        let c = catalog();
-        let semi = Plan::scan("emp").semijoin(Plan::scan("dept"), col("dept").eq(col("did")));
-        assert_eq!(execute(&semi, &c).unwrap().len(), 2);
-        let anti = Plan::scan("emp").antijoin(Plan::scan("dept"), col("dept").eq(col("did")));
-        let out = execute(&anti, &c).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][0], Value::Int(2));
-        assert_engines_agree(&semi, &c);
-        assert_engines_agree(&anti, &c);
-    }
-
-    #[test]
     fn union_difference_distinct() {
         let c = catalog();
         let ids = Plan::scan("emp").project_names(["eid"]);
@@ -3095,22 +2809,14 @@ mod tests {
     fn repeated_pulls_do_not_double_count_seen_sets() {
         let c = catalog();
         let s = stream(&Plan::scan("emp").project_names(["dept"]).distinct(), &c).unwrap();
-        assert_eq!(s.collect_rows(None).unwrap().len(), 2);
-        assert_eq!(s.collect_rows(None).unwrap().len(), 2);
+        assert_eq!(s.collect_rows().unwrap().len(), 2);
+        assert_eq!(s.collect_rows().unwrap().len(), 2);
         let stats = s.stats();
         assert_eq!(stats.buffers, 1);
         assert_eq!(
             stats.buffered_rows, 2,
             "re-pulling must not inflate the seen-set count"
         );
-    }
-
-    #[test]
-    fn collect_rows_stops_early() {
-        let c = catalog();
-        let s = stream(&Plan::scan("emp").select(col("eid").gt(lit_i64(0))), &c).unwrap();
-        assert_eq!(s.collect_rows(Some(2)).unwrap().len(), 2);
-        assert_eq!(s.collect_rows(None).unwrap().len(), 3);
     }
 
     #[test]
@@ -3177,7 +2883,7 @@ mod tests {
         let s = stream(&p, &c).unwrap();
         // The σ/π/probe chain buffers no intermediate rows but reports
         // its batches and fill.
-        let batched = s.collect_rows(None).unwrap();
+        let batched = s.collect_rows().unwrap();
         assert_eq!(batched.len(), 750);
         let stats = s.stats();
         assert_eq!(stats.buffers, 0, "{stats:?}");
@@ -3187,10 +2893,10 @@ mod tests {
         // Both engines probe `fact` against the `dim` build in scan
         // order: identical rows in identical order.
         assert_eq!(batched, execute_reference(&p, &c).unwrap().rows());
-        // A fresh pull resets the batch counters; a zero limit pulls
-        // nothing at all.
-        assert!(s.collect_rows(Some(0)).unwrap().is_empty());
-        assert_eq!(s.stats().batches, 0);
+        // A fresh pull resets the batch counters instead of adding to
+        // them.
+        assert_eq!(s.collect_rows().unwrap(), batched);
+        assert_eq!(s.stats().batch_rows, 750);
     }
 
     #[test]
@@ -3209,40 +2915,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_semijoin_matches_reference() {
-        let c = big_catalog();
-        let semi = Plan::scan("fact").semijoin(
-            Plan::scan("dim").select(col("d").lt(lit_i64(3))),
-            col("g").eq(col("d")),
-        );
-        let anti = Plan::scan("fact").antijoin(
-            Plan::scan("dim").select(col("d").lt(lit_i64(3))),
-            col("g").eq(col("d")),
-        );
-        assert_engines_agree(&semi, &c);
-        assert_engines_agree(&anti, &c);
-        // A residual semijoin runs the pair-batch evaluator — still
-        // batched, still agreeing with the reference engine.
-        let residual = Plan::scan("fact").semijoin(
-            Plan::scan("dim"),
-            Expr::and([col("g").eq(col("d")), col("k").gt(col("d"))]),
-        );
-        assert_engines_agree(&residual, &c);
-        // Non-equi semijoins and antijoins (pure pair-batch paths) too.
-        let theta_semi = Plan::scan("fact").semijoin(Plan::scan("dim"), col("g").lt(col("d")));
-        let theta_anti = Plan::scan("fact").antijoin(Plan::scan("dim"), col("g").lt(col("d")));
-        assert_engines_agree(&theta_semi, &c);
-        assert_engines_agree(&theta_anti, &c);
-        // Cross semijoin against an empty right side keeps nothing.
-        let mut c2 = catalog();
-        c2.insert("none", Relation::empty(Schema::named(["z"])));
-        let cross = Plan::scan("emp").semijoin(Plan::scan("none"), Expr::and([]));
-        assert_eq!(execute(&cross, &c2).unwrap().len(), 0);
-        let anti_cross = Plan::scan("emp").antijoin(Plan::scan("none"), Expr::and([]));
-        assert_eq!(execute(&anti_cross, &c2).unwrap().len(), 3);
-    }
-
-    #[test]
     fn nested_loop_runs_on_pair_batches() {
         let c = catalog();
         let theta = Plan::scan("emp")
@@ -3250,7 +2922,7 @@ mod tests {
             .select(col("eid").gt(lit_i64(0)));
         // Theta joins vectorize through the pair-batch evaluator.
         let s = stream(&theta, &c).unwrap();
-        let rows = s.collect_rows(None).unwrap();
+        let rows = s.collect_rows().unwrap();
         assert!(s.stats().batches > 0);
         assert!(!rows.is_empty());
         // Pairs enumerate left-major, exactly like the reference
@@ -3263,7 +2935,7 @@ mod tests {
         // Cross products (empty predicate) take the same path.
         let cross = Plan::scan("emp").join(Plan::scan("dept"), Expr::and([]));
         let s = stream(&cross, &c).unwrap();
-        assert_eq!(s.collect_rows(None).unwrap().len(), 6);
+        assert_eq!(s.collect_rows().unwrap().len(), 6);
         assert!(s.stats().batches > 0);
     }
 
@@ -3300,9 +2972,18 @@ mod tests {
 
     #[test]
     fn limited_pull_stops_after_one_batch() {
+        // A consumer that has what it wants ends the pull by returning
+        // an error from its first batch; nothing upstream runs further.
         let c = big_catalog();
         let s = stream(&Plan::scan("fact").select(col("k").ge(lit_i64(0))), &c).unwrap();
-        let two = s.collect_rows(Some(2)).unwrap();
+        let mut two = Vec::new();
+        let err = s
+            .for_each_batch(|b| {
+                two.extend((0..2).map(|pos| b.row(pos)));
+                Err(Error::Invalid("enough rows".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
         assert_eq!(two, c.get("fact").unwrap().rows()[..2]);
         let stats = s.stats();
         assert_eq!(
@@ -3310,43 +2991,6 @@ mod tests {
             "early stop at batch granularity: {stats:?}"
         );
         assert!(stats.batch_rows >= 2, "{stats:?}");
-    }
-
-    /// Every limited pull of `p` returns exactly the first `k` rows of
-    /// the full pull, for limits around the batch boundaries and past
-    /// the end.
-    fn assert_limited_pulls_are_prefixes(p: &Plan, c: &Catalog) {
-        let s = stream(p, c).unwrap();
-        let all = s.collect_rows(None).unwrap();
-        assert!(all.len() > BATCH_SIZE + 1, "{p:?}");
-        for k in [0, 1, BATCH_SIZE, BATCH_SIZE + 1, all.len(), all.len() + 7] {
-            let got = s.collect_rows(Some(k)).unwrap();
-            assert_eq!(got, all[..k.min(all.len())], "limit {k} over {p:?}");
-        }
-    }
-
-    #[test]
-    fn limited_pulls_are_prefixes_of_the_full_pull() {
-        let scan = Plan::scan("fact").select(col("k").ge(lit_i64(0)));
-        let distinct = Plan::scan("fact").project_names(["k", "tag"]).distinct();
-        let mut c = big_catalog();
-        c.set_mem_budget(0);
-        assert_limited_pulls_are_prefixes(&scan, &c);
-        assert_limited_pulls_are_prefixes(&distinct, &c);
-        // Under a 256-byte budget (and a quarter of it) the seen-set
-        // spills — limited pulls included — and the spill directory
-        // goes with the execution.
-        for budget in [256, 64] {
-            c.set_mem_budget(budget);
-            assert_limited_pulls_are_prefixes(&distinct, &c);
-            let s = stream(&distinct, &c).unwrap();
-            assert_eq!(s.collect_rows(Some(1)).unwrap().len(), 1);
-            assert!(s.stats().spill_events > 0, "{:?}", s.stats());
-            let dir = s.spill_dir().expect("a spilling pull has a directory");
-            assert!(dir.exists());
-            drop(s);
-            assert!(!dir.exists(), "spill dir must be removed on drop: {dir:?}");
-        }
     }
 
     #[test]
@@ -3500,15 +3144,14 @@ mod tests {
 
     #[test]
     fn dense_joins_are_counted_and_match_the_reference() {
-        // `dim.d` is 0..7: a dense build for the hash join and for the
-        // keyed semijoin's right side alike.
+        // `dim.d` is 0..7: a dense build, whole or filtered.
         let c = big_catalog();
         let join = Plan::scan("fact").join(Plan::scan("dim"), col("g").eq(col("d")));
-        let semi = Plan::scan("fact").semijoin(
+        let filtered = Plan::scan("fact").join(
             Plan::scan("dim").select(col("d").lt(lit_i64(3))),
             col("g").eq(col("d")),
         );
-        for p in [&join, &semi] {
+        for p in [&join, &filtered] {
             let (out, stats) = execute_with_stats(p, &c).unwrap();
             assert_eq!(stats.dense_builds, 1, "{stats:?}");
             assert!(!out.is_empty());

@@ -44,7 +44,7 @@ pub fn explain(plan: &Plan, catalog: &Catalog) -> String {
 pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
     let mut out = explain(plan, catalog);
     let streamed = crate::exec::stream(plan, catalog)?;
-    streamed.collect_rows(None)?;
+    streamed.collect_rows()?;
     let stats = streamed.stats();
     match stats.mean_batch_fill() {
         Some(fill) => {
@@ -123,9 +123,7 @@ fn est_row_bytes(plan: &Plan, facts: &PlanFacts<'_>) -> f64 {
             est_row_bytes(input, facts) * cols.len() as f64 / in_arity as f64
         }
         Plan::Join { left, right, .. } => est_row_bytes(left, facts) + est_row_bytes(right, facts),
-        Plan::SemiJoin { left, .. }
-        | Plan::AntiJoin { left, .. }
-        | Plan::Difference { left, .. } => est_row_bytes(left, facts),
+        Plan::Difference { left, .. } => est_row_bytes(left, facts),
         Plan::Union { left, right } => est_row_bytes(left, facts).max(est_row_bytes(right, facts)),
     }
 }
@@ -297,24 +295,6 @@ fn render_zone(
                     let _ = writeln!(out, "Join Filter: {}", Expr::and(cond.residual.clone()));
                 }
             }
-            render(left, facts, depth + 1, out);
-            render(right, facts, depth + 1, out);
-        }
-        Plan::SemiJoin { left, right, pred } => {
-            let _ = writeln!(
-                out,
-                "Hash Semi Join on {pred}  (rows≈{rows:.0}) [streams left, right {}] {tag}",
-                side_label(right)
-            );
-            render(left, facts, depth + 1, out);
-            render(right, facts, depth + 1, out);
-        }
-        Plan::AntiJoin { left, right, pred } => {
-            let _ = writeln!(
-                out,
-                "Hash Anti Join on {pred}  (rows≈{rows:.0}) [streams left, right {}] {tag}",
-                side_label(right)
-            );
             render(left, facts, depth + 1, out);
             render(right, facts, depth + 1, out);
         }

@@ -12,21 +12,22 @@
 //! * [`Expr`] — scalar expressions (comparisons, boolean connectives) that
 //!   compile to column-index form before evaluation;
 //! * [`Plan`] — logical plans: scan, select, project (generalized), inner
-//!   theta-join, semi/anti-join, union, difference, distinct, rename;
+//!   theta-join, union, difference, distinct, rename — exactly the
+//!   operators the U-relational translation emits;
 //! * [`exec::execute`] — pull-based streaming execution, vectorized and
 //!   on the calling thread: pipelines process column-major
 //!   [`batch::ColumnBatch`]es (typed columns off each relation's cached
 //!   [`relation::ColumnarImage`], selection vectors, column-at-a-time
 //!   predicates, batch-hashed join probes, pair-batch evaluation of
-//!   cross-side residuals). Concurrency comes from running queries side
-//!   by side (the server's sessions), not from splitting one. Only
-//!   pipeline breakers (hash-join build sides, distinct/difference
-//!   seen-sets, sort, aggregation) buffer, and [`exec::ExecStats`]
+//!   nested-loop theta joins). Concurrency comes from running queries
+//!   side by side (the server's sessions), not from splitting one. Only
+//!   pipeline breakers (hash-join build sides, nested-loop inner sides,
+//!   distinct/difference seen-sets) buffer, and [`exec::ExecStats`]
 //!   counts exactly how much, plus the batches emitted. Under a memory
 //!   budget (`RELALG_MEM_BUDGET` / [`Catalog::set_mem_budget`])
 //!   over-budget breakers **spill to
-//!   sorted runs** ([`spill`]) — hybrid-hash join partitions, dedup
-//!   candidate runs, external sort/aggregation merges — with output
+//!   sorted runs** ([`spill`]) — hybrid-hash join partitions and dedup
+//!   candidate runs — with output
 //!   byte-identical to unbounded execution and run files in a scoped
 //!   temp directory cleaned on drop. Base tables can live as
 //!   **compressed column segments** ([`segment`]) — dictionary-coded
@@ -46,12 +47,11 @@
 //!   analog);
 //! * [`Catalog`] — a named-relation store with per-column statistics.
 //!
-//! The engine is deliberately small but real: hash joins, semijoin
-//! filtering, set operations and the optimizer are the code paths the
-//! paper's experiments exercise through PostgreSQL.
+//! The engine is deliberately small but real: hash joins, set operations
+//! and the optimizer are the code paths the paper's experiments exercise
+//! through PostgreSQL.
 
 pub mod admission;
-pub mod aggregate;
 pub mod batch;
 pub mod catalog;
 pub mod error;
@@ -60,20 +60,17 @@ pub mod explain;
 pub mod expr;
 pub mod fault;
 pub mod fxhash;
-pub mod io;
 pub mod optimizer;
 pub mod plan;
 pub mod relation;
 pub mod schema;
 pub mod segment;
-pub mod sort;
 pub mod spill;
 pub mod stats;
 pub mod store;
 pub mod value;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
-pub use aggregate::{aggregate, aggregate_plan, aggregate_plan_with_stats, AggFunc, Aggregate};
 pub use batch::{BatchCol, ColumnBatch, BATCH_SIZE};
 pub use catalog::{Catalog, EngineConfig, StorageMode};
 pub use error::{Error, Result};

@@ -89,16 +89,6 @@ fn strip_redundant_distinct(plan: Plan, deduped: bool) -> Plan {
             right: Box::new(strip_redundant_distinct(*right, false)),
             pred,
         },
-        Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
-            left: Box::new(strip_redundant_distinct(*left, false)),
-            right: Box::new(strip_redundant_distinct(*right, false)),
-            pred,
-        },
-        Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
-            left: Box::new(strip_redundant_distinct(*left, false)),
-            right: Box::new(strip_redundant_distinct(*right, false)),
-            pred,
-        },
         Plan::Union { left, right } => Plan::Union {
             left: Box::new(strip_redundant_distinct(*left, false)),
             right: Box::new(strip_redundant_distinct(*right, false)),
@@ -122,16 +112,6 @@ fn push_selections(plan: Plan, catalog: &Catalog) -> Plan {
             cols,
         },
         Plan::Join { left, right, pred } => Plan::Join {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-            pred,
-        },
-        Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-            pred,
-        },
-        Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
             left: Box::new(push_selections(*left, catalog)),
             right: Box::new(push_selections(*right, catalog)),
             pred,
@@ -354,16 +334,6 @@ fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
         Plan::Project { input, cols } => Plan::Project {
             input: Box::new(reorder_joins(*input, catalog)),
             cols,
-        },
-        Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-            pred,
-        },
-        Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-            pred,
         },
         Plan::Union { left, right } => Plan::Union {
             left: Box::new(reorder_joins(*left, catalog)),
@@ -710,10 +680,9 @@ pub(crate) fn shape_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> 
         Plan::Join { left, right, .. } => {
             shape_cached(left, catalog, cache).concat(&shape_cached(right, catalog, cache))
         }
-        Plan::SemiJoin { left, .. }
-        | Plan::AntiJoin { left, .. }
-        | Plan::Union { left, .. }
-        | Plan::Difference { left, .. } => shape_cached(left, catalog, cache),
+        Plan::Union { left, .. } | Plan::Difference { left, .. } => {
+            shape_cached(left, catalog, cache)
+        }
         Plan::Rename { input, alias } => shape_cached(input, catalog, cache).qualify(alias),
     };
     cache.shapes.borrow_mut().insert(key, s.clone());
@@ -754,8 +723,6 @@ fn est_rows_uncached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> f64 {
                 cache,
             )
         }
-        Plan::SemiJoin { left, .. } => est_rows_cached(left, catalog, cache) * 0.5,
-        Plan::AntiJoin { left, .. } => est_rows_cached(left, catalog, cache) * 0.5,
         Plan::Union { left, right } => {
             est_rows_cached(left, catalog, cache) + est_rows_cached(right, catalog, cache)
         }
@@ -989,9 +956,7 @@ fn column_minmax(
                 column_minmax(right, idx - la, catalog, cache)
             }
         }
-        Plan::SemiJoin { left, .. }
-        | Plan::AntiJoin { left, .. }
-        | Plan::Difference { left, .. } => column_minmax(left, idx, catalog, cache),
+        Plan::Difference { left, .. } => column_minmax(left, idx, catalog, cache),
         Plan::Union { left, right } => {
             let (llo, lhi) = column_minmax(left, idx, catalog, cache)?;
             let (rlo, rhi) = column_minmax(right, idx, catalog, cache)?;
@@ -1029,9 +994,6 @@ fn column_ndv(plan: &Plan, idx: usize, catalog: &Catalog, cache: &EstCache) -> f
             } else {
                 column_ndv(right, idx - la, catalog, cache)
             }
-        }
-        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => {
-            column_ndv(left, idx, catalog, cache)
         }
         Plan::Union { left, right } => {
             column_ndv(left, idx, catalog, cache) + column_ndv(right, idx, catalog, cache)
@@ -1096,34 +1058,6 @@ fn prune_projections(plan: Plan, catalog: &Catalog, needed: Option<&BTreeSet<Col
             let l = prune_side(*left, catalog, &used, all_needed);
             let r = prune_side(*right, catalog, &used, all_needed);
             Plan::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                pred,
-            }
-        }
-        Plan::SemiJoin { left, right, pred } => {
-            let mut lneed: BTreeSet<ColRef> = pred.columns();
-            let all_needed = needed.is_none();
-            if let Some(n) = needed {
-                lneed.extend(n.iter().cloned());
-            }
-            let l = prune_side(*left, catalog, &lneed, all_needed);
-            let r = prune_side(*right, catalog, &pred.columns(), false);
-            Plan::SemiJoin {
-                left: Box::new(l),
-                right: Box::new(r),
-                pred,
-            }
-        }
-        Plan::AntiJoin { left, right, pred } => {
-            let mut lneed: BTreeSet<ColRef> = pred.columns();
-            let all_needed = needed.is_none();
-            if let Some(n) = needed {
-                lneed.extend(n.iter().cloned());
-            }
-            let l = prune_side(*left, catalog, &lneed, all_needed);
-            let r = prune_side(*right, catalog, &pred.columns(), false);
-            Plan::AntiJoin {
                 left: Box::new(l),
                 right: Box::new(r),
                 pred,
@@ -1423,8 +1357,6 @@ mod tests {
                 | Plan::Project { input, .. }
                 | Plan::Rename { input, .. } => distinct_count(input),
                 Plan::Join { left, right, .. }
-                | Plan::SemiJoin { left, right, .. }
-                | Plan::AntiJoin { left, right, .. }
                 | Plan::Union { left, right }
                 | Plan::Difference { left, right } => distinct_count(left) + distinct_count(right),
                 _ => 0,

@@ -33,18 +33,6 @@ pub enum Plan {
         right: Box<Plan>,
         pred: Expr,
     },
-    /// ⋉ — left semijoin (rows of `left` with a `pred`-partner in `right`).
-    SemiJoin {
-        left: Box<Plan>,
-        right: Box<Plan>,
-        pred: Expr,
-    },
-    /// ▷ — left antijoin (rows of `left` with no partner).
-    AntiJoin {
-        left: Box<Plan>,
-        right: Box<Plan>,
-        pred: Expr,
-    },
     /// ∪ — positional union (bag); output keeps the left schema.
     Union { left: Box<Plan>, right: Box<Plan> },
     /// − — positional set difference (dedups, SQL `EXCEPT` semantics).
@@ -101,24 +89,6 @@ impl Plan {
     /// ⋈ builder.
     pub fn join(self, right: Plan, pred: Expr) -> Plan {
         Plan::Join {
-            left: Box::new(self),
-            right: Box::new(right),
-            pred,
-        }
-    }
-
-    /// ⋉ builder.
-    pub fn semijoin(self, right: Plan, pred: Expr) -> Plan {
-        Plan::SemiJoin {
-            left: Box::new(self),
-            right: Box::new(right),
-            pred,
-        }
-    }
-
-    /// ▷ builder.
-    pub fn antijoin(self, right: Plan, pred: Expr) -> Plan {
-        Plan::AntiJoin {
             left: Box::new(self),
             right: Box::new(right),
             pred,
@@ -190,11 +160,6 @@ impl Plan {
                 pred.compile(&s)?;
                 Ok(s)
             }
-            Plan::SemiJoin { left, right, pred } | Plan::AntiJoin { left, right, pred } => {
-                let joint = left.schema(catalog)?.concat(&right.schema(catalog)?);
-                pred.compile(&joint)?;
-                left.schema(catalog)
-            }
             Plan::Union { left, right } => {
                 let l = left.schema(catalog)?;
                 let r = right.schema(catalog)?;
@@ -242,10 +207,7 @@ impl Plan {
             Plan::Join { left, right, .. } => Ok(left
                 .schema_shape(catalog)?
                 .concat(&right.schema_shape(catalog)?)),
-            Plan::SemiJoin { left, .. }
-            | Plan::AntiJoin { left, .. }
-            | Plan::Union { left, .. }
-            | Plan::Difference { left, .. } => left.schema_shape(catalog),
+            Plan::Union { left, .. } | Plan::Difference { left, .. } => left.schema_shape(catalog),
             Plan::Rename { input, alias } => Ok(input.schema_shape(catalog)?.qualify(alias)),
         }
     }
@@ -260,15 +222,13 @@ impl Plan {
             | Plan::Distinct(input)
             | Plan::Rename { input, .. } => input.node_count(),
             Plan::Join { left, right, .. }
-            | Plan::SemiJoin { left, right, .. }
-            | Plan::AntiJoin { left, right, .. }
             | Plan::Union { left, right }
             | Plan::Difference { left, right } => left.node_count() + right.node_count(),
         }
     }
 
-    /// Number of join-family nodes (⋈, ⋉, ▷). The translation scheme maps
-    /// one logical join to one physical join; this counter verifies it.
+    /// Number of join nodes (⋈). The translation scheme maps one logical
+    /// join to one physical join; this counter verifies it.
     pub fn join_count(&self) -> usize {
         match self {
             Plan::Scan(_) | Plan::Values(_) => 0,
@@ -276,9 +236,7 @@ impl Plan {
             | Plan::Project { input, .. }
             | Plan::Distinct(input)
             | Plan::Rename { input, .. } => input.join_count(),
-            Plan::Join { left, right, .. }
-            | Plan::SemiJoin { left, right, .. }
-            | Plan::AntiJoin { left, right, .. } => 1 + left.join_count() + right.join_count(),
+            Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
             Plan::Union { left, right } | Plan::Difference { left, right } => {
                 left.join_count() + right.join_count()
             }

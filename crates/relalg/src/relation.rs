@@ -80,6 +80,16 @@ pub(crate) fn null_str_slot() -> Arc<str> {
     Arc::clone(SLOT.get_or_init(|| Arc::from("")))
 }
 
+/// `vals` mapped (with their positions) into a vector of exactly
+/// `vals.len()` slots. A plain `collect` would reuse the `Vec<Value>`
+/// buffer in place and keep its 24-byte-per-value capacity for as long
+/// as the column lives.
+fn exact_map<T>(vals: Vec<Value>, f: impl FnMut((usize, Value)) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(vals.len());
+    out.extend(vals.into_iter().enumerate().map(f));
+    out
+}
+
 /// One column of a [`ColumnarImage`]: typed storage when the column is
 /// homogeneous (the common case — TPC-H columns are all-integer or
 /// all-string), a generic `Value` vector otherwise (nulls introduced by
@@ -231,56 +241,40 @@ impl Column {
     /// vectorized kernels.
     pub fn from_values(vals: Vec<Value>) -> Column {
         if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Int(_))) {
-            return Column::Int(
-                vals.into_iter()
-                    .map(|v| match v {
-                        Value::Int(i) => i,
-                        _ => unreachable!("checked all-int"),
-                    })
-                    .collect(),
-            );
+            return Column::Int(exact_map(vals, |(_, v)| match v {
+                Value::Int(i) => i,
+                _ => unreachable!("checked all-int"),
+            }));
         }
         if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Str(_))) {
-            return Column::Str(
-                vals.into_iter()
-                    .map(|v| match v {
-                        Value::Str(s) => s,
-                        _ => unreachable!("checked all-str"),
-                    })
-                    .collect(),
-            );
+            return Column::Str(exact_map(vals, |(_, v)| match v {
+                Value::Str(s) => s,
+                _ => unreachable!("checked all-str"),
+            }));
         }
         let ints = vals.iter().filter(|v| matches!(v, Value::Int(_))).count();
         let strs = vals.iter().filter(|v| matches!(v, Value::Str(_))).count();
         let nulls = vals.iter().filter(|v| v.is_null()).count();
         if ints > 0 && ints + nulls == vals.len() {
             let mut mask = NullMask::new(vals.len());
-            let payload = vals
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| match v {
-                    Value::Int(x) => x,
-                    _ => {
-                        mask.set_null(i);
-                        0
-                    }
-                })
-                .collect();
+            let payload = exact_map(vals, |(i, v)| match v {
+                Value::Int(x) => x,
+                _ => {
+                    mask.set_null(i);
+                    0
+                }
+            });
             return Column::IntN(payload, mask);
         }
         if strs > 0 && strs + nulls == vals.len() {
             let mut mask = NullMask::new(vals.len());
-            let payload = vals
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| match v {
-                    Value::Str(s) => s,
-                    _ => {
-                        mask.set_null(i);
-                        null_str_slot()
-                    }
-                })
-                .collect();
+            let payload = exact_map(vals, |(i, v)| match v {
+                Value::Str(s) => s,
+                _ => {
+                    mask.set_null(i);
+                    null_str_slot()
+                }
+            });
             return Column::StrN(payload, mask);
         }
         Column::Mixed(vals)
@@ -768,18 +762,6 @@ impl Relation {
         }
     }
 
-    /// `true` iff this relation is the sole owner of its row storage, so
-    /// consuming or mutating it will not copy tuples. A rename shares
-    /// rows with its input even inside a freshly built `Relation`.
-    pub fn owns_rows(&self) -> bool {
-        match &self.rows {
-            RowStore::Mem(rows) => Arc::strong_count(rows) == 1,
-            // A view's rows are built from its image; consuming them
-            // never hands back the storage for free.
-            RowStore::View { .. } => false,
-        }
-    }
-
     /// Append a row (arity-checked). Copy-on-write: forks the row storage
     /// if it is currently shared.
     pub fn push(&mut self, row: Vec<Value>) -> Result<()> {
@@ -802,12 +784,6 @@ impl Relation {
     /// clones the tuples (someone else keeps the original).
     pub fn into_rows(self) -> Vec<Row> {
         Self::store_into_rows(self.rows)
-    }
-
-    /// Consume into schema and rows (same sharing semantics as
-    /// [`Relation::into_rows`]).
-    pub fn into_parts(self) -> (Schema, Vec<Row>) {
-        (self.schema, Self::store_into_rows(self.rows))
     }
 
     fn store_into_rows(store: RowStore) -> Vec<Row> {
@@ -1210,6 +1186,41 @@ mod tests {
         let mixed = Column::from_values(vec![Value::Bool(true), Value::Null]);
         assert!(mixed.cross_eq(1, &s, 1));
         assert!(!mixed.cross_eq(0, &s, 1));
+    }
+
+    #[test]
+    fn typed_columns_hold_no_spare_capacity() {
+        // Built from 1,000 values, each typed payload holds exactly its
+        // values, not the capacity of the `Vec<Value>` it came from.
+        let n = 1_000;
+        let null_every = |v: fn(i64) -> Value| -> Vec<Value> {
+            (0..n)
+                .map(|i| if i % 10 == 3 { Value::Null } else { v(i) })
+                .collect()
+        };
+        let cols = [
+            Column::from_values((0..n).map(Value::Int).collect()),
+            Column::from_values((0..n).map(|i| Value::str(i.to_string())).collect()),
+            Column::from_values(null_every(Value::Int)),
+            Column::from_values(null_every(|i| Value::str(i.to_string()))),
+        ];
+        assert!(matches!(
+            cols,
+            [
+                Column::Int(_),
+                Column::Str(_),
+                Column::IntN(..),
+                Column::StrN(..)
+            ]
+        ));
+        for c in &cols {
+            let (len, cap) = match c {
+                Column::Int(v) | Column::IntN(v, _) => (v.len(), v.capacity()),
+                Column::Str(v) | Column::StrN(v, _) => (v.len(), v.capacity()),
+                Column::Mixed(_) => unreachable!("checked typed"),
+            };
+            assert_eq!((len, cap), (1_000, 1_000), "{c:?}");
+        }
     }
 
     /// One column of each typed variant, and the same table as rows.

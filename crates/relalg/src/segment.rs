@@ -223,18 +223,6 @@ impl ColumnSegment {
         }
     }
 
-    /// Approximate encoded footprint in bytes (packed words, dictionary
-    /// payloads, plain fallbacks).
-    pub fn encoded_bytes(&self) -> usize {
-        match &self.enc {
-            SegEncoding::ForInt { packed, .. } => 16 + packed.len() * 8,
-            SegEncoding::DictStr { dict, packed, .. } => {
-                packed.len() * 8 + dict.iter().map(|s| s.len()).sum::<usize>()
-            }
-            SegEncoding::Plain(col) => decoded_col_bytes(col),
-        }
-    }
-
     /// Approximate decoded footprint in bytes (what a scan pays to hold
     /// this segment resident — the [`crate::exec::ExecStats`]
     /// `decoded_bytes` unit).
@@ -244,17 +232,6 @@ impl ColumnSegment {
             SegEncoding::DictStr { .. } => self.rows * 16,
             SegEncoding::Plain(_) => 0, // shared, nothing new materializes
         }
-    }
-}
-
-/// Approximate resident bytes of a decoded column.
-fn decoded_col_bytes(col: &Column) -> usize {
-    match col {
-        Column::Int(v) => v.len() * 8,
-        Column::IntN(v, _) => v.len() * 8 + v.len() / 8,
-        Column::Str(v) => v.len() * 16,
-        Column::StrN(v, _) => v.len() * 16 + v.len() / 8,
-        Column::Mixed(v) => v.len() * 24,
     }
 }
 

@@ -1,8 +1,7 @@
 //! Memory accounting and spill-to-sorted-runs for pipeline breakers.
 //!
 //! The streaming executor's breaker operators (hash-join build sides,
-//! distinct/difference seen-sets, sort buffers, aggregation group
-//! states) buffer without bound by default. When the engine runs with a
+//! distinct/difference seen-sets) buffer without bound by default. When the engine runs with a
 //! memory budget ([`crate::catalog::EngineConfig::mem_budget`], set via
 //! `RELALG_MEM_BUDGET` or [`crate::Catalog::set_mem_budget`]), every
 //! breaker charges its buffer bytes against a shared [`MemBudget`]
@@ -387,12 +386,11 @@ impl RunReader {
 /// Streaming k-way merge over sorted runs.
 ///
 /// Yields `(run index, record)` in `cmp` order; among equal heads the
-/// *earliest* run wins, which is the stability contract external sorts
-/// and seen-set resolutions rely on (runs are flushed in input order,
-/// so earlier runs hold earlier input rows). The fan-in is capped at
-/// [`MERGE_FAN_IN`] open files — a linear scan per pop over that many
-/// heads beats heap bookkeeping, matching the in-memory merge in
-/// [`crate::sort`].
+/// *earliest* run wins, which is the stability contract spilled-join
+/// output merges and seen-set resolutions rely on (runs are flushed in
+/// input order, so earlier runs hold earlier input rows). The fan-in is
+/// capped at [`MERGE_FAN_IN`] open files — a linear scan per pop over
+/// that many heads beats heap bookkeeping.
 pub struct MergeRuns<F> {
     readers: Vec<RunReader>,
     heads: Vec<Option<Record>>,

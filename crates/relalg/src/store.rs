@@ -592,21 +592,6 @@ impl DiskImage {
         DiskImage::open_with(dir, name).map(Arc::new)
     }
 
-    /// [`DiskImage::open`] with an [`Open`](FaultKind::Open) fault edge
-    /// drawn (and transient failures retried) before the real open —
-    /// the injectable variant of the manifest-open path.
-    pub fn open_injected(
-        dir: &Path,
-        name: &str,
-        faults: Option<&FaultInjector>,
-    ) -> Result<Arc<DiskImage>> {
-        fault::retry_io(faults, || {
-            fault::inject(faults, FaultKind::Open, "open segment manifest")
-        })
-        .map_err(|e| fault::io_error("open segment manifest", &e))?;
-        DiskImage::open(dir, name)
-    }
-
     fn open_with(dir: &Path, name: &str) -> Result<DiskImage> {
         let mpath = manifest_path(dir, name);
         let bytes =

@@ -97,14 +97,6 @@ impl Value {
         }
     }
 
-    /// Extract a boolean, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Approximate heap + inline footprint in bytes, used by the Figure 9
     /// database-size accounting.
     pub fn size_bytes(&self) -> usize {

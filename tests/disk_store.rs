@@ -198,10 +198,7 @@ fn cold_start_answers_q1_byte_identically_to_memory() {
         plain.insert(name, Relation::from_rows(cols, spec.rows.clone()).unwrap());
     }
     let plan = q1_plan();
-    let baseline = exec::stream(&plan, &plain)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let baseline = exec::stream(&plan, &plain).unwrap().collect_rows().unwrap();
     assert!(!baseline.is_empty(), "Q1 answers nothing at this scale");
 
     // Cold side: reopen the previous process's manifests and scan them
@@ -214,7 +211,7 @@ fn cold_start_answers_q1_byte_identically_to_memory() {
         disk.insert(name, Relation::from_disk_image(image));
     }
     let streamed = exec::stream(&plan, &disk).unwrap();
-    let rows = streamed.collect_rows(None).unwrap();
+    let rows = streamed.collect_rows().unwrap();
     assert_eq!(rows, baseline, "cold disk answers diverge from memory");
     let stats = streamed.stats();
     assert!(stats.pages_read > 0, "{stats:?}");

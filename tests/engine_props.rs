@@ -139,21 +139,6 @@ proptest! {
         let lhs = exec::execute(&minus.union(inter).distinct(), &catalog).unwrap();
         prop_assert!(lhs.set_eq(&d));
     }
-
-    #[test]
-    fn semijoin_antijoin_partition_the_input(
-        catalog in arb_catalog(),
-    ) {
-        let pred = col("b").eq(col("c"));
-        let semi = Plan::scan("r").semijoin(Plan::scan("s"), pred.clone());
-        let anti = Plan::scan("r").antijoin(Plan::scan("s"), pred);
-        let semi_r = exec::execute(&semi, &catalog).unwrap();
-        let anti_r = exec::execute(&anti, &catalog).unwrap();
-        let all = exec::execute(&Plan::scan("r"), &catalog).unwrap();
-        prop_assert_eq!(semi_r.len() + anti_r.len(), all.len());
-        let union = exec::execute(&semi.union(anti), &catalog).unwrap();
-        prop_assert!(union.set_eq(&all));
-    }
 }
 
 /// The bit length of `x` (0 for 0).

@@ -43,8 +43,8 @@
 //!    batch by batch; a null-padded, type-mixing union there must give
 //!    the reference engine's rows in the reference engine's order.
 //!
-//! 7. **Direct-addressed join tables** — joins and semi/antijoins whose
-//!    build key is a dense `Int` column probe a slot array instead of
+//! 7. **Direct-addressed join tables** — joins whose build key is a
+//!    dense `Int` column probe a slot array instead of
 //!    digests; probed with every column kind, unbounded and with the
 //!    build spilled, they must give the reference engine's rows in its
 //!    order.
@@ -272,7 +272,7 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
 }
 
 /// Random plans mixing every operator: hash joins (equi preds), nested
-/// loops (theta/cross), semi/antijoins, set ops, distinct, rename.
+/// loops (theta/cross), set ops, distinct, rename.
 fn arb_plan() -> impl Strategy<Value = Plan> {
     let leaf = prop_oneof![Just(Plan::scan("r")), Just(Plan::scan("s"))];
     leaf.prop_recursive(3, 24, 4, |inner| {
@@ -288,13 +288,6 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
             inner
                 .clone()
                 .prop_map(|p| Plan::scan("r").join(p.rename("y"), col("b").lt(col("y.c")))),
-            // Semi/antijoin against the other table.
-            inner
-                .clone()
-                .prop_map(|p| p.semijoin(Plan::scan("s"), col("b").eq(col("c")))),
-            inner
-                .clone()
-                .prop_map(|p| p.antijoin(Plan::scan("s"), col("b").eq(col("c")))),
             (inner.clone(), inner.clone()).prop_map(|(l, r)| l.union(r)),
             (inner.clone(), inner).prop_map(|(l, r)| l.difference(r)),
         ]
@@ -463,7 +456,7 @@ proptest! {
         let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
         let streamed = exec::stream(&plan, prepared.catalog()).unwrap();
         let batched_rows = {
-            let mut rows = streamed.collect_rows(None).unwrap();
+            let mut rows = streamed.collect_rows().unwrap();
             rows.sort();
             rows
         };
@@ -504,7 +497,7 @@ fn batched_translated_pipeline_reports_zero_row_buffers() {
     let t = translate(&db, &q).unwrap();
     let plan = optimizer::optimize(&t.plan, &cat).unwrap();
     let streamed = exec::stream(&plan, &cat).unwrap();
-    let n = streamed.collect_rows(None).unwrap().len();
+    let n = streamed.collect_rows().unwrap().len();
     let stats = streamed.stats();
     assert!(stats.batches > 0, "{stats:?}");
     assert!(stats.batch_rows >= n, "{stats:?}");
@@ -533,7 +526,7 @@ proptest! {
         let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
         let unbounded_rows = exec::stream(&plan, prepared.catalog())
             .unwrap()
-            .collect_rows(None)
+            .collect_rows()
             .unwrap();
         // A few hundred bytes, and a quarter of that: every breaker
         // that buffers at all crosses the budget and takes the spill
@@ -542,7 +535,7 @@ proptest! {
             let mut cat = prepared.catalog().clone();
             cat.set_mem_budget(budget);
             let streamed = exec::stream(&plan, &cat).unwrap();
-            let rows = streamed.collect_rows(None).unwrap();
+            let rows = streamed.collect_rows().unwrap();
             prop_assert!(
                 rows == unbounded_rows,
                 "budget {budget} differs from unbounded for {q:?}\nplan: {plan:?}"
@@ -555,10 +548,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(64)))]
 
     /// The spill-vs-in-memory oracle on random *plain* relational plans
-    /// (hash joins, nested loops, semi/antijoins, set operations,
-    /// distinct): byte-identical output under tiny budgets, and limited
-    /// pulls (spilling like full ones) agree with prefixes of the full
-    /// pull.
+    /// (hash joins, nested loops, set operations, distinct):
+    /// byte-identical output under tiny budgets.
     #[test]
     fn spilled_plain_plans_match_in_memory_byte_for_byte(
         catalog in arb_catalog(),
@@ -567,26 +558,17 @@ proptest! {
         if plan.schema(&catalog).is_ok() {
             let unbounded_rows = exec::stream(&plan, &catalog)
                 .unwrap()
-                .collect_rows(None)
+                .collect_rows()
                 .unwrap();
             for budget in [256usize, 64] {
                 let mut cat = catalog.clone();
                 cat.set_mem_budget(budget);
                 let streamed = exec::stream(&plan, &cat).unwrap();
-                let rows = streamed.collect_rows(None).unwrap();
+                let rows = streamed.collect_rows().unwrap();
                 prop_assert!(
                     rows == unbounded_rows,
                     "budget {budget} differs from unbounded for {plan:?}"
                 );
-                // Limited pulls run the same batched cursors over the
-                // same prepared tree, stopping at batch granularity.
-                for k in [0, 1, 3, unbounded_rows.len()] {
-                    let prefix = streamed.collect_rows(Some(k)).unwrap();
-                    prop_assert!(
-                        prefix[..] == unbounded_rows[..k.min(unbounded_rows.len())],
-                        "limited budgeted pull (limit {k}) diverges for {plan:?}"
-                    );
-                }
             }
         }
     }
@@ -613,14 +595,14 @@ proptest! {
         let plan = optimizer::optimize(&t.plan, prepared.catalog()).unwrap();
         let plain_rows = exec::stream(&plan, prepared.catalog())
             .unwrap()
-            .collect_rows(None)
+            .collect_rows()
             .unwrap();
         for pool in [2usize, 64] {
             let mut cat = prepared.catalog().clone();
             cat.set_storage(StorageMode::Disk);
             cat.set_segment_layout(3, pool);
             let streamed = exec::stream(&plan, &cat).unwrap();
-            let rows = streamed.collect_rows(None).unwrap();
+            let rows = streamed.collect_rows().unwrap();
             prop_assert!(
                 rows == plain_rows,
                 "disk pool {pool} differs from plain for {q:?}\nplan: {plan:?}"
@@ -642,9 +624,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(64)))]
 
     /// The storage oracle on random *plain* relational plans (hash
-    /// joins, nested loops, semi/antijoins, set operations, distinct):
-    /// byte-identical output across storage modes, and limited pulls
-    /// agree with prefixes of the full pull.
+    /// joins, nested loops, set operations, distinct): byte-identical
+    /// output across storage modes.
     #[test]
     fn segmented_plain_plans_match_plain_image_byte_for_byte(
         catalog in arb_catalog(),
@@ -653,14 +634,14 @@ proptest! {
         if plan.schema(&catalog).is_ok() {
             let plain_rows = exec::stream(&plan, &catalog)
                 .unwrap()
-                .collect_rows(None)
+                .collect_rows()
                 .unwrap();
             for pool in [2usize, 64] {
                 let mut cat = catalog.clone();
                 cat.set_storage(StorageMode::Disk);
                 cat.set_segment_layout(3, pool);
                 let streamed = exec::stream(&plan, &cat).unwrap();
-                let rows = streamed.collect_rows(None).unwrap();
+                let rows = streamed.collect_rows().unwrap();
                 prop_assert!(
                     rows == plain_rows,
                     "disk pool {pool} differs from plain for {plan:?}"
@@ -669,13 +650,6 @@ proptest! {
                     prop_assert!(
                         streamed.stats().pool_misses > 0,
                         "cold disk run never missed the {pool}-slot pool for {plan:?}"
-                    );
-                }
-                for k in [0, 1, 3, plain_rows.len()] {
-                    let prefix = streamed.collect_rows(Some(k)).unwrap();
-                    prop_assert!(
-                        prefix[..] == plain_rows[..k.min(plain_rows.len())],
-                        "limited disk pool {pool} pull (limit {k}) diverges for {plan:?}"
                     );
                 }
             }
@@ -826,8 +800,8 @@ fn padded_union_breaker_sides_match_reference_in_order() {
 // Direct-addressed join tables
 // ---------------------------------------------------------------------------
 
-/// Hash joins and keyed semi/antijoins whose build key is a dense `Int`
-/// column (direct-addressed tables) give the reference engine's rows in
+/// Hash joins whose build key is a dense `Int` column (direct-addressed
+/// tables) give the reference engine's rows in
 /// its order, for every kind of probe key column — `Int` with keys
 /// below, inside and above the build's range, `IntN` with nulls,
 /// `Mixed` `Int`/`Str`, and `Int` and `Str` constants — unbounded and
@@ -892,34 +866,27 @@ fn dense_key_joins_match_reference_in_order() {
         .collect(),
     );
     let mut joins = Vec::new();
-    let mut semis = Vec::new();
     for key in ["pi", "pn", "pm", "pc", "ps"] {
         let eq = col("bk").eq(col(key));
         for pred in [eq.clone(), Expr::and([eq, col("bv").gt(lit_i64(100))])] {
-            joins.push(build.clone().join(probe.clone(), pred.clone()));
-            semis.push(probe.clone().semijoin(build.clone(), pred.clone()));
-            semis.push(probe.clone().antijoin(build.clone(), pred));
+            joins.push(build.clone().join(probe.clone(), pred));
         }
     }
     for plan in &joins {
         if let Plan::Join { left, right, .. } = plan {
             assert!(exec::join_build_left(left, right, &cat), "{plan:?}");
         }
-    }
-    for plan in joins.iter().chain(&semis) {
         let want = exec::execute_reference(plan, &cat).unwrap();
         let (got, stats) = exec::execute_with_stats(plan, &cat).unwrap();
         assert_eq!(stats.dense_builds, 1, "{plan:?}");
         assert_eq!(got.rows(), want.rows(), "{plan:?}");
-        // Spilled builds keep digests; semi/antijoin right sides stay
-        // resident and direct-addressed.
+        // Spilled builds keep digests.
         let mut budgeted = cat.clone();
         budgeted.set_mem_budget(256);
         let streamed = exec::stream(plan, &budgeted).unwrap();
-        let rows = streamed.collect_rows(None).unwrap();
-        let is_join = matches!(plan, Plan::Join { .. });
-        assert_eq!(streamed.spilled_build(), is_join, "{plan:?}");
-        assert_eq!(streamed.stats().dense_builds, usize::from(!is_join));
+        let rows = streamed.collect_rows().unwrap();
+        assert!(streamed.spilled_build(), "{plan:?}");
+        assert_eq!(streamed.stats().dense_builds, 0, "{plan:?}");
         assert_eq!(rows, want.rows(), "budget 256: {plan:?}");
     }
     // The probe kinds all found matches somewhere (the string constant

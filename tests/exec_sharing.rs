@@ -228,8 +228,6 @@ fn tid_merges(plan: &Plan, cat: &Catalog) -> (usize, usize) {
         | Plan::Distinct(input)
         | Plan::Rename { input, .. } => vec![input],
         Plan::Join { left, right, .. }
-        | Plan::SemiJoin { left, right, .. }
-        | Plan::AntiJoin { left, right, .. }
         | Plan::Union { left, right }
         | Plan::Difference { left, right } => vec![left, right],
     };
@@ -307,13 +305,8 @@ fn ci_dense_builds_taken() {
     let join = Plan::scan("p")
         .rename("p")
         .join(Plan::scan("s").rename("s"), col("p.k").eq(col("s.k")));
-    let semi = Plan::scan("p")
-        .rename("p")
-        .semijoin(Plan::scan("s").rename("s"), col("p.k").eq(col("s.k")));
-    for plan in [join, semi] {
-        assert_eq!(exec::execute(&plan, &sparse).unwrap().len(), 100);
-        assert_eq!(dense_builds(&plan, &sparse), 0, "{plan:?}");
-    }
+    assert_eq!(exec::execute(&join, &sparse).unwrap().len(), 100);
+    assert_eq!(dense_builds(&join, &sparse), 0, "{join:?}");
 }
 
 /// Anti-no-op guard for the packed descriptor encoding, run as a named
@@ -353,9 +346,7 @@ fn ci_descriptors_are_packed() {
             Plan::Project { input, .. } | Plan::Distinct(input) | Plan::Rename { input, .. } => {
                 conjuncts(input, out)
             }
-            Plan::Join { left, right, pred }
-            | Plan::SemiJoin { left, right, pred }
-            | Plan::AntiJoin { left, right, pred } => {
+            Plan::Join { left, right, pred } => {
                 out.extend(pred.clone().conjuncts());
                 conjuncts(left, out);
                 conjuncts(right, out);

@@ -88,7 +88,7 @@ fn run_schedule(
     cat.set_faults(faults);
     let (res, injected, retries, spill_dir) = match exec::stream(&plan(), &cat) {
         Ok(streamed) => {
-            let res = streamed.collect_rows(None);
+            let res = streamed.collect_rows();
             let stats = streamed.stats();
             let dir = streamed.spill_dir();
             drop(streamed);
@@ -162,7 +162,7 @@ fn expired_deadline_cancels_cleanly_and_releases_resources() {
     cat.set_deadline(Some(Duration::from_millis(0)));
     match exec::stream(&plan(), &cat) {
         Ok(streamed) => {
-            let err = streamed.collect_rows(None).unwrap_err();
+            let err = streamed.collect_rows().unwrap_err();
             assert!(matches!(err, Error::Cancelled(_)), "{err}");
             assert!(err.to_string().contains("deadline"), "{err}");
             let stats = streamed.stats();
@@ -177,10 +177,7 @@ fn expired_deadline_cancels_cleanly_and_releases_resources() {
     // The same catalog without the deadline still answers (the token is
     // per-execution, not process state).
     cat.set_deadline(None);
-    let rows = exec::stream(&plan(), &cat)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let rows = exec::stream(&plan(), &cat).unwrap().collect_rows().unwrap();
     assert!(!rows.is_empty());
 }
 
@@ -190,7 +187,7 @@ fn cancel_token_stops_a_query_from_another_thread() {
     let streamed = exec::stream(&plan(), &cat).unwrap();
     let token = streamed.cancel_token();
     std::thread::spawn(move || token.cancel()).join().unwrap();
-    let err = streamed.collect_rows(None).unwrap_err();
+    let err = streamed.collect_rows().unwrap_err();
     assert!(matches!(err, Error::Cancelled(_)), "{err}");
     let stats = streamed.stats();
     assert!(stats.cancelled, "{stats:?}");
@@ -228,7 +225,7 @@ fn faults_env_leg_actually_injects() {
         cat.insert("u", u_rel());
         match exec::stream(&plan(), &cat) {
             Ok(streamed) => {
-                let res = streamed.collect_rows(None);
+                let res = streamed.collect_rows();
                 let stats = streamed.stats();
                 injected += stats.faults_injected;
                 retried += stats.retries;

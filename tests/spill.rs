@@ -9,7 +9,6 @@
 //! * hybrid-hash join build spill, including the recursive
 //!   re-partitioning path (skewed keys that refuse to split) and the
 //!   split path (diverse keys);
-//! * external-merge sort and aggregation partial-state spill;
 //! * scoped spill-directory cleanup after completed *and* aborted
 //!   (panicking) executions;
 //! * the CI `mem-budget` leg's no-op guard: when `RELALG_MEM_BUDGET` is
@@ -17,10 +16,7 @@
 //!   must actually spill — so the matrix leg cannot silently degrade
 //!   into a plain re-run of the suite.
 
-use u_relations::relalg::{
-    aggregate_plan_with_stats, col, exec, lit_i64, sort, AggFunc, Aggregate, Catalog, EngineConfig,
-    Plan, Relation, Value,
-};
+use u_relations::relalg::{col, exec, lit_i64, Catalog, EngineConfig, Plan, Relation, Value};
 
 /// A relation big enough that a few-KiB budget forces every breaker to
 /// spill: `n` rows of `(i, i % m, tag)`.
@@ -57,12 +53,12 @@ fn distinct_seen_set_spill_is_byte_identical() {
     // 4000 input rows, revisited in a skewed order.
     let plan = Plan::scan("t").project_names(["g", "v"]).distinct();
     let unbounded = exec::stream(&plan, &cat).unwrap();
-    let want = unbounded.collect_rows(None).unwrap();
+    let want = unbounded.collect_rows().unwrap();
     assert_eq!(unbounded.stats().spill_events, 0);
     for budget in [2048, 512] {
         let c = budgeted(&cat, budget);
         let streamed = exec::stream(&plan, &c).unwrap();
-        let rows = streamed.collect_rows(None).unwrap();
+        let rows = streamed.collect_rows().unwrap();
         assert_eq!(rows, want, "distinct spill diverges at budget {budget}");
         let stats = streamed.stats();
         assert!(stats.spill_events > 0, "expected spills: {stats:?}");
@@ -81,13 +77,10 @@ fn difference_seen_set_spill_is_byte_identical() {
             .select(col("k").lt(lit_i64(100)))
             .project_names(["g"]),
     );
-    let want = exec::stream(&plan, &cat)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let want = exec::stream(&plan, &cat).unwrap().collect_rows().unwrap();
     let c = budgeted(&cat, 1024);
     let streamed = exec::stream(&plan, &c).unwrap();
-    assert_eq!(streamed.collect_rows(None).unwrap(), want);
+    assert_eq!(streamed.collect_rows().unwrap(), want);
     assert!(streamed.stats().spill_events > 0, "{:?}", streamed.stats());
 }
 
@@ -113,20 +106,17 @@ fn join_build_spill_with_recursion_is_byte_identical() {
                 .rename("b"),
             col("p.g").eq(col("b.g")),
         );
-    let want = exec::stream(&plan, &cat)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let want = exec::stream(&plan, &cat).unwrap().collect_rows().unwrap();
     assert!(!want.is_empty());
     let c = budgeted(&cat, 1024);
     let streamed = exec::stream(&plan, &c).unwrap();
-    assert_eq!(streamed.collect_rows(None).unwrap(), want);
+    assert_eq!(streamed.collect_rows().unwrap(), want);
     let stats = streamed.stats();
     // The build spill itself plus recursive re-partitioning events.
     assert!(stats.spill_events > 1, "{stats:?}");
     // Re-pulling the same prepared execution re-probes the same spilled
     // build and must reproduce the result.
-    assert_eq!(streamed.collect_rows(None).unwrap(), want);
+    assert_eq!(streamed.collect_rows().unwrap(), want);
 }
 
 /// Hybrid-hash spill under *key skew*: one key dominates, so its
@@ -153,52 +143,12 @@ fn join_build_spill_with_skewed_keys_hits_depth_cap_and_stays_correct() {
                 .rename("b"),
             col("p.g").eq(col("b.g")),
         );
-    let want = exec::stream(&plan, &cat)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let want = exec::stream(&plan, &cat).unwrap().collect_rows().unwrap();
     assert!(!want.is_empty());
     let c = budgeted(&cat, 512);
     let streamed = exec::stream(&plan, &c).unwrap();
-    assert_eq!(streamed.collect_rows(None).unwrap(), want);
+    assert_eq!(streamed.collect_rows().unwrap(), want);
     assert!(streamed.stats().spill_events > 0, "{:?}", streamed.stats());
-}
-
-#[test]
-fn external_sort_matches_in_memory_stable_sort() {
-    let mut cat = unbounded_catalog();
-    cat.insert("t", big_rel(5000, 23));
-    let plan = Plan::scan("t");
-    // Sort by a low-cardinality key: stability across run boundaries is
-    // load-bearing (equal keys must keep input order).
-    let keys = [(col("g"), sort::Order::Asc)];
-    let want = sort::sort_plan(&plan, &cat, &keys).unwrap();
-    let c = budgeted(&cat, 4096);
-    let (got, stats) = sort::sort_plan_with_stats(&plan, &c, &keys).unwrap();
-    assert_eq!(got, want, "external sort diverges from in-memory sort");
-    assert!(stats.spill_events > 1, "expected several runs: {stats:?}");
-}
-
-#[test]
-fn aggregation_spill_matches_unbounded() {
-    let mut cat = unbounded_catalog();
-    cat.insert("t", big_rel(6000, 500));
-    let plan = Plan::scan("t");
-    let group = [(col("g"), "g".into())];
-    let aggs = [
-        Aggregate::new(AggFunc::CountStar, "n"),
-        Aggregate::new(AggFunc::Sum(col("v")), "s"),
-        Aggregate::new(AggFunc::Min(col("k")), "lo"),
-        Aggregate::new(AggFunc::Max(col("k")), "hi"),
-    ];
-    let (want, base) = aggregate_plan_with_stats(&plan, &cat, &group, &aggs).unwrap();
-    assert_eq!(base.spill_events, 0);
-    for budget in [2048, 512] {
-        let c = budgeted(&cat, budget);
-        let (got, stats) = aggregate_plan_with_stats(&plan, &c, &group, &aggs).unwrap();
-        assert_eq!(got, want, "aggregation spill diverges at budget {budget}");
-        assert!(stats.spill_events > 0, "{stats:?}");
-    }
 }
 
 #[test]
@@ -208,7 +158,7 @@ fn spill_directory_is_removed_after_a_completed_run() {
     let plan = Plan::scan("t").project_names(["g", "v"]).distinct();
     let c = budgeted(&cat, 1024);
     let streamed = exec::stream(&plan, &c).unwrap();
-    let rows = streamed.collect_rows(None).unwrap();
+    let rows = streamed.collect_rows().unwrap();
     assert!(!rows.is_empty());
     let dir = streamed
         .spill_dir()
@@ -315,10 +265,7 @@ fn join_build_budget_charges_are_pinned() {
                 .rename("b"),
             col("p.g").eq(col("b.g")),
         );
-    let want = exec::stream(&plan, &cat)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let want = exec::stream(&plan, &cat).unwrap().collect_rows().unwrap();
     // (budget, build spilled, (buffers, buffered_rows,
     // peak_tracked_bytes, spill_events, spilled_bytes)).
     let pinned = [
@@ -333,7 +280,7 @@ fn join_build_budget_charges_are_pinned() {
     for (budget, spilled, counts) in pinned {
         let c = budgeted(&cat, budget);
         let streamed = exec::stream(&plan, &c).unwrap();
-        assert_eq!(streamed.collect_rows(None).unwrap(), want);
+        assert_eq!(streamed.collect_rows().unwrap(), want);
         assert_eq!(streamed.spilled_build(), spilled, "budget {budget}");
         let s = streamed.stats();
         assert_eq!(
@@ -379,7 +326,7 @@ fn ci_budget_leg_actually_spills() {
     }
     let plan = Plan::scan("t").project_names(["k", "g"]).distinct();
     let streamed = exec::stream(&plan, &cat).unwrap();
-    let n = streamed.collect_rows(None).unwrap().len();
+    let n = streamed.collect_rows().unwrap().len();
     assert!(n > 0);
     let stats = streamed.stats();
     assert!(

@@ -97,9 +97,9 @@ fn null_bearing_segments_survive_range_predicates() {
     let plain = {
         let mut c = storage_catalog(StorageMode::Plain, 16, 8);
         c.insert("t", seg_rel(256));
-        exec::stream(&p, &c).unwrap().collect_rows(None).unwrap()
+        exec::stream(&p, &c).unwrap().collect_rows().unwrap()
     };
-    let seg = exec::stream(&p, &cat).unwrap().collect_rows(None).unwrap();
+    let seg = exec::stream(&p, &cat).unwrap().collect_rows().unwrap();
     assert!(!seg.is_empty());
     assert_eq!(seg, plain);
 }
@@ -133,10 +133,7 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         c
     };
     let plain = build(StorageMode::Plain, 8);
-    let baseline = exec::stream(&plan, &plain)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let baseline = exec::stream(&plan, &plain).unwrap().collect_rows().unwrap();
     assert!(!baseline.is_empty());
     // A 2-slot pool evicts while scanning; a 64-slot one keeps every
     // decoded segment resident. Each runs under the configured memory
@@ -146,10 +143,7 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         for limit in [budget, budget / 4] {
             let mut cat = build(StorageMode::Disk, pool);
             cat.set_mem_budget(limit);
-            let rows = exec::stream(&plan, &cat)
-                .unwrap()
-                .collect_rows(None)
-                .unwrap();
+            let rows = exec::stream(&plan, &cat).unwrap().collect_rows().unwrap();
             assert_eq!(rows, baseline, "disk pool {pool} budget {limit} diverged");
         }
     }
@@ -166,12 +160,12 @@ fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
     let baseline = {
         let mut c = storage_catalog(StorageMode::Plain, 16, 2);
         c.insert("t", seg_rel(320));
-        exec::stream(&p, &c).unwrap().collect_rows(None).unwrap()
+        exec::stream(&p, &c).unwrap().collect_rows().unwrap()
     };
     let mut small = storage_catalog(StorageMode::Disk, 16, 2);
     small.insert("t", seg_rel(320));
     let streamed = exec::stream(&p, &small).unwrap();
-    assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
+    assert_eq!(streamed.collect_rows().unwrap(), baseline);
     let stats = streamed.stats();
     assert!(stats.pages_read > 0, "{stats:?}");
     assert!(
@@ -182,8 +176,8 @@ fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
     let mut large = storage_catalog(StorageMode::Disk, 16, 64);
     large.insert("t", seg_rel(320));
     let warm = exec::stream(&p, &large).unwrap();
-    assert_eq!(warm.collect_rows(None).unwrap(), baseline);
-    assert_eq!(warm.collect_rows(None).unwrap(), baseline);
+    assert_eq!(warm.collect_rows().unwrap(), baseline);
+    assert_eq!(warm.collect_rows().unwrap(), baseline);
     let stats = warm.stats();
     assert!(
         stats.pool_hits >= 20,
@@ -204,12 +198,9 @@ fn disk_provider_evicts_under_a_tiny_cache_and_stays_correct() {
     let p = Plan::scan("t")
         .rename("a")
         .join(Plan::scan("t").rename("s"), col("a.k").eq(col("s.k")));
-    let baseline = exec::stream(&p, &plain)
-        .unwrap()
-        .collect_rows(None)
-        .unwrap();
+    let baseline = exec::stream(&p, &plain).unwrap().collect_rows().unwrap();
     let streamed = exec::stream(&p, &disk).unwrap();
-    let rows = streamed.collect_rows(None).unwrap();
+    let rows = streamed.collect_rows().unwrap();
     assert_eq!(rows, baseline);
     let stats = streamed.stats();
     // The probe side streams all 20 segments; the build side

@@ -109,10 +109,7 @@ fn q3_plan_shape_survives_correlation_aware_estimates() {
             | Plan::Project { input, .. }
             | Plan::Distinct(input)
             | Plan::Rename { input, .. } => check_joins(input, c),
-            Plan::SemiJoin { left, right, .. }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Difference { left, right } => {
+            Plan::Union { left, right } | Plan::Difference { left, right } => {
                 check_joins(left, c);
                 check_joins(right, c);
             }
@@ -217,10 +214,7 @@ fn join_shape(p: &u_relations::relalg::Plan, c: &u_relations::relalg::Catalog) -
             };
             format!("({} {op} {})", join_shape(left, c), join_shape(right, c))
         }
-        Plan::SemiJoin { left, right, .. }
-        | Plan::AntiJoin { left, right, .. }
-        | Plan::Union { left, right }
-        | Plan::Difference { left, right } => {
+        Plan::Union { left, right } | Plan::Difference { left, right } => {
             format!("({} · {})", join_shape(left, c), join_shape(right, c))
         }
     }

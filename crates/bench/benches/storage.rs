@@ -1,14 +1,13 @@
-//! Selective-scan benchmarks for compressed segment storage: the same
-//! predicate over the plain columnar image and over zone-mapped
-//! compressed disk segments, at high and low selectivity, on a
-//! clustered integer column and a dictionary string column. The
-//! `segmented/*` shapes scan a primed disk catalog whose buffer pool
-//! holds all 49 segments, so they price zone skipping plus pool hits,
-//! not page reads: segments should win on the selective shapes (whole
-//! segments skip) and stay competitive on the non-selective ones
-//! (resident decoded segments, then the same vectorized pipeline).
+//! Scan benchmarks for compressed segment storage: the same predicate
+//! over the plain columnar image and over compressed disk segments, at
+//! high and low selectivity, on a sequential integer column, a
+//! dictionary string column and a scrambled integer column. Every disk
+//! scan decodes every segment it reads. The `disk/*` shapes scan a
+//! primed disk catalog whose buffer pool holds all 49 segments, so they
+//! price resident decoded segments under the same vectorized pipeline,
+//! not page reads.
 //!
-//! The cold-vs-warm pair on the unprunable scan: the cold run faults
+//! The cold-vs-warm pair on the scrambled scan: the cold run faults
 //! every segment through a 2-slot buffer pool (page reads + checksum +
 //! decode every iteration), the warm run re-scans with the whole
 //! working set resident in a roomy pool — the spread between the two is
@@ -20,9 +19,8 @@ use urel_relalg::{col, exec, lit_i64, lit_str, Catalog, Plan, Relation, StorageM
 const ROWS: i64 = 200_000;
 const SEG_ROWS: usize = 4 * 1024;
 
-/// `k` sequential (clustered: zone maps prune range predicates), `w` a
-/// 8-word dictionary clustered in long runs, `v` scrambled (zone maps
-/// cannot prune — the decode-everything baseline).
+/// `k` sequential, `w` an 8-word dictionary in long runs, `v`
+/// scrambled.
 fn rel() -> Relation {
     const WORDS: [&str; 8] = [
         "ALGERIA", "BRAZIL", "CANADA", "EGYPT", "FRANCE", "GERMANY", "INDIA", "JAPAN",
@@ -64,23 +62,23 @@ fn bench_selective_scans(c: &mut Criterion) {
     // scan. A 2-slot pool churns on every iteration.
     let warm = storage_catalog(StorageMode::Disk, 64);
     let cold = storage_catalog(StorageMode::Disk, 2);
-    // (name, plan): selectivities over the clustered int column, the
-    // dictionary column, and the unprunable scrambled column.
+    // (name, plan): selectivities over the sequential int column, the
+    // dictionary column, and the scrambled column.
     let shapes: Vec<(&str, Plan)> = vec![
         (
-            "int_hi_sel", // 1% of rows, 1 of 49 segments survives
+            "int_hi_sel", // 1% of rows
             Plan::scan("t").select(col("k").lt(lit_i64(ROWS / 100))),
         ),
         (
-            "int_lo_sel", // 90% of rows: skipping buys little
+            "int_lo_sel", // 90% of rows
             Plan::scan("t").select(col("k").lt(lit_i64(ROWS * 9 / 10))),
         ),
         (
-            "dict_hi_sel", // one word = 1/8 of the clustered runs
+            "dict_hi_sel", // one word = 1/8 of the rows
             Plan::scan("t").select(col("w").eq(lit_str("EGYPT"))),
         ),
         (
-            "scrambled", // zone maps keep every segment
+            "scrambled", // about half the rows, spread over every segment
             Plan::scan("t").select(col("v").lt(lit_i64(500_000))),
         ),
     ];
@@ -88,11 +86,11 @@ fn bench_selective_scans(c: &mut Criterion) {
         group.bench_function(format!("plain/{name}"), |b| {
             b.iter(|| exec::execute(plan, &plain).unwrap().len());
         });
-        group.bench_function(format!("segmented/{name}"), |b| {
+        group.bench_function(format!("disk/{name}"), |b| {
             b.iter(|| exec::execute(plan, &warm).unwrap().len());
         });
     }
-    // Cold vs warm on the unprunable scan (every segment read).
+    // Cold vs warm on the scrambled scan.
     let scan = Plan::scan("t").select(col("v").lt(lit_i64(500_000)));
     group.bench_function("disk_cold/scrambled", |b| {
         b.iter(|| exec::execute(&scan, &cold).unwrap().len());

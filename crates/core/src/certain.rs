@@ -14,8 +14,12 @@
 //! ([`certain_lemma43_relational`]) and directly ([`certain_lemma43`]).
 //! [`certain_exact`] computes exact certain answers on *arbitrary* (not
 //! necessarily normalized) result U-relations by full world-coverage
-//! checking; Lemma 4.3 on the normalized input agrees with it, which the
-//! tests verify.
+//! checking, and is what the `certain` statement serves: normalizing a
+//! multi-way join's result can fuse a component past
+//! [`crate::normalize`]'s domain cap, while coverage runs per tuple.
+//! Lemma 4.3 on the normalized input agrees with it wherever
+//! normalization succeeds, which the differential property suite
+//! verifies.
 
 use crate::algebra::UQuery;
 use crate::error::{Error, Result};
@@ -81,8 +85,11 @@ pub fn certain_lemma43_relational(u: &URelation, w: &WorldTable) -> Result<Relat
         r.extend(row.vals.iter().cloned());
         enc_rows.push(r);
     }
+    // A's columns get positional names: value columns may be qualified
+    // (`s1.a`), and a projection keeps only the bare name.
+    let a: Vec<String> = (0..u.value_cols().len()).map(|i| format!("a{i}")).collect();
     let mut names = vec!["var".to_string(), "rng".to_string()];
-    names.extend(u.value_cols().iter().cloned());
+    names.extend(a.iter().cloned());
     let u_enc = Relation::from_rows(names, enc_rows)?;
 
     // W including the ⊤ row, so always-present tuples qualify.
@@ -98,7 +105,6 @@ pub fn certain_lemma43_relational(u: &URelation, w: &WorldTable) -> Result<Relat
     catalog.insert("u", u_enc);
     catalog.insert("wt", w_enc);
 
-    let a: Vec<String> = u.value_cols().to_vec();
     let var_a: Vec<String> = std::iter::once("var".to_string())
         .chain(a.iter().cloned())
         .collect();
@@ -128,9 +134,8 @@ pub fn certain_lemma43_relational(u: &URelation, w: &WorldTable) -> Result<Relat
         .distinct();
     // The plan tops out in Distinct, so the Arc is freshly built and
     // unwrapping it is free.
-    Ok(std::sync::Arc::unwrap_or_clone(exec::execute(
-        &cert, &catalog,
-    )?))
+    let out = std::sync::Arc::unwrap_or_clone(exec::execute(&cert, &catalog)?);
+    Ok(out.with_schema(Schema::named(u.value_cols()))?)
 }
 
 /// Exact certain answers of an arbitrary result U-relation: a tuple is
@@ -146,17 +151,19 @@ pub fn certain_exact(u: &URelation, w: &WorldTable) -> Result<Relation> {
 }
 
 /// End-to-end certain answers of a logical query: evaluate the translated
-/// query, normalize the result (Algorithm 1), and apply Lemma 4.3.
+/// query, then keep each value tuple whose descriptors cover every world
+/// ([`certain_exact`]).
 ///
-/// Lemma 4.3 is only sound on a result whose descriptors say exactly in
-/// which worlds each row is an answer. Pruned leaves give that under
-/// Proposition 3.3's reduction guarantee — every tuple present in a
-/// world has all of its fields defined there. A *partial* or-set field
-/// (defined in only some worlds) breaks that guarantee, so each relation
-/// that has one ([`UDatabase::partial_relations`]) reads every
-/// attribute instead, and `merge`'s ψ rebuilds the worlds in which its
-/// tuples exist. No world is enumerated, so the answer is exact at any
-/// world count. Each call prepares the database afresh; repeated
+/// The coverage test is only sound on a result whose descriptors say
+/// exactly in which worlds each row is an answer. Pruned leaves give
+/// that under Proposition 3.3's reduction guarantee — every tuple
+/// present in a world has all of its fields defined there. A *partial*
+/// or-set field (defined in only some worlds) breaks that guarantee, so
+/// each relation that has one ([`UDatabase::partial_relations`]) reads
+/// every attribute instead, and `merge`'s ψ rebuilds the worlds in which
+/// its tuples exist. No world is enumerated and no component is fused:
+/// each tuple's coverage recursion runs over that tuple's own
+/// variables. Each call prepares the database afresh; repeated
 /// statements should go through [`crate::PreparedDb::certain`].
 pub fn certain_answers(udb: &UDatabase, q: &UQuery) -> Result<Relation> {
     crate::translate::PreparedDb::new(udb).certain(q)

@@ -416,21 +416,23 @@ impl<'a> PreparedDb<'a> {
 
     /// Certain answers of `Q` through the prepared-statement plan cache
     /// (the serving path for the query surface's `certain` clause):
-    /// evaluate the translated query, normalize (Algorithm 1), and
-    /// apply Lemma 4.3. Relations with partial or-set fields read every
-    /// attribute at their leaves, which keeps Lemma 4.3 exact on them
-    /// (see [`UDatabase::partial_relations`]); which relations those are
-    /// is found on the first exact call and kept for the `PreparedDb`'s
-    /// lifetime. The translated plan is cached; normalization and Lemma
-    /// 4.3 run per call on the result.
+    /// evaluate the translated query, then keep each value tuple whose
+    /// descriptors cover every world ([`crate::certain::certain_exact`]
+    /// — the tuples [`PreparedDb::certain_with_confidence`] reports
+    /// under the exact method). Relations with partial or-set fields
+    /// read every attribute at their leaves, so each row's descriptor
+    /// says exactly in which worlds it is an answer (see
+    /// [`UDatabase::partial_relations`]); which relations those are is
+    /// found on the first exact call and kept for the `PreparedDb`'s
+    /// lifetime. The coverage test runs per tuple over that tuple's
+    /// variables only, so no fused component or world count bounds it.
     pub fn certain(&self, q: &UQuery) -> Result<Relation> {
         // NB: `q` is evaluated exactly as written — an explicit
         // `poss(Q)` wrapper projects descriptors away, making the
         // result deterministic, so its certain answers are the
         // possible answers (the world-expansion oracle pins this).
         let u = self.evaluate_exact(q)?;
-        let normalized = crate::normalize::normalize_urelations(&[&u], &self.udb.world)?;
-        crate::certain::certain_lemma43(&normalized.relations[0], &normalized.world)
+        crate::certain::certain_exact(&u, &self.udb.world)
     }
 
     /// Evaluate `poss(Q)` with a confidence per answer tuple. The query

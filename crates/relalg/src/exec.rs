@@ -129,8 +129,8 @@ pub struct ExecStats {
     /// cursors (0 under plain storage; cumulative over the prepared
     /// execution's lifetime, counted per cursor visit).
     pub segments_scanned: usize,
-    /// Storage segments skipped outright because a zone map refuted a
-    /// sargable scan predicate (cumulative, like `segments_scanned`).
+    /// Always 0: scans read every segment. Kept only for the
+    /// benchmark's trace, which still reports it.
     pub segments_skipped: usize,
     /// Approximate bytes materialized by fresh segment decodes
     /// (buffer-pool hits add nothing, so this measures pool-miss
@@ -195,14 +195,13 @@ struct Counters {
     cancel: Arc<CancelToken>,
 }
 
-/// Segment traffic of one execution: scans, zone-map skips, and the
+/// Segment traffic of one execution: segments scanned, and the
 /// provider-side I/O tallies (bytes decoded, pages read, buffer-pool
 /// hits/misses), cumulative over the execution's lifetime (like spill
 /// counters).
 #[derive(Default)]
 struct SegCounters {
     scanned: AtomicUsize,
-    skipped: AtomicUsize,
     io: IoCounters,
 }
 
@@ -308,7 +307,7 @@ impl Counters {
             spill_events: self.spill.events(),
             spilled_bytes: self.spill.spilled_bytes(),
             segments_scanned: self.seg.scanned.load(AtomicOrdering::Relaxed),
-            segments_skipped: self.seg.skipped.load(AtomicOrdering::Relaxed),
+            segments_skipped: 0,
             decoded_bytes: self.seg.io.decoded_bytes.load(AtomicOrdering::Relaxed),
             pages_read: self.seg.io.pages_read.load(AtomicOrdering::Relaxed),
             pool_hits: self.seg.io.pool_hits.load(AtomicOrdering::Relaxed),
@@ -456,22 +455,11 @@ impl Streamed {
 // Physical operators
 // ---------------------------------------------------------------------------
 
-/// A materialized scan input plus, under disk storage, the scan's
-/// storage seam: the provider serving decoded segments and the sargable
-/// conjuncts (pushed down from the fusing `Filter` above) whose zone-map
-/// refutation lets whole segments be skipped.
+/// A materialized scan input plus, under disk storage, the provider
+/// serving the scan's decoded segments.
 struct SourceNode {
     rel: Arc<Relation>,
-    scan: Option<SegScan>,
-}
-
-/// One scan's view of disk storage.
-struct SegScan {
-    provider: DiskImageProvider,
-    /// `(column, op, literal)` conjuncts of the filter directly above
-    /// the scan; *copies* — the filter still evaluates them per row, so
-    /// zone pruning only ever has to be conservative, never exact.
-    zone_preds: Vec<(usize, CmpOp, Value)>,
+    scan: Option<DiskImageProvider>,
 }
 
 impl SourceNode {
@@ -492,10 +480,7 @@ impl SourceNode {
         );
         Ok(SourceNode {
             rel,
-            scan: Some(SegScan {
-                provider,
-                zone_preds: Vec::new(),
-            }),
+            scan: Some(provider),
         })
     }
 
@@ -509,8 +494,8 @@ impl SourceNode {
     /// provider-served segments under disk storage.
     fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
         match &self.scan {
-            Some(scan) => BCursor::SegSource {
-                scan,
+            Some(provider) => BCursor::SegSource {
+                provider,
                 pos: 0,
                 end: self.rel.len(),
                 cur: None,
@@ -522,30 +507,6 @@ impl SourceNode {
                 end: self.rel.len(),
             },
         }
-    }
-}
-
-/// Hand a filter's sargable conjuncts to a directly-scanned disk
-/// source as zone predicates. They are *copies*: the filter still
-/// applies them row-by-row, the scan merely gains a license to skip
-/// segments whose zone maps prove no row can match. Re-run after each
-/// σ-fusion, so the scan always holds the full fused conjunction's
-/// sargable subset.
-fn attach_zone_preds(node: Node) -> Node {
-    match node {
-        Node::Filter { mut input, preds } => {
-            if let Node::Source(src) = input.as_mut() {
-                if let Some(scan) = src.scan.as_mut() {
-                    let mut zone = Vec::new();
-                    for p in &preds {
-                        p.collect_sargable(&mut zone);
-                    }
-                    scan.zone_preds = zone;
-                }
-            }
-            Node::Filter { input, preds }
-        }
-        other => other,
     }
 }
 
@@ -958,7 +919,7 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                     preds: vec![compiled],
                 },
             };
-            Ok((attach_zone_preds(node), schema))
+            Ok((node, schema))
         }
         Plan::Project { input, cols } => {
             let (node, schema) = prepare(input, ctx)?;
@@ -1337,11 +1298,9 @@ enum BCursor<'a> {
     },
     /// Chunked scan over `[pos, end)` of a relation's disk image:
     /// batches come from provider-decoded segments ([`BatchCol::Shared`]
-    /// columns, so eviction can't invalidate an in-flight batch), and
-    /// segments whose zone maps refute one of the scan's sargable
-    /// predicates are skipped without decoding.
+    /// columns, so eviction can't invalidate an in-flight batch).
     SegSource {
-        scan: &'a SegScan,
+        provider: &'a DiskImageProvider,
         pos: usize,
         end: usize,
         /// The decoded segment `pos` currently reads from.
@@ -1682,34 +1641,21 @@ impl<'a> BCursor<'a> {
                 Some(b)
             }
             BCursor::SegSource {
-                scan,
+                provider,
                 pos,
                 end,
                 cur,
                 counters,
-            } => loop {
+            } => {
                 if *pos >= *end {
                     return None;
                 }
-                let provider = &scan.provider;
                 let seg = *pos / provider.seg_rows();
                 let seg_end = ((seg + 1) * provider.seg_rows()).min(*end);
                 let have = cur
                     .as_ref()
                     .is_some_and(|d| d.start <= *pos && *pos < d.start + d.len);
                 if !have {
-                    // Fresh segment: consult the zone maps before paying
-                    // for a decode (or, under disk storage, a read).
-                    let refuted = scan
-                        .zone_preds
-                        .iter()
-                        .any(|(c, op, lit)| !provider.zone(*c, seg).may_match(*op, lit));
-                    if refuted {
-                        counters.seg.skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                        *pos = seg_end;
-                        *cur = None;
-                        continue;
-                    }
                     *cur = Some(fault::rethrow(provider.segment(seg, &counters.seg.io)));
                     counters.seg.scanned.fetch_add(1, AtomicOrdering::Relaxed);
                 }
@@ -1724,8 +1670,8 @@ impl<'a> BCursor<'a> {
                     })
                     .collect();
                 *pos += take;
-                return Some(ColumnBatch { cols, len: take });
-            },
+                Some(ColumnBatch { cols, len: take })
+            }
             BCursor::NestedLoop {
                 node,
                 outer,

@@ -10,11 +10,14 @@
 //! ([`crate::exec::predicted_buffers`]), which matches the runtime
 //! [`crate::exec::ExecStats::buffers`]: a fully pipelined plan reads
 //! `0 intermediate row buffer(s)`.
+//! The text is the same under plain and disk storage: rendering reads
+//! only plan and statistics, never a disk image.
 //! [`explain_executed`] additionally runs the plan and appends the
-//! observed batch count and mean batch fill.
+//! observed batch count and mean batch fill, plus segment and
+//! buffer-pool traffic when a scan read from disk.
 
 use crate::batch::BATCH_SIZE;
-use crate::catalog::{Catalog, StorageMode};
+use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::exec::{predicted_buffers_with, JoinCondition, PlanFacts};
 use crate::expr::Expr;
@@ -65,11 +68,11 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
             stats.spill_events, stats.spilled_bytes, stats.peak_tracked_bytes
         );
     }
-    if stats.segments_scanned + stats.segments_skipped > 0 {
+    if stats.segments_scanned > 0 {
         let _ = writeln!(
             out,
-            "-- segments: {} scanned, {} skipped, ~{} byte(s) decoded",
-            stats.segments_scanned, stats.segments_skipped, stats.decoded_bytes
+            "-- segments: {} scanned, ~{} byte(s) decoded",
+            stats.segments_scanned, stats.decoded_bytes
         );
     }
     if stats.pages_read + stats.pool_hits + stats.pool_misses > 0 {
@@ -172,72 +175,20 @@ fn side_label(side: &Plan) -> &'static str {
     }
 }
 
-/// The ` [seg K/M]` / ` [seg M]` annotation of a disk-storage scan: `M`
-/// segments total, of which `K` survive zone-map pruning under the
-/// filter directly above the scan (`K/` omitted when no conjunct is
-/// sargable). Zone maps come from the relation's disk image — the
-/// manifest of a disk-native relation, else the scratch store its
-/// first scan writes — so no page file is read just to EXPLAIN. Empty
-/// string under plain storage, for an empty relation, or when the
-/// scratch write fails (the scan itself then reports the error).
-fn seg_tag(name: &str, catalog: &Catalog, zone_pred: Option<&Expr>) -> String {
-    if catalog.config().storage == StorageMode::Plain {
-        return String::new();
-    }
-    let Ok(rel) = catalog.get(name) else {
-        return String::new();
-    };
-    if rel.is_empty() {
-        return String::new();
-    }
-    let Ok(img) = rel.disk_image(catalog.config().segment_rows) else {
-        return String::new();
-    };
-    let mut zone = Vec::new();
-    if let Some(compiled) = zone_pred.and_then(|p| p.compile(rel.schema()).ok()) {
-        compiled.collect_sargable(&mut zone);
-    }
-    let total = img.seg_count();
-    if zone.is_empty() {
-        return format!(" [seg {total}]");
-    }
-    let kept = (0..total)
-        .filter(|&s| {
-            zone.iter()
-                .all(|(c, op, lit)| img.zone(*c, s).may_match(*op, lit))
-        })
-        .count();
-    format!(" [seg {kept}/{total}]")
-}
-
 fn render(plan: &Plan, facts: &PlanFacts<'_>, depth: usize, out: &mut String) {
-    render_zone(plan, facts, depth, out, None);
-}
-
-/// [`render`] with the filter predicate directly above the node, so a
-/// scan can report its zone-map pruning prospects.
-fn render_zone(
-    plan: &Plan,
-    facts: &PlanFacts<'_>,
-    depth: usize,
-    out: &mut String,
-    zone_pred: Option<&Expr>,
-) {
     indent(depth, out);
-    let catalog = facts.catalog;
     let rows = facts.rows(plan);
     let tag = ENGINE_TAG;
     match plan {
         Plan::Scan(name) => {
-            let seg = seg_tag(name, catalog, zone_pred);
-            let _ = writeln!(out, "Seq Scan on {name}  (rows={rows:.0}) {tag}{seg}");
+            let _ = writeln!(out, "Seq Scan on {name}  (rows={rows:.0}) {tag}");
         }
         Plan::Values(rel) => {
             let _ = writeln!(out, "Values  (rows={}) {tag}", rel.len());
         }
         Plan::Select { input, pred } => {
             let _ = writeln!(out, "Filter: {pred}  (rows≈{rows:.0}) [pipelined] {tag}");
-            render_zone(input, facts, depth + 1, out, Some(pred));
+            render(input, facts, depth + 1, out);
         }
         Plan::Project { input, cols } => {
             let names: Vec<String> = cols.iter().map(|(_, n)| n.to_string()).collect();
@@ -491,53 +442,6 @@ mod tests {
         c.set_mem_budget(64 << 20);
         let text = explain(&p, &c);
         assert!(!text.contains("[spill]"), "{text}");
-    }
-
-    #[test]
-    fn explain_tags_segmented_scans_with_zone_pruning() {
-        let mut c = Catalog::new();
-        c.set_storage(StorageMode::Disk);
-        c.set_segment_layout(4, 2);
-        c.insert(
-            "t",
-            Relation::from_rows(
-                ["a"],
-                (0..16i64).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
-            )
-            .unwrap(),
-        );
-        // Bare scan: total segment count only.
-        let text = explain(&Plan::scan("t"), &c);
-        assert!(
-            text.contains("Seq Scan on t  (rows=16) [batched] [seg 4]"),
-            "{text}"
-        );
-        // A selective sargable filter prunes: rows 0..4 live in segment
-        // 0 of 4.
-        let p = Plan::scan("t").select(col("a").lt(lit_i64(4)));
-        let text = explain(&p, &c);
-        assert!(text.contains("[seg 1/4]"), "{text}");
-        // The executed report keeps the plan text and counts actual
-        // segment traffic, plus the pool traffic of the one surviving
-        // segment of a fresh image — a single-column block, one page
-        // read.
-        let executed = explain_executed(&p, &c).unwrap();
-        assert!(executed.starts_with(&text), "{executed}");
-        assert!(
-            executed.contains("-- segments: 1 scanned, 3 skipped"),
-            "{executed}"
-        );
-        assert!(
-            executed.contains("-- buffer pool: 0 hit(s) / 1 miss(es), 1 page(s) read"),
-            "{executed}"
-        );
-        // Plain storage: no seg annotations or storage footers anywhere.
-        let mut plain = c.clone();
-        plain.set_storage(StorageMode::Plain);
-        let text = explain_executed(&p, &plain).unwrap();
-        assert!(!text.contains("[seg"), "{text}");
-        assert!(!text.contains("-- segments:"), "{text}");
-        assert!(!text.contains("-- buffer pool:"), "{text}");
     }
 
     #[test]

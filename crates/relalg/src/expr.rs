@@ -619,33 +619,6 @@ impl CompiledExpr {
             .collect();
         BatchCol::Owned(Arc::new(Column::from_values(vals)))
     }
-
-    /// The `(column, op, literal)` form of a sargable comparison —
-    /// `Col op Lit` either way around — or `None` for anything else.
-    /// Zone-map skipping keys off this: a conjunct in this shape can
-    /// refute whole storage segments from their min/max bounds alone.
-    pub fn sargable(&self) -> Option<(usize, CmpOp, Value)> {
-        match self {
-            CompiledExpr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
-                (CompiledExpr::Col(i), CompiledExpr::Lit(v)) => Some((*i, *op, v.clone())),
-                (CompiledExpr::Lit(v), CompiledExpr::Col(i)) => Some((*i, op.flipped(), v.clone())),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Collect the sargable conjuncts of this predicate into `out`,
-    /// looking through top-level `AND`s (a row must satisfy every
-    /// conjunct, so each sargable one independently licenses zone-map
-    /// pruning — even in unoptimized plans where conjunctions haven't
-    /// been split into separate selections yet).
-    pub fn collect_sargable(&self, out: &mut Vec<(usize, CmpOp, Value)>) {
-        match self {
-            CompiledExpr::And(parts) => parts.iter().for_each(|p| p.collect_sargable(out)),
-            other => out.extend(other.sargable()),
-        }
-    }
 }
 
 /// Integer access to a batch column, resolved once per kernel call.

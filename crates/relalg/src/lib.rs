@@ -31,12 +31,11 @@
 //!   byte-identical to unbounded execution and run files in a scoped
 //!   temp directory cleaned on drop. Base tables can live as
 //!   **compressed column segments** ([`segment`]) — dictionary-coded
-//!   strings and frame-of-reference bit-packed integers with
-//!   per-segment zone maps — in checksummed page files on disk
-//!   ([`store`]), leased through one clock-eviction [`BufferPool`]
-//!   shared across relations (`RELALG_STORAGE` /
-//!   [`Catalog::set_storage`]); scans skip whole segments whose zone
-//!   maps refute a sargable predicate. The
+//!   strings and frame-of-reference bit-packed integers — in
+//!   checksummed page files on disk ([`store`]), leased through one
+//!   clock-eviction [`BufferPool`] shared across relations
+//!   (`RELALG_STORAGE` / [`Catalog::set_storage`]); a disk scan reads
+//!   every segment, and its output equals the plain scan's. The
 //!   retained operator-at-a-time engine
 //!   ([`exec::execute_reference`]) is the differential baseline;
 //! * [`optimizer::optimize`] — conjunct splitting, selection pushdown,
@@ -80,7 +79,6 @@ pub use fault::{CancelToken, FaultConfig, FaultInjector, FaultKind, FaultKinds};
 pub use plan::Plan;
 pub use relation::{Column, ColumnarImage, NullMask, Relation, Row};
 pub use schema::{ColRef, Schema};
-pub use segment::ZoneMap;
 pub use spill::{MemBudget, SpillCtx};
 pub use store::{BufferPool, DiskImage, DiskImageProvider, DiskTableWriter, IoCounters};
 pub use value::Value;

@@ -863,7 +863,7 @@ fn selectivity(
 /// Selectivity of a normalized `col op literal` conjunct (literal-first
 /// comparisons arrive here with `op` already flipped). Equality divides
 /// by the distinct count; ranges interpolate within the column's known
-/// integer bounds (zone-map min/max folded into [`TableStats`]) and fall
+/// integer bounds (the min/max of [`TableStats`]) and fall
 /// back to the flat 1/3 guess when no bounds are known.
 #[allow(clippy::too_many_arguments)]
 fn col_lit_selectivity(
@@ -916,9 +916,8 @@ fn range_fraction(op: CmpOp, k: i64, lo: i64, hi: i64) -> f64 {
 }
 
 /// Integer min/max of a plan output column, traced through the
-/// operators down to base-table statistics (folded from the zone maps
-/// by the writer of a disk-native relation, else from the columnar
-/// image).
+/// operators down to base-table statistics (accumulated by the writer
+/// of a disk-native relation, else computed from the columnar image).
 /// `None` when the column is not integer-typed or has no known bounds;
 /// selections deliberately pass bounds through unchanged — a superset
 /// range only makes the interpolation conservative.

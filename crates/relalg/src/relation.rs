@@ -19,8 +19,8 @@ pub type Row = Box<[Value]>;
 
 /// Null/validity bitmap for the nullable typed columns
 /// ([`Column::IntN`], [`Column::StrN`]): one bit per row, set when the
-/// row is `Null`. The count is cached — segment zone maps and batch
-/// kernels read it constantly.
+/// row is `Null`. The count is cached — batch kernels read it
+/// constantly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NullMask {
     /// Bit `i` set ⇔ row `i` is null.

@@ -1,5 +1,4 @@
-//! Compressed column segments with zone maps — the encoding under the
-//! disk store.
+//! Compressed column segments — the encoding under the disk store.
 //!
 //! The store ([`crate::store`]) splits each relation column into
 //! fixed-size segments (default 64Ki rows, `RELALG_SEGMENT_ROWS`) and
@@ -14,84 +13,17 @@
 //! * anything else — and dictionaries not worth their overhead — falls
 //!   back to the plain column representation ([`SegEncoding::Plain`]).
 //!
-//! Every (column, segment) pair carries a [`ZoneMap`] (min/max, null
-//! count, exact per-segment NDV). Scans consult zone maps to skip whole
-//! segments for sargable predicates before decoding anything; the
-//! store's writer folds the same min/max into the relation's
-//! [`crate::stats::TableStats`]. Decoding a segment reproduces a
+//! Scans decode every segment they visit; no per-segment summary is
+//! kept. Decoding a segment reproduces a
 //! [`Column`] whose values hash and compare identically to the plain
 //! image's — disk execution is byte-for-byte the same as plain
 //! execution.
 
-use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::relation::{Column, NullMask};
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Per-(column, segment) summary statistics: the min/max bounds under
-/// the total [`Value`] order (`Null < Bool < Int < Str` — a segment
-/// containing nulls has `min == Null`), the null count, and the exact
-/// number of distinct values in the segment.
-#[derive(Clone, Debug)]
-pub struct ZoneMap {
-    /// Smallest value in the segment (under the total `Value` order).
-    pub min: Value,
-    /// Largest value in the segment.
-    pub max: Value,
-    /// Number of nulls in the segment.
-    pub null_count: usize,
-    /// Distinct values in the segment (exact; segments are small).
-    pub ndv: usize,
-}
-
-impl ZoneMap {
-    /// Summarize a non-empty slice of values.
-    fn of(vals: &[Value]) -> ZoneMap {
-        debug_assert!(!vals.is_empty());
-        let mut min = &vals[0];
-        let mut max = &vals[0];
-        let mut null_count = 0usize;
-        let mut distinct: FxHashSet<u64> = FxHashSet::default();
-        for v in vals {
-            if *v < *min {
-                min = v;
-            }
-            if *v > *max {
-                max = v;
-            }
-            if v.is_null() {
-                null_count += 1;
-            }
-            distinct.insert(value_digest(v));
-        }
-        ZoneMap {
-            min: min.clone(),
-            max: max.clone(),
-            null_count,
-            ndv: distinct.len(),
-        }
-    }
-
-    /// Can *any* row of a segment with these bounds satisfy
-    /// `row_value op lit`? `false` means the whole segment is provably
-    /// predicate-free and a scan may skip it without decoding. The test
-    /// is conservative under the total cross-type `Value` order, so it
-    /// stays sound for null-padded and mixed segments (a segment holding
-    /// nulls has `min == Null < Int`, which keeps e.g. `< k` segments
-    /// alive — the filter above the scan still decides per row).
-    pub fn may_match(&self, op: crate::expr::CmpOp, lit: &Value) -> bool {
-        use crate::expr::CmpOp;
-        match op {
-            CmpOp::Eq => self.min <= *lit && *lit <= self.max,
-            CmpOp::Ne => !(self.min == self.max && self.min == *lit),
-            CmpOp::Lt => self.min < *lit,
-            CmpOp::Le => self.min <= *lit,
-            CmpOp::Gt => self.max > *lit,
-            CmpOp::Ge => self.max >= *lit,
-        }
-    }
-}
 
 /// The physical encoding of one column segment.
 #[derive(Clone, Debug)]
@@ -128,11 +60,10 @@ pub enum SegEncoding {
     Plain(Arc<Column>),
 }
 
-/// One encoded column segment plus its zone map.
+/// One encoded column segment.
 #[derive(Clone, Debug)]
 pub struct ColumnSegment {
     rows: usize,
-    zone: ZoneMap,
     enc: SegEncoding,
 }
 
@@ -140,44 +71,35 @@ impl ColumnSegment {
     /// Encode a non-empty run of values.
     pub fn encode(vals: Vec<Value>) -> ColumnSegment {
         let rows = vals.len();
-        let zone = ZoneMap::of(&vals);
+        let nulls = vals.iter().filter(|v| v.is_null()).count();
         let ints = vals.iter().filter(|v| matches!(v, Value::Int(_))).count();
         let strs = vals.iter().filter(|v| matches!(v, Value::Str(_))).count();
-        if ints > 0 && ints + zone.null_count == rows {
+        if ints > 0 && ints + nulls == rows {
             return ColumnSegment {
                 rows,
                 enc: encode_for_int(&vals),
-                zone,
             };
         }
-        if strs > 0 && strs + zone.null_count == rows {
-            if let Some(enc) = encode_dict_str(&vals, &zone) {
-                return ColumnSegment { rows, zone, enc };
+        if strs > 0 && strs + nulls == rows {
+            if let Some(enc) = encode_dict_str(&vals) {
+                return ColumnSegment { rows, enc };
             }
         }
         ColumnSegment {
             rows,
-            zone,
             enc: SegEncoding::Plain(Arc::new(Column::from_values(vals))),
         }
     }
 
     /// Reassemble a segment from its parts — the disk codec's
-    /// deserialization entry point. The caller is responsible for the
-    /// parts being mutually consistent (the on-disk format stores the
-    /// zone map next to the encoding it summarizes).
-    pub(crate) fn from_parts(rows: usize, zone: ZoneMap, enc: SegEncoding) -> ColumnSegment {
-        ColumnSegment { rows, zone, enc }
+    /// deserialization entry point.
+    pub(crate) fn from_parts(rows: usize, enc: SegEncoding) -> ColumnSegment {
+        ColumnSegment { rows, enc }
     }
 
     /// Number of rows in the segment.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// The segment's zone map.
-    pub fn zone(&self) -> &ZoneMap {
-        &self.zone
     }
 
     /// The segment's encoding.
@@ -271,7 +193,7 @@ fn encode_for_int(vals: &[Value]) -> SegEncoding {
 
 /// Dictionary-encode a string segment, or `None` when the dictionary
 /// would not pay for itself (more than half the rows are distinct).
-fn encode_dict_str(vals: &[Value], zone: &ZoneMap) -> Option<SegEncoding> {
+fn encode_dict_str(vals: &[Value]) -> Option<SegEncoding> {
     let mut codes_by_str: FxHashMap<Arc<str>, u64> = FxHashMap::default();
     let mut dict: Vec<Arc<str>> = Vec::new();
     let mut nulls = None;
@@ -296,7 +218,6 @@ fn encode_dict_str(vals: &[Value], zone: &ZoneMap) -> Option<SegEncoding> {
     if dict.len() * 2 > vals.len() {
         return None; // mostly-unique strings: plain is cheaper
     }
-    debug_assert_eq!(dict.len(), zone.ndv - usize::from(zone.null_count > 0));
     let width = bits_for(dict.len() as u64 - 1);
     Some(SegEncoding::DictStr {
         dict: dict.into(),
@@ -382,7 +303,6 @@ pub(crate) fn value_digest(v: &Value) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
     use crate::relation::Relation;
     use crate::store::IoCounters;
     use crate::value::intern;
@@ -406,10 +326,6 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(col.get(i), *v);
         }
-        assert_eq!(seg.zone().min, Value::Int(1000));
-        assert_eq!(seg.zone().max, Value::Int(1006));
-        assert_eq!(seg.zone().ndv, 7);
-        assert_eq!(seg.zone().null_count, 0);
     }
 
     #[test]
@@ -449,9 +365,13 @@ mod tests {
             Value::Int(9),
         ];
         let (seg, col) = roundtrip(vals.clone());
-        assert_eq!(seg.zone().null_count, 2);
-        assert_eq!(seg.zone().min, Value::Null); // Null < Int
-        assert_eq!(seg.zone().max, Value::Int(9));
+        let SegEncoding::ForInt {
+            nulls: Some(mask), ..
+        } = seg.encoding()
+        else {
+            panic!("nullable ints encode as FOR with a null mask");
+        };
+        assert_eq!(mask.null_count(), 2);
         assert!(matches!(col.as_ref(), Column::IntN(..)));
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(col.get(i), *v);
@@ -477,7 +397,6 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(col.get(i), *v);
         }
-        assert_eq!(seg.zone().ndv, 3);
     }
 
     #[test]
@@ -498,8 +417,6 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(col.get(i), *v);
         }
-        assert_eq!(seg.zone().min, Value::Null);
-        assert_eq!(seg.zone().max, Value::Int(1));
     }
 
     #[test]
@@ -533,51 +450,6 @@ mod tests {
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(unpack_at(&packed, 64, i), v);
         }
-    }
-
-    #[test]
-    fn zone_maps_prune_exactly_the_impossible_ranges() {
-        let z = ZoneMap {
-            min: Value::Int(10),
-            max: Value::Int(20),
-            null_count: 0,
-            ndv: 11,
-        };
-        assert!(z.may_match(CmpOp::Eq, &Value::Int(15)));
-        assert!(!z.may_match(CmpOp::Eq, &Value::Int(9)));
-        assert!(!z.may_match(CmpOp::Eq, &Value::Int(21)));
-        assert!(!z.may_match(CmpOp::Lt, &Value::Int(10)));
-        assert!(z.may_match(CmpOp::Lt, &Value::Int(11)));
-        assert!(z.may_match(CmpOp::Le, &Value::Int(10)));
-        assert!(!z.may_match(CmpOp::Le, &Value::Int(9)));
-        assert!(!z.may_match(CmpOp::Gt, &Value::Int(20)));
-        assert!(z.may_match(CmpOp::Gt, &Value::Int(19)));
-        assert!(z.may_match(CmpOp::Ge, &Value::Int(20)));
-        assert!(!z.may_match(CmpOp::Ge, &Value::Int(21)));
-        assert!(z.may_match(CmpOp::Ne, &Value::Int(15)));
-        // Ne only prunes constant segments equal to the literal.
-        let konst = ZoneMap {
-            min: Value::Int(5),
-            max: Value::Int(5),
-            null_count: 0,
-            ndv: 1,
-        };
-        assert!(!konst.may_match(CmpOp::Ne, &Value::Int(5)));
-        assert!(konst.may_match(CmpOp::Ne, &Value::Int(6)));
-        // A null-bearing segment has min == Null < any Int: `< k` never
-        // prunes it (the nulls might... not match, but pruning must be
-        // sound, and the filter above decides).
-        let padded = ZoneMap {
-            min: Value::Null,
-            max: Value::Int(3),
-            null_count: 1,
-            ndv: 2,
-        };
-        assert!(padded.may_match(CmpOp::Lt, &Value::Int(0)));
-        // Cross-type: strings sort above ints, so `> "a"` prunes an
-        // all-int segment.
-        assert!(!z.may_match(CmpOp::Gt, &Value::str("a")));
-        assert!(z.may_match(CmpOp::Lt, &Value::str("a")));
     }
 
     #[test]
@@ -621,13 +493,6 @@ mod tests {
             st.minmax[1],
             Some((Value::Str(intern("green")), Value::Str(intern("red"))))
         );
-        // Zone maps cover each segment's own range: segment 0 holds
-        // rows 0..8, whose values are 0..=7.
-        assert_eq!(img.zone(0, 0).min, Value::Int(0));
-        assert_eq!(img.zone(0, 0).max, Value::Int(7));
-        // The last segment holds only row 24 (value 4).
-        assert_eq!(img.zone(0, 3).min, Value::Int(4));
-        assert_eq!(img.zone(0, 3).max, Value::Int(4));
         assert!(io.decoded_bytes.load(Ordering::Relaxed) > 0);
     }
 

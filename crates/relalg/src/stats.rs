@@ -23,8 +23,8 @@ pub struct TableStats {
     /// planner uses to predict which breakers will spill.
     pub bytes: usize,
     /// Per-column (min, max) bounds under the total `Value` order, or
-    /// `None` for an empty relation. Folded from per-segment zone maps
-    /// by the writer of a disk-native relation; computed directly here
+    /// `None` for an empty relation. Accumulated by the writer of a
+    /// disk-native relation as it streams rows; computed directly here
     /// otherwise. Range-predicate selectivity reads these.
     pub minmax: Vec<Option<(Value, Value)>>,
 }

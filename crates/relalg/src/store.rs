@@ -17,9 +17,7 @@
 //! * **`<name>.manifest`** — magic + version, the segment geometry,
 //!   the exact page-file length, column names, the [`TableStats`] the
 //!   writer accumulated while streaming, and a directory of
-//!   `(offset, len, crc32)` block
-//!   references each paired with its [`ZoneMap`] — zone-map skipping
-//!   works *without touching the page file*. The manifest carries a
+//!   `(offset, len, crc32)` block references. The manifest carries a
 //!   trailing checksum over itself.
 //!
 //! [`DiskImage::open`] validates everything eagerly — magic, version,
@@ -41,7 +39,7 @@
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector, FaultKind};
 use crate::relation::{Column, NullMask, Row};
-use crate::segment::{value_digest, ColumnSegment, DecodedSegment, SegEncoding, ZoneMap};
+use crate::segment::{value_digest, ColumnSegment, DecodedSegment, SegEncoding};
 use crate::stats::TableStats;
 use crate::value::{intern, Value};
 use std::fmt::Debug;
@@ -59,9 +57,9 @@ pub const PAGE: usize = 4096;
 /// Manifest magic ("U-relation segments"); [`VERSION`] follows it.
 const MAGIC: &[u8; 8] = b"URELSEG1";
 
-/// Manifest format version (2: the statistics carry no joint
-/// adjacent-pair distinct counts).
-const VERSION: u32 = 2;
+/// Manifest format version (3: the block directory carries no
+/// per-segment zone maps).
+const VERSION: u32 = 3;
 
 /// Storage-side counters shared by every cursor of one execution:
 /// bytes materialized by fresh decodes, pages read from segment files,
@@ -305,8 +303,7 @@ const BLOCK_FOR_INT: u8 = 1;
 const BLOCK_DICT_STR: u8 = 2;
 const BLOCK_PLAIN: u8 = 3;
 
-/// Serialize one encoded segment into block bytes (no zone map — that
-/// lives in the manifest directory next to the block reference).
+/// Serialize one encoded segment into block bytes.
 fn encode_block(seg: &ColumnSegment) -> Vec<u8> {
     let mut e = Enc::default();
     let rows = seg.rows();
@@ -351,11 +348,11 @@ fn encode_block(seg: &ColumnSegment) -> Vec<u8> {
     e.buf
 }
 
-/// Parse block bytes back into an encoded segment. `rows` and `zone`
-/// come from the manifest directory; the block's own row count must
+/// Parse block bytes back into an encoded segment. `rows` comes from
+/// the manifest's geometry; the block's own row count must
 /// agree (a stale manifest over a rewritten page file fails here even
 /// if both checksums individually hold).
-fn decode_block(bytes: &[u8], rows: usize, zone: &ZoneMap, what: &str) -> Result<ColumnSegment> {
+fn decode_block(bytes: &[u8], rows: usize, what: &str) -> Result<ColumnSegment> {
     let mut d = Dec::new(bytes, what);
     let tag = d.u8()?;
     let block_rows = d.u32()? as usize;
@@ -428,7 +425,7 @@ fn decode_block(bytes: &[u8], rows: usize, zone: &ZoneMap, what: &str) -> Result
     if d.pos != bytes.len() {
         return Err(d.fail("trailing garbage after block payload"));
     }
-    Ok(ColumnSegment::from_parts(rows, zone.clone(), enc))
+    Ok(ColumnSegment::from_parts(rows, enc))
 }
 
 /// Read the `idx`-th `width`-bit value out of a packed buffer (bounds
@@ -449,22 +446,6 @@ fn unpack_check(packed: &[u64], width: u8, idx: usize) -> u64 {
         v &= (1u64 << w) - 1;
     }
     v
-}
-
-fn encode_zone(e: &mut Enc, z: &ZoneMap) {
-    e.value(&z.min);
-    e.value(&z.max);
-    e.u64(z.null_count as u64);
-    e.u64(z.ndv as u64);
-}
-
-fn decode_zone(d: &mut Dec<'_>) -> Result<ZoneMap> {
-    Ok(ZoneMap {
-        min: d.value()?,
-        max: d.value()?,
-        null_count: d.u64()? as usize,
-        ndv: d.u64()? as usize,
-    })
 }
 
 fn encode_stats(e: &mut Enc, st: &TableStats) {
@@ -529,7 +510,7 @@ struct BlockRef {
 static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// An opened on-disk relation image: the page-file handle, the parsed
-/// manifest (geometry, names, statistics, zone maps, block directory),
+/// manifest (geometry, names, statistics, block directory),
 /// and a process-unique id that keys this image's segments in the
 /// shared [`BufferPool`].
 ///
@@ -548,9 +529,8 @@ pub struct DiskImage {
     len: usize,
     names: Vec<String>,
     stats: TableStats,
-    /// `dir[col * seg_count + seg]`, same indexing for `zones`.
+    /// `dir[col * seg_count + seg]`.
     dir: Vec<BlockRef>,
-    zones: Vec<ZoneMap>,
     /// When set, dropping the image deletes this whole directory (the
     /// scratch spill of an in-memory relation).
     scratch_dir: Option<PathBuf>,
@@ -640,14 +620,12 @@ impl DiskImage {
             .checked_mul(seg_count)
             .ok_or_else(|| corrupt("directory size overflows"))?;
         let mut dir_entries = Vec::with_capacity(blocks);
-        let mut zones = Vec::with_capacity(blocks);
         for _ in 0..blocks {
             dir_entries.push(BlockRef {
                 offset: d.u64()?,
                 len: d.u64()?,
                 crc: d.u32()?,
             });
-            zones.push(decode_zone(&mut d)?);
         }
         if d.pos != body.len() - MAGIC.len() {
             return Err(corrupt("trailing garbage after directory"));
@@ -675,7 +653,6 @@ impl DiskImage {
             names,
             stats,
             dir: dir_entries,
-            zones,
             scratch_dir: None,
         };
         // Validate every block now: bounds against the real file length,
@@ -709,8 +686,7 @@ impl DiskImage {
         seg: usize,
         fail: impl Fn(&str) -> Error,
     ) -> Result<ColumnSegment> {
-        let idx = col * self.seg_count() + seg;
-        let r = self.dir[idx];
+        let r = self.dir[col * self.seg_count() + seg];
         let mut buf = vec![0u8; r.len as usize];
         self.file.read_exact_at(&mut buf, r.offset).map_err(|e| {
             fail(&format!(
@@ -728,8 +704,7 @@ impl DiskImage {
             "segment block (col {col}, seg {seg}) of `{}`",
             self.seg_path.display()
         );
-        decode_block(&buf, self.seg_bounds(seg).len(), &self.zones[idx], &what)
-            .map_err(|e| fail(&e.to_string()))
+        decode_block(&buf, self.seg_bounds(seg).len(), &what).map_err(|e| fail(&e.to_string()))
     }
 
     /// Rows per segment.
@@ -766,12 +741,6 @@ impl DiskImage {
     /// Column names as written by the relation's writer.
     pub fn names(&self) -> &[String] {
         &self.names
-    }
-
-    /// The zone map of (column `col`, segment `seg`) — served from the
-    /// manifest, no page-file access.
-    pub fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        &self.zones[col * self.seg_count() + seg]
     }
 
     /// The statistics the writer accumulated while streaming.
@@ -898,8 +867,8 @@ impl PageWriter {
 /// Streaming disk-table writer: rows go straight into encoded segment
 /// blocks on disk — neither the row store nor the full encoded image is
 /// ever materialized in memory. Only the current partial segment (at
-/// most `seg_rows` rows per column), the accumulated NDV digest sets
-/// and the block directory are resident. `finish` writes the manifest
+/// most `seg_rows` rows per column), the accumulated NDV digest sets,
+/// the per-column min/max and the block directory are resident. `finish` writes the manifest
 /// and reopens through the validating reader.
 pub struct DiskTableWriter {
     dir: PathBuf,
@@ -913,9 +882,12 @@ pub struct DiskTableWriter {
     len: usize,
     /// Per column, in segment order: flattened, this is the manifest's
     /// column-major block directory.
-    blocks: Vec<Vec<(BlockRef, ZoneMap)>>,
+    blocks: Vec<Vec<BlockRef>>,
     bytes: usize,
     col_digests: Vec<crate::fxhash::FxHashSet<u64>>,
+    /// Per column, the (min, max) of the rows flushed so far under the
+    /// total `Value` order.
+    minmax: Vec<Option<(Value, Value)>>,
 }
 
 impl DiskTableWriter {
@@ -967,6 +939,7 @@ impl DiskTableWriter {
             blocks: vec![Vec::new(); arity],
             bytes: 0,
             col_digests: vec![crate::fxhash::FxHashSet::default(); arity],
+            minmax: vec![None; arity],
         })
     }
 
@@ -1002,9 +975,9 @@ impl DiskTableWriter {
     /// columns of this segment are contiguous in the page file).
     fn flush(&mut self) -> Result<()> {
         for (col, vals) in self.cur.iter_mut().enumerate() {
+            widen(&mut self.minmax[col], vals);
             let seg = ColumnSegment::encode(std::mem::take(vals));
-            let zone = seg.zone().clone();
-            self.blocks[col].push((self.pw.block(&seg)?, zone));
+            self.blocks[col].push(self.pw.block(&seg)?);
         }
         self.in_cur = 0;
         Ok(())
@@ -1030,26 +1003,15 @@ impl DiskTableWriter {
     }
 
     /// Assemble and write the manifest — geometry, names, the streamed
-    /// statistics (min/max folded from the zone maps) and the block
+    /// statistics and the block
     /// directory — then reopen through the validating reader, so a
     /// broken writer can never silently produce an unreadable store.
     fn write_manifest(&self) -> Result<DiskImage> {
-        let minmax = self.blocks.iter().map(|segs| {
-            segs.iter().map(|(_, z)| z).fold(None, |acc, z| {
-                Some(match acc {
-                    None => (z.min.clone(), z.max.clone()),
-                    Some((lo, hi)) => (
-                        if z.min < lo { z.min.clone() } else { lo },
-                        if z.max > hi { z.max.clone() } else { hi },
-                    ),
-                })
-            })
-        });
         let stats = TableStats {
             rows: self.len,
             ndv: self.col_digests.iter().map(|s| s.len().max(1)).collect(),
             bytes: self.bytes,
-            minmax: minmax.collect(),
+            minmax: self.minmax.clone(),
         };
         let mut e = Enc::default();
         e.buf.extend_from_slice(MAGIC);
@@ -1071,17 +1033,37 @@ impl DiskTableWriter {
         }
         encode_stats(&mut e, &stats);
         // Column-major: `[col * seg_count + seg]`.
-        for (r, zone) in self.blocks.iter().flatten() {
+        for r in self.blocks.iter().flatten() {
             e.u64(r.offset);
             e.u64(r.len);
             e.u32(r.crc);
-            encode_zone(&mut e, zone);
         }
         let crc = crc32(&e.buf);
         e.u32(crc);
         let mpath = manifest_path(&self.dir, &self.name);
         fs::write(&mpath, &e.buf).map_err(|e| io_fail("cannot write manifest", &mpath, e))?;
         DiskImage::open_with(&self.dir, &self.name)
+    }
+}
+
+/// Widen `acc` to cover `vals` under the total `Value` order.
+fn widen(acc: &mut Option<(Value, Value)>, vals: &[Value]) {
+    let Some(first) = vals.first() else {
+        return;
+    };
+    let (lo, hi) = vals.iter().fold((first, first), |(lo, hi), v| {
+        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+    });
+    match acc {
+        None => *acc = Some((lo.clone(), hi.clone())),
+        Some((alo, ahi)) => {
+            if lo < alo {
+                *alo = lo.clone();
+            }
+            if hi > ahi {
+                *ahi = hi.clone();
+            }
+        }
     }
 }
 
@@ -1274,11 +1256,10 @@ pub fn pool_for(cap: usize) -> Arc<BufferPool> {
 // DiskImageProvider
 // ---------------------------------------------------------------------------
 
-/// A scan's view of an opened [`DiskImage`]: layout and zone maps come
-/// from the manifest — so a cursor walks segment boundaries and
-/// consults zone maps without decoding — and segment fetches lease
-/// slots from the shared [`BufferPool`]. Created per scan node at
-/// prepare time.
+/// A scan's view of an opened [`DiskImage`]: the layout comes from the
+/// manifest, so a cursor walks segment boundaries without decoding, and
+/// segment fetches lease slots from the shared [`BufferPool`]. Created
+/// per scan node at prepare time.
 pub struct DiskImageProvider {
     image: Arc<DiskImage>,
     pool: Arc<BufferPool>,
@@ -1302,11 +1283,6 @@ impl DiskImageProvider {
     /// Rows per segment (the last segment may be short).
     pub fn seg_rows(&self) -> usize {
         self.image.seg_rows()
-    }
-
-    /// The zone map of (column `col`, segment `seg`).
-    pub fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        self.image.zone(col, seg)
     }
 
     /// A decoded view of segment `seg`, leased from the pool. A miss
@@ -1390,27 +1366,6 @@ mod tests {
             }
         }
         assert!(io.pages_read.load(Ordering::Relaxed) >= img.seg_count() * img.arity());
-        // Zone maps survived the manifest roundtrip: each equals the
-        // zone map of its own segment's values.
-        for col in 0..3 {
-            for seg in 0..img.seg_count() {
-                let vals = r.rows()[img.seg_bounds(seg)]
-                    .iter()
-                    .map(|row| row[col].clone());
-                let want = ColumnSegment::encode(vals.collect()).zone().clone();
-                let got = img.zone(col, seg);
-                assert_eq!(got.min, want.min);
-                assert_eq!(got.max, want.max);
-                assert_eq!(got.null_count, want.null_count);
-                assert_eq!(got.ndv, want.ndv);
-            }
-        }
-        // Segment 0 of `k` holds rows 0..16 (values 0..=15); the last
-        // holds rows 96..100.
-        assert_eq!(img.zone(0, 0).min, Value::Int(0));
-        assert_eq!(img.zone(0, 0).max, Value::Int(15));
-        assert_eq!(img.zone(0, 6).min, Value::Int(96));
-        assert_eq!(img.zone(0, 6).max, Value::Int(99));
         // decode_rows reproduces the row store exactly.
         assert_eq!(img.decode_rows().unwrap(), r.rows());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1724,18 +1679,19 @@ mod tests {
         let mut w = DiskTableWriter::create(&dir, "t", vec!["a".into()], 4).unwrap();
         w.push(&[Value::Int(1)]).unwrap();
         drop(w.finish().unwrap());
-        // Rewrite the version field as 1 and re-seal the checksum, so
-        // only the version is wrong.
+        // Rewrite the version field as 2 (the format whose directory
+        // held per-segment zone maps) and re-seal the checksum, so only
+        // the version is wrong.
         let mpath = manifest_path(&dir, "t");
         let mut bytes = fs::read(&mpath).unwrap();
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
         let body = bytes.len() - 4;
         let crc = crc32(&bytes[..body]);
         bytes[body..].copy_from_slice(&crc.to_le_bytes());
         fs::write(&mpath, &bytes).unwrap();
         let err = DiskImage::open(&dir, "t").unwrap_err().to_string();
         assert!(
-            err.contains("unsupported format version 1 (this build reads 2)"),
+            err.contains("unsupported format version 2 (this build reads 3)"),
             "{err}"
         );
         fs::remove_dir_all(&dir).unwrap();

@@ -31,8 +31,8 @@
 //!    breaker spills, random translated and plain plans must emit
 //!    exactly the unbounded row vector — same rows, same order.
 //!
-//! 5. **Storage modes** — compressed on-disk column segments with
-//!    zone-map skipping must be invisible to query output: the same plan
+//! 5. **Storage modes** — compressed on-disk column segments must be
+//!    invisible to query output: the same plan
 //!    under disk storage with a 2-slot buffer pool that evicts and a
 //!    64-slot one that keeps every decoded segment resident, with 3-row
 //!    segments so even tiny databases cross segment boundaries, must
@@ -49,17 +49,27 @@
 //!    build spilled, they must give the reference engine's rows in its
 //!    order.
 //!
+//! 8. **The paper's certain answers** — on every generated database
+//!    and query, Lemma 4.3 over the normalized exact result (Algorithm
+//!    1), both directly and as the relational `cert` query, equals the
+//!    coverage test the `certain` statement serves, whenever
+//!    normalization succeeds.
+//!
 //! Case counts scale with `PROPTEST_CASES` (the CI differential job
 //! raises it well above the local default); generation is deterministic
 //! per test name, so failures reproduce exactly.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use u_relations::core::certain::certain_answers;
+use u_relations::core::certain::{
+    certain_answers, certain_exact, certain_lemma43, certain_lemma43_relational,
+};
+use u_relations::core::normalize::normalize_urelations;
 use u_relations::core::reduce::reduce;
 use u_relations::core::{
-    expand_answers, oracle_eval, possible, table, table_as, translate, ConfidenceMethod, UDatabase,
-    UQuery, URelation, Var, WorldTable, WsDescriptor,
+    evaluate_with, expand_answers, oracle_eval, possible, table, table_as, translate,
+    ConfidenceMethod, TranslateOptions, UDatabase, UQuery, URelation, Var, WorldTable,
+    WsDescriptor,
 };
 use u_relations::relalg::{
     col, exec, lit, lit_i64, lit_str, optimizer, Catalog, ColRef, Column, Expr, Plan, Relation,
@@ -406,6 +416,58 @@ fn exact_entry_points_match_world_expansion(
             want[t]
         );
     }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
+
+    /// Lemma 4.3 agrees with the serving path's coverage test, on plain
+    /// and on overlapping partitions.
+    #[test]
+    fn lemma43_on_the_normalized_result_matches_certain_exact(
+        db in arb_udb(),
+        overlapping in arb_overlapping_udb(),
+        q in arb_query(),
+    ) {
+        lemma43_matches_certain_exact(&db, &q)?;
+        lemma43_matches_certain_exact(&overlapping, &q)?;
+    }
+}
+
+/// `certain_exact` of `Q`'s exact result (every partition merged, so
+/// each descriptor says exactly where its row is an answer) is what
+/// [`u_relations::core::PreparedDb::certain`] serves, and equals both
+/// Lemma 4.3 implementations on the result's normalization. `Q` is
+/// taken without a top-level `poss`, which would leave no descriptors.
+fn lemma43_matches_certain_exact(db: &UDatabase, q: &UQuery) -> Result<(), TestCaseError> {
+    let inner = match q {
+        UQuery::Poss { input } => input.as_ref(),
+        other => other,
+    };
+    let full = TranslateOptions {
+        prune_partitions: false,
+    };
+    let u = evaluate_with(db, inner, full, true).unwrap();
+    let exact = certain_exact(&u, &db.world).unwrap();
+    let served = db.prepare().certain(inner).unwrap();
+    prop_assert!(
+        served.set_eq(&exact),
+        "certain diverges from certain_exact for {inner:?}\nserved: {served}\nexact: {exact}"
+    );
+    let Ok(n) = normalize_urelations(&[&u], &db.world) else {
+        return Ok(());
+    };
+    let direct = certain_lemma43(&n.relations[0], &n.world).unwrap();
+    let relational = certain_lemma43_relational(&n.relations[0], &n.world).unwrap();
+    prop_assert!(
+        direct.set_eq(&exact),
+        "Lemma 4.3 diverges for {inner:?}\nlemma: {direct}\nexact: {exact}"
+    );
+    prop_assert!(
+        relational.set_eq(&exact),
+        "relational Lemma 4.3 diverges for {inner:?}\nlemma: {relational}\nexact: {exact}"
+    );
     Ok(())
 }
 

@@ -318,3 +318,37 @@ fn possible_confidence_sees_partial_fields() {
     assert_eq!(rows[0].0, vec![Value::Int(7)]);
     assert!((rows[0].1 - 2.0 / 3.0).abs() < 0.01, "{rows:?}");
 }
+
+/// The benchmark's Fig. 12 Q1 text with `certain` in place of
+/// `possible` answers through the text path, with the tuples that
+/// `certain_with_confidence` reports under the exact method.
+#[test]
+fn certain_answers_the_fig12_q1_text() {
+    use std::collections::BTreeSet;
+    use u_relations::core::ConfidenceMethod;
+    use u_relations::relalg::value::date_to_days;
+    use u_relations::tpch::{generate, GenParams};
+    let out = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let prepared = out.db.prepare();
+    let text = format!(
+        "from customer | where c_mktsegment = 'BUILDING' \
+         | join (from orders | where o_orderdate > {}) on c_custkey = o_custkey \
+         | join (from lineitem | where l_shipdate < {}) on o_orderkey = l_orderkey \
+         | select o_orderkey, o_orderdate, o_shippriority | certain",
+        date_to_days(1995, 3, 15),
+        date_to_days(1995, 3, 17)
+    );
+    let lowered = ql::compile(&text).unwrap();
+    let ql::Answers::Plain { rel, .. } = ql::execute(&prepared, &lowered).unwrap() else {
+        panic!("`certain` answers a plain relation");
+    };
+    let got: BTreeSet<Vec<_>> = rel.rows().iter().map(|r| r.to_vec()).collect();
+    let want: BTreeSet<Vec<_>> = prepared
+        .certain_with_confidence(&lowered.query, ConfidenceMethod::Exact)
+        .unwrap()
+        .into_iter()
+        .map(|(t, _)| t)
+        .collect();
+    assert!(!got.is_empty());
+    assert_eq!(got, want);
+}

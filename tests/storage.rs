@@ -4,9 +4,9 @@
 //! on random plans across storage modes; these tests pin the individual
 //! mechanisms on workloads *shaped to exercise them*:
 //!
-//! * zone-map skipping on clustered integer and dictionary-string
-//!   columns, visible through `ExecStats::segments_skipped` (the
-//!   anti-no-op guard: a full scan must skip nothing);
+//! * selective and full disk scans over integer, dictionary-string and
+//!   null-bearing columns answer exactly like plain scans, and every
+//!   scan visits every segment;
 //! * byte-identical output against plain storage across {disk with a
 //!   2-slot pool, disk with a 64-slot pool} × {the configured memory
 //!   budget, a quarter of it} on a multi-operator plan over
@@ -19,12 +19,13 @@
 //!   the suite.
 
 use u_relations::relalg::{
-    col, exec, lit_i64, lit_str, Catalog, EngineConfig, Expr, Plan, Relation, StorageMode, Value,
+    col, exec, lit_i64, lit_str, Catalog, EngineConfig, ExecStats, Expr, Plan, Relation, Row,
+    StorageMode, Value,
 };
 
-/// Rows clustered so zone maps have something to prune: `k` is
-/// sequential, `w` steps through a 4-word dictionary every 64 rows, and
-/// `v` is a scrambled integer with a null every 7th row.
+/// Rows over every segment encoding: `k` is sequential (FOR), `w`
+/// steps through a 4-word dictionary every 64 rows, and `v` is a
+/// scrambled integer with a null every 7th row.
 fn seg_rel(n: i64) -> Relation {
     const WORDS: [&str; 4] = ["AFRICA", "AMERICA", "ASIA", "EUROPE"];
     Relation::from_rows(
@@ -55,53 +56,52 @@ fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize) -> Catalog {
     c
 }
 
+/// `p` over `seg_rel(256)` in 16 segments of 16 rows, under disk and
+/// plain storage: the disk rows (which must equal the plain rows) and
+/// the disk run's statistics.
+fn disk_and_plain(p: &Plan) -> (Vec<Row>, ExecStats) {
+    let run = |mode| {
+        let mut c = storage_catalog(mode, 16, 8);
+        c.insert("t", seg_rel(256));
+        let s = exec::stream(p, &c).unwrap();
+        (s.collect_rows().unwrap(), s.stats())
+    };
+    let (disk, stats) = run(StorageMode::Disk);
+    let (plain, _) = run(StorageMode::Plain);
+    assert_eq!(disk, plain);
+    (disk, stats)
+}
+
 #[test]
-fn selective_scan_skips_segments_and_full_scan_skips_none() {
-    let mut cat = storage_catalog(StorageMode::Disk, 16, 8);
-    cat.insert("t", seg_rel(256)); // 16 segments of 16 rows
+fn selective_and_full_disk_scans_match_plain() {
     let selective = Plan::scan("t").select(col("k").lt(lit_i64(16)));
-    let (out, stats) = exec::execute_with_stats(&selective, &cat).unwrap();
+    let (out, stats) = disk_and_plain(&selective);
     assert_eq!(out.len(), 16);
-    assert_eq!(stats.segments_scanned, 1, "{stats:?}");
-    assert_eq!(stats.segments_skipped, 15, "{stats:?}");
+    assert_eq!(stats.segments_scanned, 16, "{stats:?}");
     // Anti-no-op guard: an unfiltered scan must touch every segment.
     let full = Plan::scan("t").project_names(["k"]);
-    let (out, stats) = exec::execute_with_stats(&full, &cat).unwrap();
+    let (out, stats) = disk_and_plain(&full);
     assert_eq!(out.len(), 256);
     assert_eq!(stats.segments_scanned, 16, "{stats:?}");
-    assert_eq!(stats.segments_skipped, 0, "{stats:?}");
     assert!(stats.decoded_bytes > 0, "{stats:?}");
 }
 
 #[test]
-fn string_zone_maps_prune_dictionary_segments() {
-    // Each 64-row word run spans four 16-row segments, so an equality
-    // on one word keeps 1/4 of the segments (min == max == word there).
-    let mut cat = storage_catalog(StorageMode::Disk, 16, 8);
-    cat.insert("t", seg_rel(256));
+fn dictionary_string_equality_on_disk_matches_plain() {
+    // Each 64-row word run spans four 16-row segments.
     let p = Plan::scan("t").select(col("w").eq(lit_str("ASIA")));
-    let (out, stats) = exec::execute_with_stats(&p, &cat).unwrap();
+    let (out, stats) = disk_and_plain(&p);
     assert_eq!(out.len(), 64);
-    assert_eq!(stats.segments_scanned, 4, "{stats:?}");
-    assert_eq!(stats.segments_skipped, 12, "{stats:?}");
+    assert_eq!(stats.segments_scanned, 16, "{stats:?}");
 }
 
 #[test]
-fn null_bearing_segments_survive_range_predicates() {
-    // `v < 10` must not prune segments whose zone min is Null — nulls
-    // make min() = Null < Int, keeping the segment alive; the row-level
-    // filter then drops the nulls (three-valued comparison is false).
-    let mut cat = storage_catalog(StorageMode::Disk, 16, 8);
-    cat.insert("t", seg_rel(256));
+fn null_bearing_range_predicates_on_disk_match_plain() {
+    // The row-level filter drops the nulls (three-valued comparison is
+    // false) on the decoded nullable column as on the plain one.
     let p = Plan::scan("t").select(col("v").lt(lit_i64(10)));
-    let plain = {
-        let mut c = storage_catalog(StorageMode::Plain, 16, 8);
-        c.insert("t", seg_rel(256));
-        exec::stream(&p, &c).unwrap().collect_rows().unwrap()
-    };
-    let seg = exec::stream(&p, &cat).unwrap().collect_rows().unwrap();
-    assert!(!seg.is_empty());
-    assert_eq!(seg, plain);
+    let (out, _) = disk_and_plain(&p);
+    assert!(!out.is_empty());
 }
 
 #[test]

@@ -289,3 +289,75 @@ fn possible_answers_equal_the_decode_path() {
         .collect();
     assert!(fig.iter().all(|&n| n > 0), "{fig:?}");
 }
+
+/// `certain` of the paper's queries without their `poss` answers at the
+/// scales where normalizing the join result used to exceed its fused
+/// domain cap, and gives exactly the tuples `certain_with_confidence`
+/// reports under the exact method — all of them possible answers.
+#[test]
+fn certain_answers_fig12_queries_without_poss() {
+    use std::collections::BTreeSet;
+    use u_relations::core::{ConfidenceMethod, UQuery};
+    for s in [0.01, 0.05] {
+        let out = generate(&GenParams::paper(s, 0.1, 0.5)).unwrap();
+        let prepared = out.db.prepare();
+        for (name, q) in [("q1", q1()), ("q2", q2()), ("q3", q3())] {
+            let UQuery::Poss { input } = q else {
+                panic!("{name} ends in poss");
+            };
+            let cert = prepared
+                .certain(&input)
+                .unwrap_or_else(|e| panic!("{name} at s = {s}: {e}"));
+            let got: BTreeSet<Vec<_>> = cert.rows().iter().map(|r| r.to_vec()).collect();
+            let want: BTreeSet<Vec<_>> = prepared
+                .certain_with_confidence(&input, ConfidenceMethod::Exact)
+                .unwrap()
+                .into_iter()
+                .map(|(t, _)| t)
+                .collect();
+            assert_eq!(got, want, "{name} at s = {s}");
+            let poss = prepared.possible(&input).unwrap();
+            for row in cert.rows() {
+                assert!(poss.rows().contains(row), "{name} at s = {s}: {row:?}");
+            }
+        }
+    }
+}
+
+/// EXPLAIN renders plan and statistics only, so Q1–Q3 print the same
+/// text under disk and plain storage. Executing the plan under disk
+/// storage appends the segment and buffer-pool footers; under plain
+/// storage it appends neither.
+#[test]
+fn explain_is_byte_identical_under_disk_and_plain() {
+    use u_relations::relalg::StorageMode;
+    let out = generate(&GenParams::paper(0.01, 0.1, 0.5)).unwrap();
+    let mut disk = out.db.prepare();
+    disk.set_storage(StorageMode::Disk);
+    let mut plain = out.db.prepare();
+    plain.set_storage(StorageMode::Plain);
+    for q in [q1(), q2(), q3()] {
+        let text = disk.explain(&q).unwrap();
+        assert_eq!(text, plain.explain(&q).unwrap());
+        assert!(!text.contains("[seg"), "{text}");
+
+        let plan =
+            optimizer::optimize(&translate(&out.db, &q).unwrap().plan, disk.catalog()).unwrap();
+        let executed = explain::explain_executed(&plan, disk.catalog()).unwrap();
+        assert!(executed.starts_with(&text), "{executed}");
+        let scanned: usize = executed
+            .lines()
+            .find_map(|l| l.strip_prefix("-- segments: "))
+            .and_then(|l| l.split(" scanned, ~").next())
+            .unwrap_or_else(|| panic!("no segments footer:\n{executed}"))
+            .parse()
+            .unwrap();
+        assert!(scanned > 0, "{executed}");
+        assert!(executed.contains("-- buffer pool: "), "{executed}");
+
+        let executed = explain::explain_executed(&plan, plain.catalog()).unwrap();
+        assert!(executed.starts_with(&text), "{executed}");
+        assert!(!executed.contains("-- segments:"), "{executed}");
+        assert!(!executed.contains("-- buffer pool:"), "{executed}");
+    }
+}

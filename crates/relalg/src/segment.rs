@@ -119,9 +119,10 @@ impl ColumnSegment {
                 packed,
                 nulls,
             } => {
-                let vals: Vec<i64> = (0..self.rows)
-                    .map(|i| (*base as i128 + unpack_at(packed, *width, i) as i128) as i64)
-                    .collect();
+                let mut vals = Vec::with_capacity(self.rows);
+                unpack_into(packed, *width, self.rows, |d| {
+                    vals.push(base.wrapping_add(d as i64))
+                });
                 Arc::new(match nulls {
                     Some(mask) => Column::IntN(vals, mask.clone()),
                     None => Column::Int(vals),
@@ -133,9 +134,10 @@ impl ColumnSegment {
                 packed,
                 nulls,
             } => {
-                let vals: Vec<Arc<str>> = (0..self.rows)
-                    .map(|i| Arc::clone(&dict[unpack_at(packed, *width, i) as usize]))
-                    .collect();
+                let mut vals = Vec::with_capacity(self.rows);
+                unpack_into(packed, *width, self.rows, |code| {
+                    vals.push(Arc::clone(&dict[code as usize]))
+                });
                 Arc::new(match nulls {
                     Some(mask) => Column::StrN(vals, mask.clone()),
                     None => Column::Str(vals),
@@ -258,23 +260,36 @@ fn pack(vals: &[u64], width: u8) -> Vec<u64> {
     out
 }
 
-/// Read the `idx`-th `width`-bit value out of a [`pack`]ed buffer.
-#[inline]
-fn unpack_at(packed: &[u64], width: u8, idx: usize) -> u64 {
-    if width == 0 {
-        return 0;
+/// Call `f` with each of the first `rows` `width`-bit values of a
+/// [`pack`]ed buffer, in order: one pass over the words through a bit
+/// buffer. Panics if `packed` holds fewer than `rows × width` bits.
+pub(crate) fn unpack_into(packed: &[u64], width: u8, rows: usize, mut f: impl FnMut(u64)) {
+    let w = u32::from(width);
+    match w {
+        0 => (0..rows).for_each(|_| f(0)),
+        64 => packed[..rows].iter().for_each(|&v| f(v)),
+        _ => {
+            let mask = (1u64 << w) - 1;
+            let mut words = packed.iter();
+            // The next `have` bits, low-aligned; the bits above are zero.
+            let (mut buf, mut have) = (0u64, 0u32);
+            for _ in 0..rows {
+                if have >= w {
+                    f(buf & mask);
+                    buf >>= w;
+                    have -= w;
+                } else {
+                    // `have < w < 64`, so both shifts are in range.
+                    let next = *words
+                        .next()
+                        .expect("packed payload shorter than rows × width");
+                    f((buf | next << have) & mask);
+                    buf = next >> (w - have);
+                    have += 64 - w;
+                }
+            }
+        }
     }
-    let w = width as usize;
-    let bit = idx * w;
-    let (word, off) = (bit / 64, bit % 64);
-    let mut v = packed[word] >> off;
-    if off + w > 64 {
-        v |= packed[word + 1] << (64 - off);
-    }
-    if w < 64 {
-        v &= (1u64 << w) - 1;
-    }
-    v
 }
 
 /// One decoded segment: the columns covering rows
@@ -435,20 +450,75 @@ mod tests {
         }
     }
 
+    fn unpack(packed: &[u64], width: u8, rows: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(rows);
+        unpack_into(packed, width, rows, |v| out.push(v));
+        out
+    }
+
     #[test]
     fn bit_packing_straddles_word_boundaries() {
         // Width 5 over 40 values crosses several u64 boundaries.
         let vals: Vec<u64> = (0..40).map(|i| (i * 7) % 32).collect();
         let packed = pack(&vals, 5);
         assert_eq!(packed.len(), (40 * 5usize).div_ceil(64));
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(unpack_at(&packed, 5, i), v, "index {i}");
-        }
+        assert_eq!(unpack(&packed, 5, 40), vals);
         // Width 64 is the identity.
         let vals = vec![u64::MAX, 0, 1, u64::MAX - 1];
         let packed = pack(&vals, 64);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(unpack_at(&packed, 64, i), v);
+        assert_eq!(unpack(&packed, 64, 4), vals);
+    }
+
+    #[test]
+    fn pack_then_unpack_is_the_identity_at_every_width() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for width in 0..=64u8 {
+            for rows in [0, 1, 63, 64, 65, 4095, 4096] {
+                let vals: Vec<u64> = (0..rows)
+                    .map(|_| {
+                        // xorshift64, masked to `width` bits.
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        if width == 64 {
+                            x
+                        } else {
+                            x & ((1u64 << width) - 1)
+                        }
+                    })
+                    .collect();
+                let packed = pack(&vals, width);
+                assert_eq!(packed.len(), (rows * width as usize).div_ceil(64));
+                assert_eq!(
+                    unpack(&packed, width, rows),
+                    vals,
+                    "width {width}, rows {rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn for_int_decode_matches_the_wide_sum_at_the_extremes() {
+        let deltas = [0, 1, u64::MAX / 2, u64::MAX / 2 + 1, u64::MAX - 1, u64::MAX];
+        for base in [i64::MIN, -1, 0, 1, i64::MAX] {
+            let seg = ColumnSegment::from_parts(
+                deltas.len(),
+                SegEncoding::ForInt {
+                    base,
+                    width: 64,
+                    packed: pack(&deltas, 64).into(),
+                    nulls: None,
+                },
+            );
+            let Column::Int(got) = seg.decode().as_ref().clone() else {
+                panic!("FOR decodes to an Int column");
+            };
+            let want: Vec<i64> = deltas
+                .iter()
+                .map(|&d| (base as i128 + d as i128) as i64)
+                .collect();
+            assert_eq!(got, want, "base {base}");
         }
     }
 

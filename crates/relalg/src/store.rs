@@ -39,10 +39,10 @@
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector, FaultKind};
 use crate::relation::{Column, NullMask, Row};
-use crate::segment::{value_digest, ColumnSegment, DecodedSegment, SegEncoding};
+use crate::segment::{unpack_into, value_digest, ColumnSegment, DecodedSegment, SegEncoding};
 use crate::stats::TableStats;
 use crate::value::{intern, Value};
-use std::fmt::Debug;
+use std::fmt::{Debug, Display};
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::os::unix::fs::FileExt;
@@ -102,14 +102,18 @@ impl IoCounters {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven — no dependencies.
+// CRC32 (IEEE), slicing-by-16 — no dependencies. Writers seal every
+// block with it, `DiskImage::open` checks every block, and every fetch
+// after open re-verifies the block it reads.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+/// Table 0 is the bytewise CRC table; entry `b` of table `k` is the CRC
+/// of byte `b` followed by `k` zero bytes, so one step folds 16 bytes.
+fn crc32_tables() -> &'static [[u32; 256]; 16] {
+    static TABLES: OnceLock<[[u32; 256]; 16]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 16];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -120,16 +124,33 @@ fn crc32_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        for k in 1..16 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     })
 }
 
 /// CRC32 (IEEE 802.3) of a byte slice.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = crc32_tables();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(16);
+    for b in &mut chunks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize];
+        for (k, &byte) in b[4..].iter().enumerate() {
+            c ^= t[11 - k][byte as usize];
+        }
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -206,15 +227,16 @@ impl Enc {
 }
 
 /// Bounds-checked byte decoder: every read that would run past the end
-/// returns a corruption [`Error`] instead of panicking.
+/// returns a corruption [`Error`] instead of panicking. `what` names the
+/// input in those errors and is formatted only when one is built.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
-    what: &'a str,
+    what: &'a dyn Display,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8], what: &'a str) -> Dec<'a> {
+    fn new(buf: &'a [u8], what: &'a dyn Display) -> Dec<'a> {
         Dec { buf, pos: 0, what }
     }
 
@@ -268,11 +290,11 @@ impl<'a> Dec<'a> {
     }
     fn words(&mut self) -> Result<Arc<[u64]>> {
         let n = self.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out.into())
+        Ok(self
+            .take(n * 8)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect())
     }
     fn nulls(&mut self, rows: usize) -> Result<Option<NullMask>> {
         match self.u8()? {
@@ -352,7 +374,7 @@ fn encode_block(seg: &ColumnSegment) -> Vec<u8> {
 /// the manifest's geometry; the block's own row count must
 /// agree (a stale manifest over a rewritten page file fails here even
 /// if both checksums individually hold).
-fn decode_block(bytes: &[u8], rows: usize, what: &str) -> Result<ColumnSegment> {
+fn decode_block(bytes: &[u8], rows: usize, what: &dyn Display) -> Result<ColumnSegment> {
     let mut d = Dec::new(bytes, what);
     let tag = d.u8()?;
     let block_rows = d.u32()? as usize;
@@ -401,10 +423,12 @@ fn decode_block(bytes: &[u8], rows: usize, what: &str) -> Result<ColumnSegment> 
             if rows > 0 && dict.is_empty() {
                 return Err(d.fail("empty dictionary over a non-empty segment"));
             }
-            for i in 0..rows {
-                if unpack_check(&packed, width, i) as usize >= dict.len() {
-                    return Err(d.fail("dictionary code out of range"));
-                }
+            let mut out_of_range = false;
+            unpack_into(&packed, width, rows, |code| {
+                out_of_range |= code >= dict.len() as u64;
+            });
+            if out_of_range {
+                return Err(d.fail("dictionary code out of range"));
             }
             SegEncoding::DictStr {
                 dict,
@@ -426,26 +450,6 @@ fn decode_block(bytes: &[u8], rows: usize, what: &str) -> Result<ColumnSegment> 
         return Err(d.fail("trailing garbage after block payload"));
     }
     Ok(ColumnSegment::from_parts(rows, enc))
-}
-
-/// Read the `idx`-th `width`-bit value out of a packed buffer (bounds
-/// pre-checked by the caller; mirrors the private unpacker in
-/// `segment.rs` for the dictionary-code validation above).
-fn unpack_check(packed: &[u64], width: u8, idx: usize) -> u64 {
-    if width == 0 {
-        return 0;
-    }
-    let w = width as usize;
-    let bit = idx * w;
-    let (word, off) = (bit / 64, bit % 64);
-    let mut v = packed[word] >> off;
-    if off + w > 64 {
-        v |= packed[word + 1] << (64 - off);
-    }
-    if w < 64 {
-        v &= (1u64 << w) - 1;
-    }
-    v
 }
 
 fn encode_stats(e: &mut Enc, st: &TableStats) {
@@ -678,8 +682,8 @@ impl DiskImage {
     }
 
     /// Read, checksum-verify and parse one block. `fail` turns a
-    /// corruption message into the caller's failure mode (an `Error`
-    /// during open-time validation; a panic after).
+    /// corruption message into the caller's failure mode
+    /// (`Error::Invalid` during open-time validation, `Error::Io` after).
     fn read_block(
         &self,
         col: usize,
@@ -700,7 +704,7 @@ impl DiskImage {
                 self.seg_path.display()
             )));
         }
-        let what = format!(
+        let what = format_args!(
             "segment block (col {col}, seg {seg}) of `{}`",
             self.seg_path.display()
         );
@@ -1671,6 +1675,36 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise reference the sliced `crc32` must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let t = &crc32_tables()[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..(1 << 20))
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=200 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
     }
 
     #[test]

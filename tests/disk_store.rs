@@ -12,11 +12,14 @@
 //! (Figure 8, from TPC-H Q3) byte-identically to the in-memory store.
 
 use std::fs;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use u_relations::relalg::store::pool_for;
 use u_relations::relalg::value::date_to_days;
 use u_relations::relalg::{
-    col, exec, lit_i64, lit_str, Catalog, DiskImage, DiskTableWriter, Error, Plan, Relation, Value,
+    col, exec, lit_i64, lit_str, Catalog, DiskImage, DiskTableWriter, Error, IoCounters, Plan,
+    Relation, Value,
 };
 use u_relations::tpch::generate_certain;
 
@@ -87,6 +90,57 @@ fn bit_flipped_block_fails_its_checksum() {
     bytes[10] ^= 0xFF;
     fs::write(&seg, bytes).unwrap();
     assert_open_fails(&dir, "bit-flipped block");
+}
+
+/// Every fetch after open re-verifies its block's checksum: a byte
+/// flipped in place under an opened image fails both the direct read
+/// and a disk scan with a named I/O error, never an answer, and leaves
+/// no in-flight latch in the pool.
+#[test]
+fn in_place_flip_after_open_fails_every_fetch() {
+    const POOL: usize = 31;
+    let dir = tmpdir("postopen");
+    write_table(&dir);
+    let image = DiskImage::open(&dir, "t").unwrap();
+    let seg = dir.join("t.seg");
+    let len = fs::metadata(&seg).unwrap().len();
+    // Offset 10 lies inside block (col 0, seg 0); the length stays.
+    let f = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&seg)
+        .unwrap();
+    let mut byte = [0u8; 1];
+    f.read_exact_at(&mut byte, 10).unwrap();
+    f.write_all_at(&[byte[0] ^ 0xFF], 10).unwrap();
+    drop(f);
+    assert_eq!(fs::metadata(&seg).unwrap().len(), len);
+
+    let expect_changed = |what: &str, err: Error| match err {
+        Error::Io(msg) => {
+            println!("{what}: {msg}");
+            assert!(
+                msg.contains("segment file changed after open")
+                    && msg.contains("checksum mismatch"),
+                "{what}: {msg}"
+            );
+        }
+        e => panic!("{what}: wrong error kind: {e}"),
+    };
+    let read = image.read_segment(0, &IoCounters::default());
+    expect_changed("read_segment", read.expect_err("read_segment answered"));
+
+    let mut disk = Catalog::new();
+    disk.set_storage(u_relations::relalg::StorageMode::Disk);
+    disk.set_buffer_pool(POOL);
+    disk.insert("t", Relation::from_disk_image(image));
+    let scan = exec::stream(&Plan::scan("t"), &disk).and_then(|s| s.collect_rows());
+    expect_changed("disk scan", scan.expect_err("disk scan answered"));
+    assert_eq!(
+        pool_for(POOL).in_flight_len(),
+        0,
+        "a failed fetch left its latch"
+    );
 }
 
 #[test]

@@ -4,14 +4,14 @@
 //!
 //! 1. **Prepare** ([`stream`]): the logical plan compiles bottom-up into a
 //!    tree of physical operators. All name resolution, predicate
-//!    compilation and schema checks happen here, so pulling rows later is
-//!    infallible. Pipeline *breakers* do their buffering work now: a hash
-//!    join buffers its build side, set-difference and nested loops
-//!    their right side — each as a column-major
-//!    [`ColumnarImage`] appended batch by batch, column by column (no
-//!    row round trip), or, when that side is an already-materialized
-//!    scan, the scan's own cached image — and index it with a flat
-//!    chained digest table.
+//!    compilation and schema checks happen here, so a later pull fails
+//!    only on I/O or cancellation. Pipeline *breakers* do their
+//!    buffering work now: a hash join buffers its build side,
+//!    set-difference and nested loops their right side — each as a
+//!    column-major [`ColumnarImage`] appended batch by batch, column by
+//!    column (no row round trip), or, when that side is an
+//!    already-materialized scan, the scan's own image — and index it
+//!    with a flat chained digest table.
 //! 2. **Pull** ([`Streamed`]): the prepared tree executes on one engine,
 //!    the batched cursors, and every pull — row-wise or batch-wise — runs
 //!    on it.
@@ -190,8 +190,9 @@ struct Counters {
     /// Per-execution deterministic fault injector (`None` = fault layer
     /// disabled: every edge short-circuits on one `None` test).
     faults: Option<Arc<FaultInjector>>,
-    /// Cooperative cancellation token, checked at every batch boundary
-    /// by the pull driver.
+    /// Cooperative cancellation token, checked wherever a batch is made
+    /// (the two source cursors, nested-loop pair batches) or leaves the
+    /// cursor tree (the pull driver).
     cancel: Arc<CancelToken>,
 }
 
@@ -338,8 +339,10 @@ struct PrepCtx<'a> {
 }
 
 /// Prepare a plan for streaming execution: resolve, compile, and build
-/// all breaker-side buffers. Errors (unknown columns, schema mismatches)
-/// surface here; pulling rows afterwards cannot fail.
+/// all breaker-side buffers. Plan errors (unknown columns, schema
+/// mismatches) surface here, as do I/O errors and cancellation while a
+/// build side is pulled; a later pull can still fail on I/O (segment
+/// fetches, spill runs) or cancellation, never on the plan.
 pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
     let cfg = *catalog.config();
     // One fault injector and one cancel token per prepared execution:
@@ -359,9 +362,9 @@ pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
         counters: &counters,
         est: &est,
     };
-    // Prepare-time breaker materializations pull through the same
-    // infallible cursor interfaces as query pulls, so mid-pull I/O
-    // errors unwind (`fault::rethrow`) and convert back to `Err` here.
+    // Prepare-time breaker materializations pull cursors like a query
+    // pull does; errors come back as `Err`, and a genuine panic is
+    // contained here as one.
     let (root, schema) = fault::catch_pull(|| prepare(plan, &ctx))??;
     Ok(Streamed {
         root,
@@ -403,13 +406,14 @@ impl Streamed {
     ///
     /// This is the pull loop behind every consumer: it runs the batched
     /// cursor tree from the top, checks the cancel token at every batch
-    /// boundary, and stops at the end of the stream or at the first
-    /// error `f` returns.
+    /// it hands out, and stops at the end of the stream, at the first
+    /// error a cursor returns (I/O, or cancellation observed where a
+    /// batch was made) or at the first error `f` returns.
     pub fn for_each_batch(&self, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
         self.counters.reset_pull();
         fault::catch_pull(|| {
             let mut cur = self.root.batch_cursor(&self.counters);
-            while let Some(b) = cur.next_batch() {
+            while let Some(b) = cur.next_batch()? {
                 self.counters.cancel.check()?;
                 self.counters.batch(b.len());
                 f(&b)?;
@@ -443,9 +447,10 @@ impl Streamed {
     /// This execution's cancellation token. `cancel()` it from any
     /// thread (or configure a deadline via
     /// [`crate::Catalog::set_deadline`] / `RELALG_DEADLINE_MS`) and
-    /// in-flight pulls stop at their next batch boundary with
-    /// [`Error::Cancelled`], unwinding through breakers so buffer-pool
-    /// leases and spill files release on the way out.
+    /// in-flight pulls — prepare-time build pulls included — stop at
+    /// their next batch boundary with [`Error::Cancelled`]; the `Err`
+    /// path drops the cursors, so buffer-pool leases and spill files
+    /// release on the way out.
     pub fn cancel_token(&self) -> Arc<CancelToken> {
         Arc::clone(&self.counters.cancel)
     }
@@ -455,8 +460,9 @@ impl Streamed {
 // Physical operators
 // ---------------------------------------------------------------------------
 
-/// A materialized scan input plus, under disk storage, the provider
-/// serving the scan's decoded segments.
+/// A materialized scan input plus, under disk storage or for a
+/// disk-native relation, the provider serving the scan's decoded
+/// segments.
 struct SourceNode {
     rel: Arc<Relation>,
     scan: Option<DiskImageProvider>,
@@ -464,14 +470,17 @@ struct SourceNode {
 
 impl SourceNode {
     /// Wrap a materialized relation, attaching a segment provider when
-    /// the engine runs [`StorageMode::Disk`] (plain mode bypasses the
-    /// whole seam; breaker outputs and empty relations stay plain too).
+    /// the engine runs [`StorageMode::Disk`] or the relation is
+    /// disk-native (plain mode bypasses the seam for in-memory
+    /// relations; breaker outputs and empty relations stay plain too).
     /// Segments come from the relation's on-disk segment store — the
     /// native one for disk-loaded tables, a scratch spill otherwise —
     /// leased from the buffer pool shared across all relations at this
-    /// capacity.
+    /// capacity. The executor never reads a disk-native relation through
+    /// its row view, whose decode cannot return an error.
     fn of_scan(rel: Arc<Relation>, config: &EngineConfig) -> Result<SourceNode> {
-        if config.storage == StorageMode::Plain || rel.is_empty() {
+        let plain = config.storage == StorageMode::Plain && rel.native_disk_image().is_none();
+        if plain || rel.is_empty() {
             return Ok(SourceNode::plain(rel));
         }
         let provider = DiskImageProvider::new(
@@ -490,8 +499,24 @@ impl SourceNode {
         SourceNode { rel, scan: None }
     }
 
+    /// The relation's column image for a breaker that buffers this
+    /// source: the cached image of an in-memory relation (shared, no
+    /// copy), or a disk-native relation's segments read through the
+    /// provider into a fresh image, so a failing fetch is an `Err`.
+    fn image(&self, counters: &Counters) -> Result<Arc<ColumnarImage>> {
+        if self.scan.is_none() || self.rel.native_disk_image().is_none() {
+            return Ok(self.rel.columns_arc());
+        }
+        let mut buf = ImageBuilder::new(self.rel.schema().arity());
+        let mut cur = self.batch_cursor(counters);
+        while let Some(b) = cur.next_batch()? {
+            buf.append(&b, 0..b.len());
+        }
+        Ok(Arc::new(buf.finish()))
+    }
+
     /// The batched scan cursor over every row — plain image slices, or
-    /// provider-served segments under disk storage.
+    /// provider-served segments.
     fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
         match &self.scan {
             Some(provider) => BCursor::SegSource {
@@ -505,6 +530,7 @@ impl SourceNode {
                 image: self.rel.columns(),
                 pos: 0,
                 end: self.rel.len(),
+                counters,
             },
         }
     }
@@ -530,12 +556,13 @@ enum Node {
     NestedLoop(NestedLoopNode),
     /// Bag union: streams left then right (no buffering).
     Concat { left: Box<Node>, right: Box<Node> },
-    /// Duplicate elimination: streams first occurrences, buffers a
-    /// seen-set.
-    Distinct { input: Box<Node> },
-    /// Set difference (EXCEPT): buffers the right side + a seen-set,
-    /// streams surviving left rows.
-    Difference(DifferenceNode),
+    /// Duplicate elimination (`Distinct`), or set difference (EXCEPT)
+    /// when `minus` holds a buffered right side: streams first
+    /// occurrences not in `minus`, buffers a seen-set.
+    Dedup {
+        input: Box<Node>,
+        minus: Option<Minus>,
+    },
 }
 
 /// A hash table from join key to the rows of a buffered image: a flat
@@ -781,8 +808,8 @@ impl Iterator for Matches<'_> {
     }
 }
 
-struct DifferenceNode {
-    input: Box<Node>,
+/// The buffered right side of a set difference.
+struct Minus {
     right: Arc<ColumnarImage>,
     /// Every column of the right side: the membership key.
     cols: Vec<usize>,
@@ -1022,13 +1049,12 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
             let cols: Vec<usize> = (0..rs.arity()).collect();
             let table = digest_table(&right, &cols);
             counters.breaker(); // the seen-set filled at pull time
+            let minus = Some(Minus { right, cols, table });
             Ok((
-                Node::Difference(DifferenceNode {
+                Node::Dedup {
                     input: Box::new(lnode),
-                    right,
-                    cols,
-                    table,
-                }),
+                    minus,
+                },
                 ls,
             ))
         }
@@ -1036,8 +1062,9 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
             let (node, schema) = prepare(input, ctx)?;
             counters.breaker(); // the seen-set filled at pull time
             Ok((
-                Node::Distinct {
+                Node::Dedup {
                     input: Box::new(node),
+                    minus: None,
                 },
                 schema,
             ))
@@ -1046,8 +1073,8 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
 }
 
 /// Run a breaker-side node to completion into a column-major image. An
-/// already-materialized source hands back its relation's cached image —
-/// no values are copied and no buffer is counted; anything else runs
+/// already-materialized source hands back its image
+/// ([`SourceNode::image`]) and no buffer is counted; anything else runs
 /// vectorized, each batch appended column by column. Under a memory
 /// budget the buffered rows are *charged* the bytes the image stores
 /// for them ([`stored_row_bytes`], so `ExecStats` tracks them and
@@ -1056,13 +1083,13 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
 /// builds and the dedup seen-sets have spill paths.
 fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<ColumnarImage>> {
     if let Node::Source(src) = node {
-        return Ok(src.rel.columns_arc());
+        return src.image(counters);
     }
     let budget = counters.spill.budget();
     let mut buf = ImageBuilder::new(schema.arity());
     let mut bytes = 0usize;
     let mut cur = node.batch_cursor(counters);
-    while let Some(b) = cur.next_batch() {
+    while let Some(b) = cur.next_batch()? {
         counters.batch(b.len());
         bytes += stored_row_bytes(&b) * b.len();
         buf.append(&b, 0..b.len());
@@ -1111,7 +1138,7 @@ fn prepare_join_build(
     let mut total_rows = 0usize;
     let mut writers: Option<Vec<crate::spill::RunWriter>> = None;
     let mut cur = node.batch_cursor(counters);
-    while let Some(b) = cur.next_batch() {
+    while let Some(b) = cur.next_batch()? {
         counters.batch(b.len());
         let row_bytes = stored_row_bytes(&b);
         // Rows stay resident up to and including the one whose charge
@@ -1295,6 +1322,7 @@ enum BCursor<'a> {
         image: &'a ColumnarImage,
         pos: usize,
         end: usize,
+        counters: &'a Counters,
     },
     /// Chunked scan over `[pos, end)` of a relation's disk image:
     /// batches come from provider-decoded segments ([`BatchCol::Shared`]
@@ -1316,6 +1344,7 @@ enum BCursor<'a> {
         /// Current outer batch and the next (outer position, inner row)
         /// pair to enumerate.
         pending: Option<(ColumnBatch<'a>, usize, usize)>,
+        counters: &'a Counters,
     },
     /// Vectorized conjunctive filter: masks then compacts.
     Filter {
@@ -1356,19 +1385,12 @@ enum BCursor<'a> {
         on_right: bool,
     },
     /// Duplicate elimination: digest seen-set, batch compacted to first
-    /// occurrences. Under a memory budget the seen-set can spill
-    /// (see [`DedupSpill`]).
-    Distinct {
+    /// occurrences, after a membership test against `minus` (set
+    /// difference) when there is one. Under a memory budget the
+    /// seen-set can spill (see [`DedupSpill`]).
+    Dedup {
         input: Box<BCursor<'a>>,
-        seen: FxHashMap<u64, Vec<Row>>,
-        counters: &'a Counters,
-        spill: Option<Box<DedupSpill>>,
-    },
-    /// Set difference: membership test against the buffered right side
-    /// plus a digest seen-set (spillable like Distinct's).
-    Difference {
-        node: &'a DifferenceNode,
-        input: Box<BCursor<'a>>,
+        minus: Option<&'a Minus>,
         seen: FxHashMap<u64, Vec<Row>>,
         counters: &'a Counters,
         spill: Option<Box<DedupSpill>>,
@@ -1391,7 +1413,7 @@ fn cmp_seq_idx(a: &Record, b: &Record) -> Ordering {
     (a.0[0], a.0[1]).cmp(&(b.0[0], b.0[1]))
 }
 
-/// Seen-set spill state of one distinct/difference cursor.
+/// Seen-set spill state of one dedup cursor.
 ///
 /// While in memory, the cursor dedups through its digest seen-set and
 /// streams first occurrences online, charging retained rows against the
@@ -1449,65 +1471,68 @@ impl DedupSpill {
 
     /// Flush the online seen-set (already-emitted rows) as a
     /// digest-sorted run and switch to candidate buffering.
-    fn flush_seen(&mut self, ctx: &SpillCtx, seen: &mut FxHashMap<u64, Vec<Row>>) {
+    fn flush_seen(&mut self, ctx: &SpillCtx, seen: &mut FxHashMap<u64, Vec<Row>>) -> Result<()> {
         let mut entries: Vec<(u64, Row)> = seen
             .drain()
             .flat_map(|(d, rows)| rows.into_iter().map(move |r| (d, r)))
             .collect();
         entries.sort_by_key(|(d, _)| *d);
-        let mut w = fault::rethrow(ctx.writer("dedup-seen"));
+        let mut w = ctx.writer("dedup-seen")?;
         for (d, r) in &entries {
-            fault::rethrow(w.push(&[*d], r));
+            w.push(&[*d], r)?;
         }
-        self.emitted_runs.push(fault::rethrow(w.finish()));
+        self.emitted_runs.push(w.finish()?);
         ctx.record_spill(self.bytes);
         ctx.budget().release(self.bytes);
         self.bytes = 0;
         self.spilling = true;
+        Ok(())
     }
 
     /// Record a locally-new candidate row; flushes the candidate map
     /// when it crosses the limit.
-    fn push_candidate(&mut self, ctx: &SpillCtx, digest: u64, row: Row) {
+    fn push_candidate(&mut self, ctx: &SpillCtx, digest: u64, row: Row) -> Result<()> {
         if self
             .cand
             .get(&digest)
             .is_some_and(|bucket| bucket.iter().any(|(r, _)| *r == row))
         {
-            return;
+            return Ok(());
         }
         let over = self.charge(ctx, &row);
         let seq = self.seq;
         self.seq += 1;
         self.cand.entry(digest).or_default().push((row, seq));
         if over {
-            self.flush_cand(ctx);
+            self.flush_cand(ctx)?;
         }
+        Ok(())
     }
 
     /// Flush the candidate map as a digest-sorted run.
-    fn flush_cand(&mut self, ctx: &SpillCtx) {
+    fn flush_cand(&mut self, ctx: &SpillCtx) -> Result<()> {
         let mut entries: Vec<(u64, Row, u64)> = self
             .cand
             .drain()
             .flat_map(|(d, rows)| rows.into_iter().map(move |(r, s)| (d, r, s)))
             .collect();
         entries.sort_by_key(|(d, _, _)| *d);
-        let mut w = fault::rethrow(ctx.writer("dedup-cand"));
+        let mut w = ctx.writer("dedup-cand")?;
         for (d, r, s) in &entries {
-            fault::rethrow(w.push(&[*d, *s], r));
+            w.push(&[*d, *s], r)?;
         }
-        self.cand_runs.push(fault::rethrow(w.finish()));
+        self.cand_runs.push(w.finish()?);
         ctx.record_spill(self.bytes);
         ctx.budget().release(self.bytes);
         self.bytes = 0;
+        Ok(())
     }
 
     /// End of input: merge emitted + candidate runs by digest and
     /// compute the winners, in input-sequence order.
-    fn resolve(&mut self, ctx: &SpillCtx, counters: &Counters) {
+    fn resolve(&mut self, ctx: &SpillCtx, counters: &Counters) -> Result<()> {
         if !self.cand.is_empty() {
-            self.flush_cand(ctx);
+            self.flush_cand(ctx)?;
         }
         let mut runs = std::mem::take(&mut self.emitted_runs);
         runs.append(&mut self.cand_runs);
@@ -1518,9 +1543,8 @@ impl DedupSpill {
         let mut cur_digest: Option<u64> = None;
         let mut emitted: Vec<Row> = Vec::new();
         let mut group: Vec<(u64, Row)> = Vec::new();
-        let merge = fault::rethrow(merge_runs(&runs, ctx, |a, b| a.0[0].cmp(&b.0[0])));
-        for item in merge {
-            let (_, (keys, row)) = fault::rethrow(item);
+        for item in merge_runs(&runs, ctx, |a, b| a.0[0].cmp(&b.0[0]))? {
+            let (_, (keys, row)) = item?;
             if cur_digest != Some(keys[0]) {
                 winners.append(&mut group);
                 emitted.clear();
@@ -1553,6 +1577,7 @@ impl DedupSpill {
                 .collect::<Vec<_>>()
                 .into_iter(),
         );
+        Ok(())
     }
 }
 
@@ -1561,15 +1586,14 @@ impl Node {
     fn any_spilled_build(&self) -> bool {
         match self {
             Node::Source(_) => false,
-            Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
-                input.any_spilled_build()
-            }
+            Node::Filter { input, .. }
+            | Node::Project { input, .. }
+            | Node::Dedup { input, .. } => input.any_spilled_build(),
             Node::HashJoin(n) => {
                 matches!(n.build, JoinBuild::Spilled(_)) || n.probe.any_spilled_build()
             }
             Node::NestedLoop(n) => n.outer.any_spilled_build(),
             Node::Concat { left, right } => left.any_spilled_build() || right.any_spilled_build(),
-            Node::Difference(n) => n.input.any_spilled_build(),
         }
     }
 
@@ -1604,21 +1628,16 @@ impl Node {
                 node,
                 outer: Box::new(node.outer.batch_cursor(counters)),
                 pending: None,
+                counters,
             },
             Node::Concat { left, right } => BCursor::Concat {
                 left: Box::new(left.batch_cursor(counters)),
                 right: Box::new(right.batch_cursor(counters)),
                 on_right: false,
             },
-            Node::Distinct { input } => BCursor::Distinct {
+            Node::Dedup { input, minus } => BCursor::Dedup {
                 input: Box::new(input.batch_cursor(counters)),
-                seen: FxHashMap::default(),
-                counters,
-                spill: DedupSpill::maybe(counters),
-            },
-            Node::Difference(node) => BCursor::Difference {
-                node,
-                input: Box::new(node.input.batch_cursor(counters)),
+                minus: minus.as_ref(),
                 seen: FxHashMap::default(),
                 counters,
                 spill: DedupSpill::maybe(counters),
@@ -1628,17 +1647,27 @@ impl Node {
 }
 
 impl<'a> BCursor<'a> {
-    /// Pull the next non-empty batch (`None` at end of stream).
-    fn next_batch(&mut self) -> Option<ColumnBatch<'a>> {
+    /// Pull the next non-empty batch (`Ok(None)` at end of stream). The
+    /// cursors that make batches of their own — the two sources and the
+    /// nested loop's pair batches — check the cancel token before each,
+    /// so every pull (prepare-time builds and drains included) observes
+    /// it.
+    fn next_batch(&mut self) -> Result<Option<ColumnBatch<'a>>> {
         match self {
-            BCursor::Source { image, pos, end } => {
+            BCursor::Source {
+                image,
+                pos,
+                end,
+                counters,
+            } => {
                 if *pos >= *end {
-                    return None;
+                    return Ok(None);
                 }
+                counters.cancel.check()?;
                 let len = (*end - *pos).min(BATCH_SIZE);
                 let b = ColumnBatch::slice_of(image, *pos, len);
                 *pos += len;
-                Some(b)
+                Ok(Some(b))
             }
             BCursor::SegSource {
                 provider,
@@ -1648,15 +1677,16 @@ impl<'a> BCursor<'a> {
                 counters,
             } => {
                 if *pos >= *end {
-                    return None;
+                    return Ok(None);
                 }
+                counters.cancel.check()?;
                 let seg = *pos / provider.seg_rows();
                 let seg_end = ((seg + 1) * provider.seg_rows()).min(*end);
                 let have = cur
                     .as_ref()
                     .is_some_and(|d| d.start <= *pos && *pos < d.start + d.len);
                 if !have {
-                    *cur = Some(fault::rethrow(provider.segment(seg, &counters.seg.io)));
+                    *cur = Some(provider.segment(seg, &counters.seg.io)?);
                     counters.seg.scanned.fetch_add(1, AtomicOrdering::Relaxed);
                 }
                 let d = cur.as_ref().expect("current decoded segment");
@@ -1670,16 +1700,20 @@ impl<'a> BCursor<'a> {
                     })
                     .collect();
                 *pos += take;
-                Some(ColumnBatch { cols, len: take })
+                Ok(Some(ColumnBatch { cols, len: take }))
             }
             BCursor::NestedLoop {
                 node,
                 outer,
                 pending,
+                counters,
             } => loop {
                 if let Some((ob, opos, ipos)) = pending.as_mut() {
                     let inner: &ColumnarImage = &node.inner;
                     if !inner.is_empty() && *opos < ob.len() {
+                        // One outer batch makes up to |inner| pair
+                        // batches, so they check the token like a source.
+                        counters.cancel.check()?;
                         // Enumerate up to BATCH_SIZE cross pairs in
                         // (outer position, inner row) order — the
                         // reference engine's left-major order.
@@ -1703,26 +1737,32 @@ impl<'a> BCursor<'a> {
                             }
                             out.compact(&mask);
                         }
-                        return Some(out);
+                        return Ok(Some(out));
                     }
                     *pending = None;
                 }
-                let ob = outer.next_batch()?;
+                let Some(ob) = outer.next_batch()? else {
+                    return Ok(None);
+                };
                 *pending = Some((ob, 0, 0));
             },
             BCursor::Filter { input, preds } => loop {
-                let mut b = input.next_batch()?;
+                let Some(mut b) = input.next_batch()? else {
+                    return Ok(None);
+                };
                 let mut mask = vec![true; b.len()];
                 for p in preds.iter() {
                     p.and_mask(&b, &mut mask);
                 }
                 if mask.iter().any(|&m| m) {
                     b.compact(&mask);
-                    return Some(b);
+                    return Ok(Some(b));
                 }
             },
             BCursor::Project { input, exprs } => {
-                let b = input.next_batch()?;
+                let Some(b) = input.next_batch()? else {
+                    return Ok(None);
+                };
                 let cols = exprs
                     .iter()
                     .map(|e| match e {
@@ -1732,7 +1772,7 @@ impl<'a> BCursor<'a> {
                         computed => computed.eval_column(&b),
                     })
                     .collect();
-                Some(ColumnBatch { cols, len: b.len() })
+                Ok(Some(ColumnBatch { cols, len: b.len() }))
             }
             BCursor::HashJoin {
                 node,
@@ -1740,7 +1780,9 @@ impl<'a> BCursor<'a> {
                 table,
                 probe,
             } => loop {
-                let b = probe.next_batch()?;
+                let Some(b) = probe.next_batch()? else {
+                    return Ok(None);
+                };
                 let build_image: &'a ColumnarImage = image;
                 let mut probe_pos: Vec<u32> = Vec::new();
                 let mut build_idx: Vec<u32> = Vec::new();
@@ -1780,7 +1822,7 @@ impl<'a> BCursor<'a> {
                     }
                     out.compact(&mask);
                 }
-                return Some(out);
+                return Ok(Some(out));
             },
             BCursor::HashJoinSpilled {
                 node,
@@ -1798,21 +1840,19 @@ impl<'a> BCursor<'a> {
                         // are dropped at the door.
                         let active: Vec<bool> =
                             spilled.parts.iter().map(|r| r.records() > 0).collect();
-                        let mut writers: Vec<crate::spill::RunWriter> = fault::rethrow(
-                            (0..SPILL_JOIN_PARTS)
-                                .map(|_| ctx.writer("join-probe"))
-                                .collect::<Result<Vec<_>>>(),
-                        );
+                        let mut writers: Vec<crate::spill::RunWriter> = (0..SPILL_JOIN_PARTS)
+                            .map(|_| ctx.writer("join-probe"))
+                            .collect::<Result<_>>()?;
                         let mut seq = 0u64;
                         let mut drained = 0usize;
-                        while let Some(b) = probe.next_batch() {
+                        while let Some(b) = probe.next_batch()? {
                             let hashes = batch_key_hashes(&b, &node.probe_keys);
                             for (pos, &digest) in hashes.iter().enumerate() {
                                 let part = spill_part(digest, 0);
                                 if active[part] {
                                     let row = b.row(pos);
                                     drained += row_footprint(&row);
-                                    fault::rethrow(writers[part].push(&[seq, digest], &row));
+                                    writers[part].push(&[seq, digest], &row)?;
                                 }
                                 seq += 1;
                             }
@@ -1820,48 +1860,26 @@ impl<'a> BCursor<'a> {
                         if drained > 0 {
                             ctx.record_spill(drained);
                         }
-                        let probe_parts: Vec<Run> = fault::rethrow(
-                            writers
-                                .into_iter()
-                                .map(crate::spill::RunWriter::finish)
-                                .collect::<Result<_>>(),
-                        );
+                        let probe_parts: Vec<Run> = writers
+                            .into_iter()
+                            .map(crate::spill::RunWriter::finish)
+                            .collect::<Result<_>>()?;
                         // Join each partition pair into sorted output
                         // runs, then merge the runs back into global
                         // (probe seq, build idx) order.
                         let mut out_runs: Vec<Run> = Vec::new();
                         for (bp, pp) in spilled.parts.iter().zip(&probe_parts) {
-                            fault::rethrow(join_spilled_partition(
-                                node,
-                                bp,
-                                pp,
-                                0,
-                                ctx,
-                                &mut out_runs,
-                            ));
+                            join_spilled_partition(node, bp, pp, 0, ctx, &mut out_runs)?;
                         }
-                        *state = SpillJoinState::Emit(fault::rethrow(merge_runs(
-                            &out_runs,
-                            ctx,
-                            cmp_seq_idx,
-                        )));
+                        let merge = merge_runs(&out_runs, ctx, cmp_seq_idx as RecCmp)?;
+                        *state = SpillJoinState::Emit(merge);
                     }
                     SpillJoinState::Emit(merge) => {
-                        let mut rows: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
-                        while rows.len() < BATCH_SIZE {
-                            match merge.next() {
-                                Some(item) => {
-                                    let (_, (_, row)) = fault::rethrow(item);
-                                    rows.push(row);
-                                }
-                                None => break,
-                            }
-                        }
-                        if rows.is_empty() {
-                            return None;
-                        }
-                        let arity = rows[0].len();
-                        return Some(ColumnBatch::from_rows(&rows, arity));
+                        let rows = merge
+                            .take(BATCH_SIZE)
+                            .map(|item| item.map(|(_, (_, row))| row))
+                            .collect::<Result<Vec<Row>>>()?;
+                        return Ok(rows_batch(rows));
                     }
                 }
             },
@@ -1871,39 +1889,56 @@ impl<'a> BCursor<'a> {
                 on_right,
             } => {
                 if !*on_right {
-                    if let Some(b) = left.next_batch() {
-                        return Some(b);
+                    if let Some(b) = left.next_batch()? {
+                        return Ok(Some(b));
                     }
                     *on_right = true;
                 }
                 right.next_batch()
             }
-            BCursor::Distinct {
+            BCursor::Dedup {
                 input,
+                minus,
                 seen,
                 counters,
                 spill,
             } => loop {
-                if let Some(batch) = dedup_emit_winners(spill, counters) {
-                    return batch;
-                }
-                let Some(mut b) = input.next_batch() else {
-                    let sp = spill.as_deref_mut()?;
-                    if !sp.spilling {
-                        return None;
+                if let Some(sp) = spill.as_deref_mut() {
+                    if let Some(w) = sp.winners.as_mut() {
+                        let rows: Vec<Row> = w.by_ref().take(BATCH_SIZE).collect();
+                        if rows.is_empty() {
+                            counters.spill.budget().release(sp.winner_bytes);
+                            sp.winner_bytes = 0;
+                        }
+                        return Ok(rows_batch(rows));
                     }
-                    sp.resolve(&counters.spill, counters);
-                    continue; // loop back into the winner emission
+                }
+                let Some(mut b) = input.next_batch()? else {
+                    match spill.as_deref_mut() {
+                        Some(sp) if sp.spilling => {
+                            sp.resolve(&counters.spill, counters)?;
+                            continue; // loop back into the winner emission
+                        }
+                        _ => return Ok(None),
+                    }
                 };
                 let mut keep = vec![false; b.len()];
                 let mut any = false;
                 for (pos, k) in keep.iter_mut().enumerate() {
                     let digest = batch_row_hash(&b, pos);
+                    // The right-membership test of a difference is
+                    // stateless and runs in both phases.
+                    if let Some(m) = minus {
+                        let mut rows = m.table.get(digest);
+                        if rows.any(|i| batch_keys_eq(&b, &m.cols, pos, &m.right, &m.cols, i)) {
+                            continue;
+                        }
+                    }
                     if let Some(sp) = spill.as_deref_mut() {
                         if sp.spilling {
                             // Candidate phase: nothing emits online (the
                             // seen-set was flushed and stays empty).
-                            sp.push_candidate(&counters.spill, digest, b.row(pos));
+                            sp.push_candidate(&counters.spill, digest, b.row(pos))?;
                             continue;
                         }
                     }
@@ -1926,97 +1961,23 @@ impl<'a> BCursor<'a> {
                         spill
                             .as_deref_mut()
                             .expect("over implies spill state")
-                            .flush_seen(&counters.spill, seen);
+                            .flush_seen(&counters.spill, seen)?;
                     }
                 }
                 if any {
                     b.compact(&keep);
-                    return Some(b);
-                }
-            },
-            BCursor::Difference {
-                node,
-                input,
-                seen,
-                counters,
-                spill,
-            } => loop {
-                if let Some(batch) = dedup_emit_winners(spill, counters) {
-                    return batch;
-                }
-                let Some(mut b) = input.next_batch() else {
-                    let sp = spill.as_deref_mut()?;
-                    if !sp.spilling {
-                        return None;
-                    }
-                    sp.resolve(&counters.spill, counters);
-                    continue;
-                };
-                let mut keep = vec![false; b.len()];
-                let mut any = false;
-                for (pos, k) in keep.iter_mut().enumerate() {
-                    let digest = batch_row_hash(&b, pos);
-                    // The right-membership test is stateless and runs in
-                    // both phases.
-                    let in_right = node
-                        .table
-                        .get(digest)
-                        .any(|i| batch_keys_eq(&b, &node.cols, pos, &node.right, &node.cols, i));
-                    if in_right {
-                        continue;
-                    }
-                    if let Some(sp) = spill.as_deref_mut() {
-                        if sp.spilling {
-                            sp.push_candidate(&counters.spill, digest, b.row(pos));
-                            continue;
-                        }
-                    }
-                    let bucket = seen.entry(digest).or_default();
-                    if bucket.iter().any(|row| batch_row_eq(&b, pos, row)) {
-                        continue;
-                    }
-                    let row = b.row(pos);
-                    let over = spill
-                        .as_deref_mut()
-                        .is_some_and(|sp| sp.charge(&counters.spill, &row));
-                    bucket.push(row);
-                    counters.rows(1);
-                    *k = true;
-                    any = true;
-                    if over {
-                        spill
-                            .as_deref_mut()
-                            .expect("over implies spill state")
-                            .flush_seen(&counters.spill, seen);
-                    }
-                }
-                if any {
-                    b.compact(&keep);
-                    return Some(b);
+                    return Ok(Some(b));
                 }
             },
         }
     }
 }
 
-/// Winner emission of a spilled dedup cursor: `None` while the cursor
-/// is not in the winner phase; `Some(None)` at end of winners (end of
-/// stream, winner bytes released); `Some(Some(batch))` with up to
-/// [`BATCH_SIZE`] winner rows.
-fn dedup_emit_winners<'a>(
-    spill: &mut Option<Box<DedupSpill>>,
-    counters: &Counters,
-) -> Option<Option<ColumnBatch<'a>>> {
-    let sp = spill.as_deref_mut()?;
-    let w = sp.winners.as_mut()?;
-    let rows: Vec<Row> = w.by_ref().take(BATCH_SIZE).collect();
-    if rows.is_empty() {
-        counters.spill.budget().release(sp.winner_bytes);
-        sp.winner_bytes = 0;
-        return Some(None);
-    }
-    let arity = rows[0].len();
-    Some(Some(ColumnBatch::from_rows(&rows, arity)))
+/// A batch of spilled rows read back, or `None` (end of stream) when
+/// there are none.
+fn rows_batch<'a>(rows: Vec<Row>) -> Option<ColumnBatch<'a>> {
+    let arity = rows.first()?.len();
+    Some(ColumnBatch::from_rows(&rows, arity))
 }
 
 /// Join one (build partition, probe partition) pair of a spilled hash

@@ -22,21 +22,24 @@
 //!   [`crate::Catalog::set_faults`]; when disabled (the default) every
 //!   edge short-circuits on a `None` check — no ticks, no hashing.
 //! * [`CancelToken`] — cooperative cancellation checked at every batch
-//!   boundary. A token trips either explicitly
-//!   ([`CancelToken::cancel`]) or by deadline
+//!   boundary: before each batch a source cursor or a nested loop
+//!   makes, so prepare-time builds and spilled-probe drains observe it
+//!   too, and at each batch the pull driver hands out. A token trips
+//!   either explicitly ([`CancelToken::cancel`]) or by deadline
 //!   (`RELALG_DEADLINE_MS` / [`crate::Catalog::set_deadline`]); the
-//!   executing query unwinds through its breakers, releasing buffer
-//!   pool slots and dropping spill directories, and returns
-//!   [`Error::Cancelled`].
-//! * [`rethrow`] / [`catch_pull`] / [`lock_recover`] — the recovery
-//!   policy. Pull-time cursors are infallible by signature, so
-//!   mid-pull I/O errors unwind carrying an [`Error`] payload
-//!   ([`rethrow`]) and are converted back to `Err` at the pull drivers
-//!   ([`catch_pull`]). Engine critical sections keep shared state
-//!   valid at every panic point, so a poisoned lock's data is safe to
-//!   reuse: [`lock_recover`] recovers the guard instead of propagating
-//!   the poison, which would otherwise wedge every later query — on
-//!   every session — once a panic is converted to an error.
+//!   executing query returns [`Error::Cancelled`] and its cursors and
+//!   breakers drop on the way out, releasing buffer pool slots and
+//!   spill directories.
+//! * `catch_pull` / [`lock_recover`] — panic containment. Errors are
+//!   return values all the way up: every batch cursor returns
+//!   `Result`. `catch_pull` wraps the two pull drivers (prepare and
+//!   `for_each_batch`) only so that a genuine panic inside a query
+//!   becomes an error for that query alone. Engine critical sections
+//!   keep shared state valid at every panic point, so a poisoned
+//!   lock's data is safe to reuse: [`lock_recover`] recovers the guard
+//!   instead of propagating the poison, which would otherwise wedge
+//!   every later query — on every session — once a panic is converted
+//!   to an error.
 
 use crate::error::{Error, Result};
 use std::io;
@@ -306,8 +309,8 @@ pub fn io_error(what: &str, e: &io::Error) -> Error {
 
 /// Cooperative cancellation handle: trips explicitly or by deadline.
 /// Checked at every batch boundary, so a cancelled query stops
-/// within one batch of work and unwinds through its breakers (spill
-/// dirs and pool leases release on the way out).
+/// within one batch of work and drops its breakers (spill dirs and
+/// pool leases release on the way out).
 #[derive(Debug)]
 pub struct CancelToken {
     cancelled: AtomicBool,
@@ -363,44 +366,23 @@ impl CancelToken {
 }
 
 // ---------------------------------------------------------------------------
-// Unwind plumbing and lock-poison recovery
+// Panic containment and lock-poison recovery
 // ---------------------------------------------------------------------------
 
-/// Resume an error as an unwind through infallible cursor interfaces.
-/// The payload is the [`Error`] itself; [`catch_pull`] (at the pull
-/// drivers) converts it back to `Err`. Breaker state
-/// on the unwind path cleans up via `Drop` (spill dirs, pool-lease
-/// guards), so rethrowing never leaks.
-pub fn rethrow<T>(r: Result<T>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => std::panic::panic_any(e),
-    }
-}
-
-/// Convert a caught unwind payload into an engine error: [`rethrow`]n
-/// errors pass through; genuine panics become `Error::Invalid` with
-/// the panic message.
-pub fn unwind_to_error(payload: Box<dyn std::any::Any + Send>) -> Error {
-    match payload.downcast::<Error>() {
-        Ok(e) => *e,
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".into());
-            Error::Invalid(format!("query panicked: {msg}"))
-        }
-    }
-}
-
-/// Run a pull catching unwinds and mapping them back
-/// to engine errors. The closure is `AssertUnwindSafe`: everything it
-/// touches either cleans up on `Drop` or is re-validated by
-/// [`lock_recover`] on next acquisition.
-pub fn catch_pull<T>(f: impl FnOnce() -> T) -> Result<T> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(unwind_to_error)
+/// Run a pull, containing a genuine panic as `Error::Invalid` with the
+/// panic message (errors are return values and never unwind). The
+/// closure is `AssertUnwindSafe`: everything it touches either cleans
+/// up on `Drop` or is re-validated by [`lock_recover`] on next
+/// acquisition.
+pub(crate) fn catch_pull<T>(f: impl FnOnce() -> T) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| {
+        let msg = p
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic payload".into());
+        Error::Invalid(format!("query panicked: {msg}"))
+    })
 }
 
 /// The engine's single lock-poison policy: recover the guard. Engine
@@ -515,9 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn unwind_payloads_round_trip_errors() {
-        let r = catch_pull(|| rethrow::<i32>(Err(Error::Io("boom".into()))));
-        assert_eq!(r, Err(Error::Io("boom".into())));
+    fn catch_pull_contains_raw_panics() {
         let r = catch_pull(|| -> i32 { panic!("raw panic {}", 1) });
         match r {
             Err(Error::Invalid(msg)) => assert!(msg.contains("raw panic 1")),

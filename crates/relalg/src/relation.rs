@@ -438,13 +438,18 @@ impl Source {
         }
     }
 
-    /// Materialize the row form. Infallible interface: a disk decode
-    /// failure unwinds with the Error payload and is converted back to
-    /// `Err` at the pull driver (see `fault::catch_pull`).
+    /// Materialize the row form. Infallible interface for callers
+    /// outside the executor, which reads disk-native relations through
+    /// their segment provider instead.
+    ///
+    /// # Panics
+    ///
+    /// When decoding a disk image fails (an I/O error or a segment that
+    /// changed on disk), with the error's text.
     fn rows(&self) -> Vec<Row> {
         match self {
             Source::Columns(img) => img.to_rows(),
-            Source::Disk(img) => crate::fault::rethrow(img.decode_rows()),
+            Source::Disk(img) => img.decode_rows().unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
@@ -713,6 +718,13 @@ impl Relation {
     /// The rows. An image-backed relation materializes its row view on
     /// the first call and keeps it; the batched executor reads the
     /// column image or the segments instead.
+    ///
+    /// # Panics
+    ///
+    /// For a disk-native relation ([`Relation::from_disk_image`]) whose
+    /// segments fail to read or verify on the first call, with the
+    /// error's text. Query it through [`crate::exec::stream`] to get
+    /// the failure as an `Err`.
     pub fn rows(&self) -> &[Row] {
         self.rows_arc()
     }
@@ -731,6 +743,11 @@ impl Relation {
     /// The column-major image, built on first use and cached. Batched
     /// scans read this; the conversion is paid once per relation even
     /// across repeated queries (clones and renames share the cache).
+    ///
+    /// # Panics
+    ///
+    /// As [`Relation::rows`]: a disk-native relation builds its image
+    /// from its row view.
     pub fn columns(&self) -> &ColumnarImage {
         self.columnar_arc()
     }

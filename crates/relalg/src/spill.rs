@@ -28,9 +28,9 @@
 //! every edge — directory creation, run-file open, record write/read,
 //! merge passes — returns `Result`, with transient read/open failures
 //! retried under the bounded [`crate::fault::retry_io`] policy and
-//! everything else surfacing as a clean [`crate::Error::Io`]. Cursors
-//! that cannot carry `Result` unwind via [`crate::fault::rethrow`];
-//! either way the [`SpillDir`]'s `Drop` removes every run file.
+//! everything else surfacing as a clean [`crate::Error::Io`] that the
+//! executor's cursors return as is; the [`SpillDir`]'s `Drop` removes
+//! every run file on that path as on every other.
 
 use crate::error::Result;
 use crate::fault::{self, FaultInjector, FaultKind};
@@ -156,9 +156,10 @@ impl Drop for SpillDir {
     fn drop(&mut self) {
         if let Some(dir) = self.path.get() {
             // Best effort, and deliberately infallible: this runs on
-            // the unwind path too (cancelled or faulted executions), so
-            // a temp dir the OS already reaped — or a removal error —
-            // must never turn into a double panic.
+            // the error path of cancelled or faulted executions and
+            // during a panic's unwind, so a temp dir the OS already
+            // reaped — or a removal error — must never turn into a
+            // double panic.
             let _ = std::fs::remove_dir_all(dir);
         }
     }

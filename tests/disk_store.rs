@@ -11,15 +11,19 @@
 //! *previous process* reopens cleanly and answers the paper's Q1
 //! (Figure 8, from TPC-H Q3) byte-identically to the in-memory store.
 
+mod common;
+
+use common::count_panics;
 use std::fs;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 use u_relations::relalg::store::pool_for;
 use u_relations::relalg::value::date_to_days;
 use u_relations::relalg::{
     col, exec, lit_i64, lit_str, Catalog, DiskImage, DiskTableWriter, Error, IoCounters, Plan,
-    Relation, Value,
+    Relation, StorageMode, Value,
 };
 use u_relations::tpch::generate_certain;
 
@@ -94,8 +98,11 @@ fn bit_flipped_block_fails_its_checksum() {
 
 /// Every fetch after open re-verifies its block's checksum: a byte
 /// flipped in place under an opened image fails both the direct read
-/// and a disk scan with a named I/O error, never an answer, and leaves
-/// no in-flight latch in the pool.
+/// and every query over the relation with a named I/O error, never an
+/// answer, and leaves no in-flight latch in the pool. Queries read a
+/// disk-native relation through its segments under either storage
+/// mode, as a scan and as a bare-source build side, so the error is a
+/// return value all the way up: it runs the panic hook not once.
 #[test]
 fn in_place_flip_after_open_fails_every_fetch() {
     const POOL: usize = 31;
@@ -130,17 +137,32 @@ fn in_place_flip_after_open_fails_every_fetch() {
     let read = image.read_segment(0, &IoCounters::default());
     expect_changed("read_segment", read.expect_err("read_segment answered"));
 
-    let mut disk = Catalog::new();
-    disk.set_storage(u_relations::relalg::StorageMode::Disk);
-    disk.set_buffer_pool(POOL);
-    disk.insert("t", Relation::from_disk_image(image));
-    let scan = exec::stream(&Plan::scan("t"), &disk).and_then(|s| s.collect_rows());
-    expect_changed("disk scan", scan.expect_err("disk scan answered"));
-    assert_eq!(
-        pool_for(POOL).in_flight_len(),
-        0,
-        "a failed fetch left its latch"
-    );
+    let probe = Relation::from_rows(["x"], (0..1000i64).map(|i| vec![Value::Int(i)])).unwrap();
+    let join = Plan::scan("t").join(Plan::scan("u"), col("k").eq(col("x")));
+    for mode in [StorageMode::Disk, StorageMode::Plain] {
+        let mut cat = Catalog::new();
+        cat.set_storage(mode);
+        cat.set_buffer_pool(POOL);
+        cat.insert("t", Relation::from_disk_image(Arc::clone(&image)));
+        cat.insert("u", probe.clone());
+        assert!(exec::join_build_left(
+            &Plan::scan("t"),
+            &Plan::scan("u"),
+            &cat
+        ));
+        for (what, plan) in [("scan", Plan::scan("t")), ("build side", join.clone())] {
+            let what = format!("{mode:?} {what}");
+            let (res, panics) =
+                count_panics(|| exec::stream(&plan, &cat).and_then(|s| s.collect_rows()));
+            expect_changed(&what, res.expect_err("answered"));
+            assert_eq!(panics, 0, "{what}: the failing fetch ran the panic hook");
+            assert_eq!(
+                pool_for(POOL).in_flight_len(),
+                0,
+                "{what}: a failed fetch left its latch"
+            );
+        }
+    }
 }
 
 #[test]

@@ -8,24 +8,30 @@
 //!
 //! * 256 seeded schedules (seeds 0..256, on disk storage through four
 //!   distinct pool capacities) over a spilling join +
-//!   distinct plan, with a per-schedule result/error check and a
-//!   per-schedule leak check;
+//!   distinct plan, with a per-schedule result/error check, a
+//!   per-schedule leak check, and a check that no schedule ran the
+//!   panic hook (errors are return values, never unwinds);
 //! * an anti-no-op guard: across the whole sweep the injector must have
 //!   actually fired, so the suite cannot silently degrade into a plain
 //!   differential re-run;
 //! * query deadlines: an expired deadline surfaces as
 //!   [`Error::Cancelled`], the `cancelled` stat is set, and every
-//!   resource is released;
+//!   resource is released — also when the time goes to a prepare-time
+//!   build, a filter that rejects every batch or a theta join that
+//!   rejects every pair;
 //! * cooperative cancellation from another thread via
 //!   [`exec::Streamed::cancel_token`];
 //! * the CI `faults` leg's no-op guard: when `RELALG_FAULTS` is set the
 //!   engine default must pick it up and a workload must observe
 //!   injected faults.
 
+mod common;
+
+use common::count_panics;
 use std::time::Duration;
 use u_relations::relalg::store::pool_for;
 use u_relations::relalg::{
-    col, exec, fault, lit_i64, Catalog, EngineConfig, Error, FaultConfig, Plan, Relation,
+    col, exec, fault, lit_i64, Catalog, Column, EngineConfig, Error, FaultConfig, Plan, Relation,
     StorageMode, Value,
 };
 
@@ -121,8 +127,12 @@ fn fault_schedules_are_byte_identical_or_clean_errors() {
         let baseline = baseline.unwrap_or_else(|e| panic!("pool {pool_cap} baseline: {e}"));
         assert!(!baseline.is_empty());
         for seed in seeds {
-            let (res, injected, retries) =
-                run_schedule(pool_cap, Some(FaultConfig::new(seed, 0.001)));
+            let ((res, injected, retries), panics) =
+                count_panics(|| run_schedule(pool_cap, Some(FaultConfig::new(seed, 0.001))));
+            assert_eq!(
+                panics, 0,
+                "pool {pool_cap} seed {seed}: an error ran the panic hook"
+            );
             injected_total += injected;
             retried_total += retries;
             ran += 1;
@@ -171,7 +181,9 @@ fn expired_deadline_cancels_cleanly_and_releases_resources() {
             drop(streamed);
             fault::assert_no_leaks(dir.as_deref(), pool_for(25).in_flight_len());
         }
-        // Prepare itself may observe the deadline first.
+        // The build side is the bare source `u`, so prepare pulls no
+        // batch unless the memory budget makes the join build spill;
+        // if it does pull one, prepare observes the deadline first.
         Err(e) => assert!(matches!(e, Error::Cancelled(_)), "{e}"),
     }
     // The same catalog without the deadline still answers (the token is
@@ -179,6 +191,79 @@ fn expired_deadline_cancels_cleanly_and_releases_resources() {
     cat.set_deadline(None);
     let rows = exec::stream(&plan(), &cat).unwrap().collect_rows().unwrap();
     assert!(!rows.is_empty());
+}
+
+/// `l(lk, lv)` (400k rows) and `r(rk)` (256 rows), and two plans whose
+/// rows never reach the pull driver:
+/// * σ(l ⋈ σr): the build side is the *computed* `σr`, which prepare
+///   pulls, and the final filter keeps no row;
+/// * r ⋈ l on `lk > rk + 256`: a theta join whose outer side is one
+///   batch and whose predicate holds for none of its 102M pairs
+///   (`lk < 256`).
+fn rejecting_plans() -> (Catalog, [Plan; 2]) {
+    const N: i64 = 400_000;
+    let mut c = Catalog::new();
+    c.set_storage(StorageMode::Disk);
+    c.set_segment_layout(4096, 31);
+    c.set_mem_budget(0);
+    c.set_faults(None);
+    c.set_deadline(None);
+    let l = Relation::from_columns(
+        ["lk", "lv"],
+        vec![
+            Column::from_ints((0..N).map(|i| i % 256).collect()),
+            Column::from_ints((0..N).collect()),
+        ],
+        N as usize,
+    )
+    .unwrap();
+    let r = Relation::from_columns(["rk"], vec![Column::from_ints((0..256).collect())], 256);
+    c.insert("l", l);
+    c.insert("r", r.unwrap());
+    let build = Plan::scan("r").select(col("rk").ge(lit_i64(0)));
+    assert!(!exec::join_build_left(&Plan::scan("l"), &build, &c));
+    let filtered = Plan::scan("l")
+        .join(build, col("lk").eq(col("rk")))
+        .select(col("lv").lt(lit_i64(0)));
+    let theta = Plan::scan("r").join(Plan::scan("l"), col("lk").gt(col("rk").add(lit_i64(256))));
+    (c, [filtered, theta])
+}
+
+#[test]
+fn deadline_reaches_prepare_time_builds_and_rejecting_operators() {
+    let (mut cat, plans) = rejecting_plans();
+    // Anti-no-op: without a deadline the filtered join answers, with no
+    // rows (the theta join would too, after 102M pair tests).
+    let rows = exec::stream(&plans[0], &cat).unwrap().collect_rows();
+    assert!(rows.unwrap().is_empty());
+    // A deadline that has passed before prepare starts: the build
+    // side's first batch observes it, so prepare itself fails.
+    cat.set_deadline(Some(Duration::ZERO));
+    match exec::stream(&plans[0], &cat) {
+        Err(e) => assert!(matches!(e, Error::Cancelled(_)), "{e}"),
+        Ok(_) => panic!("prepare pulled the build side past its deadline"),
+    }
+    fault::assert_no_leaks(None, pool_for(31).in_flight_len());
+    // 1 ms: whichever of prepare and the pull runs into it, each query
+    // is cancelled, although no batch ever reaches the driver.
+    cat.set_deadline(Some(Duration::from_millis(1)));
+    for plan in &plans {
+        match exec::stream(plan, &cat) {
+            Ok(streamed) => {
+                let err = streamed.collect_rows().unwrap_err();
+                assert!(matches!(err, Error::Cancelled(_)), "{err}");
+                let stats = streamed.stats();
+                assert!(stats.cancelled, "{stats:?}");
+                let dir = streamed.spill_dir();
+                drop(streamed);
+                fault::assert_no_leaks(dir.as_deref(), pool_for(31).in_flight_len());
+            }
+            Err(e) => {
+                assert!(matches!(e, Error::Cancelled(_)), "{e}");
+                fault::assert_no_leaks(None, pool_for(31).in_flight_len());
+            }
+        }
+    }
 }
 
 #[test]
